@@ -346,12 +346,18 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     return _node(out_data, (a, gain, bias), backward)
 
 
-def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; the mask is a constant w.r.t. differentiation."""
+def dropout(a, rate: float, rng: np.random.Generator, keep=None) -> Tensor:
+    """Inverted dropout; the mask is a constant w.r.t. differentiation.
+
+    ``keep`` (boolean, shaped like ``a``) replaces the draw from ``rng``,
+    for callers that draw a larger mask and use part of it.
+    """
     if rate <= 0.0:
         return as_tensor(a)
     a = as_tensor(a)
-    mask = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
+    if keep is None:
+        keep = rng.random(a.data.shape) >= rate
+    mask = keep / (1.0 - rate)
 
     def backward(g):
         a.accumulate(g * mask)

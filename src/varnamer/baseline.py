@@ -35,9 +35,9 @@ def heuristic_lp(params: ModelParams, vocab: SubwordVocab,
         input_ids, groups = masking.masked_sequence(
             vocab, record.code_before, record.variable_before,
             masking.SCHEME_CMLM, g, config.max_seq_len)
-        encoded = model.forward(params, input_ids, train_mode=False)
         flat = [p for group in groups for p in group]
-        probs = model.token_probs(params, encoded.hidden_states[flat]).data
+        encoded = model.forward(params, input_ids, train_mode=False, rows=flat)
+        probs = model.token_probs(params, encoded.hidden_states).data
         per_occurrence = probs.reshape(len(groups), g, -1).mean(axis=0)
         score = float(np.mean(np.log(per_occurrence.max(axis=1))))
         scores.append((g, score))

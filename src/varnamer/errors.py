@@ -65,6 +65,10 @@ class EmptyPositions(VarnamerError):
     """Pooling was requested over an empty position list."""
 
 
+class InvalidRows(VarnamerError):
+    """Encoder output rows were requested that are empty or out of range."""
+
+
 class ZeroVector(VarnamerError):
     """Pooled representation is exactly zero and cannot be normalized."""
 
@@ -75,6 +79,10 @@ class NonFiniteGradient(VarnamerError):
 
 class ShapeMismatch(VarnamerError):
     """Tensor shapes disagree between parameters, gradients, or checkpoints."""
+
+
+class CorruptCheckpoint(VarnamerError):
+    """A checkpoint file is truncated or its bytes cannot be decoded."""
 
 
 # --- losses -----------------------------------------------------------------

@@ -125,7 +125,6 @@ def toy_model(vocab_size: int = 64, hidden_dim: int = 32, num_layers: int = 2,
 
 def loss_suite(params, example, tau: float = 0.05) -> dict[str, object]:
     """Named scalar loss closures over the toy instance, for checking."""
-    from . import autodiff as ad
     from . import losses as L
     from . import model
     from .training import TrainConfig, cmlm_example_loss, lp_example_loss, tg_example_loss
@@ -139,8 +138,9 @@ def loss_suite(params, example, tau: float = 0.05) -> dict[str, object]:
         return lp_example_loss(p, num_example, False, 0)
 
     def bot_fn(p):
-        encoded = model.forward(p, example.masked.input_ids, False, 0)
-        probs = model.token_probs(p, ad.take(encoded.hidden, example.masked.flat_positions))
+        encoded = model.forward(p, example.masked.input_ids, False, 0,
+                                rows=example.masked.flat_positions)
+        probs = model.token_probs(p, encoded.hidden)
         pred = L.MaskedPrediction(probs=probs, target_ids=example.masked.target_ids)
         return L.bot_loss(L.bot_distribution(pred), pred.target_ids)
 

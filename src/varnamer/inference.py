@@ -10,7 +10,7 @@ import numpy as np
 from . import bpe, masking, model
 from .bpe import SPECIAL_TOKENS, SubwordVocab
 from .corpus import RefactoringRecord
-from .errors import VariableNotFound, VocabExhausted
+from .errors import VocabExhausted
 from .model import ModelParams
 
 DECODE_METHODS = ("greedy", "global", "optimal")
@@ -43,7 +43,7 @@ def _ranked_lengths(params: ModelParams, vocab: SubwordVocab,
     config = params.config
     input_ids, _ = masking.masked_sequence(
         vocab, code, name, masking.SCHEME_NUM, 1, config.max_seq_len)
-    encoded = model.forward(params, input_ids, train_mode=False)
+    encoded = model.forward(params, input_ids, train_mode=False, rows=[0])
     probs = model.length_probs(params, encoded.cls_vector).data
     ranked = sorted(
         ((length, float(probs[length - 1])) for length in range(1, config.max_name_tokens + 1)),
@@ -58,9 +58,9 @@ def _slot_distributions(params: ModelParams, vocab: SubwordVocab,
     config = params.config
     input_ids, groups = masking.masked_sequence(
         vocab, code, name, masking.SCHEME_CMLM, slots, config.max_seq_len)
-    encoded = model.forward(params, input_ids, train_mode=False)
     flat = [p for group in groups for p in group]
-    probs = model.token_probs(params, encoded.hidden_states[flat]).data
+    encoded = model.forward(params, input_ids, train_mode=False, rows=flat)
+    probs = model.token_probs(params, encoded.hidden_states).data
     per_occurrence = probs.reshape(len(groups), slots, -1)
     return per_occurrence.mean(axis=0)
 
@@ -135,14 +135,17 @@ def generate_tokens(params: ModelParams, vocab: SubwordVocab,
 def suggest(params: ModelParams, vocab: SubwordVocab,
             code: str, variable_before: str,
             method: str = "greedy") -> Suggestion:
-    """End-to-end suggestion: top-1 predicted length, then unique decoding."""
-    from . import javalex
+    """End-to-end suggestion: top-1 predicted length, then unique decoding.
 
-    if not javalex.find_identifier_occurrences(code, variable_before):
-        raise VariableNotFound(
-            f"{variable_before!r} does not occur as an identifier")
+    Raises VariableNotFound when the variable does not occur in ``code``.
+    """
     ranked = _ranked_lengths(params, vocab, code, variable_before)
-    g = ranked[0][0]
+    return _suggest_with_length(params, vocab, code, variable_before, ranked[0][0], method)
+
+
+def _suggest_with_length(params: ModelParams, vocab: SubwordVocab, code: str,
+                         variable_before: str, g: int, method: str) -> Suggestion:
+    """Decode ``g`` unique sub-tokens: the part of ``suggest`` after ranking."""
     slot_probs = _slot_distributions(params, vocab, code, variable_before, g)
     ids = decode_unique(slot_probs, vocab, method)
     sub_tokens = [bpe.token_string(vocab, i) for i in ids]
@@ -162,19 +165,29 @@ def suggest(params: ModelParams, vocab: SubwordVocab,
 
 
 class ModelPredictor:
-    """Adapter exposing the evaluation protocol over a trained model."""
+    """Adapter exposing the evaluation protocol over a trained model.
+
+    ``predict_name`` reuses the ranking of a ``predict_length`` call on the
+    same record, so a record evaluated for both costs two encoder passes.
+    """
 
     def __init__(self, params: ModelParams, vocab: SubwordVocab,
                  method: str = "greedy"):
         self.params = params
         self.vocab = vocab
         self.method = method
+        self._ranked: tuple[RefactoringRecord, list[tuple[int, float]]] | None = None
 
     def predict_length(self, record: RefactoringRecord) -> list[tuple[int, float]]:
-        return predict_length(self.params, self.vocab, record)
+        ranked = predict_length(self.params, self.vocab, record)
+        self._ranked = (record, ranked)
+        return ranked
 
     def predict_name(self, record: RefactoringRecord) -> str:
-        suggestion = suggest(self.params, self.vocab,
-                             record.code_before, record.variable_before,
-                             self.method)
-        return suggestion.name
+        if self._ranked is None or self._ranked[0] is not record:
+            return suggest(self.params, self.vocab, record.code_before,
+                           record.variable_before, self.method).name
+        g = self._ranked[1][0][0]
+        self._ranked = None
+        return _suggest_with_length(self.params, self.vocab, record.code_before,
+                                    record.variable_before, g, self.method).name

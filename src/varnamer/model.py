@@ -3,6 +3,15 @@
 Sizes are config-driven; the defaults are desk scale (2 layers, width 128)
 but the full-size geometry remains expressible. All arithmetic is float64;
 checkpoints store float32.
+
+Every loss and decoder reads only a few output rows: [CLS] for length
+prediction, the masked or name positions for the token head and the
+pooled name vectors. ``forward(..., rows=R)`` returns just those rows.
+Its last layer computes keys and values at every position (all rows are
+attended to) but queries, attention output, FFN and layer norms only at
+``R``, which saves about 40% of a 2-layer encoder's multiply-adds. The
+result equals the full output's rows ``R`` up to rounding, in train mode
+too: the last layer's dropout masks are drawn at full size and subset.
 """
 
 from __future__ import annotations
@@ -17,8 +26,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .bpe import CLS, SEP
 from .errors import (
+    CorruptCheckpoint,
     EmptyPositions,
     InvalidConfig,
+    InvalidRows,
     SequenceTooLong,
     ShapeMismatch,
     UnknownTokenId,
@@ -28,9 +39,52 @@ from .errors import (
 CHECKPOINT_MAGIC = b"RFBT"
 CHECKPOINT_VERSION = 1
 
+_BOOLEANS = {"true": True, "yes": True, "1": True,
+             "false": False, "no": False, "0": False}
+
+
+class TextConfig:
+    """The ``key = value`` text form shared by the model and training
+    configurations; blank lines and ``#`` comments are skipped."""
+
+    def to_text(self) -> str:
+        return "\n".join(
+            f"{f.name} = {getattr(self, f.name)}" for f in fields(self)
+        ) + "\n"
+
+    @classmethod
+    def from_text(cls, text: str):
+        types = {f.name: f.type for f in fields(cls)}   # strings: postponed annotations
+        values: dict[str, object] = {}
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise InvalidConfig(f"config line {line_no}: expected 'key = value'")
+            key, _, raw = line.partition("=")
+            key, raw = key.strip(), raw.strip()
+            if key not in types:
+                raise InvalidConfig(f"config line {line_no}: unknown key {key!r}")
+            kind = types[key]
+            try:
+                if kind == "bool":
+                    values[key] = _BOOLEANS[raw.lower()]
+                elif kind == "float":
+                    values[key] = float(raw)
+                else:
+                    values[key] = int(raw)
+            except (KeyError, ValueError):
+                raise InvalidConfig(
+                    f"config line {line_no}: {key} = {raw!r} is not a valid {kind}"
+                ) from None
+        config = cls(**values)  # type: ignore[arg-type]
+        config.validate()
+        return config
+
 
 @dataclass
-class ModelConfig:
+class ModelConfig(TextConfig):
     vocab_size: int
     num_layers: int = 2
     hidden_dim: int = 128
@@ -54,36 +108,6 @@ class ModelConfig:
             raise InvalidConfig("dropout must be in [0, 1)")
         if min(self.num_layers, self.ffn_dim) < 1:
             raise InvalidConfig("num_layers and ffn_dim must be positive")
-
-    def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            lines.append(f"{f.name} = {getattr(self, f.name)}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ModelConfig":
-        values: dict[str, object] = {}
-        types = {f.name: f.type for f in fields(cls)}
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidConfig(f"config line {line_no}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in types:
-                raise InvalidConfig(f"config line {line_no}: unknown key {key!r}")
-            if types[key] in ("bool", bool):
-                values[key] = raw.lower() in ("true", "1", "yes")
-            elif types[key] in ("float", float):
-                values[key] = float(raw)
-            else:
-                values[key] = int(raw)
-        config = cls(**values)  # type: ignore[arg-type]
-        config.validate()
-        return config
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -159,7 +183,8 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
 
 @dataclass
 class EncodedSequence:
-    """Per-token contextual vectors; row 0 is the [CLS] summary."""
+    """Contextual vectors, one row per position or per requested row; row 0
+    is the [CLS] summary for the full output and for ``rows=[0]``."""
 
     hidden: Tensor = field(repr=False)
 
@@ -171,19 +196,21 @@ class EncodedSequence:
     def cls_vector(self) -> np.ndarray:
         return self.hidden.data[0]
 
-    def cls_tensor(self) -> Tensor:
-        return ad.take(self.hidden, [0])
-
 
 def forward(
     params: ModelParams,
     ids: list[int],
     train_mode: bool = False,
     dropout_seed: int = 0,
+    rows: list[int] | None = None,
 ) -> EncodedSequence:
     """Run the encoder over a CLS...SEP token sequence.
 
     Deterministic when train_mode is off; dropout is seeded otherwise.
+    ``rows`` (positions in any order, repeats allowed) returns only those
+    rows, shape ``(len(rows), d)``: the last layer attends from them alone,
+    over keys and values at every position. ``None`` returns all S rows.
+    Raises InvalidRows when ``rows`` is empty or out of range.
     """
     config = params.config
     n = len(ids)
@@ -194,12 +221,24 @@ def forward(
         raise UnknownTokenId("token ids must lie in [0, vocab_size)")
     if arr[0] != CLS or arr[-1] != SEP:
         raise ValueError("sequence must start with [CLS] and end with [SEP]")
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 1 or rows.size == 0 or rows.min() < 0 or rows.max() >= n:
+            raise InvalidRows(f"rows must be a non-empty list of positions in [0, {n})")
 
     rate = config.dropout if train_mode else 0.0
     rng = np.random.default_rng(dropout_seed) if rate > 0 else None
 
-    def drop(x: Tensor) -> Tensor:
-        return ad.dropout(x, rate, rng) if rng is not None else x
+    def drop(x: Tensor, sel=None, axis: int = 0) -> Tensor:
+        if rng is None:
+            return x
+        if sel is None:
+            return ad.dropout(x, rate, rng)
+        # Draw the full-size mask so each kept row is masked as in the full pass.
+        shape = list(x.shape)
+        shape[axis] = n
+        keep = np.take(rng.random(shape) >= rate, sel, axis=axis)
+        return ad.dropout(x, rate, rng, keep=keep)
 
     x = ad.add(ad.take(params["token_embedding"], arr),
                ad.take(params["position_embedding"], np.arange(n)))
@@ -211,22 +250,26 @@ def forward(
     inv_sqrt = 1.0 / math.sqrt(head_dim)
     for i in range(config.num_layers):
         p = f"layer{i}"
-        q = _project(params, f"{p}.attention.query", x)
+        # Queries and everything after them run only at the output rows.
+        sel = rows if i == config.num_layers - 1 else None
+        xq = x if sel is None else ad.take(x, sel)
+        m = xq.shape[0]
+        q = _project(params, f"{p}.attention.query", xq)
         k = _project(params, f"{p}.attention.key", x)
         v = _project(params, f"{p}.attention.value", x)
-        q = transpose_heads(q, n, heads, head_dim)
+        q = transpose_heads(q, m, heads, head_dim)
         k = transpose_heads(k, n, heads, head_dim)
         v = transpose_heads(v, n, heads, head_dim)
         scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), inv_sqrt)
-        probs = drop(ad.softmax(scores))
-        context = ad.matmul(probs, v)                     # (H, S, head_dim)
-        context = ad.reshape(ad.transpose(context, (1, 0, 2)), (n, config.hidden_dim))
-        attn_out = drop(_project(params, f"{p}.attention.output", context))
-        x = ad.layer_norm(ad.add(x, attn_out),
+        probs = drop(ad.softmax(scores), sel, axis=1)     # (H, m, S)
+        context = ad.matmul(probs, v)                     # (H, m, head_dim)
+        context = ad.reshape(ad.transpose(context, (1, 0, 2)), (m, config.hidden_dim))
+        attn_out = drop(_project(params, f"{p}.attention.output", context), sel)
+        x = ad.layer_norm(ad.add(xq, attn_out),
                           params[f"{p}.attention_norm.scale"],
                           params[f"{p}.attention_norm.bias"])
         ffn = ad.gelu(_project(params, f"{p}.ffn.in", x))
-        ffn = drop(_project(params, f"{p}.ffn.out", ffn))
+        ffn = drop(_project(params, f"{p}.ffn.out", ffn), sel)
         x = ad.layer_norm(ad.add(x, ffn),
                           params[f"{p}.ffn_norm.scale"],
                           params[f"{p}.ffn_norm.bias"])
@@ -268,14 +311,17 @@ def length_probs(params: ModelParams, cls_vector) -> Tensor:
     return ad.softmax(length_logits(params, cls_vector))
 
 
-def pool_name_representation(hidden_states, positions: list[int]) -> Tensor:
-    """Mean of the selected rows, L2-normalized to a unit vector."""
-    if len(positions) == 0:
-        raise EmptyPositions("positions must be non-empty")
+def pool_name_representation(hidden_states, positions: list[int] | None = None) -> Tensor:
+    """Mean of the selected rows (all rows when ``positions`` is None),
+    L2-normalized to a unit vector."""
     h = ad.as_tensor(hidden_states)
-    if max(positions) >= h.data.shape[0] or min(positions) < 0:
-        raise IndexError("pooling position out of range")
-    pooled = ad.mean_axis(ad.take(h, list(positions)), axis=0)
+    if positions is not None:
+        if len(positions) == 0:
+            raise EmptyPositions("positions must be non-empty")
+        if max(positions) >= h.data.shape[0] or min(positions) < 0:
+            raise IndexError("pooling position out of range")
+        h = ad.take(h, list(positions))
+    pooled = ad.mean_axis(h, axis=0)
     if not np.any(pooled.data):
         raise ZeroVector("pooled representation is exactly zero")
     return ad.l2_normalize(pooled)
@@ -324,48 +370,66 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelParams:
-    """Read a checkpoint, validating tensor shapes against its config."""
+    """Read a checkpoint, validating tensor shapes against its config.
+
+    A truncated or undecodable file raises CorruptCheckpoint naming the
+    path and the byte offset where reading failed.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     off = 0
 
-    def unpack(fmt: str):
+    def read(size: int, what: str) -> bytes:
         nonlocal off
-        size = struct.calcsize(fmt)
-        values = struct.unpack_from(fmt, blob, off)
+        if off + size > len(blob):
+            raise CorruptCheckpoint(
+                f"{path}: truncated at offset {off}: {what} needs {size} bytes, "
+                f"{len(blob) - off} left")
         off += size
-        return values
+        return blob[off - size:off]
+
+    def unpack(fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, read(struct.calcsize(fmt), what))
+
+    def text(size: int, what: str) -> str:
+        start = off
+        try:
+            return read(size, what).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptCheckpoint(f"{path}: {what} at offset {start} is not UTF-8") from None
 
     if blob[:4] != CHECKPOINT_MAGIC:
-        raise InvalidConfig(f"{path}: bad magic, not a checkpoint")
+        raise InvalidConfig(f"{path}: bad magic at offset 0, not a checkpoint")
     off = 4
-    (version,) = unpack("<I")
+    (version,) = unpack("<I", "version")
     if version != CHECKPOINT_VERSION:
         raise InvalidConfig(f"{path}: unsupported version {version}")
-    (config_len,) = unpack("<I")
-    config = ModelConfig.from_text(blob[off:off + config_len].decode("utf-8"))
-    off += config_len
+    (config_len,) = unpack("<I", "config length")
+    config_off = off
+    try:
+        config = ModelConfig.from_text(text(config_len, "config"))
+    except InvalidConfig as exc:
+        raise CorruptCheckpoint(f"{path}: config at offset {config_off}: {exc}") from None
 
     expected = parameter_shapes(config)
     tensors: dict[str, Tensor] = {}
     while off < len(blob):
-        (name_len,) = unpack("<I")
-        name = blob[off:off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = unpack("<I")
-        shape = unpack(f"<{rank}I")
-        count = int(np.prod(shape)) if rank else 1
-        data = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
-        off += count * 4
+        (name_len,) = unpack("<I", "tensor name length")
+        name = text(name_len, "tensor name")
+        (rank,) = unpack("<I", f"rank of {name!r}")
+        shape = unpack(f"<{rank}I", f"shape of {name!r}")
         if name not in expected:
             raise ShapeMismatch(f"{path}: unexpected tensor {name!r}")
         if tuple(shape) != expected[name]:
             raise ShapeMismatch(
                 f"{path}: tensor {name!r} has shape {tuple(shape)}, "
                 f"config implies {expected[name]}")
+        count = int(np.prod(shape)) if rank else 1
+        data = np.frombuffer(read(count * 4, f"data of {name!r}"), dtype="<f4")
         tensors[name] = Tensor(data.reshape(shape).astype(np.float64),
                                requires_grad=True)
     missing = set(expected) - set(tensors)
     if missing:
-        raise ShapeMismatch(f"{path}: missing tensors {sorted(missing)}")
+        raise ShapeMismatch(
+            f"{path}: missing tensors {sorted(missing)} (file ends at offset {off})")
     return ModelParams(config=config, tensors=tensors)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,7 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(model.TextConfig):
     learning_rate: float = 1e-3
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
@@ -63,35 +63,6 @@ class TrainConfig:
             raise InvalidConfig("tau must be positive")
         if min(self.lambda_cmlm, self.lambda_bot, self.lambda_cl) < 0:
             raise InvalidConfig("loss weights must be non-negative")
-
-    def to_text(self) -> str:
-        return "\n".join(
-            f"{f.name} = {getattr(self, f.name)}" for f in fields(self)
-        ) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "TrainConfig":
-        types = {f.name: f.type for f in fields(cls)}
-        values: dict[str, object] = {}
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidConfig(f"config line {line_no}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in types:
-                raise InvalidConfig(f"config line {line_no}: unknown key {key!r}")
-            if types[key] in ("bool", bool):
-                values[key] = raw.lower() in ("true", "1", "yes")
-            elif types[key] in ("float", float):
-                values[key] = float(raw)
-            else:
-                values[key] = int(raw)
-        config = cls(**values)  # type: ignore[arg-type]
-        config.validate()
-        return config
 
     @classmethod
     def from_file(cls, path: str) -> "TrainConfig":
@@ -225,9 +196,9 @@ def build_tg_dataset(
 
 def _masked_prediction(params: ModelParams, example: masking.MaskedExample,
                        train_mode: bool, dropout_seed: int) -> L.MaskedPrediction:
-    encoded = model.forward(params, example.input_ids, train_mode, dropout_seed)
-    rows = ad.take(encoded.hidden, example.flat_positions)
-    probs = model.token_probs(params, rows)
+    encoded = model.forward(params, example.input_ids, train_mode, dropout_seed,
+                            rows=example.flat_positions)
+    probs = model.token_probs(params, encoded.hidden)
     targets = example.target_ids * len(example.mask_positions)
     return L.MaskedPrediction(probs=probs, target_ids=targets)
 
@@ -239,17 +210,17 @@ def cmlm_example_loss(params: ModelParams, example: masking.MaskedExample,
 
 def lp_example_loss(params: ModelParams, example: masking.MaskedExample,
                     train_mode: bool, dropout_seed: int) -> Tensor:
-    encoded = model.forward(params, example.input_ids, train_mode, dropout_seed)
-    cls_row = ad.take(encoded.hidden, [0])
-    q = ad.reshape(model.length_probs(params, cls_row), (-1,))
+    encoded = model.forward(params, example.input_ids, train_mode, dropout_seed, rows=[0])
+    q = ad.reshape(model.length_probs(params, encoded.hidden), (-1,))
     return L.lp_loss(q, example.length_label)
 
 
 def tg_example_loss(params: ModelParams, example: TgExample, config: TrainConfig,
                     train_mode: bool, dropout_seed: int) -> tuple[Tensor, dict[str, float]]:
-    encoded = model.forward(params, example.masked.input_ids, train_mode, dropout_seed)
     flat = example.masked.flat_positions
-    probs = model.token_probs(params, ad.take(encoded.hidden, flat))
+    encoded = model.forward(params, example.masked.input_ids, train_mode, dropout_seed,
+                            rows=flat)
+    probs = model.token_probs(params, encoded.hidden)
     targets = example.masked.target_ids * len(example.masked.mask_positions)
     pred = L.MaskedPrediction(probs=probs, target_ids=targets)
     parts: dict[str, float] = {}
@@ -265,11 +236,13 @@ def tg_example_loss(params: ModelParams, example: TgExample, config: TrainConfig
     if config.lambda_cl != 0.0:
         # The substituted passes run without dropout but stay on the tape,
         # so the contrastive term trains all three representations.
-        gen = model.pool_name_representation(encoded.hidden, flat)
-        after_enc = model.forward(params, example.after_ids, False, 0)
-        after = model.pool_name_representation(after_enc.hidden, example.after_positions)
-        before_enc = model.forward(params, example.before_ids, False, 0)
-        before = model.pool_name_representation(before_enc.hidden, example.before_positions)
+        gen = model.pool_name_representation(encoded.hidden)
+        after_enc = model.forward(params, example.after_ids, False, 0,
+                                  rows=example.after_positions)
+        after = model.pool_name_representation(after_enc.hidden)
+        before_enc = model.forward(params, example.before_ids, False, 0,
+                                   rows=example.before_positions)
+        before = model.pool_name_representation(before_enc.hidden)
         term = L.cl_loss([L.NameTriple(gen=gen, after=after, before=before)], config.tau)
         parts["cl"] = term.item()
         total = ad.add(total, ad.scale(term, config.lambda_cl))
@@ -280,6 +253,9 @@ def tg_example_loss(params: ModelParams, example: TgExample, config: TrainConfig
 
 @dataclass
 class TrainResult:
+    """With a validation split, ``params`` are those of the epoch with the
+    lowest validation loss; otherwise those of the last epoch."""
+
     params: ModelParams
     history: list[dict[str, float]]
     best_checkpoint: str | None = None
@@ -305,6 +281,7 @@ def _run_loop(
     state = AdamState()
     history: list[dict[str, float]] = []
     best_val = float("inf")
+    best_data: dict[str, np.ndarray] | None = None
     best_path = None
     patience_left = config.patience
     step = 0
@@ -357,6 +334,7 @@ def _run_loop(
         if val_examples:
             if row["val_loss"] < best_val - 1e-12:
                 best_val = row["val_loss"]
+                best_data = {name: t.data.copy() for name, t in params.tensors.items()}
                 patience_left = config.patience
                 if out_dir:
                     best_path = os.path.join(out_dir, f"{stage}-best.rfbt")
@@ -366,6 +344,10 @@ def _run_loop(
                 if patience_left <= 0:
                     logger.info("%s: early stop at epoch %d", stage, epoch)
                     break
+    if best_data is not None:
+        # The parameters leave the loop as they were at the best epoch.
+        for name, data in best_data.items():
+            params.tensors[name].data = data
     if out_dir:
         _write_log(os.path.join(out_dir, f"{stage}-log.csv"), history)
     return TrainResult(params=params, history=history, best_checkpoint=best_path)

@@ -84,6 +84,25 @@ class TestDataErrors:
                        "--data", str(bad)])
         assert code == 2
 
+    def test_truncated_checkpoint_exits_2_without_traceback(self, workspace, tmp_path):
+        import subprocess
+        import sys
+
+        import varnamer
+
+        blob = open(workspace["model"], "rb").read()
+        cut = tmp_path / "cut.rfbt"
+        cut.write_bytes(blob[:len(blob) // 2])
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(varnamer.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "varnamer.cli", "evaluate", "--model", str(cut),
+             "--vocab", workspace["vocab"], "--data", workspace["corpus"]],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "cut.rfbt" in proc.stderr and "offset" in proc.stderr
+
     def test_suggest_variable_not_found(self, workspace, tmp_path, capsys):
         source = tmp_path / "f.java"
         source.write_text("int f() {\n  int a = 1;\n  return a;\n}")

@@ -181,3 +181,35 @@ class TestSuggest:
         assert parsed["suggested_name"] == suggestion.name
         assert parsed["length_used"] == suggestion.length_used
         assert len(parsed["slot_probs"]) == suggestion.length_used
+
+
+class TestModelPredictor:
+    def test_evaluation_runs_two_encoder_passes_per_record(self, desk_vocab, overfit_setup,
+                                                           monkeypatch):
+        from varnamer import metrics
+
+        params, records = overfit_setup
+        direct = [inference.suggest(params, desk_vocab, r.code_before, r.variable_before).name
+                  for r in records]
+        calls = []
+        encoder = model.forward
+
+        def counting_forward(*args, **kwargs):
+            calls.append(args[1])
+            return encoder(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", counting_forward)
+        report = metrics.evaluate_corpus(
+            inference.ModelPredictor(params, desk_vocab), records, desk_vocab)
+        assert report.evaluated == len(records)
+        assert len(calls) == 2 * len(records)
+        assert [row.prediction for row in report.rows] == direct
+
+    def test_predict_name_alone_equals_suggest(self, desk_vocab, overfit_setup):
+        params, records = overfit_setup
+        predictor = inference.ModelPredictor(params, desk_vocab)
+        predictor.predict_length(records[0])
+        for record in (records[1], records[0]):
+            expected = inference.suggest(params, desk_vocab, record.code_before,
+                                         record.variable_before)
+            assert predictor.predict_name(record) == expected.name

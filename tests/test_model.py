@@ -4,11 +4,14 @@ import pytest
 from varnamer import gradcheck, model
 from varnamer.bpe import CLS, SEP
 from varnamer.errors import (
+    CorruptCheckpoint,
     EmptyPositions,
     InvalidConfig,
+    InvalidRows,
     SequenceTooLong,
     ShapeMismatch,
     UnknownTokenId,
+    VarnamerError,
 )
 
 
@@ -36,6 +39,23 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidConfig):
             model.ModelConfig.from_text("vocab_size = 64\nwidth = 2\n")
+
+    @pytest.mark.parametrize("raw,value", [
+        ("true", True), ("TRUE", True), ("Yes", True), ("1", True),
+        ("false", False), ("False", False), ("NO", False), ("0", False),
+    ])
+    def test_boolean_words(self, raw, value):
+        config = model.ModelConfig.from_text(f"vocab_size = 64\ntie_token_head = {raw}\n")
+        assert config.tie_token_head is value
+
+    @pytest.mark.parametrize("raw", ["Ture", "", "2", "on", "tru e"])
+    def test_bad_boolean_names_line_and_key(self, raw):
+        with pytest.raises(InvalidConfig, match="line 2: tie_token_head"):
+            model.ModelConfig.from_text(f"vocab_size = 64\ntie_token_head = {raw}\n")
+
+    def test_bad_number_is_invalid_config(self):
+        with pytest.raises(InvalidConfig, match="line 1: vocab_size"):
+            model.ModelConfig.from_text("vocab_size = 6.4\n")
 
 
 class TestInit:
@@ -114,6 +134,44 @@ class TestForward:
         params = model.init_params(small_config(), seed=0)
         with pytest.raises(UnknownTokenId):
             model.forward(params, wrap([999]))
+
+
+ROW_SETS = [[0], [3, 1, 7], [9, 0, 4, 4], list(range(10))]
+
+
+class TestForwardRows:
+    """``forward(..., rows=R)`` against the full output's rows R."""
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("rows", ROW_SETS)
+    @pytest.mark.parametrize("train_mode", [False, True])
+    def test_rows_equal_full_output_rows(self, num_layers, rows, train_mode):
+        params = model.init_params(small_config(num_layers=num_layers), seed=6)
+        ids = wrap(range(10, 18))
+        full = model.forward(params, ids, train_mode, dropout_seed=3).hidden_states
+        part = model.forward(params, ids, train_mode, dropout_seed=3, rows=rows)
+        assert part.hidden_states.shape == (len(rows), 32)
+        np.testing.assert_allclose(part.hidden_states, full[rows], rtol=0, atol=1e-12)
+
+    def test_train_mode_rows_see_dropout(self):
+        params = model.init_params(small_config(), seed=6)
+        ids = wrap(range(10, 18))
+        eval_rows = model.forward(params, ids, rows=[2, 5]).hidden_states
+        train_rows = model.forward(params, ids, True, 3, rows=[2, 5]).hidden_states
+        assert not np.allclose(eval_rows, train_rows)
+
+    def test_cls_vector_of_row_zero(self):
+        params = model.init_params(small_config(), seed=2)
+        ids = wrap([10, 11])
+        full = model.forward(params, ids)
+        np.testing.assert_allclose(model.forward(params, ids, rows=[0]).cls_vector,
+                                   full.cls_vector, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [[], [10], [-1], [0, 12], [[0, 1]]])
+    def test_empty_or_out_of_range_rows_rejected(self, rows):
+        params = model.init_params(small_config(), seed=0)
+        with pytest.raises(InvalidRows):
+            model.forward(params, wrap(range(10, 18)), rows=rows)
 
 
 class TestHeads:
@@ -210,6 +268,28 @@ class TestCheckpoint:
         path = tmp_path / "bad.rfbt"
         path.write_bytes(b"XXXX" + b"\0" * 16)
         with pytest.raises(InvalidConfig):
+            model.load_checkpoint(str(path))
+
+    def test_truncated_checkpoint_raises_typed_error(self, tmp_path):
+        params = model.init_params(small_config(vocab_size=16, hidden_dim=8,
+                                                ffn_dim=8, max_seq_len=8), seed=7)
+        path = tmp_path / "model.rfbt"
+        model.save_checkpoint(params, str(path))
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.rfbt"
+        for end in range(0, len(blob), 5):
+            cut.write_bytes(blob[:end])
+            with pytest.raises(VarnamerError, match="cut.rfbt.*offset"):
+                model.load_checkpoint(str(cut))
+
+    def test_undecodable_config_is_corrupt(self, tmp_path):
+        params = model.init_params(small_config(), seed=7)
+        path = tmp_path / "model.rfbt"
+        model.save_checkpoint(params, str(path))
+        blob = bytearray(path.read_bytes())
+        blob[12] = 0xFF                      # first byte of the config text
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptCheckpoint, match="offset 12"):
             model.load_checkpoint(str(path))
 
     def test_shape_mismatch_rejected(self, tmp_path):

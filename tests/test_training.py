@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from varnamer import bpe, masking, model, training
+from varnamer import autodiff as ad
+from varnamer import bpe, corpus, masking, model, training
 from varnamer.errors import InvalidConfig, ShapeMismatch
 
 import toycorpus
@@ -33,6 +34,23 @@ class TestTrainConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidConfig):
             training.TrainConfig.from_text("momentum = 0.9\n")
+
+    @pytest.mark.parametrize("raw,value", [
+        ("True", True), ("yes", True), ("1", True),
+        ("false", False), ("No", False), ("0", False),
+    ])
+    def test_boolean_words(self, raw, value):
+        config = training.TrainConfig.from_text(f"dedupe_bot = {raw}\n")
+        assert config.dedupe_bot is value
+
+    @pytest.mark.parametrize("raw", ["Ture", "", "off", "-1"])
+    def test_bad_boolean_names_line_and_key(self, raw):
+        with pytest.raises(InvalidConfig, match="line 3: dedupe_bot"):
+            training.TrainConfig.from_text(f"# comment\nseed = 2\ndedupe_bot = {raw}\n")
+
+    def test_bad_number_is_invalid_config(self):
+        with pytest.raises(InvalidConfig, match="line 1: batch_size"):
+            training.TrainConfig.from_text("batch_size = many\n")
 
     def test_invalid_values_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -120,6 +138,60 @@ class TestDatasets:
             assert ex.masked.flat_positions
 
 
+_FULL_FORWARD = model.forward
+
+
+def _full_forward_then_take(params, ids, train_mode=False, dropout_seed=0, rows=None):
+    """Reference for ``forward(..., rows=R)``: the full output's rows R."""
+    encoded = _FULL_FORWARD(params, ids, train_mode, dropout_seed)
+    return encoded if rows is None else model.EncodedSequence(ad.take(encoded.hidden, rows))
+
+
+class TestRowRestrictedLosses:
+    """Every example loss and gradient through ``forward(..., rows=)``
+    matches the same loss through a full forward followed by a gather."""
+
+    @staticmethod
+    def _losses(vocab, records):
+        """(loss function, example, train_mode, dropout seed) tuples."""
+        tc = tiny_train_config(dropout=0.1)
+        tg_examples, _ = training.build_tg_dataset(vocab, records, tc)
+        num_examples, _ = training.build_num_dataset(vocab, records, tc)
+        cases = []
+        for train_mode in (False, True):
+            for seed, ex in enumerate(tg_examples):
+                cases.append((training.cmlm_example_loss, ex.masked, train_mode, seed))
+                cases.append((lambda p, e, t, s: training.tg_example_loss(p, e, tc, t, s)[0],
+                              ex, train_mode, seed))
+            for seed, ex in enumerate(num_examples):
+                cases.append((training.lp_example_loss, ex, train_mode, seed))
+        return cases
+
+    @staticmethod
+    def _value_and_grads(params, case):
+        loss_fn, example, train_mode, seed = case
+        params.zero_grads()
+        loss = loss_fn(params, example, train_mode, seed)
+        loss.backward()
+        return loss.item(), {name: t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
+                             for name, t in params.tensors.items()}
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_losses_and_gradients_match_full_forward(self, desk_vocab, toy_records,
+                                                     num_layers, monkeypatch):
+        params = tiny_model(desk_vocab, seed=4, num_layers=num_layers, dropout=0.1)
+        cases = self._losses(desk_vocab, toy_records[:3])
+        rows_results = [self._value_and_grads(params, case) for case in cases]
+        monkeypatch.setattr(model, "forward", _full_forward_then_take)
+        full_results = [self._value_and_grads(params, case) for case in cases]
+        assert len(rows_results) == len(full_results) >= 9
+        for (value, grads), (ref_value, ref_grads) in zip(rows_results, full_results):
+            assert value == pytest.approx(ref_value, rel=1e-9, abs=1e-12)
+            for name in ref_grads:
+                np.testing.assert_allclose(grads[name], ref_grads[name],
+                                           rtol=1e-9, atol=1e-12, err_msg=name)
+
+
 class TestLoops:
     def test_pretrain_loss_decreases(self, desk_vocab, toy_records):
         params = tiny_model(desk_vocab)
@@ -182,6 +254,19 @@ class TestLoops:
         config = tiny_train_config(max_epochs=3)
         result = training.pretrain(config, params, records, desk_vocab)
         assert all("val_loss" in row for row in result.history)
+
+    def test_early_stop_returns_best_epoch_parameters(self, desk_vocab, toy_functions):
+        records, _ = corpus.adapt_corpus(
+            toy_functions[:30], seed=3, validation_fraction=0.3, test_fraction=0.0)
+        config = tiny_train_config(max_epochs=15, learning_rate=1e-2, patience=2)
+        stopped = training.pretrain(config, tiny_model(desk_vocab), records, desk_vocab)
+        val = [row["val_loss"] for row in stopped.history]
+        best_epoch = int(np.argmin(val))
+        assert best_epoch < len(val) - 1 < config.max_epochs - 1   # stopped early, past the best
+        config.max_epochs = best_epoch + 1
+        rerun = training.pretrain(config, tiny_model(desk_vocab), records, desk_vocab)
+        for name in rerun.params.tensors:
+            np.testing.assert_array_equal(stopped.params[name].data, rerun.params[name].data)
 
     def test_checkpoints_and_log_written(self, desk_vocab, toy_records, tmp_path):
         params = tiny_model(desk_vocab)
