@@ -1,9 +1,16 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
-Just the operations the encoder and its losses need: matmul, broadcast
-add/mul, softmax, GELU, layer norm, gathers, sigmoid/softplus/log, means.
-Gradient correctness is enforced by finite-difference checks in the test
-suite; this module is the single differentiation path for training.
+Just the operations the encoder and its losses need: matmul, the fused
+``linear`` projection (matmul plus bias), broadcast add/mul, softmax, GELU,
+layer norm, gathers, sigmoid/softplus/log, means. Gradient correctness is
+enforced by finite-difference checks in the test suite; this module is the
+single differentiation path for training.
+
+An op may overwrite only arrays it allocated itself: never an input's
+``.data``, nor the gradient array handed to its backward closure (that
+array is the output node's ``.grad``, which other code may still read).
+The rewritten kernels keep the same floating-point operations in the same
+association order as the plain expressions, so results are bit-identical.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import numpy as np
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+_GELU_A3 = 3.0 * _GELU_A
 
 
 class Tensor:
@@ -148,6 +156,20 @@ def matmul(a, b) -> Tensor:
         b.accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _node(out_data, (a, b), backward)
+
+
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` for a 2-D ``x``, as one node."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    out_data = x.data @ w.data
+    out_data += b.data
+
+    def backward(g):
+        x.accumulate(g @ w.data.T)
+        w.accumulate(x.data.T @ g)
+        b.accumulate(g.sum(axis=0))
+
+    return _node(out_data, (x, w, b), backward)
 
 
 def transpose(a, axes: tuple[int, ...]) -> Tensor:
@@ -298,27 +320,48 @@ def gelu(a) -> Tensor:
     """GELU with the tanh approximation."""
     a = as_tensor(a)
     x = a.data
-    x2 = x * x
-    inner = _GELU_C * (x + _GELU_A * x2 * x)
-    t = np.tanh(inner)
+    t = x * x
+    t *= _GELU_A
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)                   # tanh(c * (x + a*x^3))
+    out_data = 0.5 * x
+    out_data *= 1.0 + t
 
     def backward(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
-        a.accumulate(g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner))
+        # x*x is recomputed rather than kept: one array less to allocate
+        # and hold between the passes.
+        d_inner = x * x
+        d_inner *= _GELU_A3
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        grad = t * t
+        np.subtract(1.0, grad, out=grad)
+        grad *= 0.5 * x
+        grad *= d_inner
+        np.add(t, 1.0, out=d_inner)
+        d_inner *= 0.5
+        grad += d_inner
+        grad *= g
+        a.accumulate(grad)
 
-    return _node(0.5 * x * (1.0 + t), (a,), backward)
+    return _node(out_data, (a,), backward)
 
 
 def softmax(a) -> Tensor:
     """Softmax over the last axis, shift-stabilized."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        a.accumulate(y * (g - dot))
+        grad = g * y
+        dot = grad.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=grad)
+        grad *= y
+        a.accumulate(grad)
 
     return _node(y, (a,), backward)
 
@@ -327,20 +370,29 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = gain.data * xhat + bias.data
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    out_data = xhat * xhat
+    inv = out_data.mean(axis=-1, keepdims=True)     # the variance, then 1/std
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out_data)
+    out_data += bias.data
 
     def backward(g):
         dxhat = g * gain.data
-        term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        a.accumulate(inv * term)
+        tmp = dxhat * xhat
+        mean_dx_xhat = tmp.mean(axis=-1, keepdims=True)
+        mean_dx = dxhat.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, mean_dx_xhat, out=tmp)
+        dxhat -= mean_dx
+        dxhat -= tmp
+        dxhat *= inv
+        a.accumulate(dxhat)
         axes = tuple(range(g.ndim - 1))
-        gain.accumulate((g * xhat).sum(axis=axes))
+        np.multiply(g, xhat, out=tmp)
+        gain.accumulate(tmp.sum(axis=axes))
         bias.accumulate(g.sum(axis=axes))
 
     return _node(out_data, (a, gain, bias), backward)

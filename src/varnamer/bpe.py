@@ -13,7 +13,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import EmptyName, VocabTooSmall
+from .errors import CorruptVocab, EmptyName, VocabTooSmall
+from .fileio import atomic_write
 
 SPECIAL_TOKENS = ("[CLS]", "[SEP]", "[MASK]", "[NUM]", "[PAD]", "[UNK]")
 CLS, SEP, MASK, NUM, PAD, UNK = range(6)
@@ -44,6 +45,9 @@ _BYTE_TO_CHAR = _bytes_to_unicode()
 _CHAR_TO_BYTE = {c: b for b, c in _BYTE_TO_CHAR.items()}
 BASE_ALPHABET_SIZE = 256
 MIN_VOCAB_SIZE = BASE_ALPHABET_SIZE + len(SPECIAL_TOKENS)
+# encode() memoises each pre-split chunk's ids per vocabulary; the memo is
+# emptied when it holds this many chunks, which bounds its memory.
+CHUNK_CACHE_LIMIT = 1 << 16
 
 
 @dataclass
@@ -55,6 +59,8 @@ class SubwordVocab:
     id_to_token: dict[int, str]
     special_ids: dict[str, int]
     _ranks: dict[tuple[str, str], int] = field(default_factory=dict, repr=False)
+    _chunk_ids: dict[str, tuple[int, ...]] = field(
+        default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if not self._ranks:
@@ -180,10 +186,17 @@ def encode(vocab: SubwordVocab, text: str) -> list[int]:
     """Tokenize text to ids; decode(encode(text)) reproduces text exactly."""
     # Camel pre-splitting is a training-time constraint only: merges never
     # cross a boundary they were not trained across, so encoding is flagless.
+    cache = vocab._chunk_ids
     ids: list[int] = []
     for chunk in _WORD_RE.findall(text):
-        for symbol in _apply_merges(vocab, _to_symbols(chunk)):
-            ids.append(vocab.token_to_id[symbol])
+        chunk_ids = cache.get(chunk)
+        if chunk_ids is None:
+            if len(cache) >= CHUNK_CACHE_LIMIT:
+                cache.clear()
+            chunk_ids = cache[chunk] = tuple(
+                vocab.token_to_id[symbol]
+                for symbol in _apply_merges(vocab, _to_symbols(chunk)))
+        ids.extend(chunk_ids)
     return ids
 
 
@@ -232,7 +245,9 @@ def tokenize_variable(vocab: SubwordVocab, name: str) -> list[str]:
 
 
 def save_vocab(vocab: SubwordVocab, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write the vocabulary file; the previous file stays intact until the
+    new one is complete."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write(f"BPE v1 {vocab.size}\n")
         for left, right in vocab.merges:
             fh.write(f"{left} {right}\n")
@@ -242,23 +257,45 @@ def save_vocab(vocab: SubwordVocab, path: str) -> None:
 
 
 def load_vocab(path: str) -> SubwordVocab:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("BPE v1 "):
-        raise ValueError(f"{path}: not a vocabulary file")
-    declared_size = int(lines[0].split()[2])
+    """Read a vocabulary file; a malformed one raises CorruptVocab naming
+    the path and the 1-based line."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        lines = blob.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CorruptVocab(path, blob[:exc.start].count(b"\n") + 1,
+                           "not UTF-8") from None
+    header = lines[0].split() if lines else []
+    if len(header) != 3 or header[:2] != ["BPE", "v1"]:
+        raise CorruptVocab(path, 1, "not a vocabulary file (expected 'BPE v1 <size>')")
+    try:
+        declared_size = int(header[2])
+    except ValueError:
+        raise CorruptVocab(path, 1, f"vocabulary size {header[2]!r} is not an integer") from None
     merges: list[tuple[str, str]] = []
     specials: dict[str, int] = {}
     in_specials = False
-    for line in lines[1:]:
+    for line_no, line in enumerate(lines[1:], start=2):
         if line == "#SPECIALS":
             in_specials = True
             continue
         if not line:
             continue
-        left, right = line.split(" ")
+        parts = line.split(" ")
+        if len(parts) != 2:
+            expected = "'<name> <id>'" if in_specials else "'<left> <right>'"
+            raise CorruptVocab(path, line_no, f"expected {expected}, got {line!r}")
+        left, right = parts
         if in_specials:
-            specials[left] = int(right)
+            try:
+                specials[left] = int(right)
+            except ValueError:
+                raise CorruptVocab(path, line_no,
+                                   f"special id {right!r} is not an integer") from None
+        elif not all(c in _CHAR_TO_BYTE for c in left + right):
+            raise CorruptVocab(path, line_no,
+                               f"merge {line!r} has a symbol outside the byte alphabet")
         else:
             merges.append((left, right))
 
@@ -278,6 +315,6 @@ def load_vocab(path: str) -> SubwordVocab:
         special_ids=specials,
     )
     if vocab.size != declared_size:
-        raise ValueError(
-            f"{path}: header declares {declared_size} tokens, rebuilt {vocab.size}")
+        raise CorruptVocab(
+            path, 1, f"header declares {declared_size} tokens, merges rebuild {vocab.size}")
     return vocab

@@ -21,6 +21,7 @@ from . import __version__, baseline, bpe, corpus, gradcheck, inference, metrics,
 from .errors import (
     NonFiniteGradient,
     NonFiniteLoss,
+    ShapeMismatch,
     UsageError,
     VarnamerError,
 )
@@ -167,10 +168,19 @@ def _train_config(args) -> training.TrainConfig:
     return config
 
 
-def _load_model_or_init(args, vocab, config: training.TrainConfig) -> model.ModelParams:
-    if getattr(args, "model", None):
-        params = model.load_checkpoint(args.model)
-        return params
+def _load_model(model_path: str, vocab_path: str) -> tuple[model.ModelParams, bpe.SubwordVocab]:
+    """Load a checkpoint and the vocabulary it is used with; raises
+    ShapeMismatch when their vocabulary sizes differ."""
+    vocab = bpe.load_vocab(vocab_path)
+    params = model.load_checkpoint(model_path)
+    if params.config.vocab_size != vocab.size:
+        raise ShapeMismatch(
+            f"vocabulary {vocab_path} has {vocab.size} tokens but checkpoint "
+            f"{model_path} was built for vocab_size {params.config.vocab_size}")
+    return params, vocab
+
+
+def _init_model(args, vocab, config: training.TrainConfig) -> model.ModelParams:
     model_config = model.ModelConfig(
         vocab_size=vocab.size,
         num_layers=args.layers,
@@ -220,11 +230,14 @@ def _cmd_train_tokenizer(args) -> int:
 
 def _cmd_train(args, stage: str) -> int:
     config = _train_config(args)
-    vocab = bpe.load_vocab(args.vocab)
-    records = corpus.load_corpus(args.data)
-    if stage != "pretrain" and not getattr(args, "model", None):
+    if args.model:
+        params, vocab = _load_model(args.model, args.vocab)
+    elif stage != "pretrain":
         raise UsageError(f"{stage} requires --model (a pretrained checkpoint)")
-    params = _load_model_or_init(args, vocab, config)
+    else:
+        vocab = bpe.load_vocab(args.vocab)
+        params = _init_model(args, vocab, config)
+    records = corpus.load_corpus(args.data)
     if config.max_name_tokens != params.config.max_name_tokens:
         model.resize_length_head(params, config.max_name_tokens, config.seed)
     runner = {"pretrain": training.pretrain,
@@ -246,8 +259,7 @@ def _cmd_train(args, stage: str) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    vocab = bpe.load_vocab(_resolve_vocab(args))
-    params = model.load_checkpoint(args.model)
+    params, vocab = _load_model(args.model, _resolve_vocab(args))
     records = corpus.load_corpus(args.data)
     lmax = args.lmax or params.config.max_name_tokens
     predictor = inference.ModelPredictor(params, vocab)
@@ -266,8 +278,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_suggest(args) -> int:
-    vocab = bpe.load_vocab(_resolve_vocab(args))
-    params = model.load_checkpoint(args.model)
+    params, vocab = _load_model(args.model, _resolve_vocab(args))
     with open(args.code, "r", encoding="utf-8") as fh:
         code = fh.read()
     suggestion = inference.suggest(params, vocab, code, args.var, method=args.decode)
@@ -276,8 +287,7 @@ def _cmd_suggest(args) -> int:
 
 
 def _cmd_baseline_eval(args) -> int:
-    vocab = bpe.load_vocab(_resolve_vocab(args))
-    params = model.load_checkpoint(args.model)
+    params, vocab = _load_model(args.model, _resolve_vocab(args))
     train_records = corpus.load_corpus(args.train_data)
     test_records = corpus.load_corpus(args.data)
     lmax = args.lmax or params.config.max_name_tokens
@@ -326,7 +336,6 @@ def sweep(config_path: str | None, parameter: str, values: list[float],
     base_config = (training.TrainConfig.from_file(config_path)
                    if config_path else training.TrainConfig())
     base_config.seed = seed
-    vocab = bpe.load_vocab(vocab_path)
     records = corpus.load_corpus(data_path)
     eval_records = ([r for r in records if r.split == "validation"]
                     or [r for r in records if r.split == "test"]
@@ -340,7 +349,7 @@ def sweep(config_path: str | None, parameter: str, values: list[float],
         else:
             setattr(config, parameter, value)
         config.validate()
-        params = model.load_checkpoint(model_path)
+        params, vocab = _load_model(model_path, vocab_path)
         if config.max_name_tokens != params.config.max_name_tokens:
             model.resize_length_head(params, config.max_name_tokens, config.seed)
         result = training.finetune_tg(config, params, records, vocab)

@@ -43,6 +43,16 @@ class VocabTooSmall(VarnamerError):
     """Requested vocabulary cannot hold the base alphabet plus specials."""
 
 
+class CorruptVocab(VarnamerError):
+    """A vocabulary file is malformed."""
+
+    def __init__(self, path: str, line_no: int, reason: str):
+        super().__init__(f"{path}: line {line_no}: {reason}")
+        self.path = path
+        self.line_no = line_no
+        self.reason = reason
+
+
 class EmptyName(VarnamerError):
     """An identifier argument was empty."""
 

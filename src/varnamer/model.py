@@ -35,6 +35,7 @@ from .errors import (
     UnknownTokenId,
     ZeroVector,
 )
+from .fileio import atomic_write
 
 CHECKPOINT_MAGIC = b"RFBT"
 CHECKPOINT_VERSION = 1
@@ -277,7 +278,7 @@ def forward(
 
 
 def _project(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
-    return ad.add(ad.matmul(x, params[f"{prefix}.weight"]), params[f"{prefix}.bias"])
+    return ad.linear(x, params[f"{prefix}.weight"], params[f"{prefix}.bias"])
 
 
 def transpose_heads(x: Tensor, n: int, heads: int, head_dim: int) -> Tensor:
@@ -352,9 +353,10 @@ def resize_length_head(params: ModelParams, max_name_tokens: int, seed: int = 0)
 # --- checkpoint io ----------------------------------------------------------
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
-    """Binary little-endian checkpoint; tensor data stored as float32."""
+    """Binary little-endian checkpoint; tensor data stored as float32. The
+    previous file at ``path`` stays intact until the new one is complete."""
     config_blob = params.config.to_text().encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(config_blob)))

@@ -4,6 +4,9 @@ Graphs here are tiny, so central differences resolve gradients to ~1e-8
 and any disagreement beyond 1e-6 is a genuine bug, not noise.
 """
 
+import inspect
+import math
+
 import numpy as np
 import pytest
 
@@ -67,6 +70,9 @@ class TestElementwiseOps:
 class TestStructuralOps:
     def test_matmul_2d(self):
         fd_check(lambda a, b: ad.matmul(a, b), (3, 4), (4, 2))
+
+    def test_linear(self):
+        fd_check(lambda x, w, b: ad.linear(x, w, b), (3, 4), (4, 2), (2,))
 
     def test_matmul_batched(self):
         fd_check(lambda a, b: ad.matmul(a, b), (2, 3, 4), (2, 4, 3))
@@ -140,3 +146,135 @@ class TestGraphMechanics:
 
         with pytest.raises(ZeroVector):
             pool_name_representation(np.zeros((2, 4)), [0, 1])
+
+
+# --- in-place safety ---------------------------------------------------------
+
+# Every public op, as (build from input tensors, input shapes, positive inputs).
+OP_CASES = {
+    "add": (lambda a, b: ad.add(a, b), [(3, 4), (4,)], False),
+    "mul": (lambda a, b: ad.mul(a, b), [(3, 4), (3, 1)], False),
+    "scale": (lambda a: ad.scale(a, -2.5), [(3, 4)], False),
+    "matmul": (lambda a, b: ad.matmul(a, b), [(2, 3, 4), (2, 4, 3)], False),
+    "linear": (lambda x, w, b: ad.linear(x, w, b), [(5, 4), (4, 3), (3,)], False),
+    "transpose": (lambda a: ad.transpose(a, (1, 0, 2)), [(2, 3, 4)], False),
+    "reshape": (lambda a: ad.reshape(a, (6, 2)), [(2, 3, 2)], False),
+    "take": (lambda a: ad.take(a, [0, 2, 2, 1]), [(4, 3)], False),
+    "take_items": (lambda a: ad.take_items(a, [0, 1, 1], [2, 0, 0]), [(3, 4)], False),
+    "sum_all": (lambda a: ad.sum_all(a), [(3, 4)], False),
+    "mean_axis": (lambda a: ad.mean_axis(a, axis=1), [(3, 4)], False),
+    "sum_axis": (lambda a: ad.sum_axis(a, axis=0), [(3, 4)], False),
+    "ordered_sum_rows": (lambda a: ad.ordered_sum_rows(a), [(4, 3)], False),
+    "power": (lambda a: ad.power(a, -0.5), [(4,)], True),
+    "divide": (lambda a, b: ad.divide(a, b), [(3,), (3,)], True),
+    "log": (lambda a: ad.log(a), [(6,)], True),
+    "clamp_min": (lambda a: ad.clamp_min(a, 0.0), [(5,)], False),
+    "sigmoid": (lambda a: ad.sigmoid(a), [(3, 3)], False),
+    "softplus": (lambda a: ad.softplus(a), [(8,)], False),
+    "gelu": (lambda a: ad.gelu(a), [(3, 4)], False),
+    "softmax": (lambda a: ad.softmax(a), [(2, 3, 5)], False),
+    "layer_norm": (lambda a, g, b: ad.layer_norm(a, g, b), [(4, 6), (6,), (6,)], False),
+    "dropout": (lambda a: ad.dropout(a, 0.5, np.random.default_rng(0)), [(5, 5)], False),
+    "l2_normalize": (lambda a: ad.l2_normalize(a), [(5,)], True),
+    "dot": (lambda a, b: ad.dot(a, b), [(7,), (7,)], False),
+}
+
+
+def test_every_public_op_has_an_in_place_case():
+    public = {name for name, fn in vars(ad).items()
+              if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+              and not name.startswith("_") and name != "as_tensor"}
+    assert public == set(OP_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_op_leaves_inputs_and_incoming_gradient_unmodified(name):
+    build, shapes, positive = OP_CASES[name]
+    rng = np.random.default_rng(5)
+    arrays = [rng.normal(0.0, 1.0, size=shape) for shape in shapes]
+    if positive:
+        arrays = [np.abs(a) + 0.5 for a in arrays]
+    tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = build(*tensors)
+    out_data = out.data.copy()
+    for t, a in zip(tensors, arrays):
+        assert np.array_equal(t.data, a), "forward overwrote an input"
+    weight = rng.normal(0.0, 1.0, size=out.shape)
+    # mul hands out.grad = 1.0 * weight, exactly weight, to out's backward
+    ad.sum_all(ad.mul(out, weight)).backward()
+    assert np.array_equal(out.grad, weight), "backward overwrote its incoming gradient"
+    assert np.array_equal(out.data, out_data), "backward overwrote the op's output"
+    for t, a in zip(tensors, arrays):
+        assert np.array_equal(t.data, a), "backward overwrote an input"
+        assert t.grad is not None
+
+
+# --- bit-identity with the plain formulas ------------------------------------
+
+_C = math.sqrt(2.0 / math.pi)
+_A = 0.044715
+
+
+def ref_softmax(x, g):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=-1, keepdims=True)
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return y, [y * (g - dot)]
+
+
+def ref_gelu(x, g):
+    x2 = x * x
+    inner = _C * (x + _A * x2 * x)
+    t = np.tanh(inner)
+    d_inner = _C * (1.0 + 3.0 * _A * x2)
+    grad = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
+    return 0.5 * x * (1.0 + t), [grad]
+
+
+def ref_layer_norm(x, gain, bias, g, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    dxhat = g * gain
+    term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    axes = tuple(range(g.ndim - 1))
+    return gain * xhat + bias, [inv * term, (g * xhat).sum(axis=axes), g.sum(axis=axes)]
+
+
+def ref_linear(x, w, b, g):
+    """The unfused graph: a matmul node feeding a broadcast add node."""
+    tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+    out = ad.add(ad.matmul(tensors[0], tensors[1]), tensors[2])
+    ad.sum_all(ad.mul(out, g)).backward()
+    return out.data, [t.grad for t in tensors]
+
+
+BIT_CASES = {
+    "softmax-2d": (ad.softmax, ref_softmax, [(9, 40)]),
+    "softmax-3d": (ad.softmax, ref_softmax, [(4, 7, 33)]),
+    "gelu": (ad.gelu, ref_gelu, [(7, 64)]),
+    "layer_norm": (ad.layer_norm, ref_layer_norm, [(7, 48), (48,), (48,)]),
+    "linear": (ad.linear, ref_linear, [(7, 32), (32, 24), (24,)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIT_CASES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kernel_bit_identical_to_plain_formula(name, seed):
+    op, reference, shapes = BIT_CASES[name]
+    rng = np.random.default_rng(seed)
+    # a wide spread reaches tanh saturation and large softmax shifts
+    arrays = [rng.normal(0.0, 3.0, size=shape) for shape in shapes]
+    tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = op(*tensors)
+    g = rng.normal(0.0, 1.0, size=out.shape)
+    ad.sum_all(ad.mul(out, g)).backward()
+    expected_out, expected_grads = reference(*arrays, g)
+    assert np.array_equal(out.data, expected_out)
+    assert len(expected_grads) == len(tensors)
+    for t, expected in zip(tensors, expected_grads):
+        assert np.array_equal(t.grad, expected)

@@ -1,9 +1,11 @@
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varnamer import bpe
-from varnamer.errors import EmptyName, VocabTooSmall
+from varnamer.errors import CorruptVocab, EmptyName, VocabTooSmall
 
 IDENTIFIER = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd"),
@@ -78,6 +80,47 @@ class TestEncodeDecode:
         assert bpe.decode(desk_vocab, bpe.encode(desk_vocab, literal)) == literal
 
 
+def merge_without_memo(vocab, text):
+    """encode() as it is without the chunk memo: merges applied per chunk."""
+    return [vocab.token_to_id[symbol]
+            for chunk in bpe._WORD_RE.findall(text)
+            for symbol in bpe._apply_merges(vocab, bpe._to_symbols(chunk))]
+
+
+# Two vocabularies that split the shared words differently.
+MEMO_VOCABS = (
+    bpe.train_bpe(["the quick brown fox the quick fox"], bpe.MIN_VOCAB_SIZE + 12),
+    bpe.train_bpe(["lazy dog over the lazy dog thee"], bpe.MIN_VOCAB_SIZE + 12),
+)
+MEMO_TEXT = st.lists(
+    st.sampled_from(["the", "quick", "fox", "lazy", "dog", "thee", " ", "\n  ", "."])
+    | st.text(max_size=6),
+    max_size=12,
+).map("".join)
+
+
+class TestChunkMemo:
+    def test_vocabularies_differ_on_shared_words(self):
+        a, b = MEMO_VOCABS
+        assert merge_without_memo(a, "the quick") != merge_without_memo(b, "the quick") \
+            or merge_without_memo(a, "the lazy") != merge_without_memo(b, "the lazy")
+
+    @settings(max_examples=300, deadline=None)
+    @given(MEMO_TEXT)
+    def test_memoised_encode_equals_merges(self, text):
+        for vocab in MEMO_VOCABS + MEMO_VOCABS:   # second round hits the memo
+            assert bpe.encode(vocab, text) == merge_without_memo(vocab, text)
+        a, b = MEMO_VOCABS
+        assert a._chunk_ids is not b._chunk_ids
+
+    def test_memo_is_bounded(self, monkeypatch):
+        vocab = bpe.train_bpe(["the quick brown fox"], bpe.MIN_VOCAB_SIZE + 4)
+        monkeypatch.setattr(bpe, "CHUNK_CACHE_LIMIT", 3)
+        text = "a bb the quick ccc fox d the"
+        assert bpe.encode(vocab, text) == merge_without_memo(vocab, text)
+        assert 0 < len(vocab._chunk_ids) <= 3
+
+
 class TestTokenizeVariable:
     def test_known_split(self):
         # a vocabulary holding both halves splits the camelCase name in two
@@ -121,6 +164,7 @@ class TestVocabFile:
         assert loaded.special_ids == desk_vocab.special_ids
         code = toy_functions[0]
         assert bpe.encode(loaded, code) == bpe.encode(desk_vocab, code)
+        assert loaded == desk_vocab     # the chunk memo takes no part in equality
 
     def test_header_format(self, desk_vocab, tmp_path):
         path = tmp_path / "vocab.txt"
@@ -131,3 +175,42 @@ class TestVocabFile:
         specials = lines[lines.index("#SPECIALS") + 1:]
         assert len(specials) == 6
         assert specials[0].split() == ["[CLS]", "0"]
+
+    def test_failed_save_keeps_previous_file(self, desk_vocab, tmp_path, monkeypatch):
+        path = tmp_path / "vocab.txt"
+        bpe.save_vocab(desk_vocab, str(path))
+        before = path.read_bytes()
+        first_merges = desk_vocab.merges[:3]
+
+        def merges_then_failure():
+            yield from first_merges
+            raise OSError("disk full")
+
+        monkeypatch.setattr(desk_vocab, "merges", merges_then_failure())
+        with pytest.raises(OSError, match="disk full"):
+            bpe.save_vocab(desk_vocab, str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["vocab.txt"]
+
+
+VALID_HEADER = f"BPE v1 {bpe.MIN_VOCAB_SIZE}\n"
+
+
+@pytest.mark.parametrize("content, line_no", [
+    (b"", 1),
+    (b"hello world\n", 1),
+    (b"BPE v1 lots\n#SPECIALS\n", 1),
+    (VALID_HEADER.encode() + b"ab\n", 2),
+    (VALID_HEADER.encode() + b"a b c\n", 2),
+    (VALID_HEADER.encode() + b"#SPECIALS\n[CLS] 0\n[SEP] one\n", 4),
+    (VALID_HEADER.encode() + b"#SPECIALS\n[CLS]\n", 3),
+    (VALID_HEADER.encode() + b"a b\n\xff \xfe\n", 3),
+    (VALID_HEADER.encode() + "a b\n\u20ac x\n".encode(), 3),
+    (f"BPE v1 {bpe.MIN_VOCAB_SIZE + 5}\na b\n".encode(), 1),
+])
+def test_malformed_vocab_names_path_and_line(tmp_path, content, line_no):
+    path = tmp_path / "bad.vocab"
+    path.write_bytes(content)
+    with pytest.raises(CorruptVocab, match=f"bad.vocab: line {line_no}: ") as info:
+        bpe.load_vocab(str(path))
+    assert info.value.line_no == line_no

@@ -103,6 +103,32 @@ class TestDataErrors:
         assert "Traceback" not in proc.stderr
         assert "cut.rfbt" in proc.stderr and "offset" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["suggest", "evaluate", "baseline-eval",
+                                         "finetune-lp"])
+    def test_vocab_checkpoint_size_mismatch(self, workspace, tmp_path, capsys, command):
+        small = bpe.train_bpe(toycorpus.generate_functions(seed=3, count=4),
+                              bpe.MIN_VOCAB_SIZE + 3)
+        vocab_path = tmp_path / "small.vocab"
+        bpe.save_vocab(small, str(vocab_path))
+        record = workspace["records"][0]
+        source = tmp_path / "f.java"
+        source.write_text(record.code_before)
+        args = {
+            "suggest": ["--code", str(source), "--var", record.variable_before],
+            "evaluate": ["--data", workspace["corpus"]],
+            "baseline-eval": ["--data", workspace["corpus"],
+                              "--train-data", workspace["corpus"]],
+            "finetune-lp": ["--data", workspace["corpus"], "--out", str(tmp_path / "ft")],
+        }[command]
+        code = cli.run([command, "--model", workspace["model"],
+                        "--vocab", str(vocab_path)] + args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert str(vocab_path) in err and workspace["model"] in err
+        assert str(small.size) in err
+        assert str(model.load_checkpoint(workspace["model"]).config.vocab_size) in err
+
     def test_suggest_variable_not_found(self, workspace, tmp_path, capsys):
         source = tmp_path / "f.java"
         source.write_text("int f() {\n  int a = 1;\n  return a;\n}")

@@ -301,6 +301,27 @@ class TestCheckpoint:
         with pytest.raises(ShapeMismatch):
             model.load_checkpoint(path)
 
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        import os
+
+        params = model.init_params(small_config(), seed=7)
+        path = tmp_path / "model.rfbt"
+        model.save_checkpoint(params, str(path))
+        before = path.read_bytes()
+
+        class Unwritable:
+            @property
+            def data(self):
+                raise OSError("disk full")
+
+        params["token_embedding"].data += 1.0
+        last = list(params.tensors)[-1]
+        monkeypatch.setitem(params.tensors, last, Unwritable())
+        with pytest.raises(OSError, match="disk full"):
+            model.save_checkpoint(params, str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.rfbt"]
+
 
 class TestGradientCheckContract:
     def test_quadratic_probe_exact(self):
