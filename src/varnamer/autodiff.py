@@ -1,4 +1,4 @@
-"""Minimal reverse-mode automatic differentiation over dense float64 arrays.
+"""Minimal reverse-mode automatic differentiation over dense float arrays.
 
 Just the operations the encoder and its losses need: matmul, the fused
 ``linear`` projection (matmul plus bias), broadcast add/mul, softmax, GELU,
@@ -11,6 +11,14 @@ An op may overwrite only arrays it allocated itself: never an input's
 array is the output node's ``.grad``, which other code may still read).
 The rewritten kernels keep the same floating-point operations in the same
 association order as the plain expressions, so results are bit-identical.
+
+Dtype rule: a ``Tensor`` keeps float32 data as float32 and turns anything
+else into float64, and every op computes in its inputs' dtype. Training
+and gradient checks run in float64. Float32 enters only through a loaded
+checkpoint, which is served in the precision it was stored in, so no op
+of an eval-mode forward may widen it: mixing in a float64 array or 0-d
+``Tensor`` (a constant, a mask) would silently turn the rest of the
+graph float64. Python scalars do not widen.
 """
 
 from __future__ import annotations
@@ -25,12 +33,13 @@ _GELU_A3 = 3.0 * _GELU_A
 
 
 class Tensor:
-    """A node in the computation graph wrapping a float64 ndarray."""
+    """A node in the computation graph wrapping a float32 or float64 ndarray."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        dtype = np.float32 if getattr(data, "dtype", None) == np.float32 else np.float64
+        self.data = np.asarray(data, dtype=dtype)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()

@@ -19,6 +19,7 @@ from . import bpe, javalex, masking, model
 from .bpe import PAD, SubwordVocab
 from .corpus import RefactoringRecord
 from .errors import EmptyCorpus, NoCandidates
+from .fileio import atomic_write
 from .model import ModelParams
 
 
@@ -137,8 +138,9 @@ def ngram_suggest(ngram: NgramModel, vocab: SubwordVocab, code: str,
 
 
 def save_ngram(ngram: NgramModel, path: str) -> None:
-    """Sorted text format: count lines, then the candidate index."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Sorted text format: count lines, then the candidate index. The
+    previous file at ``path`` stays intact until the new one is complete."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write(f"NGRAM v1 {ngram.n} {ngram.vocab_size} {ngram.smoothing_k}\n")
         lines = []
         for context, counter in ngram.counts.items():

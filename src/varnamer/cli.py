@@ -17,6 +17,8 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from . import __version__, baseline, bpe, corpus, gradcheck, inference, metrics, model, training
 from .errors import (
     NonFiniteGradient,
@@ -25,6 +27,7 @@ from .errors import (
     UsageError,
     VarnamerError,
 )
+from .fileio import atomic_write
 
 logger = logging.getLogger(__name__)
 
@@ -124,18 +127,46 @@ def _digest(path: str) -> str:
     return h.hexdigest()
 
 
+def _numeric_environment() -> dict:
+    """The numpy version, its BLAS and the BLAS thread settings."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError, ValueError):   # the build-info layout is not stable
+        blas = "unknown"
+    return {
+        "numpy": np.__version__,
+        "blas": blas,
+        "threads": {var: os.environ.get(var)
+                    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+    }
+
+
 def _write_manifest(out_dir: str, command: str, args: argparse.Namespace,
-                    inputs: list[str], config_text: str | None = None) -> None:
+                    inputs: list[str], config_text: str | None = None,
+                    model_dtype: str | None = None) -> None:
     manifest = {
         "command": command,
         "package_version": __version__,
         "arguments": {k: v for k, v in vars(args).items() if k != "command"},
         "inputs": {path: _digest(path) for path in inputs if path and os.path.exists(path)},
         "config": config_text,
+        "numeric_environment": _numeric_environment(),
     }
+    if model_dtype is not None:
+        manifest["model_dtype"] = model_dtype
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, default=str)
+
+
+def _write_report(args, command: str, report: metrics.EvalReport, inputs: list[str],
+                  params: model.ModelParams) -> None:
+    """Write an evaluation's report.json, per_example.csv and manifest."""
+    os.makedirs(args.out, exist_ok=True)
+    with atomic_write(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
+        fh.write(report.to_json())
+    report.write_csv(os.path.join(args.out, "per_example.csv"))
+    _write_manifest(args.out, command, args, inputs, model_dtype=str(params.dtype))
 
 
 def _resolve_vocab(args) -> str:
@@ -211,12 +242,26 @@ def _cmd_build_corpus(args) -> int:
     return 0
 
 
+def _holds_functions(path: str) -> bool:
+    """Whether a JSONL file's first non-blank line is a plain function
+    ({"code": ...}) rather than a rename record."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError:
+                    return False      # the corpus reader reports the line
+                return isinstance(obj, dict) and "code" in obj
+    return False
+
+
 def _cmd_train_tokenizer(args) -> int:
-    try:
-        records = corpus.load_corpus(args.data)
-        texts = [r.code_after for r in records]
-    except VarnamerError:
+    # The reader follows the file's first line, so its errors reach the user.
+    if _holds_functions(args.data):
         texts = corpus.load_functions(args.data)
+    else:
+        texts = [r.code_after for r in corpus.load_corpus(args.data)]
     vocab = bpe.train_bpe(texts, args.vocab_size, camel_split=args.camel_split)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -269,11 +314,7 @@ def _cmd_evaluate(args) -> int:
     print(report.to_json())
     print(report.summary_table(), file=sys.stderr)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-        report.write_csv(os.path.join(args.out, "per_example.csv"))
-        _write_manifest(args.out, "evaluate", args, [args.data, args.model])
+        _write_report(args, "evaluate", report, [args.data, args.model], params)
     return 0
 
 
@@ -303,13 +344,9 @@ def _cmd_baseline_eval(args) -> int:
     print(report.to_json())
     print(report.summary_table(), file=sys.stderr)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-        report.write_csv(os.path.join(args.out, "per_example.csv"))
+        _write_report(args, "baseline-eval", report,
+                      [args.data, args.train_data, args.model], params)
         baseline.save_ngram(ngram, os.path.join(args.out, "ngram.txt"))
-        _write_manifest(args.out, "baseline-eval", args,
-                        [args.data, args.train_data, args.model])
     return 0
 
 
@@ -360,7 +397,7 @@ def sweep(config_path: str | None, parameter: str, values: list[float],
             dataset=f"{parameter}={value}")
         results.append((value, report))
     csv_path = os.path.join(out_dir, f"sweep_{parameter}.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["parameter", "value", "accuracy"])
         for value, report in results:

@@ -19,6 +19,7 @@ from .errors import (
     PoolExhausted,
     SchemaViolation,
 )
+from .fileio import atomic_write
 
 SPLITS = ("train", "validation", "test")
 
@@ -263,6 +264,6 @@ def load_corpus(path: str) -> list[RefactoringRecord]:
 
 
 def save_corpus(records: list[RefactoringRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(asdict(record), ensure_ascii=False) + "\n")

@@ -9,6 +9,7 @@ tokenizer guarantees the concatenation equals encoding the whole text.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import bpe, javalex
@@ -35,7 +36,15 @@ class MaskedExample:
         return [p for group in self.mask_positions for p in group]
 
 
-def _segments(code: str, name: str) -> list[tuple[str, bool]]:
+# A request reads one (code, name) pair several times in a row: the [NUM]
+# and [MASK] passes of ``suggest``, one pass per candidate length of the
+# length heuristic. The segments of this many recent pairs are kept, so the
+# code is lexed once per request while the memo holds only a few methods.
+SEGMENT_CACHE_LIMIT = 8
+
+
+@functools.lru_cache(maxsize=SEGMENT_CACHE_LIMIT)
+def _segments(code: str, name: str) -> tuple[tuple[str, bool], ...]:
     """Split code into (text, is_occurrence) pieces around the name."""
     spans = javalex.find_identifier_occurrences(code, name)
     if not spans:
@@ -49,7 +58,7 @@ def _segments(code: str, name: str) -> list[tuple[str, bool]]:
         prev = end
     if prev < len(code):
         pieces.append((code[prev:], False))
-    return pieces
+    return tuple(pieces)
 
 
 def masked_sequence(

@@ -11,6 +11,7 @@ from . import bpe
 from .bpe import SubwordVocab
 from .corpus import RefactoringRecord
 from .errors import EmptyTruth
+from .fileio import atomic_write
 
 
 def hit_at_k(ranked: list[int], truth: int, k: int) -> int:
@@ -109,7 +110,7 @@ class EvalReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["id", "prediction", "truth", "hit1", "hit3",
                              "accuracy", "exact_match", "token_ed", "cer"])

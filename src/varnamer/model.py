@@ -1,8 +1,10 @@
 """Small bidirectional transformer encoder with token and length heads.
 
 Sizes are config-driven; the defaults are desk scale (2 layers, width 128)
-but the full-size geometry remains expressible. All arithmetic is float64;
-checkpoints store float32.
+but the full-size geometry remains expressible. Checkpoints store float32.
+Fresh parameters and training are float64 (training widens loaded ones
+first); a model read from a checkpoint computes in float32, the precision
+it was stored in (see the dtype rule in ``autodiff``).
 
 Every loss and decoder reads only a few output rows: [CLS] for length
 prediction, the masked or name positions for the token head and the
@@ -164,6 +166,12 @@ class ModelParams:
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The precision the model computes in: float64 when fresh or
+        training, float32 when read from a checkpoint."""
+        return self.tensors["token_embedding"].data.dtype
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
@@ -374,6 +382,9 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
 def load_checkpoint(path: str) -> ModelParams:
     """Read a checkpoint, validating tensor shapes against its config.
 
+    Tensors come back as float32, as stored (writable copies); training
+    widens them to float64 before its first step.
+
     A truncated or undecodable file raises CorruptCheckpoint naming the
     path and the byte offset where reading failed.
     """
@@ -428,7 +439,7 @@ def load_checkpoint(path: str) -> ModelParams:
                 f"config implies {expected[name]}")
         count = int(np.prod(shape)) if rank else 1
         data = np.frombuffer(read(count * 4, f"data of {name!r}"), dtype="<f4")
-        tensors[name] = Tensor(data.reshape(shape).astype(np.float64),
+        tensors[name] = Tensor(data.reshape(shape).astype(np.float32),
                                requires_grad=True)
     missing = set(expected) - set(tensors)
     if missing:

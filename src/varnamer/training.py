@@ -28,6 +28,7 @@ from .errors import (
     NonFiniteLoss,
     ShapeMismatch,
 )
+from .fileio import atomic_write
 from .model import ModelParams
 
 logger = logging.getLogger(__name__)
@@ -277,6 +278,9 @@ def _run_loop(
 ) -> TrainResult:
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+    # Training runs in float64; a loaded checkpoint's float32 values widen exactly.
+    for tensor in params.tensors.values():
+        tensor.data = tensor.data.astype(np.float64, copy=False)
     rng = np.random.default_rng(config.seed)
     state = AdamState()
     history: list[dict[str, float]] = []
@@ -361,7 +365,7 @@ def _write_log(path: str, history: list[dict[str, float]]) -> None:
         for key in row:
             if key not in columns:
                 columns.append(key)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         writer.writerows(history)

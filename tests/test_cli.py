@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from varnamer import bpe, cli, corpus, model, training
@@ -151,6 +152,12 @@ class TestHappyPaths:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "build-corpus"
         assert workspace["functions"] in manifest["inputs"]
+        numeric = manifest["numeric_environment"]
+        assert numeric["numpy"] == np.__version__
+        assert isinstance(numeric["blas"], str) and numeric["blas"]
+        assert numeric["threads"] == {
+            var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        assert "model_dtype" not in manifest
 
     def test_train_tokenizer(self, workspace, tmp_path, capsys):
         out = tmp_path / "tok"
@@ -161,6 +168,41 @@ class TestHappyPaths:
         assert result["vocab_size"] == 300
         loaded = bpe.load_vocab(str(out / "vocab.txt"))
         assert loaded.size == 300
+
+    def test_train_tokenizer_reports_the_bad_record(self, workspace, tmp_path, capsys):
+        records = [json.loads(line) for line in open(workspace["corpus"])][:4]
+        records[2]["id"] = "000002"
+        records[2]["variable_before"] = records[2]["variable_after"]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n" + "".join(json.dumps(r) + "\n" for r in records))
+        code = cli.run(["train-tokenizer", "--data", str(bad), "--vocab-size", "300",
+                        "--out", str(tmp_path / "tok")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "000002" in err and "variable_before equals variable_after" in err
+        assert not (tmp_path / "tok").exists()
+
+    def test_train_tokenizer_reports_the_bad_function(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"code": "int f() { return 1; }"}\n{"code": 3}\n')
+        code = cli.run(["train-tokenizer", "--data", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert 'line 2: "code" must be a string' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "baseline-eval"])
+    def test_evaluation_manifest_records_the_model_dtype(self, workspace, tmp_path,
+                                                         capsys, command):
+        out = tmp_path / command
+        extra = (["--train-data", workspace["corpus"], "--ngram-n", "2"]
+                 if command == "baseline-eval" else [])
+        code = cli.run([command, "--model", workspace["model"],
+                        "--data", workspace["corpus"], "--out", str(out)] + extra)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["model_dtype"] == "float32"
+        assert manifest["numeric_environment"]["numpy"] == np.__version__
+        assert json.loads((out / "report.json").read_text())["evaluated"] > 0
+        assert (out / "per_example.csv").exists()
 
     def test_evaluate_json_on_stdout(self, workspace, capsys):
         # vocab is discovered as the sibling model.vocab

@@ -213,3 +213,69 @@ class TestModelPredictor:
             expected = inference.suggest(params, desk_vocab, record.code_before,
                                          record.variable_before)
             assert predictor.predict_name(record) == expected.name
+
+
+def as_float64(params):
+    """The same weights as an in-memory float64 model."""
+    wide = params.clone()
+    for tensor in wide.tensors.values():
+        tensor.data = tensor.data.astype(np.float64)
+    return wide
+
+
+class TestServingPrecision:
+    def test_reloaded_checkpoint_suggests_as_float64(self, desk_vocab, overfit_setup,
+                                                     tmp_path):
+        params, records = overfit_setup
+        path = str(tmp_path / "model.rfbt")
+        model.save_checkpoint(params, path)
+        served = model.load_checkpoint(path)
+        wide = as_float64(served)
+        assert (served.dtype, wide.dtype) == (np.float32, np.float64)
+        for record in records:
+            ranked32 = inference.predict_length(served, desk_vocab, record)
+            ranked64 = inference.predict_length(wide, desk_vocab, record)
+            assert [g for g, _ in ranked32] == [g for g, _ in ranked64]
+            a = inference.suggest(served, desk_vocab, record.code_before,
+                                  record.variable_before)
+            b = inference.suggest(wide, desk_vocab, record.code_before,
+                                  record.variable_before)
+            assert (a.name, a.length_used) == (b.name, b.length_used)
+            slots32 = inference._slot_distributions(
+                served, desk_vocab, record.code_before, record.variable_before, a.length_used)
+            slots64 = inference._slot_distributions(
+                wide, desk_vocab, record.code_before, record.variable_before, a.length_used)
+            assert slots32.dtype == np.float32
+            np.testing.assert_allclose(slots32, slots64, rtol=1e-5)
+
+
+class TestLexOnce:
+    @pytest.fixture
+    def lex_calls(self, monkeypatch):
+        from varnamer import javalex, masking
+
+        masking._segments.cache_clear()
+        calls = []
+        lex = javalex.find_identifier_occurrences
+
+        def counting_lex(code, name):
+            calls.append(name)
+            return lex(code, name)
+
+        monkeypatch.setattr(javalex, "find_identifier_occurrences", counting_lex)
+        return calls
+
+    def test_one_suggest_lexes_once(self, desk_vocab, overfit_setup, lex_calls):
+        params, records = overfit_setup
+        for record in records:
+            inference.suggest(params, desk_vocab, record.code_before, record.variable_before)
+        assert lex_calls == [r.variable_before for r in records]
+
+    def test_length_heuristic_lexes_once_per_record(self, desk_vocab, overfit_setup,
+                                                    lex_calls):
+        from varnamer import baseline
+
+        params, records = overfit_setup
+        for record in records:
+            baseline.heuristic_lp(params, desk_vocab, record)
+        assert lex_calls == [r.variable_before for r in records]

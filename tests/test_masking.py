@@ -1,6 +1,6 @@
 import pytest
 
-from varnamer import bpe, masking
+from varnamer import bpe, javalex, masking
 from varnamer.bpe import CLS, MASK, NUM, SEP
 from varnamer.errors import NameTooLong, NameTruncated
 
@@ -114,3 +114,27 @@ class TestEncodeWithPositions:
             name_ids = bpe.encode(desk_vocab, record.variable_after)
             for group in groups:
                 assert [ids[p] for p in group] == name_ids
+
+
+class TestSegmentMemo:
+    def test_memoised_segments_equal_a_fresh_split(self, desk_vocab, toy_records):
+        masking._segments.cache_clear()
+        for record in toy_records[:12] + toy_records[:12]:   # second round hits
+            pieces = masking._segments(record.code_after, record.variable_after)
+            assert isinstance(pieces, tuple)
+            assert "".join(text for text, _ in pieces) == record.code_after
+            spans = javalex.find_identifier_occurrences(
+                record.code_after, record.variable_after)
+            assert [text for text, hit in pieces if hit] == (
+                [record.code_after[a:b] for a, b in spans])
+
+    def test_memo_is_bounded(self, toy_records):
+        masking._segments.cache_clear()
+        for record in toy_records[:3 * masking.SEGMENT_CACHE_LIMIT]:
+            masking._segments(record.code_after, record.variable_after)
+        assert masking._segments.cache_info().currsize == masking.SEGMENT_CACHE_LIMIT
+
+    def test_missing_name_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(masking.VariableNotFound):
+                masking._segments("int a = 1;", "missing")

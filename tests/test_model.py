@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from varnamer import autodiff as ad
 from varnamer import gradcheck, model
 from varnamer.bpe import CLS, SEP
 from varnamer.errors import (
@@ -257,6 +258,7 @@ class TestCheckpoint:
         loaded = model.load_checkpoint(path)
         expected = params["token_embedding"].data.astype(np.float32).astype(np.float64)
         np.testing.assert_array_equal(loaded["token_embedding"].data, expected)
+        assert loaded["token_embedding"].data.dtype == np.float32
 
     def test_magic_bytes(self, tmp_path):
         params = model.init_params(small_config(), seed=7)
@@ -323,7 +325,46 @@ class TestCheckpoint:
         assert os.listdir(tmp_path) == ["model.rfbt"]
 
 
+class TestServingPrecision:
+    """A loaded checkpoint computes in float32; nothing in an eval-mode
+    forward may widen it (see the dtype rule in ``autodiff``)."""
+
+    @staticmethod
+    def graph_dtypes(*outputs):
+        seen, stack, dtypes = set(), list(outputs), {}
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            dtypes[id(node)] = node.data.dtype
+            stack.extend(node._parents)
+        return dtypes
+
+    @pytest.mark.parametrize("rows", [None, [0], [3, 1, 3]])
+    def test_eval_forward_stays_float32(self, tmp_path, rows):
+        path = str(tmp_path / "model.rfbt")
+        model.save_checkpoint(model.init_params(small_config(num_layers=2), seed=7), path)
+        params = model.load_checkpoint(path)
+        assert params.dtype == np.float32
+        assert all(t.data.dtype == np.float32 and t.data.flags.writeable
+                   for t in params.tensors.values())
+        encoded = model.forward(params, [CLS, 9, 10, 11, 12, SEP], rows=rows)
+        token = model.token_probs(params, encoded.hidden)
+        length = model.length_probs(params, ad.take(encoded.hidden, [0]))
+        dtypes = self.graph_dtypes(token, length)
+        assert len(dtypes) > 40                 # the walk reached the parameters
+        assert set(dtypes.values()) == {np.dtype(np.float32)}
+
+    def test_fresh_parameters_are_float64(self):
+        assert model.init_params(small_config(), seed=7).dtype == np.float64
+
+
 class TestGradientCheckContract:
+    def test_toy_model_is_float64(self):
+        params, _ = gradcheck.toy_model()
+        assert {t.data.dtype for t in params.tensors.values()} == {np.dtype(np.float64)}
+
     def test_quadratic_probe_exact(self):
         # central differences are exact for quadratics; the tensor set must
         # be small enough that float cancellation stays under 1e-7 of the

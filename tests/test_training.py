@@ -268,6 +268,22 @@ class TestLoops:
         for name in rerun.params.tensors:
             np.testing.assert_array_equal(stopped.params[name].data, rerun.params[name].data)
 
+    def test_training_from_a_checkpoint_widens_to_float64(self, desk_vocab, toy_records,
+                                                          tmp_path):
+        path = str(tmp_path / "model.rfbt")
+        model.save_checkpoint(tiny_model(desk_vocab), path)
+        loaded = model.load_checkpoint(path)
+        wide = model.load_checkpoint(path)
+        for tensor in wide.tensors.values():
+            tensor.data = tensor.data.astype(np.float64)
+        config = tiny_train_config(max_epochs=1)
+        a = training.finetune_lp(config, loaded, toy_records[:12], desk_vocab)
+        b = training.finetune_lp(config, wide, toy_records[:12], desk_vocab)
+        assert [r["loss"] for r in a.history] == [r["loss"] for r in b.history]
+        for name in a.params.tensors:
+            assert a.params[name].data.dtype == np.float64
+            assert np.array_equal(a.params[name].data, b.params[name].data)
+
     def test_checkpoints_and_log_written(self, desk_vocab, toy_records, tmp_path):
         params = tiny_model(desk_vocab)
         config = tiny_train_config(max_epochs=2)
