@@ -84,19 +84,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # Convenience arithmetic; heavy ops live as module functions.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(as_tensor(other), -1.0))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bpe, javalex, masking, model
+from . import bpe, inference, javalex, masking
 from .bpe import PAD, SubwordVocab
 from .corpus import RefactoringRecord
 from .errors import EmptyCorpus, NoCandidates
@@ -30,18 +30,11 @@ def heuristic_lp(params: ModelParams, vocab: SubwordVocab,
     For each candidate count g the record is masked with g slots and scored
     with the model's own token distributions; ties break toward smaller g.
     """
-    config = params.config
     scores: list[tuple[int, float]] = []
-    for g in range(1, config.max_name_tokens + 1):
-        input_ids, groups = masking.masked_sequence(
-            vocab, record.code_before, record.variable_before,
-            masking.SCHEME_CMLM, g, config.max_seq_len)
-        flat = [p for group in groups for p in group]
-        encoded = model.forward(params, input_ids, train_mode=False, rows=flat)
-        probs = model.token_probs(params, encoded.hidden_states).data
-        per_occurrence = probs.reshape(len(groups), g, -1).mean(axis=0)
-        score = float(np.mean(np.log(per_occurrence.max(axis=1))))
-        scores.append((g, score))
+    for g in range(1, params.config.max_name_tokens + 1):
+        slot_probs = inference._slot_distributions(
+            params, vocab, record.code_before, record.variable_before, g)
+        scores.append((g, float(np.mean(np.log(slot_probs.max(axis=1))))))
     return sorted(scores, key=lambda gs: (-gs[1], gs[0]))
 
 

@@ -7,6 +7,8 @@ relative error on toy instances in float64.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .autodiff import Tensor
@@ -126,10 +128,17 @@ def toy_model(vocab_size: int = 64, hidden_dim: int = 32, num_layers: int = 2,
 def loss_suite(params, example, tau: float = 0.05) -> dict[str, object]:
     """Named scalar loss closures over the toy instance, for checking."""
     from . import losses as L
-    from . import model
-    from .training import TrainConfig, cmlm_example_loss, lp_example_loss, tg_example_loss
+    from . import masking
+    from .bpe import NUM
+    from .training import (TrainConfig, _masked_prediction, cmlm_example_loss,
+                           lp_example_loss, tg_example_loss)
 
-    num_example = _num_variant(example.masked)
+    # The [NUM] scheme puts one placeholder where the toy's single mask group is.
+    (group,) = example.masked.mask_positions
+    ids = example.masked.input_ids
+    num_example = dataclasses.replace(
+        example.masked, input_ids=ids[:group[0]] + [NUM] + ids[group[-1] + 1:],
+        mask_positions=[[group[0]]], scheme=masking.SCHEME_NUM)
 
     def cmlm_fn(p):
         return cmlm_example_loss(p, example.masked, False, 0)
@@ -138,10 +147,7 @@ def loss_suite(params, example, tau: float = 0.05) -> dict[str, object]:
         return lp_example_loss(p, num_example, False, 0)
 
     def bot_fn(p):
-        encoded = model.forward(p, example.masked.input_ids, False, 0,
-                                rows=example.masked.flat_positions)
-        probs = model.token_probs(p, encoded.hidden)
-        pred = L.MaskedPrediction(probs=probs, target_ids=example.masked.target_ids)
+        pred = _masked_prediction(p, example.masked, False, 0)[1]
         return L.bot_loss(L.bot_distribution(pred), pred.target_ids)
 
     def cl_fn(p):
@@ -156,23 +162,3 @@ def loss_suite(params, example, tau: float = 0.05) -> dict[str, object]:
     return {"cmlm": cmlm_fn, "lp": lp_fn, "bot": bot_fn,
             "cl": cl_fn, "combined": combined_fn}
 
-
-def _num_variant(masked):
-    from . import masking
-    from .bpe import NUM
-
-    ids = list(masked.input_ids)
-    groups = []
-    offset = 0
-    for group in masked.mask_positions:
-        start = group[0] - offset
-        ids[start:start + len(group)] = [NUM]
-        groups.append([start])
-        offset += len(group) - 1
-    return masking.MaskedExample(
-        input_ids=ids,
-        mask_positions=groups,
-        target_ids=list(masked.target_ids),
-        length_label=masked.length_label,
-        scheme=masking.SCHEME_NUM,
-    )

@@ -131,29 +131,3 @@ def cl_loss(triples: list[NameTriple], tau: float) -> Tensor:
         return Tensor(0.0)
     return total
 
-
-def fine_tune_loss(
-    pred: MaskedPrediction,
-    bot_pred: MaskedPrediction | None,
-    triples: list[NameTriple],
-    lambda_cmlm: float = 1.0,
-    lambda_bot: float = 0.1,
-    lambda_cl: float = 1.0,
-    tau: float = 0.05,
-    dedupe_bot: bool = False,
-) -> Tensor:
-    """Weighted sum of the three second-stage terms.
-
-    A zero weight skips the term entirely, which makes the ablation
-    variants plain configurations of this one function.
-    """
-    total = Tensor(0.0)
-    if lambda_cmlm != 0.0:
-        total = ad.add(total, ad.scale(cmlm_loss(pred), lambda_cmlm))
-    if lambda_bot != 0.0:
-        source = bot_pred if bot_pred is not None else pred
-        z = bot_distribution(source)
-        total = ad.add(total, ad.scale(bot_loss(z, source.target_ids, dedupe_bot), lambda_bot))
-    if lambda_cl != 0.0 and triples:
-        total = ad.add(total, ad.scale(cl_loss(triples, tau), lambda_cl))
-    return total

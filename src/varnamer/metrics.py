@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import bpe
 from .bpe import SubwordVocab
 from .corpus import RefactoringRecord
-from .errors import EmptyTruth
+from .errors import EmptyTruth, VarnamerError
 from .fileio import atomic_write
 
 
@@ -80,7 +81,12 @@ class ExampleResult:
 
 @dataclass
 class EvalReport:
-    """Aggregated metrics over one dataset plus the per-example rows."""
+    """Aggregated metrics over one dataset plus the per-example rows.
+
+    ``excluded_reasons`` counts the excluded records by reason and sums to
+    ``excluded``: ``too_long`` for a true name over the sub-token limit,
+    otherwise the class name of the error the predictor raised.
+    """
 
     dataset: str
     evaluated: int
@@ -92,12 +98,14 @@ class EvalReport:
     mean_token_ed: float | None
     mean_cer: float | None
     rows: list[ExampleResult] = field(default_factory=list, repr=False)
+    excluded_reasons: dict[str, int] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
             "dataset": self.dataset,
             "evaluated": self.evaluated,
             "excluded": self.excluded,
+            "excluded_reasons": dict(sorted(self.excluded_reasons.items())),
             "hit_at_1": self.hit_at_1,
             "hit_at_3": self.hit_at_3,
             "accuracy": self.accuracy,
@@ -154,28 +162,33 @@ def evaluate_corpus(
     The predictor may implement ``predict_length(record)`` (ranked
     (length, score) pairs), ``predict_name(record)`` (a name string), or
     both; missing capabilities leave that metric family as None. Records
-    whose true name exceeds ``max_name_tokens`` sub-tokens are excluded
-    and counted. Predicted and true names are tokenized with the same
+    whose true name exceeds ``max_name_tokens`` sub-tokens, and records on
+    which the predictor raises a ``VarnamerError``, are excluded and
+    counted by reason. Predicted and true names are tokenized with the same
     vocabulary so comparisons are like for like.
     """
     has_length = hasattr(predictor, "predict_length")
     has_name = hasattr(predictor, "predict_name")
     rows: list[ExampleResult] = []
-    excluded = 0
+    reasons: Counter[str] = Counter()
     for record in records:
         truth_tokens = bpe.tokenize_variable(vocab, record.variable_after)
         if len(truth_tokens) > max_name_tokens:
-            excluded += 1
+            reasons["too_long"] += 1
+            continue
+        try:
+            ranking = predictor.predict_length(record) if has_length else None
+            pred_name = predictor.predict_name(record) if has_name else None
+        except VarnamerError as exc:
+            reasons[type(exc).__name__] += 1
             continue
         hit1 = hit3 = None
-        if has_length:
-            ranked = [length for length, _ in predictor.predict_length(record)]
+        if ranking is not None:
+            ranked = [length for length, _ in ranking]
             hit1 = hit_at_k(ranked, len(truth_tokens), 1)
             hit3 = hit_at_k(ranked, len(truth_tokens), 3)
         acc = em = ed = cer_value = None
-        pred_name = None
         if has_name:
-            pred_name = predictor.predict_name(record)
             pred_tokens = bpe.tokenize_variable(vocab, pred_name) if pred_name else []
             acc = accuracy(pred_tokens, truth_tokens)
             em = exact_match(pred_name, record.variable_after)
@@ -195,7 +208,7 @@ def evaluate_corpus(
     return EvalReport(
         dataset=dataset,
         evaluated=len(rows),
-        excluded=excluded,
+        excluded=sum(reasons.values()),
         hit_at_1=_mean([r.hit1 for r in rows]),
         hit_at_3=_mean([r.hit3 for r in rows]),
         accuracy=_mean([r.accuracy for r in rows]),
@@ -203,4 +216,5 @@ def evaluate_corpus(
         mean_token_ed=_mean([r.token_ed for r in rows]),
         mean_cer=_mean([r.cer for r in rows]),
         rows=rows,
+        excluded_reasons=dict(reasons),
     )

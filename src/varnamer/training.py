@@ -1,9 +1,10 @@
 """Training loops: masked-token pretraining and the two fine-tuning stages.
 
-Stage 1 fits the length head (token head frozen), stage 2 fits the
-combined generation loss (length head frozen). Everything is seeded and
-single-threaded, so a fixed (seed, config, corpus) triple reproduces the
-same checkpoints bit for bit.
+Stage 1 fits the length head, stage 2 fits the combined generation loss.
+The head a stage's loss does not reach (the length head in pretraining and
+stage 2, the token head in stage 1) gets no gradient and is not updated.
+Everything is seeded and single-threaded, so a fixed (seed, config,
+corpus) triple reproduces the same checkpoints bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class TrainConfig(model.TextConfig):
+    """Optimizer, loss and data settings of a training stage.
+
+    ``dropout`` only sets the dropout of a model the CLI creates for
+    ``pretrain``; stages train with the model's own ``ModelConfig.dropout``.
+    """
+
     learning_rate: float = 1e-3
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
@@ -51,8 +58,6 @@ class TrainConfig(model.TextConfig):
     max_seq_len: int = 512
     dropout: float = 0.1
     patience: int = 10
-    freeze_token_head_in_lp: bool = True
-    freeze_length_head_in_tg: bool = True
     dedupe_bot: bool = False
 
     def validate(self) -> None:
@@ -85,7 +90,6 @@ def adam_update(
     grads: dict[str, np.ndarray],
     state: AdamState,
     config: TrainConfig,
-    skip: frozenset[str] = frozenset(),
 ) -> tuple[ModelParams, AdamState]:
     """One Adam step with bias correction; parameters update in place."""
     state.step += 1
@@ -93,8 +97,6 @@ def adam_update(
     correction1 = 1.0 - b1 ** state.step
     correction2 = 1.0 - b2 ** state.step
     for name, grad in grads.items():
-        if name in skip:
-            continue
         tensor = params.tensors[name]
         if grad.shape != tensor.data.shape:
             raise ShapeMismatch(
@@ -125,18 +127,14 @@ class TgExample:
     before_positions: list[int]
 
 
-def build_cmlm_dataset(
-    vocab: SubwordVocab,
-    records: list[RefactoringRecord],
-    config: TrainConfig,
-) -> tuple[list[masking.MaskedExample], dict[str, int]]:
-    """Generation-scheme examples; over-long names are excluded and counted."""
+def _build(records: list[RefactoringRecord], make) -> tuple[list, dict[str, int]]:
+    """``make(record)`` for each record; over-long and truncated names are
+    excluded and counted."""
     examples = []
     stats = {"too_long": 0, "truncated": 0}
     for record in records:
         try:
-            examples.append(masking.apply_cmlm_mask(
-                vocab, record, config.max_seq_len, config.max_name_tokens))
+            examples.append(make(record))
         except NameTooLong:
             stats["too_long"] += 1
         except NameTruncated:
@@ -144,69 +142,50 @@ def build_cmlm_dataset(
     return examples, stats
 
 
-def build_num_dataset(
-    vocab: SubwordVocab,
-    records: list[RefactoringRecord],
-    config: TrainConfig,
-) -> tuple[list[masking.MaskedExample], dict[str, int]]:
-    examples = []
-    stats = {"too_long": 0, "truncated": 0}
-    for record in records:
-        try:
-            examples.append(masking.apply_num_mask(
-                vocab, record, config.max_seq_len, config.max_name_tokens))
-        except NameTooLong:
-            stats["too_long"] += 1
-        except NameTruncated:
-            stats["truncated"] += 1
-    return examples, stats
+def build_cmlm_dataset(vocab: SubwordVocab, records: list[RefactoringRecord],
+                       config: TrainConfig) -> tuple[list[masking.MaskedExample], dict[str, int]]:
+    return _build(records, lambda record: masking.apply_cmlm_mask(
+        vocab, record, config.max_seq_len, config.max_name_tokens))
 
 
-def build_tg_dataset(
-    vocab: SubwordVocab,
-    records: list[RefactoringRecord],
-    config: TrainConfig,
-) -> tuple[list[TgExample], dict[str, int]]:
-    examples = []
-    stats = {"too_long": 0, "truncated": 0}
-    for record in records:
-        try:
-            masked = masking.apply_cmlm_mask(
-                vocab, record, config.max_seq_len, config.max_name_tokens)
-            after_ids, after_groups = masking.encode_with_positions(
-                vocab, record.code_after, record.variable_after, config.max_seq_len)
-            before_ids, before_groups = masking.encode_with_positions(
-                vocab, record.code_before, record.variable_before, config.max_seq_len)
-        except NameTooLong:
-            stats["too_long"] += 1
-            continue
-        except NameTruncated:
-            stats["truncated"] += 1
-            continue
-        examples.append(TgExample(
-            masked=masked,
-            after_ids=after_ids,
-            after_positions=[p for g in after_groups for p in g],
-            before_ids=before_ids,
-            before_positions=[p for g in before_groups for p in g],
-        ))
-    return examples, stats
+def build_num_dataset(vocab: SubwordVocab, records: list[RefactoringRecord],
+                      config: TrainConfig) -> tuple[list[masking.MaskedExample], dict[str, int]]:
+    return _build(records, lambda record: masking.apply_num_mask(
+        vocab, record, config.max_seq_len, config.max_name_tokens))
+
+
+def build_tg_dataset(vocab: SubwordVocab, records: list[RefactoringRecord],
+                     config: TrainConfig) -> tuple[list[TgExample], dict[str, int]]:
+    def make(record: RefactoringRecord) -> TgExample:
+        masked = masking.apply_cmlm_mask(
+            vocab, record, config.max_seq_len, config.max_name_tokens)
+        after_ids, after_groups = masking.encode_with_positions(
+            vocab, record.code_after, record.variable_after, config.max_seq_len)
+        before_ids, before_groups = masking.encode_with_positions(
+            vocab, record.code_before, record.variable_before, config.max_seq_len)
+        return TgExample(masked=masked, after_ids=after_ids,
+                         after_positions=[p for g in after_groups for p in g],
+                         before_ids=before_ids,
+                         before_positions=[p for g in before_groups for p in g])
+
+    return _build(records, make)
 
 
 # --- per-example losses ------------------------------------------------------
 
-def _masked_prediction(params: ModelParams, example: masking.MaskedExample,
-                       train_mode: bool, dropout_seed: int) -> L.MaskedPrediction:
+def _masked_prediction(params: ModelParams, example: masking.MaskedExample, train_mode: bool,
+                       dropout_seed: int) -> tuple[model.EncodedSequence, L.MaskedPrediction]:
+    """The encoded mask rows and their token distributions, one target per row."""
     encoded = model.forward(params, example.input_ids, train_mode, dropout_seed,
                             rows=example.flat_positions)
     probs = model.token_probs(params, encoded.hidden)
     targets = example.target_ids * len(example.mask_positions)
-    return L.MaskedPrediction(probs=probs, target_ids=targets)
+    return encoded, L.MaskedPrediction(probs=probs, target_ids=targets)
 
 
 def cmlm_example_loss(params: ModelParams, example: masking.MaskedExample,
                       train_mode: bool, dropout_seed: int) -> Tensor:
-    return L.cmlm_loss(_masked_prediction(params, example, train_mode, dropout_seed))
+    return L.cmlm_loss(_masked_prediction(params, example, train_mode, dropout_seed)[1])
 
 
 def lp_example_loss(params: ModelParams, example: masking.MaskedExample,
@@ -218,12 +197,7 @@ def lp_example_loss(params: ModelParams, example: masking.MaskedExample,
 
 def tg_example_loss(params: ModelParams, example: TgExample, config: TrainConfig,
                     train_mode: bool, dropout_seed: int) -> tuple[Tensor, dict[str, float]]:
-    flat = example.masked.flat_positions
-    encoded = model.forward(params, example.masked.input_ids, train_mode, dropout_seed,
-                            rows=flat)
-    probs = model.token_probs(params, encoded.hidden)
-    targets = example.masked.target_ids * len(example.masked.mask_positions)
-    pred = L.MaskedPrediction(probs=probs, target_ids=targets)
+    encoded, pred = _masked_prediction(params, example.masked, train_mode, dropout_seed)
     parts: dict[str, float] = {}
     total = Tensor(0.0)
     if config.lambda_cmlm != 0.0:
@@ -273,7 +247,6 @@ def _run_loop(
     config: TrainConfig,
     loss_fn,
     stage: str,
-    frozen: frozenset[str],
     out_dir: str | None,
 ) -> TrainResult:
     if out_dir:
@@ -312,11 +285,10 @@ def _run_loop(
                 raise NonFiniteLoss(
                     f"{stage}: loss {loss_value} at epoch {epoch} step {step}")
             total.backward()
-            grads = {
-                name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                for name, t in params.tensors.items()
-            }
-            adam_update(params, grads, state, config, skip=frozen)
+            # A tensor the loss does not reach has no gradient and no update.
+            grads = {name: t.grad for name, t in params.tensors.items()
+                     if t.grad is not None}
+            adam_update(params, grads, state, config)
             epoch_losses.append(loss_value)
             step += 1
         row: dict[str, float] = {
@@ -398,7 +370,7 @@ def pretrain(
         return cmlm_example_loss(p, example, train_mode, dropout_seed), {}
 
     return _run_loop(params, examples, val_examples, config, loss_fn,
-                     "pretrain", frozenset(), out_dir)
+                     "pretrain", out_dir)
 
 
 def finetune_lp(
@@ -414,15 +386,12 @@ def finetune_lp(
     examples, stats = build_num_dataset(vocab, train_records, config)
     val_examples, _ = build_num_dataset(vocab, val_records, config)
     logger.info("finetune_lp: %d examples (excluded %s)", len(examples), stats)
-    frozen = frozenset(
-        name for name in params.tensors if name.startswith("token_head")
-    ) if config.freeze_token_head_in_lp else frozenset()
 
     def loss_fn(p, example, dropout_seed, train_mode=True):
         return lp_example_loss(p, example, train_mode, dropout_seed), {}
 
     return _run_loop(params, examples, val_examples, config, loss_fn,
-                     "finetune-lp", frozen, out_dir)
+                     "finetune-lp", out_dir)
 
 
 def finetune_tg(
@@ -438,12 +407,9 @@ def finetune_tg(
     examples, stats = build_tg_dataset(vocab, train_records, config)
     val_examples, _ = build_tg_dataset(vocab, val_records, config)
     logger.info("finetune_tg: %d examples (excluded %s)", len(examples), stats)
-    frozen = frozenset(
-        name for name in params.tensors if name.startswith("length_head")
-    ) if config.freeze_length_head_in_tg else frozenset()
 
     def loss_fn(p, example, dropout_seed, train_mode=True):
         return tg_example_loss(p, example, config, train_mode, dropout_seed)
 
     return _run_loop(params, examples, val_examples, config, loss_fn,
-                     "finetune-tg", frozen, out_dir)
+                     "finetune-tg", out_dir)

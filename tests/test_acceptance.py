@@ -213,6 +213,7 @@ def _overfit_pipeline():
     return params, pre.history[-1]["loss"], lp_report, final_report
 
 
+@pytest.mark.slow
 @criterion(6, "overfit-sanity")
 def test_overfit_sanity():
     params_a, pre_loss_a, lp_report_a, final_a = _overfit_pipeline()
@@ -323,6 +324,7 @@ def test_ablation_reachability(desk_vocab, toy_records, tmp_path):
 
 # --- 9: directional bag-of-tokens effect --------------------------------------
 
+@pytest.mark.slow
 @criterion(9, "directional-bot-effect")
 def test_directional_bot_effect():
     bags = [("data", "count"), ("total", "size"), ("item", "index"),

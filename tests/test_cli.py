@@ -204,6 +204,23 @@ class TestHappyPaths:
         assert json.loads((out / "report.json").read_text())["evaluated"] > 0
         assert (out / "per_example.csv").exists()
 
+    def test_evaluate_excludes_a_record_past_the_window(self, workspace, tmp_path, capsys):
+        # The checkpoint reads 128 tokens; ``late`` names its variable only after them.
+        filler = "other = other + 1;\n" * 80
+        late = toycorpus.make_record(
+            "late", f"int f() {{\n  {filler}  int pick = 1;\n  return pick;\n}}",
+            "pick", "tmp", split="test")
+        records = workspace["records"][:2]
+        data = tmp_path / "late.jsonl"
+        corpus.save_corpus([records[0], late, records[1]], str(data))
+        out = tmp_path / "report"
+        code = cli.run(["evaluate", "--model", workspace["model"],
+                        "--data", str(data), "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["evaluated"] == 2 and report["excluded"] == 1
+        assert report["excluded_reasons"] == {"NameTruncated": 1}
+
     def test_evaluate_json_on_stdout(self, workspace, capsys):
         # vocab is discovered as the sibling model.vocab
         code = cli.run(["evaluate", "--model", workspace["model"],

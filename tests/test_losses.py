@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from varnamer import gradcheck, training
 from varnamer import losses as L
 from varnamer.errors import LengthOutOfRange
 
@@ -204,28 +205,28 @@ class TestClLoss:
 
 
 class TestFineTuneLoss:
+    """The stage-2 loss, ``training.tg_example_loss``, on the toy example."""
+
+    @staticmethod
+    def _loss(**weights):
+        params, example = gradcheck.toy_model()
+        config = training.TrainConfig(dropout=0.0, **weights)
+        total, parts = training.tg_example_loss(params, example, config, False, 0)
+        return total.item(), parts, config, params, example
+
     def test_all_zero_weights(self):
-        pred = uniform_pred(2, 4)
-        value = L.fine_tune_loss(pred, pred, [], lambda_cmlm=0, lambda_bot=0,
-                                 lambda_cl=0).item()
+        value, parts, *_ = self._loss(lambda_cmlm=0.0, lambda_bot=0.0, lambda_cl=0.0)
         assert value == 0.0
+        assert parts == {}
 
     def test_cmlm_only_matches_exactly(self):
-        pred = uniform_pred(2, 4, targets=[1, 2])
-        combined = L.fine_tune_loss(pred, pred, [], lambda_cmlm=1.0,
-                                    lambda_bot=0.0, lambda_cl=0.0).item()
-        assert combined == L.cmlm_loss(pred).item()
+        value, _, _, params, example = self._loss(lambda_bot=0.0, lambda_cl=0.0)
+        assert value == training.cmlm_example_loss(params, example.masked, False, 0).item()
 
     def test_weighted_sum_matches_hand_computation(self):
-        rng = np.random.default_rng(5)
-        raw = rng.dirichlet(np.ones(6), size=3)
-        targets = [0, 2, 4]
-        pred = L.MaskedPrediction(probs=raw, target_ids=targets)
-        triple = triple_with_cosines(0.4, -0.2)
-        lam = dict(lambda_cmlm=1.0, lambda_bot=0.1, lambda_cl=1.0, tau=0.05)
-        combined = L.fine_tune_loss(pred, pred, [triple], **lam).item()
-        expected = (lam["lambda_cmlm"] * L.cmlm_loss(pred).item()
-                    + lam["lambda_bot"] * L.bot_loss(
-                        L.bot_distribution(pred), targets).item()
-                    + lam["lambda_cl"] * L.cl_loss([triple], 0.05).item())
-        assert abs(combined - expected) < 1e-9
+        value, parts, config, *_ = self._loss(lambda_cmlm=1.0, lambda_bot=0.1,
+                                              lambda_cl=1.0, tau=0.05)
+        assert set(parts) == {"cmlm", "bot", "cl"}
+        expected = (config.lambda_cmlm * parts["cmlm"] + config.lambda_bot * parts["bot"]
+                    + config.lambda_cl * parts["cl"])
+        assert abs(value - expected) < 1e-9

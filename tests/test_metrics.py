@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varnamer import bpe, metrics
+from varnamer import bpe, inference, metrics, model
 from varnamer.errors import EmptyTruth
 
 import toycorpus
@@ -179,6 +179,31 @@ class TestEvaluateCorpus:
             max_name_tokens=1)
         assert report.excluded > 0
         assert report.evaluated + report.excluded == len(toy_records)
+
+    def test_exclusion_reasons_sum_to_excluded(self, desk_vocab, toy_records):
+        report = metrics.evaluate_corpus(
+            EchoPredictor(desk_vocab), toy_records, desk_vocab,
+            max_name_tokens=1)
+        assert report.excluded_reasons == {"too_long": report.excluded}
+        assert report.to_json_dict()["excluded_reasons"] == {"too_long": report.excluded}
+
+    def test_record_the_model_cannot_read_is_excluded(self, desk_vocab, toy_records):
+        # ``late`` names its variable only past max_seq_len: suggest raises
+        # NameTruncated on it, which excludes that record, not the run.
+        config = model.ModelConfig(vocab_size=desk_vocab.size, num_layers=1,
+                                   hidden_dim=32, num_heads=4, ffn_dim=64,
+                                   max_seq_len=64, dropout=0.0)
+        predictor = inference.ModelPredictor(model.init_params(config, 0), desk_vocab)
+        filler = "other = other + 1;\n" * 40
+        late = toycorpus.make_record(
+            "late", f"int f() {{\n  {filler}  int pick = 1;\n  return pick;\n}}",
+            "pick", "tmp")
+        good = [r for r in toy_records
+                if len(bpe.encode(desk_vocab, r.variable_after)) <= 5][:2]
+        report = metrics.evaluate_corpus(predictor, [good[0], late, good[1]], desk_vocab)
+        assert [row.record_id for row in report.rows] == [good[0].id, good[1].id]
+        assert report.evaluated == 2 and report.excluded == 1
+        assert report.excluded_reasons == {"NameTruncated": 1}
 
     def test_em_implies_zero_distances(self, desk_vocab, toy_records):
         report = metrics.evaluate_corpus(

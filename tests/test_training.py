@@ -27,13 +27,18 @@ def tiny_train_config(**overrides):
 class TestTrainConfig:
     def test_text_roundtrip(self):
         config = training.TrainConfig(learning_rate=0.01, lambda_bot=0.0,
-                                      freeze_token_head_in_lp=False)
+                                      dedupe_bot=True)
         parsed = training.TrainConfig.from_text(config.to_text())
         assert parsed == config
 
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidConfig):
             training.TrainConfig.from_text("momentum = 0.9\n")
+
+    def test_removed_freeze_key_names_line_and_key(self):
+        with pytest.raises(InvalidConfig,
+                           match="line 2: unknown key 'freeze_token_head_in_lp'"):
+            training.TrainConfig.from_text("seed = 2\nfreeze_token_head_in_lp = True\n")
 
     @pytest.mark.parametrize("raw,value", [
         ("True", True), ("yes", True), ("1", True),
@@ -109,15 +114,6 @@ class TestAdam:
             training.adam_update(
                 params, {"token_head.bias": np.zeros(3)},
                 training.AdamState(), tiny_train_config())
-
-    def test_skip_set_freezes(self):
-        vocab = toycorpus.handmade_vocab(["int"])
-        params = tiny_model(vocab)
-        before = params["token_head.bias"].data.copy()
-        grads = {"token_head.bias": np.ones_like(before)}
-        training.adam_update(params, grads, training.AdamState(),
-                             tiny_train_config(), skip=frozenset(["token_head.bias"]))
-        np.testing.assert_array_equal(params["token_head.bias"].data, before)
 
 
 class TestDatasets:
@@ -201,14 +197,16 @@ class TestLoops:
         assert losses[-1] < losses[0]
 
     def test_pretrain_deterministic(self, desk_vocab, toy_records):
-        def run():
-            params = tiny_model(desk_vocab)
-            config = tiny_train_config(max_epochs=2, dropout=0.1)
+        # Stages train with the model's dropout, so the model carries it.
+        def run(dropout=0.1):
+            params = tiny_model(desk_vocab, dropout=dropout)
+            config = tiny_train_config(max_epochs=2, dropout=dropout)
             result = training.pretrain(config, params, toy_records[:12], desk_vocab)
             return result
 
         a, b = run(), run()
         assert [r["loss"] for r in a.history] == [r["loss"] for r in b.history]
+        assert [r["loss"] for r in a.history] != [r["loss"] for r in run(0.0).history]
         for name in a.params.tensors:
             np.testing.assert_array_equal(
                 a.params[name].data, b.params[name].data)
@@ -228,6 +226,19 @@ class TestLoops:
         config = tiny_train_config(max_epochs=1, batch_size=4)
         training.finetune_tg(config, params, toy_records[:8], desk_vocab)
         np.testing.assert_array_equal(params["length_head.weight"].data, length_before)
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_stage_leaves_the_unreached_head_unchanged(self, desk_vocab, toy_records, tied):
+        params = tiny_model(desk_vocab, tie_token_head=tied)
+        config = tiny_train_config(max_epochs=1, batch_size=4)
+        stages = [(training.pretrain, "length_head"), (training.finetune_lp, "token_head"),
+                  (training.finetune_tg, "length_head")]
+        for stage, unreached in stages:
+            before = {name: t.data.copy() for name, t in params.tensors.items()}
+            stage(config, params, toy_records[:8], desk_vocab)
+            for name, t in params.tensors.items():
+                unchanged = np.array_equal(t.data, before[name])
+                assert unchanged == name.startswith(unreached), (stage.__name__, name)
 
     def test_tg_component_losses_logged(self, desk_vocab, toy_records):
         params = tiny_model(desk_vocab)
