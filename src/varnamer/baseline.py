@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bpe, inference, javalex, masking
+from . import bpe, inference, masking
 from .bpe import PAD, SubwordVocab
 from .corpus import RefactoringRecord
-from .errors import EmptyCorpus, NoCandidates
+from .errors import EmptyCorpus, NoCandidates, VariableNotFound
 from .fileio import atomic_write
 from .model import ModelParams
 
@@ -106,11 +106,13 @@ def ngram_suggest(ngram: NgramModel, vocab: SubwordVocab, code: str,
     """Rank training-set names by the code's log-probability with each name
     substituted in. Falls back to the full name inventory when no stored
     context matches."""
-    spans = javalex.find_identifier_occurrences(code, variable_before)
-    if not spans:
-        raise NoCandidates(f"{variable_before!r} does not occur in the code")
-    ids, groups = masking.encode_with_positions(
-        vocab, code, variable_before, max_seq_len=1 << 30)
+    try:
+        ids, groups = masking.encode_with_positions(
+            vocab, code, variable_before, max_seq_len=1 << 30)
+    except VariableNotFound:
+        raise NoCandidates(f"{variable_before!r} does not occur in the code") from None
+    # The memoised segments of the call above: the code is lexed once.
+    segments = masking._segments(code, variable_before)
     stream = ids[1:-1]
     candidates: set[str] = set()
     for group in groups:
@@ -124,7 +126,8 @@ def ngram_suggest(ngram: NgramModel, vocab: SubwordVocab, code: str,
         candidates = set(names)
     scored = []
     for name in sorted(candidates):
-        substituted = javalex.substitute(code, spans, name)
+        substituted = "".join(name if is_occurrence else text
+                              for text, is_occurrence in segments)
         scored.append((name, sequence_logprob(ngram, bpe.encode(vocab, substituted))))
     scored.sort(key=lambda ns: (-ns[1], ns[0]))
     return scored[:top_k]

@@ -48,6 +48,8 @@ MIN_VOCAB_SIZE = BASE_ALPHABET_SIZE + len(SPECIAL_TOKENS)
 # encode() memoises each pre-split chunk's ids per vocabulary; the memo is
 # emptied when it holds this many chunks, which bounds its memory.
 CHUNK_CACHE_LIMIT = 1 << 16
+# train_bpe() stops once no adjacent pair occurs at least this often.
+MIN_PAIR_FREQUENCY = 2
 
 
 @dataclass
@@ -93,12 +95,11 @@ def train_bpe(
     texts: list[str],
     vocab_size: int,
     camel_split: bool = False,
-    min_pair_frequency: int = 2,
 ) -> SubwordVocab:
     """Learn merges by greedy highest-frequency pair merging.
 
     Stops when the vocabulary reaches ``vocab_size`` or no pair occurs at
-    least ``min_pair_frequency`` times. Ties between equally frequent pairs
+    least ``MIN_PAIR_FREQUENCY`` times. Ties between equally frequent pairs
     break lexicographically on the merged string, so training is
     deterministic.
     """
@@ -128,7 +129,7 @@ def train_bpe(
         if not pair_counts:
             break
         best_count = max(pair_counts.values())
-        if best_count < min_pair_frequency:
+        if best_count < MIN_PAIR_FREQUENCY:
             break
         best = min(
             (p for p, c in pair_counts.items() if c == best_count),

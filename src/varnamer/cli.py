@@ -79,14 +79,18 @@ def build_parser() -> _Parser:
 
     for name in ("pretrain", "finetune-lp", "finetune-tg"):
         p = sub.add_parser(name, help=f"{name} on a rename corpus")
-        common(p, "data", "seed", "out", "config", "lambdas", "lmax")
+        common(p, "data", "seed", "out", "config", "lambdas")
+        p.add_argument("--lmax", type=int,
+                       help="maximum sub-tokens per name; resizes the checkpoint's "
+                            "length head, which is kept as it is when not given")
         p.add_argument("--vocab", required=True)
         p.add_argument("--model", help="checkpoint to continue from (pretrain: optional)")
-        p.add_argument("--layers", type=int, default=2)
-        p.add_argument("--hidden-dim", type=int, default=128)
-        p.add_argument("--heads", type=int, default=4)
-        p.add_argument("--ffn-dim", type=int, default=512)
-        p.add_argument("--max-seq-len", type=int, default=512)
+        if name == "pretrain":   # the one command that creates a model
+            p.add_argument("--layers", type=int, default=2)
+            p.add_argument("--hidden-dim", type=int, default=128)
+            p.add_argument("--heads", type=int, default=4)
+            p.add_argument("--ffn-dim", type=int, default=512)
+            p.add_argument("--max-seq-len", type=int, default=512)
 
     p = sub.add_parser("evaluate", help="run all metrics over a dataset")
     common(p, "data", "model", "vocab", "out", "lmax")
@@ -283,8 +287,8 @@ def _cmd_train(args, stage: str) -> int:
         vocab = bpe.load_vocab(args.vocab)
         params = _init_model(args, vocab, config)
     records = corpus.load_corpus(args.data)
-    if config.max_name_tokens != params.config.max_name_tokens:
-        model.resize_length_head(params, config.max_name_tokens, config.seed)
+    if args.lmax is not None:
+        model.resize_length_head(params, args.lmax, config.seed)
     runner = {"pretrain": training.pretrain,
               "finetune-lp": training.finetune_lp,
               "finetune-tg": training.finetune_tg}[stage]
@@ -380,20 +384,19 @@ def sweep(config_path: str | None, parameter: str, values: list[float],
     os.makedirs(out_dir, exist_ok=True)
     results = []
     for value in values:
+        params, vocab = _load_model(model_path, vocab_path)
         config = dataclasses.replace(base_config)
         if parameter == "lmax":
             config.max_name_tokens = int(value)
+            model.resize_length_head(params, config.max_name_tokens, config.seed)
         else:
             setattr(config, parameter, value)
         config.validate()
-        params, vocab = _load_model(model_path, vocab_path)
-        if config.max_name_tokens != params.config.max_name_tokens:
-            model.resize_length_head(params, config.max_name_tokens, config.seed)
         result = training.finetune_tg(config, params, records, vocab)
         predictor = inference.ModelPredictor(result.params, vocab)
         report = metrics.evaluate_corpus(
             predictor, eval_records, vocab,
-            max_name_tokens=config.max_name_tokens,
+            max_name_tokens=min(config.max_name_tokens, params.config.max_name_tokens),
             dataset=f"{parameter}={value}")
         results.append((value, report))
     csv_path = os.path.join(out_dir, f"sweep_{parameter}.csv")

@@ -43,8 +43,8 @@ def _ranked_lengths(params: ModelParams, vocab: SubwordVocab,
     config = params.config
     input_ids, _ = masking.masked_sequence(
         vocab, code, name, masking.SCHEME_NUM, 1, config.max_seq_len)
-    encoded = model.forward(params, input_ids, train_mode=False, rows=[0])
-    probs = model.length_probs(params, encoded.cls_vector).data
+    cls = model.forward(params, input_ids, train_mode=False, rows=[0])
+    probs = model.length_probs(params, cls.data[0]).data
     ranked = sorted(
         ((length, float(probs[length - 1])) for length in range(1, config.max_name_tokens + 1)),
         key=lambda lp: (-lp[1], lp[0]),
@@ -59,8 +59,8 @@ def _slot_distributions(params: ModelParams, vocab: SubwordVocab,
     input_ids, groups = masking.masked_sequence(
         vocab, code, name, masking.SCHEME_CMLM, slots, config.max_seq_len)
     flat = [p for group in groups for p in group]
-    encoded = model.forward(params, input_ids, train_mode=False, rows=flat)
-    probs = model.token_probs(params, encoded.hidden_states).data
+    hidden = model.forward(params, input_ids, train_mode=False, rows=flat)
+    probs = model.token_probs(params, hidden.data).data
     per_occurrence = probs.reshape(len(groups), slots, -1)
     return per_occurrence.mean(axis=0)
 
@@ -126,10 +126,8 @@ def generate_tokens(params: ModelParams, vocab: SubwordVocab,
     """Decode g pairwise-distinct sub-token strings for the record."""
     if not 1 <= g <= params.config.max_name_tokens:
         raise ValueError(f"g must lie in 1..{params.config.max_name_tokens}")
-    slot_probs = _slot_distributions(
-        params, vocab, record.code_before, record.variable_before, g)
-    ids = decode_unique(slot_probs, vocab, method)
-    return [bpe.token_string(vocab, i) for i in ids]
+    return _suggest_with_length(params, vocab, record.code_before,
+                                record.variable_before, g, method).sub_tokens
 
 
 def suggest(params: ModelParams, vocab: SubwordVocab,

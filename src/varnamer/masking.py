@@ -1,10 +1,13 @@
 """Masking schemes that turn refactoring records into model inputs.
 
-Two schemes: every occurrence of the target name becomes either its full
-run of [MASK] slots (token generation) or a single [NUM] placeholder
-(length prediction, where the slot count would leak the answer). Code is
-encoded segment-by-segment around the occurrences; the pre-splitting
-tokenizer guarantees the concatenation equals encoding the whole text.
+One loop, ``_window``, encodes a method segment-by-segment around the
+occurrences of a name, writes each occurrence as a given fill and cuts
+the result to the model's window. Three fills use it: g [MASK] slots per
+occurrence (token generation), a single [NUM] (length prediction, where
+the slot count would leak the answer) and the name's own sub-tokens (the
+unmasked sequences the contrastive loss and the n-gram baseline read).
+The pre-splitting tokenizer guarantees the concatenated segments equal
+encoding the whole text.
 """
 
 from __future__ import annotations
@@ -61,55 +64,25 @@ def _segments(code: str, name: str) -> tuple[tuple[str, bool], ...]:
     return tuple(pieces)
 
 
-def masked_sequence(
+def _window(
     vocab: SubwordVocab,
     code: str,
     name: str,
-    scheme: str,
-    slots: int,
+    fill: list[int],
     max_seq_len: int,
 ) -> tuple[list[int], list[list[int]]]:
-    """Encode code with each occurrence of ``name`` replaced by mask slots.
+    """Encode code with each occurrence of ``name`` written as ``fill``.
 
-    Returns the CLS-wrapped ids and the mask positions grouped per
-    occurrence. Occurrences split by truncation are dropped along with
-    everything after them; raises NameTruncated if none survive.
+    Returns the CLS-wrapped ids and the positions of each occurrence's
+    fill. Code cut by the window is kept up to the last token that fits;
+    an occurrence that does not fit whole is dropped along with everything
+    after it. Raises NameTruncated if no occurrence fits.
     """
-    fill = [MASK] * slots if scheme == SCHEME_CMLM else [NUM]
     body: list[int] = []
     groups: list[list[int]] = []
     budget = max_seq_len - 2
     for text, is_occurrence in _segments(code, name):
-        if is_occurrence:
-            if len(body) + len(fill) > budget:
-                break
-            groups.append(list(range(len(body) + 1, len(body) + 1 + len(fill))))
-            body.extend(fill)
-        else:
-            ids = bpe.encode(vocab, text)
-            if len(body) + len(ids) > budget:
-                body.extend(ids[:budget - len(body)])
-                break
-            body.extend(ids)
-    if not groups:
-        raise NameTruncated(
-            f"no occurrence of {name!r} fits in the first {max_seq_len} tokens")
-    return [CLS] + body + [SEP], groups
-
-
-def encode_with_positions(
-    vocab: SubwordVocab,
-    code: str,
-    name: str,
-    max_seq_len: int,
-) -> tuple[list[int], list[list[int]]]:
-    """Encode code unmasked, reporting where the name's sub-tokens sit."""
-    name_ids = bpe.encode(vocab, name)
-    body: list[int] = []
-    groups: list[list[int]] = []
-    budget = max_seq_len - 2
-    for text, is_occurrence in _segments(code, name):
-        ids = name_ids if is_occurrence else bpe.encode(vocab, text)
+        ids = fill if is_occurrence else bpe.encode(vocab, text)
         if len(body) + len(ids) > budget:
             if not is_occurrence:
                 body.extend(ids[:budget - len(body)])
@@ -121,6 +94,30 @@ def encode_with_positions(
         raise NameTruncated(
             f"no occurrence of {name!r} fits in the first {max_seq_len} tokens")
     return [CLS] + body + [SEP], groups
+
+
+def masked_sequence(
+    vocab: SubwordVocab,
+    code: str,
+    name: str,
+    scheme: str,
+    slots: int,
+    max_seq_len: int,
+) -> tuple[list[int], list[list[int]]]:
+    """Encode code with each occurrence of ``name`` replaced by ``slots``
+    [MASK] tokens (generation scheme) or one [NUM] (length scheme)."""
+    fill = [MASK] * slots if scheme == SCHEME_CMLM else [NUM]
+    return _window(vocab, code, name, fill, max_seq_len)
+
+
+def encode_with_positions(
+    vocab: SubwordVocab,
+    code: str,
+    name: str,
+    max_seq_len: int,
+) -> tuple[list[int], list[list[int]]]:
+    """Encode code unmasked, reporting where the name's sub-tokens sit."""
+    return _window(vocab, code, name, bpe.encode(vocab, name), max_seq_len)
 
 
 def _apply_mask(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -190,30 +190,15 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
     return ModelParams(config=config, tensors=tensors)
 
 
-@dataclass
-class EncodedSequence:
-    """Contextual vectors, one row per position or per requested row; row 0
-    is the [CLS] summary for the full output and for ``rows=[0]``."""
-
-    hidden: Tensor = field(repr=False)
-
-    @property
-    def hidden_states(self) -> np.ndarray:
-        return self.hidden.data
-
-    @property
-    def cls_vector(self) -> np.ndarray:
-        return self.hidden.data[0]
-
-
 def forward(
     params: ModelParams,
     ids: list[int],
     train_mode: bool = False,
     dropout_seed: int = 0,
     rows: list[int] | None = None,
-) -> EncodedSequence:
-    """Run the encoder over a CLS...SEP token sequence.
+) -> Tensor:
+    """Run the encoder over a CLS...SEP token sequence; returns one
+    contextual vector per row, row 0 being the [CLS] summary.
 
     Deterministic when train_mode is off; dropout is seeded otherwise.
     ``rows`` (positions in any order, repeats allowed) returns only those
@@ -282,7 +267,7 @@ def forward(
         x = ad.layer_norm(ad.add(x, ffn),
                           params[f"{p}.ffn_norm.scale"],
                           params[f"{p}.ffn_norm.bias"])
-    return EncodedSequence(hidden=x)
+    return x
 
 
 def _project(params: ModelParams, prefix: str, x: Tensor) -> Tensor:

@@ -3,8 +3,12 @@
 Stage 1 fits the length head, stage 2 fits the combined generation loss.
 The head a stage's loss does not reach (the length head in pretraining and
 stage 2, the token head in stage 1) gets no gradient and is not updated.
-Everything is seeded and single-threaded, so a fixed (seed, config,
-corpus) triple reproduces the same checkpoints bit for bit.
+A stage builds its examples at the smaller of the ``TrainConfig``'s and the
+model's ``max_seq_len`` and ``max_name_tokens``: a training config can
+narrow the model's window and length cap but never widen them, so no
+example is longer than the model reads or names more sub-tokens than its
+length head has rows. Everything is seeded and single-threaded, so a fixed
+(seed, config, corpus) triple reproduces the same checkpoints bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import csv
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -174,13 +178,13 @@ def build_tg_dataset(vocab: SubwordVocab, records: list[RefactoringRecord],
 # --- per-example losses ------------------------------------------------------
 
 def _masked_prediction(params: ModelParams, example: masking.MaskedExample, train_mode: bool,
-                       dropout_seed: int) -> tuple[model.EncodedSequence, L.MaskedPrediction]:
+                       dropout_seed: int) -> tuple[Tensor, L.MaskedPrediction]:
     """The encoded mask rows and their token distributions, one target per row."""
-    encoded = model.forward(params, example.input_ids, train_mode, dropout_seed,
-                            rows=example.flat_positions)
-    probs = model.token_probs(params, encoded.hidden)
+    hidden = model.forward(params, example.input_ids, train_mode, dropout_seed,
+                           rows=example.flat_positions)
+    probs = model.token_probs(params, hidden)
     targets = example.target_ids * len(example.mask_positions)
-    return encoded, L.MaskedPrediction(probs=probs, target_ids=targets)
+    return hidden, L.MaskedPrediction(probs=probs, target_ids=targets)
 
 
 def cmlm_example_loss(params: ModelParams, example: masking.MaskedExample,
@@ -190,14 +194,14 @@ def cmlm_example_loss(params: ModelParams, example: masking.MaskedExample,
 
 def lp_example_loss(params: ModelParams, example: masking.MaskedExample,
                     train_mode: bool, dropout_seed: int) -> Tensor:
-    encoded = model.forward(params, example.input_ids, train_mode, dropout_seed, rows=[0])
-    q = ad.reshape(model.length_probs(params, encoded.hidden), (-1,))
+    cls = model.forward(params, example.input_ids, train_mode, dropout_seed, rows=[0])
+    q = ad.reshape(model.length_probs(params, cls), (-1,))
     return L.lp_loss(q, example.length_label)
 
 
 def tg_example_loss(params: ModelParams, example: TgExample, config: TrainConfig,
                     train_mode: bool, dropout_seed: int) -> tuple[Tensor, dict[str, float]]:
-    encoded, pred = _masked_prediction(params, example.masked, train_mode, dropout_seed)
+    hidden, pred = _masked_prediction(params, example.masked, train_mode, dropout_seed)
     parts: dict[str, float] = {}
     total = Tensor(0.0)
     if config.lambda_cmlm != 0.0:
@@ -211,13 +215,11 @@ def tg_example_loss(params: ModelParams, example: TgExample, config: TrainConfig
     if config.lambda_cl != 0.0:
         # The substituted passes run without dropout but stay on the tape,
         # so the contrastive term trains all three representations.
-        gen = model.pool_name_representation(encoded.hidden)
-        after_enc = model.forward(params, example.after_ids, False, 0,
-                                  rows=example.after_positions)
-        after = model.pool_name_representation(after_enc.hidden)
-        before_enc = model.forward(params, example.before_ids, False, 0,
-                                   rows=example.before_positions)
-        before = model.pool_name_representation(before_enc.hidden)
+        gen = model.pool_name_representation(hidden)
+        after = model.pool_name_representation(model.forward(
+            params, example.after_ids, False, 0, rows=example.after_positions))
+        before = model.pool_name_representation(model.forward(
+            params, example.before_ids, False, 0, rows=example.before_positions))
         term = L.cl_loss([L.NameTriple(gen=gen, after=after, before=before)], config.tau)
         parts["cl"] = term.item()
         total = ad.add(total, ad.scale(term, config.lambda_cl))
@@ -343,10 +345,19 @@ def _write_log(path: str, history: list[dict[str, float]]) -> None:
         writer.writerows(history)
 
 
-def _split(records: list[RefactoringRecord]) -> tuple[list, list]:
-    train = [r for r in records if r.split == "train"]
-    val = [r for r in records if r.split == "validation"]
-    return train, val
+def _datasets(build, config: TrainConfig, params: ModelParams,
+              records: list[RefactoringRecord], vocab: SubwordVocab,
+              stage: str) -> tuple[list, list]:
+    """Training and validation examples of a stage, built within the
+    model's limits (see the module docstring)."""
+    limits = replace(
+        config,
+        max_seq_len=min(config.max_seq_len, params.config.max_seq_len),
+        max_name_tokens=min(config.max_name_tokens, params.config.max_name_tokens))
+    examples, stats = build(vocab, [r for r in records if r.split == "train"], limits)
+    val_examples, _ = build(vocab, [r for r in records if r.split == "validation"], limits)
+    logger.info("%s: %d examples (excluded %s)", stage, len(examples), stats)
+    return examples, val_examples
 
 
 # --- stages ------------------------------------------------------------------
@@ -361,10 +372,8 @@ def pretrain(
     """Masked-token pretraining; only the cross-entropy term, loss weights
     are deliberately ignored here."""
     config.validate()
-    train_records, val_records = _split(records)
-    examples, stats = build_cmlm_dataset(vocab, train_records, config)
-    val_examples, _ = build_cmlm_dataset(vocab, val_records, config)
-    logger.info("pretrain: %d examples (excluded %s)", len(examples), stats)
+    examples, val_examples = _datasets(build_cmlm_dataset, config, params, records,
+                                       vocab, "pretrain")
 
     def loss_fn(p, example, dropout_seed, train_mode=True):
         return cmlm_example_loss(p, example, train_mode, dropout_seed), {}
@@ -382,10 +391,8 @@ def finetune_lp(
 ) -> TrainResult:
     """Stage 1: length prediction on [NUM]-masked inputs."""
     config.validate()
-    train_records, val_records = _split(records)
-    examples, stats = build_num_dataset(vocab, train_records, config)
-    val_examples, _ = build_num_dataset(vocab, val_records, config)
-    logger.info("finetune_lp: %d examples (excluded %s)", len(examples), stats)
+    examples, val_examples = _datasets(build_num_dataset, config, params, records,
+                                       vocab, "finetune_lp")
 
     def loss_fn(p, example, dropout_seed, train_mode=True):
         return lp_example_loss(p, example, train_mode, dropout_seed), {}
@@ -403,10 +410,8 @@ def finetune_tg(
 ) -> TrainResult:
     """Stage 2: combined generation loss with configurable term weights."""
     config.validate()
-    train_records, val_records = _split(records)
-    examples, stats = build_tg_dataset(vocab, train_records, config)
-    val_examples, _ = build_tg_dataset(vocab, val_records, config)
-    logger.info("finetune_tg: %d examples (excluded %s)", len(examples), stats)
+    examples, val_examples = _datasets(build_tg_dataset, config, params, records,
+                                       vocab, "finetune_tg")
 
     def loss_fn(p, example, dropout_seed, train_mode=True):
         return tg_example_loss(p, example, config, train_mode, dropout_seed)

@@ -161,9 +161,9 @@ class TestHeuristicLength:
             ids, groups = masking.masked_sequence(
                 desk_vocab, record.code_before, record.variable_before,
                 masking.SCHEME_CMLM, g, 128)
-            encoded = model.forward(tiny_params, ids)
+            hidden = model.forward(tiny_params, ids).data
             flat = [p for group in groups for p in group]
-            probs = model.token_probs(tiny_params, encoded.hidden_states[flat]).data
+            probs = model.token_probs(tiny_params, hidden[flat]).data
             per_slot = probs.reshape(len(groups), g, -1).mean(axis=0)
             expected = float(np.mean(np.log(per_slot.max(axis=1))))
             assert ranked[g] == pytest.approx(expected, abs=1e-12)

@@ -276,6 +276,58 @@ class TestHappyPaths:
         assert all(v < 1e-4 for v in results.values())
 
 
+_SMALL_MODEL = ["--layers", "1", "--hidden-dim", "32", "--ffn-dim", "64"]
+
+
+class TestModelLimits:
+    def test_pretrain_window_narrower_than_the_config(self, workspace, tmp_path, capsys):
+        # The config keeps its default 512-token window; the model reads 40.
+        config = tmp_path / "wide.cfg"
+        config.write_text(training.TrainConfig(max_epochs=1, batch_size=8,
+                                               dropout=0.0).to_text())
+        out = tmp_path / "run"
+        code = cli.run(["pretrain", "--data", workspace["corpus"],
+                        "--vocab", workspace["vocab"], "--out", str(out),
+                        "--config", str(config), "--max-seq-len", "40"] + _SMALL_MODEL)
+        assert code == 0, capsys.readouterr().err
+        checkpoint = json.loads(capsys.readouterr().out)["checkpoint"]
+        assert model.load_checkpoint(checkpoint).config.max_seq_len == 40
+
+    @pytest.mark.parametrize("command", ["finetune-lp", "finetune-tg"])
+    def test_model_shape_flags_only_on_pretrain(self, workspace, tmp_path, capsys, command):
+        code = cli.run([command, "--data", workspace["corpus"], "--vocab", workspace["vocab"],
+                        "--model", workspace["model"], "--out", str(tmp_path),
+                        "--hidden-dim", "64"])
+        assert code == 1
+        assert "--hidden-dim" in capsys.readouterr().err
+
+    def test_length_head_resized_only_by_lmax(self, workspace, tmp_path, capsys):
+        def train(stage, *extra):
+            out = tmp_path / stage
+            code = cli.run([stage, "--data", workspace["corpus"],
+                            "--vocab", workspace["vocab"], "--out", str(out),
+                            "--config", _quick_config(tmp_path)] + list(extra))
+            assert code == 0, capsys.readouterr().err
+            return json.loads(capsys.readouterr().out)["checkpoint"]
+
+        def head(path):
+            params = model.load_checkpoint(path)
+            return (params.config.max_name_tokens, params["length_head.weight"].data,
+                    params["length_head.bias"].data)
+
+        pretrained = train("pretrain", "--lmax", "3", *_SMALL_MODEL)
+        lp = train("finetune-lp", "--model", pretrained)
+        lp_lmax, lp_weight, lp_bias = head(lp)
+        assert lp_lmax == 3 and lp_weight.shape == (3, 32)
+        # TG does not train the length head, so it leaves as it came in.
+        lmax, weight, bias = head(train("finetune-tg", "--model", lp))
+        assert lmax == 3
+        assert np.array_equal(weight, lp_weight) and np.array_equal(bias, lp_bias)
+        lmax, weight, bias = head(train("finetune-tg", "--model", lp, "--lmax", "4"))
+        assert lmax == 4 and weight.shape == (4, 32)
+        assert np.array_equal(weight[:3], lp_weight) and np.array_equal(bias[:3], lp_bias)
+
+
 def _quick_config(tmp_path) -> str:
     config = training.TrainConfig(max_epochs=2, batch_size=8, seed=1,
                                   max_seq_len=128, dropout=0.0)
@@ -316,3 +368,15 @@ class TestSweep:
         assert code == 0
         lines = (out / "sweep_lambda_bot.csv").read_text().splitlines()
         assert len(lines) == 2
+
+    def test_lmax_sweep_resizes_the_length_head(self, workspace, tmp_path, capsys):
+        out = tmp_path / "sweep_lmax"
+        code = cli.run(["sweep", "--param", "lmax", "--values", "2,4",
+                       "--config", _quick_config(tmp_path),
+                       "--data", workspace["corpus"],
+                       "--model", workspace["model"],
+                       "--vocab", workspace["vocab"],
+                       "--out", str(out)])
+        assert code == 0
+        lines = (out / "sweep_lmax.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["lmax", "2.0"], ["lmax", "4.0"]]

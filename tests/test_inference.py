@@ -164,6 +164,15 @@ class TestSuggest:
                               record.variable_before)
         assert a == b
 
+    def test_generate_tokens_equals_suggest(self, desk_vocab, overfit_setup):
+        params, records = overfit_setup
+        for record in records:
+            suggestion = inference.suggest(params, desk_vocab, record.code_before,
+                                           record.variable_before)
+            tokens = inference.generate_tokens(params, desk_vocab, record,
+                                               suggestion.length_used)
+            assert tokens == suggestion.sub_tokens
+
     def test_variable_not_found(self, desk_vocab, overfit_setup):
         params, _ = overfit_setup
         with pytest.raises(VariableNotFound):
@@ -278,4 +287,15 @@ class TestLexOnce:
         params, records = overfit_setup
         for record in records:
             baseline.heuristic_lp(params, desk_vocab, record)
+        assert lex_calls == [r.variable_before for r in records]
+
+    def test_ngram_suggest_lexes_once(self, desk_vocab, overfit_setup, lex_calls):
+        from varnamer import baseline
+
+        _, records = overfit_setup
+        ngram = baseline.train_ngram(records, desk_vocab)
+        lex_calls.clear()
+        for record in records:
+            baseline.ngram_suggest(ngram, desk_vocab, record.code_before,
+                                   record.variable_before)
         assert lex_calls == [r.variable_before for r in records]

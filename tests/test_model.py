@@ -89,15 +89,15 @@ class TestForward:
     def test_eval_deterministic(self):
         params = model.init_params(small_config(), seed=2)
         ids = wrap(range(10, 18))
-        a = model.forward(params, ids).hidden_states
-        b = model.forward(params, ids).hidden_states
+        a = model.forward(params, ids).data
+        b = model.forward(params, ids).data
         assert np.array_equal(a, b)
 
     def test_train_mode_dropout_changes_output(self):
         params = model.init_params(small_config(), seed=2)
         ids = wrap(range(10, 18))
-        eval_out = model.forward(params, ids).hidden_states
-        train_out = model.forward(params, ids, train_mode=True, dropout_seed=1).hidden_states
+        eval_out = model.forward(params, ids).data
+        train_out = model.forward(params, ids, train_mode=True, dropout_seed=1).data
         assert not np.allclose(eval_out, train_out)
 
     def test_swap_symmetry_with_zero_positions(self):
@@ -106,8 +106,8 @@ class TestForward:
         params["position_embedding"].data[:] = 0.0
         ids = wrap([10, 11, 12, 13])
         swapped = wrap([10, 13, 12, 11])
-        a = model.forward(params, ids).hidden_states
-        b = model.forward(params, swapped).hidden_states
+        a = model.forward(params, ids).data
+        b = model.forward(params, swapped).data
         np.testing.assert_allclose(a[2], b[4], atol=1e-12)
         np.testing.assert_allclose(a[4], b[2], atol=1e-12)
         np.testing.assert_allclose(a[1], b[1], atol=1e-12)
@@ -117,13 +117,8 @@ class TestForward:
         params = model.init_params(config, seed=4)
         rng = np.random.default_rng(0)
         ids = wrap(rng.integers(6, config.vocab_size, size=46).tolist())
-        out = model.forward(params, ids).hidden_states
+        out = model.forward(params, ids).data
         assert np.all(np.isfinite(out))
-
-    def test_cls_vector_is_row_zero(self):
-        params = model.init_params(small_config(), seed=2)
-        encoded = model.forward(params, wrap([10, 11]))
-        assert np.array_equal(encoded.cls_vector, encoded.hidden_states[0])
 
     def test_too_long_rejected(self):
         config = small_config(max_seq_len=8)
@@ -149,24 +144,24 @@ class TestForwardRows:
     def test_rows_equal_full_output_rows(self, num_layers, rows, train_mode):
         params = model.init_params(small_config(num_layers=num_layers), seed=6)
         ids = wrap(range(10, 18))
-        full = model.forward(params, ids, train_mode, dropout_seed=3).hidden_states
+        full = model.forward(params, ids, train_mode, dropout_seed=3).data
         part = model.forward(params, ids, train_mode, dropout_seed=3, rows=rows)
-        assert part.hidden_states.shape == (len(rows), 32)
-        np.testing.assert_allclose(part.hidden_states, full[rows], rtol=0, atol=1e-12)
+        assert part.data.shape == (len(rows), 32)
+        np.testing.assert_allclose(part.data, full[rows], rtol=0, atol=1e-12)
 
     def test_train_mode_rows_see_dropout(self):
         params = model.init_params(small_config(), seed=6)
         ids = wrap(range(10, 18))
-        eval_rows = model.forward(params, ids, rows=[2, 5]).hidden_states
-        train_rows = model.forward(params, ids, True, 3, rows=[2, 5]).hidden_states
+        eval_rows = model.forward(params, ids, rows=[2, 5]).data
+        train_rows = model.forward(params, ids, True, 3, rows=[2, 5]).data
         assert not np.allclose(eval_rows, train_rows)
 
     def test_cls_vector_of_row_zero(self):
         params = model.init_params(small_config(), seed=2)
         ids = wrap([10, 11])
         full = model.forward(params, ids)
-        np.testing.assert_allclose(model.forward(params, ids, rows=[0]).cls_vector,
-                                   full.cls_vector, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.forward(params, ids, rows=[0]).data[0],
+                                   full.data[0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("rows", [[], [10], [-1], [0, 12], [[0, 1]]])
     def test_empty_or_out_of_range_rows_rejected(self, rows):
@@ -213,6 +208,22 @@ class TestHeads:
         logits = model.token_logits(params, h).data
         expected = h @ params["token_embedding"].data.T + params["token_head.bias"].data
         np.testing.assert_allclose(logits, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("size", [2, 5, 7])
+    def test_resize_length_head_keeps_the_old_rows(self, size):
+        params = model.init_params(small_config(), seed=5)
+        params["length_head.bias"].data[:] = [0.1, 0.2, 0.3, 0.4, 0.5]
+        old_w = params["length_head.weight"].data.copy()
+        old_b = params["length_head.bias"].data.copy()
+        model.resize_length_head(params, size, seed=1)
+        keep = min(size, 5)
+        weight, bias = params["length_head.weight"].data, params["length_head.bias"].data
+        assert params.config.max_name_tokens == size
+        assert weight.shape == (size, 32) and bias.shape == (size,)
+        assert np.array_equal(weight[:keep], old_w[:keep])
+        assert np.array_equal(bias[:keep], old_b[:keep])
+        assert np.all(bias[keep:] == 0.0) and np.all(weight[keep:] != 0.0)
+        assert model.length_probs(params, np.zeros(32)).data.shape == (size,)
 
 
 class TestPooling:
@@ -349,9 +360,9 @@ class TestServingPrecision:
         assert params.dtype == np.float32
         assert all(t.data.dtype == np.float32 and t.data.flags.writeable
                    for t in params.tensors.values())
-        encoded = model.forward(params, [CLS, 9, 10, 11, 12, SEP], rows=rows)
-        token = model.token_probs(params, encoded.hidden)
-        length = model.length_probs(params, ad.take(encoded.hidden, [0]))
+        hidden = model.forward(params, [CLS, 9, 10, 11, 12, SEP], rows=rows)
+        token = model.token_probs(params, hidden)
+        length = model.length_probs(params, ad.take(hidden, [0]))
         dtypes = self.graph_dtypes(token, length)
         assert len(dtypes) > 40                 # the walk reached the parameters
         assert set(dtypes.values()) == {np.dtype(np.float32)}

@@ -133,14 +133,26 @@ class TestDatasets:
             assert ex.after_positions and ex.before_positions
             assert ex.masked.flat_positions
 
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune_lp", "finetune_tg"])
+    @pytest.mark.parametrize("max_seq_len,max_name_tokens", [(40, 5), (128, 2)])
+    def test_config_cannot_widen_the_model(self, desk_vocab, toy_records, stage,
+                                           max_seq_len, max_name_tokens):
+        # The toy methods run to ~60 tokens and names to 3 sub-tokens, past
+        # one of the model's limits; the config's own limits are wider.
+        params = tiny_model(desk_vocab, max_seq_len=max_seq_len,
+                            max_name_tokens=max_name_tokens)
+        config = tiny_train_config(max_epochs=1, max_seq_len=512, max_name_tokens=5)
+        result = getattr(training, stage)(config, params, toy_records[:16], desk_vocab)
+        assert len(result.history) == 1 and math.isfinite(result.history[0]["loss"])
+
 
 _FULL_FORWARD = model.forward
 
 
 def _full_forward_then_take(params, ids, train_mode=False, dropout_seed=0, rows=None):
     """Reference for ``forward(..., rows=R)``: the full output's rows R."""
-    encoded = _FULL_FORWARD(params, ids, train_mode, dropout_seed)
-    return encoded if rows is None else model.EncodedSequence(ad.take(encoded.hidden, rows))
+    hidden = _FULL_FORWARD(params, ids, train_mode, dropout_seed)
+    return hidden if rows is None else ad.take(hidden, rows)
 
 
 class TestRowRestrictedLosses:
