@@ -2,9 +2,13 @@
 
 Just the operations the encoder and its losses need: matmul, the fused
 ``linear`` projection (matmul plus bias), broadcast add/mul, softmax, GELU,
-layer norm, gathers, sigmoid/softplus/log, means. Gradient correctness is
-enforced by finite-difference checks in the test suite; this module is the
-single differentiation path for training.
+layer norm, dropout, gathers, sigmoid/softplus/log, means, and
+``packed_attention``: multi-head attention over a pack of sequences stored
+back to back as one row block, one node per encoder layer, whose forward
+and backward loop over the sequences so that no softmax crosses a sequence
+boundary. Gradient correctness is enforced by finite-difference checks in
+the test suite; this module is the single differentiation path for
+training.
 
 An op may overwrite only arrays it allocated itself: never an input's
 ``.data``, nor the gradient array handed to its backward closure (that
@@ -394,23 +398,95 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     return _node(out_data, (a, gain, bias), backward)
 
 
-def dropout(a, rate: float, rng: np.random.Generator, keep=None) -> Tensor:
+def dropout(a, rate: float, rng: np.random.Generator, mask=None) -> Tensor:
     """Inverted dropout; the mask is a constant w.r.t. differentiation.
 
-    ``keep`` (boolean, shaped like ``a``) replaces the draw from ``rng``,
-    for callers that draw a larger mask and use part of it.
+    ``mask`` (shaped like ``a``) replaces the draw from ``rng``, for callers
+    that draw their masks piecewise: 0 where dropped, ``1 / (1 - rate)``
+    where kept, and 1 in rows that skip dropout.
     """
     if rate <= 0.0:
         return as_tensor(a)
     a = as_tensor(a)
-    if keep is None:
-        keep = rng.random(a.data.shape) >= rate
-    mask = keep / (1.0 - rate)
+    if mask is None:
+        mask = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
 
     def backward(g):
         a.accumulate(g * mask)
 
     return _node(a.data * mask, (a,), backward)
+
+
+def packed_attention(q, k, v, offsets, heads: int, queries=None, masks=None) -> Tensor:
+    """Multi-head scaled dot-product attention within each sequence of a pack.
+
+    ``k`` and ``v`` are ``(N, d)`` row blocks holding the pack's sequences
+    back to back: sequence ``i`` owns rows ``offsets[i]:offsets[i + 1]``.
+    Queries attend only to the keys of their own sequence, so no softmax
+    crosses a sequence boundary. ``q`` has k's row layout when ``queries``
+    is None; otherwise it is ``(M, d)`` and ``queries[i]`` lists the rows
+    of ``q`` that belong to sequence ``i`` (each row of ``q`` to exactly
+    one sequence). ``masks[i]``, shaped ``(heads, m_i, n_i)`` or None,
+    multiplies sequence ``i``'s attention probabilities (inverted dropout).
+    Returns the ``(M, d)`` context rows, heads concatenated.
+
+    Per sequence this runs the same array operations, in the same order,
+    as the unfused graph of matmul, scale, softmax, dropout, matmul and
+    the head transposes, so a one-sequence pack is bit-identical to it.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    width = q.data.shape[1]
+    head_dim = width // heads
+    inv_sqrt = 1.0 / math.sqrt(head_dim)
+    out_data = np.zeros_like(q.data)
+    saved = []          # what each sequence's backward reads
+    for i in range(len(offsets) - 1):
+        keys = slice(int(offsets[i]), int(offsets[i + 1]))
+        mine = keys if queries is None else queries[i]
+        qs = q.data[mine]
+        m, n = qs.shape[0], keys.stop - keys.start
+        if m == 0:
+            continue
+        qh = np.transpose(qs.reshape(m, heads, head_dim), (1, 0, 2))
+        kh = np.transpose(k.data[keys].reshape(n, heads, head_dim), (1, 0, 2))
+        vh = np.transpose(v.data[keys].reshape(n, heads, head_dim), (1, 0, 2))
+        y = qh @ np.transpose(kh, (0, 2, 1))
+        y *= inv_sqrt
+        y -= y.max(axis=-1, keepdims=True)
+        np.exp(y, out=y)
+        y /= y.sum(axis=-1, keepdims=True)
+        mask = None if masks is None else masks[i]
+        dropped = y if mask is None else y * mask
+        context = dropped @ vh                           # (heads, m, head_dim)
+        out_data[mine] = np.transpose(context, (1, 0, 2)).reshape(m, width)
+        saved.append((mine, keys, qh, kh, vh, y, mask, dropped))
+
+    def backward(g):
+        gq = np.zeros_like(q.data, dtype=g.dtype)
+        gk = np.zeros_like(k.data, dtype=g.dtype)
+        gv = np.zeros_like(v.data, dtype=g.dtype)
+        for mine, keys, qh, kh, vh, y, mask, dropped in saved:
+            m, n = qh.shape[1], kh.shape[1]
+            g_context = np.transpose(g[mine].reshape(m, heads, head_dim), (1, 0, 2))
+            g_probs = g_context @ np.swapaxes(vh, -1, -2)
+            g_vh = np.swapaxes(dropped, -1, -2) @ g_context
+            if mask is not None:
+                g_probs *= mask
+            g_scores = g_probs * y                       # softmax backward
+            dot = g_scores.sum(axis=-1, keepdims=True)
+            np.subtract(g_probs, dot, out=g_scores)
+            g_scores *= y
+            g_scores *= inv_sqrt
+            g_qh = g_scores @ kh
+            g_kh = np.transpose(np.swapaxes(qh, -1, -2) @ g_scores, (0, 2, 1))
+            gq[mine] = np.transpose(g_qh, (1, 0, 2)).reshape(m, width)
+            gk[keys] = np.transpose(g_kh, (1, 0, 2)).reshape(n, width)
+            gv[keys] = np.transpose(g_vh, (1, 0, 2)).reshape(n, width)
+        q.accumulate(gq)
+        k.accumulate(gk)
+        v.accumulate(gv)
+
+    return _node(out_data, (q, k, v), backward)
 
 
 def l2_normalize(a) -> Tensor:

@@ -310,7 +310,7 @@ def _cmd_train(args, stage: str) -> int:
 def _cmd_evaluate(args) -> int:
     params, vocab = _load_model(args.model, _resolve_vocab(args))
     records = corpus.load_corpus(args.data)
-    lmax = args.lmax or params.config.max_name_tokens
+    lmax = params.config.max_name_tokens if args.lmax is None else args.lmax
     predictor = inference.ModelPredictor(params, vocab)
     report = metrics.evaluate_corpus(predictor, records, vocab,
                                      max_name_tokens=lmax,
@@ -335,7 +335,7 @@ def _cmd_baseline_eval(args) -> int:
     params, vocab = _load_model(args.model, _resolve_vocab(args))
     train_records = corpus.load_corpus(args.train_data)
     test_records = corpus.load_corpus(args.data)
-    lmax = args.lmax or params.config.max_name_tokens
+    lmax = params.config.max_name_tokens if args.lmax is None else args.lmax
     ngram = baseline.train_ngram(train_records, vocab, n=args.ngram_n,
                                  smoothing_k=args.smoothing)
     predictor = baseline.CompositePredictor(

@@ -111,6 +111,10 @@ class NameTruncated(VarnamerError):
     """All occurrences of the target name fall beyond the truncation point."""
 
 
+class NoTrainingExamples(VarnamerError):
+    """A training stage built no example from its training records."""
+
+
 class NonFiniteLoss(VarnamerError):
     """Training loss became NaN or infinite."""
 

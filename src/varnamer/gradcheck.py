@@ -125,13 +125,26 @@ def toy_model(vocab_size: int = 64, hidden_dim: int = 32, num_layers: int = 2,
     return params, example
 
 
+def _shortened(example):
+    """The toy example without the last token before [SEP] in each of its
+    three sequences: a second example of another length (the name sits
+    earlier, so its positions stay)."""
+    def cut(ids):
+        return ids[:-2] + ids[-1:]
+
+    return dataclasses.replace(
+        example, masked=dataclasses.replace(example.masked, input_ids=cut(example.masked.input_ids)),
+        after_ids=cut(example.after_ids), before_ids=cut(example.before_ids))
+
+
 def loss_suite(params, example, tau: float = 0.05) -> dict[str, object]:
-    """Named scalar loss closures over the toy instance, for checking."""
-    from . import losses as L
+    """Named scalar loss closures over the toy instance, for checking.
+    ``batch`` is the stage-2 loss of a two-example batch of different
+    lengths, which runs as one pack of six sequences."""
     from . import masking
     from .bpe import NUM
-    from .training import (TrainConfig, _masked_prediction, cmlm_example_loss,
-                           lp_example_loss, tg_example_loss)
+    from .training import (TrainConfig, cmlm_example_loss, lp_example_loss,
+                           tg_batch_loss, tg_example_loss)
 
     # The [NUM] scheme puts one placeholder where the toy's single mask group is.
     (group,) = example.masked.mask_positions
@@ -139,6 +152,11 @@ def loss_suite(params, example, tau: float = 0.05) -> dict[str, object]:
     num_example = dataclasses.replace(
         example.masked, input_ids=ids[:group[0]] + [NUM] + ids[group[-1] + 1:],
         mask_positions=[[group[0]]], scheme=masking.SCHEME_NUM)
+    batch = [example, _shortened(example)]
+
+    def tg_fn(**weights):
+        config = TrainConfig(tau=tau, dropout=0.0, **weights)
+        return lambda p: tg_example_loss(p, example, config, False, 0)[0]
 
     def cmlm_fn(p):
         return cmlm_example_loss(p, example.masked, False, 0)
@@ -146,19 +164,10 @@ def loss_suite(params, example, tau: float = 0.05) -> dict[str, object]:
     def lp_fn(p):
         return lp_example_loss(p, num_example, False, 0)
 
-    def bot_fn(p):
-        pred = _masked_prediction(p, example.masked, False, 0)[1]
-        return L.bot_loss(L.bot_distribution(pred), pred.target_ids)
+    def batch_fn(p):
+        return tg_batch_loss(p, batch, TrainConfig(tau=tau, dropout=0.0), False, [0, 0])[0]
 
-    def cl_fn(p):
-        config = TrainConfig(lambda_cmlm=0.0, lambda_bot=0.0, lambda_cl=1.0,
-                             tau=tau, dropout=0.0)
-        return tg_example_loss(p, example, config, False, 0)[0]
-
-    def combined_fn(p):
-        config = TrainConfig(tau=tau, dropout=0.0)
-        return tg_example_loss(p, example, config, False, 0)[0]
-
-    return {"cmlm": cmlm_fn, "lp": lp_fn, "bot": bot_fn,
-            "cl": cl_fn, "combined": combined_fn}
-
+    return {"cmlm": cmlm_fn, "lp": lp_fn,
+            "bot": tg_fn(lambda_cmlm=0.0, lambda_bot=1.0, lambda_cl=0.0),
+            "cl": tg_fn(lambda_cmlm=0.0, lambda_bot=0.0, lambda_cl=1.0),
+            "combined": tg_fn(), "batch": batch_fn}

@@ -79,15 +79,25 @@ def cmlm_loss(pred: MaskedPrediction) -> Tensor:
     return ad.scale(ad.sum_all(_gather_log(picked, "cmlm_loss")), -1.0)
 
 
-def lp_loss(length_probs, true_len: int) -> Tensor:
-    """Cross entropy of the length distribution: -log q[true_len]."""
+def lp_loss(length_probs, true_len) -> Tensor:
+    """Cross entropy of the length distribution: -log q[true_len].
+
+    A ``(B, L)`` matrix of distributions with ``B`` true lengths gives the
+    sum over its rows.
+    """
     q = ad.as_tensor(length_probs)
-    if q.data.ndim != 1:
-        raise ValueError("length distribution must be a vector")
-    if not 1 <= true_len <= q.data.shape[0]:
-        raise LengthOutOfRange(
-            f"true length {true_len} outside 1..{q.data.shape[0]}")
-    picked = ad.take(q, [true_len - 1])
+    if q.data.ndim == 1:
+        q, true_len = ad.reshape(q, (1, -1)), [true_len]
+    if q.data.ndim != 2:
+        raise ValueError("length distribution must be a vector or a matrix of rows")
+    lengths = np.asarray(true_len, dtype=np.int64)
+    if lengths.shape != (q.data.shape[0],):
+        raise ValueError("one true length per distribution required")
+    for length in lengths:
+        if not 1 <= length <= q.data.shape[1]:
+            raise LengthOutOfRange(
+                f"true length {length} outside 1..{q.data.shape[1]}")
+    picked = ad.take_items(q, np.arange(lengths.size), lengths - 1)
     return ad.scale(ad.sum_all(_gather_log(picked, "lp_loss")), -1.0)
 
 

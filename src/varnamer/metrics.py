@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from . import bpe
 from .bpe import SubwordVocab
 from .corpus import RefactoringRecord
-from .errors import EmptyTruth, VarnamerError
+from .errors import EmptyTruth, InvalidConfig, VarnamerError
 from .fileio import atomic_write
 
 
@@ -167,6 +167,8 @@ def evaluate_corpus(
     counted by reason. Predicted and true names are tokenized with the same
     vocabulary so comparisons are like for like.
     """
+    if max_name_tokens < 1:
+        raise InvalidConfig(f"max_name_tokens must be >= 1, got {max_name_tokens}")
     has_length = hasattr(predictor, "predict_length")
     has_name = hasattr(predictor, "predict_name")
     rows: list[ExampleResult] = []

@@ -6,14 +6,27 @@ Fresh parameters and training are float64 (training widens loaded ones
 first); a model read from a checkpoint computes in float32, the precision
 it was stored in (see the dtype rule in ``autodiff``).
 
+``forward`` encodes a pack: one or more CLS...SEP sequences stored back to
+back as one ``(ΣS, d)`` row block, so that embeddings, every projection,
+layer norm, GELU and dropout run once for all of them. Each sequence has
+its own positions (0 at its [CLS]) and attends only to itself
+(``autodiff.packed_attention``), and each draws its dropout masks from its
+own seed, in the order its own pass would draw them. A pack's rows
+therefore equal those of one pass per sequence up to rounding (the larger
+matrix products may sum in another order), with exactly the same masks.
+A one-sequence pack is the plain single-sequence encoder that inference
+calls.
+
 Every loss and decoder reads only a few output rows: [CLS] for length
 prediction, the masked or name positions for the token head and the
-pooled name vectors. ``forward(..., rows=R)`` returns just those rows.
-Its last layer computes keys and values at every position (all rows are
-attended to) but queries, attention output, FFN and layer norms only at
-``R``, which saves about 40% of a 2-layer encoder's multiply-adds. The
-result equals the full output's rows ``R`` up to rounding, in train mode
-too: the last layer's dropout masks are drawn at full size and subset.
+pooled name vectors. ``forward(..., rows=R)`` returns just those rows,
+``R`` being positions in the pack. Its last layer computes keys and values
+at every position (every row of a sequence is attended to) but queries,
+attention output, FFN and layer norms only at ``R``, each row attending
+within its own sequence; this saves about 40% of a 2-layer encoder's
+multiply-adds. The result equals the full output's rows ``R`` up to
+rounding, in train mode too: the last layer's dropout masks are drawn at
+full size and subset.
 """
 
 from __future__ import annotations
@@ -194,76 +207,102 @@ def forward(
     params: ModelParams,
     ids: list[int],
     train_mode: bool = False,
-    dropout_seed: int = 0,
+    dropout_seed: int | list[int | None] = 0,
     rows: list[int] | None = None,
+    lengths: list[int] | None = None,
 ) -> Tensor:
-    """Run the encoder over a CLS...SEP token sequence; returns one
-    contextual vector per row, row 0 being the [CLS] summary.
+    """Run the encoder over a pack of CLS...SEP token sequences; returns one
+    contextual vector per row, a sequence's first row being its [CLS] summary.
 
-    Deterministic when train_mode is off; dropout is seeded otherwise.
-    ``rows`` (positions in any order, repeats allowed) returns only those
-    rows, shape ``(len(rows), d)``: the last layer attends from them alone,
-    over keys and values at every position. ``None`` returns all S rows.
+    ``ids`` holds the pack's sequences back to back and ``lengths`` their
+    lengths; ``None`` is one sequence. Deterministic when train_mode is
+    off; dropout is seeded otherwise, by ``dropout_seed``: one seed for
+    every sequence or one per sequence, where a ``None`` seed runs that
+    sequence without dropout. ``rows`` (pack positions in any order,
+    repeats allowed) returns only those rows, shape ``(len(rows), d)``:
+    the last layer attends from them alone, over keys and values at every
+    position of their sequence. ``None`` returns all rows.
     Raises InvalidRows when ``rows`` is empty or out of range.
     """
     config = params.config
-    n = len(ids)
-    if n > config.max_seq_len:
-        raise SequenceTooLong(f"{n} tokens > max_seq_len {config.max_seq_len}")
     arr = np.asarray(ids, dtype=np.int64)
+    lengths = np.asarray([arr.size] if lengths is None else lengths, dtype=np.int64)
+    if lengths.max(initial=0) > config.max_seq_len:
+        raise SequenceTooLong(f"{lengths.max()} tokens > max_seq_len {config.max_seq_len}")
     if arr.size == 0 or arr.min() < 0 or arr.max() >= config.vocab_size:
         raise UnknownTokenId("token ids must lie in [0, vocab_size)")
-    if arr[0] != CLS or arr[-1] != SEP:
-        raise ValueError("sequence must start with [CLS] and end with [SEP]")
+    if (lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1
+            or lengths.sum() != arr.size):
+        raise ValueError(f"lengths must be positive and sum to the {arr.size} ids")
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    if np.any(arr[offsets[:-1]] != CLS) or np.any(arr[offsets[1:] - 1] != SEP):
+        raise ValueError("each sequence must start with [CLS] and end with [SEP]")
+    total = arr.size
+    queries = None
     if rows is not None:
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 1 or rows.size == 0 or rows.min() < 0 or rows.max() >= n:
-            raise InvalidRows(f"rows must be a non-empty list of positions in [0, {n})")
-
-    rate = config.dropout if train_mode else 0.0
-    rng = np.random.default_rng(dropout_seed) if rate > 0 else None
-
-    def drop(x: Tensor, sel=None, axis: int = 0) -> Tensor:
-        if rng is None:
-            return x
-        if sel is None:
-            return ad.dropout(x, rate, rng)
-        # Draw the full-size mask so each kept row is masked as in the full pass.
-        shape = list(x.shape)
-        shape[axis] = n
-        keep = np.take(rng.random(shape) >= rate, sel, axis=axis)
-        return ad.dropout(x, rate, rng, keep=keep)
-
-    x = ad.add(ad.take(params["token_embedding"], arr),
-               ad.take(params["position_embedding"], np.arange(n)))
-    x = ad.layer_norm(x, params["embedding_norm.scale"], params["embedding_norm.bias"])
-    x = drop(x)
+        if rows.ndim != 1 or rows.size == 0 or rows.min() < 0 or rows.max() >= total:
+            raise InvalidRows(f"rows must be a non-empty list of positions in [0, {total})")
+        # The last layer's query rows, grouped by the sequence they lie in.
+        owner = np.searchsorted(offsets, rows, side="right") - 1
+        queries = [np.flatnonzero(owner == i) for i in range(lengths.size)]
 
     heads = config.num_heads
-    head_dim = config.hidden_dim // heads
-    inv_sqrt = 1.0 / math.sqrt(head_dim)
+    rate = config.dropout if train_mode else 0.0
+    seeds = ([dropout_seed] * lengths.size if np.ndim(dropout_seed) == 0
+             else list(dropout_seed))
+    if len(seeds) != lengths.size:
+        raise ValueError(f"{len(seeds)} dropout seeds for {lengths.size} sequences")
+    rngs = [np.random.default_rng(s) if rate > 0 and s is not None else None for s in seeds]
+    dropping = any(rng is not None for rng in rngs)
+
+    def drop(x: Tensor, last: bool) -> Tensor:
+        """Dropout on ``(rows, d)`` activations, each sequence's full-size
+        mask drawn from its own generator, as its own pass would draw it."""
+        if not dropping:
+            return x
+        width = x.shape[1]
+        mask = np.concatenate([
+            (rng.random((n, width)) >= rate) / (1.0 - rate) if rng is not None
+            else np.ones((n, width)) for rng, n in zip(rngs, lengths)])
+        return ad.dropout(x, rate, None, mask=mask[rows] if last else mask)
+
+    def attention_masks(last: bool):
+        if not dropping:
+            return None
+        masks = []
+        for i, (rng, n) in enumerate(zip(rngs, lengths)):
+            if rng is None:
+                masks.append(None)
+                continue
+            keep = rng.random((heads, n, n)) >= rate
+            if last:
+                keep = np.take(keep, rows[queries[i]] - offsets[i], axis=1)
+            masks.append(keep / (1.0 - rate))
+        return masks
+
+    positions = np.arange(total) - np.repeat(offsets[:-1], lengths)
+    x = ad.add(ad.take(params["token_embedding"], arr),
+               ad.take(params["position_embedding"], positions))
+    x = ad.layer_norm(x, params["embedding_norm.scale"], params["embedding_norm.bias"])
+    x = drop(x, False)
+
     for i in range(config.num_layers):
         p = f"layer{i}"
         # Queries and everything after them run only at the output rows.
-        sel = rows if i == config.num_layers - 1 else None
-        xq = x if sel is None else ad.take(x, sel)
-        m = xq.shape[0]
+        last = rows is not None and i == config.num_layers - 1
+        xq = ad.take(x, rows) if last else x
         q = _project(params, f"{p}.attention.query", xq)
         k = _project(params, f"{p}.attention.key", x)
         v = _project(params, f"{p}.attention.value", x)
-        q = transpose_heads(q, m, heads, head_dim)
-        k = transpose_heads(k, n, heads, head_dim)
-        v = transpose_heads(v, n, heads, head_dim)
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), inv_sqrt)
-        probs = drop(ad.softmax(scores), sel, axis=1)     # (H, m, S)
-        context = ad.matmul(probs, v)                     # (H, m, head_dim)
-        context = ad.reshape(ad.transpose(context, (1, 0, 2)), (m, config.hidden_dim))
-        attn_out = drop(_project(params, f"{p}.attention.output", context), sel)
+        context = ad.packed_attention(q, k, v, offsets, heads,
+                                      queries if last else None, attention_masks(last))
+        attn_out = drop(_project(params, f"{p}.attention.output", context), last)
         x = ad.layer_norm(ad.add(xq, attn_out),
                           params[f"{p}.attention_norm.scale"],
                           params[f"{p}.attention_norm.bias"])
         ffn = ad.gelu(_project(params, f"{p}.ffn.in", x))
-        ffn = drop(_project(params, f"{p}.ffn.out", ffn), sel)
+        ffn = drop(_project(params, f"{p}.ffn.out", ffn), last)
         x = ad.layer_norm(ad.add(x, ffn),
                           params[f"{p}.ffn_norm.scale"],
                           params[f"{p}.ffn_norm.bias"])
@@ -272,10 +311,6 @@ def forward(
 
 def _project(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
     return ad.linear(x, params[f"{prefix}.weight"], params[f"{prefix}.bias"])
-
-
-def transpose_heads(x: Tensor, n: int, heads: int, head_dim: int) -> Tensor:
-    return ad.transpose(ad.reshape(x, (n, heads, head_dim)), (1, 0, 2))
 
 
 def token_logits(params: ModelParams, hidden_state) -> Tensor:
@@ -327,6 +362,8 @@ def resize_length_head(params: ModelParams, max_name_tokens: int, seed: int = 0)
     Existing rows are kept; new rows are drawn fresh. Used by sweeps that
     vary the length cap against one base checkpoint.
     """
+    if max_name_tokens < 1:
+        raise InvalidConfig(f"max_name_tokens must be >= 1, got {max_name_tokens}")
     if max_name_tokens == params.config.max_name_tokens:
         return
     d = params.config.hidden_dim

@@ -7,8 +7,18 @@ A stage builds its examples at the smaller of the ``TrainConfig``'s and the
 model's ``max_seq_len`` and ``max_name_tokens``: a training config can
 narrow the model's window and length cap but never widen them, so no
 example is longer than the model reads or names more sub-tokens than its
-length head has rows. Everything is seeded and single-threaded, so a fixed
-(seed, config, corpus) triple reproduces the same checkpoints bit for bit.
+length head has rows.
+
+A step encodes its whole minibatch as one pack (see ``model``): pretraining
+and stage 1 pack one sequence per example, stage 2 packs each example's
+masked pass and, for the contrastive term, its after and before passes.
+The token head and the masked-token gather then run once over all the
+pack's selected rows; the bag-of-tokens and contrastive terms stay per
+example, on slices of those rows. Validation runs the same batch losses.
+Each stage draws its epochs' example orders from one generator seeded
+with ``seed``, and each example's dropout from its own seed. Everything is
+seeded and single-threaded, so a fixed (seed, config, corpus) triple
+reproduces the same checkpoints bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from .errors import (
     NameTooLong,
     NameTruncated,
     NonFiniteLoss,
+    NoTrainingExamples,
     ShapeMismatch,
 )
 from .fileio import atomic_write
@@ -73,6 +84,10 @@ class TrainConfig(model.TextConfig):
             raise InvalidConfig("tau must be positive")
         if min(self.lambda_cmlm, self.lambda_bot, self.lambda_cl) < 0:
             raise InvalidConfig("loss weights must be non-negative")
+        if self.max_name_tokens < 1:
+            raise InvalidConfig("max_name_tokens must be >= 1")
+        if self.max_seq_len < 3:
+            raise InvalidConfig("max_seq_len must be >= 3 (CLS + token + SEP)")
 
     @classmethod
     def from_file(cls, path: str) -> "TrainConfig":
@@ -175,33 +190,70 @@ def build_tg_dataset(vocab: SubwordVocab, records: list[RefactoringRecord],
     return _build(records, make)
 
 
-# --- per-example losses ------------------------------------------------------
+# --- batch losses ------------------------------------------------------------
 
-def _masked_prediction(params: ModelParams, example: masking.MaskedExample, train_mode: bool,
-                       dropout_seed: int) -> tuple[Tensor, L.MaskedPrediction]:
-    """The encoded mask rows and their token distributions, one target per row."""
-    hidden = model.forward(params, example.input_ids, train_mode, dropout_seed,
-                           rows=example.flat_positions)
-    probs = model.token_probs(params, hidden)
-    targets = example.target_ids * len(example.mask_positions)
-    return hidden, L.MaskedPrediction(probs=probs, target_ids=targets)
-
-
-def cmlm_example_loss(params: ModelParams, example: masking.MaskedExample,
-                      train_mode: bool, dropout_seed: int) -> Tensor:
-    return L.cmlm_loss(_masked_prediction(params, example, train_mode, dropout_seed)[1])
-
-
-def lp_example_loss(params: ModelParams, example: masking.MaskedExample,
-                    train_mode: bool, dropout_seed: int) -> Tensor:
-    cls = model.forward(params, example.input_ids, train_mode, dropout_seed, rows=[0])
-    q = ad.reshape(model.length_probs(params, cls), (-1,))
-    return L.lp_loss(q, example.length_label)
+def _encode_pack(params: ModelParams, passes: list[tuple[list[int], list[int], int | None]],
+                 train_mode: bool) -> tuple[Tensor, list[int]]:
+    """One encoder pass over a pack of sequences, given as (ids, rows,
+    dropout seed or None) each. Returns the requested rows of every
+    sequence stacked in pass order, and where each sequence's rows start
+    in that stack (with the total appended)."""
+    ids: list[int] = []
+    rows: list[int] = []
+    bounds = [0]
+    for seq_ids, seq_rows, _ in passes:
+        rows.extend(len(ids) + r for r in seq_rows)
+        ids.extend(seq_ids)
+        bounds.append(len(rows))
+    hidden = model.forward(params, ids, train_mode, [seed for *_, seed in passes],
+                           rows=rows, lengths=[len(seq_ids) for seq_ids, *_ in passes])
+    return hidden, bounds
 
 
-def tg_example_loss(params: ModelParams, example: TgExample, config: TrainConfig,
-                    train_mode: bool, dropout_seed: int) -> tuple[Tensor, dict[str, float]]:
-    hidden, pred = _masked_prediction(params, example.masked, train_mode, dropout_seed)
+def _masked_prediction(params: ModelParams, hidden: Tensor,
+                       examples: list[masking.MaskedExample]) -> L.MaskedPrediction:
+    """Token distributions at the encoded mask rows of ``examples``, one
+    target per row."""
+    targets = [t for ex in examples for t in ex.target_ids * len(ex.mask_positions)]
+    return L.MaskedPrediction(probs=model.token_probs(params, hidden), target_ids=targets)
+
+
+def cmlm_batch_loss(params: ModelParams, examples: list[masking.MaskedExample],
+                    train_mode: bool, dropout_seeds: list[int]) -> Tensor:
+    """Masked-token cross entropy summed over a batch, from one pack."""
+    hidden, _ = _encode_pack(params, [(ex.input_ids, ex.flat_positions, seed)
+                                      for ex, seed in zip(examples, dropout_seeds)],
+                             train_mode)
+    return L.cmlm_loss(_masked_prediction(params, hidden, examples))
+
+
+def lp_batch_loss(params: ModelParams, examples: list[masking.MaskedExample],
+                  train_mode: bool, dropout_seeds: list[int]) -> Tensor:
+    """Length cross entropy summed over a batch, from one pack's [CLS] rows."""
+    cls, _ = _encode_pack(params, [(ex.input_ids, [0], seed)
+                                   for ex, seed in zip(examples, dropout_seeds)],
+                          train_mode)
+    return L.lp_loss(model.length_probs(params, cls), [ex.length_label for ex in examples])
+
+
+def tg_batch_loss(params: ModelParams, examples: list[TgExample], config: TrainConfig,
+                  train_mode: bool, dropout_seeds: list[int]) -> tuple[Tensor, dict[str, float]]:
+    """The stage-2 loss summed over a batch, and its terms' sums.
+
+    One pack holds every example's masked pass and, for the contrastive
+    term, its after and before passes. The substituted passes run without
+    dropout but stay on the tape, so the contrastive term trains all
+    three representations.
+    """
+    passes = [(ex.masked.input_ids, ex.masked.flat_positions, seed)
+              for ex, seed in zip(examples, dropout_seeds)]
+    if config.lambda_cl != 0.0:
+        passes += [(ex.after_ids, ex.after_positions, None) for ex in examples]
+        passes += [(ex.before_ids, ex.before_positions, None) for ex in examples]
+    hidden, bounds = _encode_pack(params, passes, train_mode)
+    n = len(examples)
+    masked_rows = hidden if bounds[n] == bounds[-1] else ad.take(hidden, np.arange(bounds[n]))
+    pred = _masked_prediction(params, masked_rows, [ex.masked for ex in examples])
     parts: dict[str, float] = {}
     total = Tensor(0.0)
     if config.lambda_cmlm != 0.0:
@@ -209,21 +261,38 @@ def tg_example_loss(params: ModelParams, example: TgExample, config: TrainConfig
         parts["cmlm"] = term.item()
         total = ad.add(total, ad.scale(term, config.lambda_cmlm))
     if config.lambda_bot != 0.0:
-        term = L.bot_loss(L.bot_distribution(pred), pred.target_ids, config.dedupe_bot)
+        term = Tensor(0.0)
+        for start, stop in zip(bounds[:n], bounds[1:n + 1]):
+            one = L.MaskedPrediction(probs=ad.take(pred.probs, np.arange(start, stop)),
+                                     target_ids=pred.target_ids[start:stop])
+            term = ad.add(term, L.bot_loss(L.bot_distribution(one), one.target_ids,
+                                           config.dedupe_bot))
         parts["bot"] = term.item()
         total = ad.add(total, ad.scale(term, config.lambda_bot))
     if config.lambda_cl != 0.0:
-        # The substituted passes run without dropout but stay on the tape,
-        # so the contrastive term trains all three representations.
-        gen = model.pool_name_representation(hidden)
-        after = model.pool_name_representation(model.forward(
-            params, example.after_ids, False, 0, rows=example.after_positions))
-        before = model.pool_name_representation(model.forward(
-            params, example.before_ids, False, 0, rows=example.before_positions))
-        term = L.cl_loss([L.NameTriple(gen=gen, after=after, before=before)], config.tau)
+        def pooled(j):
+            return model.pool_name_representation(hidden, list(range(bounds[j], bounds[j + 1])))
+
+        term = L.cl_loss([L.NameTriple(gen=pooled(i), after=pooled(n + i),
+                                       before=pooled(2 * n + i)) for i in range(n)], config.tau)
         parts["cl"] = term.item()
         total = ad.add(total, ad.scale(term, config.lambda_cl))
     return total, parts
+
+
+def cmlm_example_loss(params: ModelParams, example: masking.MaskedExample,
+                      train_mode: bool, dropout_seed: int) -> Tensor:
+    return cmlm_batch_loss(params, [example], train_mode, [dropout_seed])
+
+
+def lp_example_loss(params: ModelParams, example: masking.MaskedExample,
+                    train_mode: bool, dropout_seed: int) -> Tensor:
+    return lp_batch_loss(params, [example], train_mode, [dropout_seed])
+
+
+def tg_example_loss(params: ModelParams, example: TgExample, config: TrainConfig,
+                    train_mode: bool, dropout_seed: int) -> tuple[Tensor, dict[str, float]]:
+    return tg_batch_loss(params, [example], config, train_mode, [dropout_seed])
 
 
 # --- generic loop ------------------------------------------------------------
@@ -242,6 +311,10 @@ def _dropout_seed(seed: int, epoch: int, index: int) -> int:
     return (seed * 1_000_003 + epoch * 10_007 + index * 101) & 0x7FFFFFFF
 
 
+def _batches(items, size: int) -> list:
+    return [items[start:start + size] for start in range(0, len(items), size)]
+
+
 def _run_loop(
     params: ModelParams,
     examples: list,
@@ -256,7 +329,6 @@ def _run_loop(
     # Training runs in float64; a loaded checkpoint's float32 values widen exactly.
     for tensor in params.tensors.values():
         tensor.data = tensor.data.astype(np.float64, copy=False)
-    rng = np.random.default_rng(config.seed)
     state = AdamState()
     history: list[dict[str, float]] = []
     best_val = float("inf")
@@ -264,23 +336,17 @@ def _run_loop(
     best_path = None
     patience_left = config.patience
     step = 0
+    rng = np.random.default_rng(config.seed)
     for epoch in range(config.max_epochs):
         order = rng.permutation(len(examples))
         epoch_losses: list[float] = []
         component_sums: dict[str, float] = {}
-        component_counts: dict[str, int] = {}
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
+        for batch in _batches(order, config.batch_size):
             params.zero_grads()
-            total = Tensor(0.0)
-            for j, idx in enumerate(batch):
-                value, parts = loss_fn(
-                    params, examples[idx],
-                    _dropout_seed(config.seed, epoch, int(idx)))
-                total = ad.add(total, value)
-                for key, part in parts.items():
-                    component_sums[key] = component_sums.get(key, 0.0) + part
-                    component_counts[key] = component_counts.get(key, 0) + 1
+            total, parts = loss_fn(params, [examples[i] for i in batch],
+                                   [_dropout_seed(config.seed, epoch, int(i)) for i in batch])
+            for key, part in parts.items():
+                component_sums[key] = component_sums.get(key, 0.0) + part
             total = ad.scale(total, 1.0 / len(batch))
             loss_value = total.item()
             if not np.isfinite(loss_value):
@@ -291,19 +357,20 @@ def _run_loop(
             grads = {name: t.grad for name, t in params.tensors.items()
                      if t.grad is not None}
             adam_update(params, grads, state, config)
+            del total, grads        # free this batch's graph before the next one is built
             epoch_losses.append(loss_value)
             step += 1
         row: dict[str, float] = {
             "epoch": float(epoch),
             "step": float(step),
-            "loss": float(np.mean(epoch_losses)) if epoch_losses else float("nan"),
+            "loss": float(np.mean(epoch_losses)),
         }
         for key, total_part in component_sums.items():
-            row[key] = total_part / component_counts[key]
+            row[key] = total_part / len(examples)
         if val_examples:
-            val_losses = [loss_fn(params, ex, 0, train_mode=False)[0].item()
-                          for ex in val_examples]
-            row["val_loss"] = float(np.mean(val_losses))
+            val_total = sum(loss_fn(params, chunk, [0] * len(chunk), train_mode=False)[0].item()
+                            for chunk in _batches(val_examples, config.batch_size))
+            row["val_loss"] = val_total / len(val_examples)
         history.append(row)
         logger.info("%s epoch %d: %s", stage, epoch,
                     " ".join(f"{k}={v:.4f}" for k, v in row.items() if k != "epoch"))
@@ -354,7 +421,14 @@ def _datasets(build, config: TrainConfig, params: ModelParams,
         config,
         max_seq_len=min(config.max_seq_len, params.config.max_seq_len),
         max_name_tokens=min(config.max_name_tokens, params.config.max_name_tokens))
-    examples, stats = build(vocab, [r for r in records if r.split == "train"], limits)
+    train_records = [r for r in records if r.split == "train"]
+    examples, stats = build(vocab, train_records, limits)
+    if not examples:
+        raise NoTrainingExamples(
+            f"{stage}: no training examples from {len(train_records)} training records "
+            f"(excluded: {stats['too_long']} with names longer than "
+            f"{limits.max_name_tokens} sub-tokens, {stats['truncated']} with every "
+            f"occurrence past {limits.max_seq_len} tokens)")
     val_examples, _ = build(vocab, [r for r in records if r.split == "validation"], limits)
     logger.info("%s: %d examples (excluded %s)", stage, len(examples), stats)
     return examples, val_examples
@@ -375,8 +449,8 @@ def pretrain(
     examples, val_examples = _datasets(build_cmlm_dataset, config, params, records,
                                        vocab, "pretrain")
 
-    def loss_fn(p, example, dropout_seed, train_mode=True):
-        return cmlm_example_loss(p, example, train_mode, dropout_seed), {}
+    def loss_fn(p, batch, dropout_seeds, train_mode=True):
+        return cmlm_batch_loss(p, batch, train_mode, dropout_seeds), {}
 
     return _run_loop(params, examples, val_examples, config, loss_fn,
                      "pretrain", out_dir)
@@ -394,8 +468,8 @@ def finetune_lp(
     examples, val_examples = _datasets(build_num_dataset, config, params, records,
                                        vocab, "finetune_lp")
 
-    def loss_fn(p, example, dropout_seed, train_mode=True):
-        return lp_example_loss(p, example, train_mode, dropout_seed), {}
+    def loss_fn(p, batch, dropout_seeds, train_mode=True):
+        return lp_batch_loss(p, batch, train_mode, dropout_seeds), {}
 
     return _run_loop(params, examples, val_examples, config, loss_fn,
                      "finetune-lp", out_dir)
@@ -413,8 +487,8 @@ def finetune_tg(
     examples, val_examples = _datasets(build_tg_dataset, config, params, records,
                                        vocab, "finetune_tg")
 
-    def loss_fn(p, example, dropout_seed, train_mode=True):
-        return tg_example_loss(p, example, config, train_mode, dropout_seed)
+    def loss_fn(p, batch, dropout_seeds, train_mode=True):
+        return tg_batch_loss(p, batch, config, train_mode, dropout_seeds)
 
     return _run_loop(params, examples, val_examples, config, loss_fn,
                      "finetune-tg", out_dir)

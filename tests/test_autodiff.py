@@ -108,6 +108,39 @@ class TestCompositeOps:
         fd_check(lambda a, b: ad.dot(a, b), (7,), (7,))
 
 
+class TestPackedAttention:
+    """Sequences of 3 and 5 rows in one pack, two heads of width 2."""
+
+    OFFSETS = [0, 3, 8]
+
+    def test_self_attention(self):
+        weight = np.random.default_rng(7).normal(size=(8, 4))
+        fd_check(lambda q, k, v: ad.mul(ad.packed_attention(q, k, v, self.OFFSETS, 2), weight),
+                 (8, 4), (8, 4), (8, 4))
+
+    def test_query_rows_with_repeats_and_dropout(self):
+        # Query rows 1, 4, 4, 0 of the pack: rows 1 and 0 lie in the 3-row
+        # sequence, row 4 (twice) in the 5-row one.
+        rows = [1, 4, 4, 0]
+        queries = [np.array([0, 3]), np.array([1, 2])]
+        rng = np.random.default_rng(8)
+        masks = [None, (rng.random((2, 2, 5)) >= 0.3) / 0.7]
+        weight = rng.normal(size=(4, 4))
+
+        def build(x, k, v):
+            q = ad.take(x, rows)
+            return ad.mul(ad.packed_attention(q, k, v, self.OFFSETS, 2, queries, masks), weight)
+
+        fd_check(build, (8, 4), (8, 4), (8, 4))
+
+    def test_sequence_without_queries_gets_no_gradient(self):
+        q = ad.Tensor(np.ones((2, 4)), requires_grad=True)
+        k, v = (ad.Tensor(np.ones((8, 4)), requires_grad=True) for _ in range(2))
+        out = ad.packed_attention(q, k, v, self.OFFSETS, 2, [np.array([], int), np.array([0, 1])])
+        ad.sum_all(out).backward()
+        assert not np.any(k.grad[:3]) and not np.any(v.grad[:3]) and np.any(v.grad[3:])
+
+
 class TestGraphMechanics:
     def test_reused_node_accumulates(self):
         x = ad.Tensor([2.0], requires_grad=True)
@@ -175,6 +208,11 @@ OP_CASES = {
     "softmax": (lambda a: ad.softmax(a), [(2, 3, 5)], False),
     "layer_norm": (lambda a, g, b: ad.layer_norm(a, g, b), [(4, 6), (6,), (6,)], False),
     "dropout": (lambda a: ad.dropout(a, 0.5, np.random.default_rng(0)), [(5, 5)], False),
+    "packed_attention": (
+        lambda q, k, v: ad.packed_attention(
+            q, k, v, [0, 3, 7], 2, [np.array([0, 3]), np.array([1, 2, 4])],
+            [None, np.full((2, 3, 4), 2.0)]),
+        [(5, 4), (7, 4), (7, 4)], False),
     "l2_normalize": (lambda a: ad.l2_normalize(a), [(5,)], True),
     "dot": (lambda a, b: ad.dot(a, b), [(7,), (7,)], False),
 }
@@ -253,12 +291,28 @@ def ref_linear(x, w, b, g):
     return out.data, [t.grad for t in tensors]
 
 
+def ref_attention(q, k, v, g, heads=2):
+    """The unfused graph of one sequence's attention, as the encoder built
+    it from matmul, scale, softmax and the head transposes."""
+    tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in (q, k, v)]
+    (m, width), n = q.shape, k.shape[0]
+    hq, hk, hv = (ad.transpose(ad.reshape(t, (rows, heads, width // heads)), (1, 0, 2))
+                  for t, rows in zip(tensors, (m, n, n)))
+    scores = ad.scale(ad.matmul(hq, ad.transpose(hk, (0, 2, 1))), 1.0 / math.sqrt(width // heads))
+    context = ad.matmul(ad.softmax(scores), hv)
+    out = ad.reshape(ad.transpose(context, (1, 0, 2)), (m, width))
+    ad.sum_all(ad.mul(out, g)).backward()
+    return out.data, [t.grad for t in tensors]
+
+
 BIT_CASES = {
     "softmax-2d": (ad.softmax, ref_softmax, [(9, 40)]),
     "softmax-3d": (ad.softmax, ref_softmax, [(4, 7, 33)]),
     "gelu": (ad.gelu, ref_gelu, [(7, 64)]),
     "layer_norm": (ad.layer_norm, ref_layer_norm, [(7, 48), (48,), (48,)]),
     "linear": (ad.linear, ref_linear, [(7, 32), (32, 24), (24,)]),
+    "packed_attention": (lambda q, k, v: ad.packed_attention(q, k, v, [0, 9], 2),
+                         ref_attention, [(9, 8), (9, 8), (9, 8)]),
 }
 
 

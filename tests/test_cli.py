@@ -272,11 +272,28 @@ class TestHappyPaths:
         code = cli.run(["gradcheck", "--seed", "0", "--coords", "3"])
         assert code == 0
         results = json.loads(capsys.readouterr().out)
-        assert set(results) == {"cmlm", "lp", "bot", "cl", "combined"}
+        assert set(results) == {"cmlm", "lp", "bot", "cl", "combined", "batch"}
         assert all(v < 1e-4 for v in results.values())
 
 
 _SMALL_MODEL = ["--layers", "1", "--hidden-dim", "32", "--ffn-dim", "64"]
+
+
+class TestZeroLengthCap:
+    """``--lmax 0`` leaves no room for a name: a typed error, exit 2."""
+
+    @pytest.mark.parametrize("command", [
+        ["finetune-lp", "--lmax", "0"],
+        ["sweep", "--param", "lmax", "--values", "0"],
+        ["evaluate", "--lmax", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_exits_2_without_traceback(self, workspace, tmp_path, capsys, command):
+        argv = command + ["--data", workspace["corpus"], "--model", workspace["model"],
+                          "--vocab", workspace["vocab"], "--out", str(tmp_path / "out")]
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert "max_name_tokens must be >= 1" in err
+        assert "Traceback" not in err
 
 
 class TestModelLimits:

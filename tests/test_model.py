@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varnamer import autodiff as ad
 from varnamer import gradcheck, model
@@ -131,6 +133,18 @@ class TestForward:
         with pytest.raises(UnknownTokenId):
             model.forward(params, wrap([999]))
 
+    @pytest.mark.parametrize("lengths,seed,match", [
+        ([4, 4], 0, "sum to the 9 ids"),
+        ([5, 0, 4], 0, "positive"),
+        ([4, 5], 0, r"start with \[CLS\]"),
+        ([5, 4], [1, 2, 3], "3 dropout seeds for 2 sequences"),
+    ])
+    def test_bad_pack_layout_rejected(self, lengths, seed, match):
+        params = model.init_params(small_config(), seed=0)
+        with pytest.raises(ValueError, match=match):
+            model.forward(params, wrap([10, 11, 12]) + wrap([13, 14]), True, seed,
+                          lengths=lengths)
+
 
 ROW_SETS = [[0], [3, 1, 7], [9, 0, 4, 4], list(range(10))]
 
@@ -168,6 +182,132 @@ class TestForwardRows:
         params = model.init_params(small_config(), seed=0)
         with pytest.raises(InvalidRows):
             model.forward(params, wrap(range(10, 18)), rows=rows)
+
+
+@st.composite
+def packs(draw):
+    """1-6 sequences of 3-40 tokens, each with 1-5 output rows (repeats
+    allowed) and a dropout seed or None; the pack's rows in a random order,
+    or None for all rows."""
+    count = draw(st.integers(1, 6))
+    seqs, local_rows, seeds = [], [], []
+    for _ in range(count):
+        n = draw(st.integers(3, 40))
+        body = draw(st.lists(st.integers(6, 63), min_size=n - 2, max_size=n - 2))
+        seqs.append(wrap(body))
+        local_rows.append(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5)))
+        seeds.append(draw(st.none() | st.integers(0, 2**31 - 1)))
+    order = draw(st.permutations(range(sum(map(len, local_rows)))))
+    return dict(seqs=seqs, local_rows=local_rows, seeds=seeds, order=list(order),
+                num_layers=draw(st.sampled_from([1, 2])), train_mode=draw(st.booleans()),
+                all_rows=draw(st.booleans()))
+
+
+def recording_masks(fn):
+    """Call ``fn`` and return its result with the dropout masks the encoder
+    handed to ``dropout`` and ``packed_attention``, in call order."""
+    seen = {"dropout": [], "attention": []}
+    dropout, attention = ad.dropout, ad.packed_attention
+
+    def record_dropout(a, rate, rng, mask=None):
+        seen["dropout"].append(mask)
+        return dropout(a, rate, rng, mask)
+
+    def record_attention(q, k, v, offsets, heads, queries=None, masks=None):
+        seen["attention"].append(masks)
+        return attention(q, k, v, offsets, heads, queries, masks)
+
+    ad.dropout, ad.packed_attention = record_dropout, record_attention
+    try:
+        return fn(), seen
+    finally:
+        ad.dropout, ad.packed_attention = dropout, attention
+
+
+_PACK_PARAMS = {layers: model.init_params(small_config(num_layers=layers, max_seq_len=40), 9)
+                for layers in (1, 2)}
+
+
+class TestPackedForward:
+    """A pack against one pass per sequence: the same rows, the same
+    dropout masks, and parameter gradients that sum the per-sequence ones."""
+
+    @staticmethod
+    def _run(params, ids, train_mode, seed, rows, lengths, weight):
+        params.zero_grads()
+        hidden, masks = recording_masks(lambda: model.forward(
+            params, ids, train_mode, seed, rows=rows, lengths=lengths))
+        ad.sum_all(ad.mul(hidden, weight)).backward()
+        grads = {name: t.grad.copy() for name, t in params.tensors.items() if t.grad is not None}
+        return hidden.data, masks, grads
+
+    @settings(max_examples=60, deadline=None)
+    @given(packs())
+    def test_pack_equals_one_pass_per_sequence(self, case):
+        params = _PACK_PARAMS[case["num_layers"]]
+        seqs, local_rows, train_mode = case["seqs"], case["local_rows"], case["train_mode"]
+        if case["all_rows"]:
+            local_rows = [list(range(len(ids))) for ids in seqs]
+            order = list(range(sum(map(len, seqs))))
+            rows = None
+        else:
+            order = case["order"]
+            starts = np.cumsum([0] + [len(ids) for ids in seqs])
+            flat = [start + r for start, rs in zip(starts, local_rows) for r in rs]
+            rows = [flat[j] for j in order]
+        blocks = np.cumsum([0] + [len(rs) for rs in local_rows])
+        weight = np.random.default_rng(len(order)).normal(size=(blocks[-1], 32))
+
+        pack, pack_masks, pack_grads = self._run(
+            params, [t for ids in seqs for t in ids], train_mode, case["seeds"], rows,
+            [len(ids) for ids in seqs], weight[order])
+        singles = [self._run(params, ids, train_mode, seed, None if rows is None else rs,
+                             None, weight[blocks[i]:blocks[i + 1]])
+                   for i, (ids, rs, seed) in enumerate(zip(seqs, local_rows, case["seeds"]))]
+
+        expected = np.concatenate([out for out, _, _ in singles])[order]
+        np.testing.assert_allclose(pack, expected, rtol=1e-12, atol=0)
+
+        # Dropout masks: every sequence's rows masked exactly as in its own pass.
+        layers = case["num_layers"]
+        dropping = [train_mode and seed is not None for seed in case["seeds"]]
+        if not any(dropping):
+            assert pack_masks == {"dropout": [], "attention": [None] * layers}
+        else:
+            # Calls: embeddings, then each layer's attention output and FFN;
+            # the last layer's two are at the output rows when rows are given.
+            assert len(pack_masks["dropout"]) == 2 * layers + 1
+            for point, mask in enumerate(pack_masks["dropout"]):
+                restricted = rows is not None and point >= 2 * layers - 1
+                expected = np.concatenate([
+                    single[1]["dropout"][point] if drops
+                    else np.ones((len(rs) if restricted else len(ids), 32))
+                    for single, drops, ids, rs in zip(singles, dropping, seqs, local_rows)])
+                assert np.array_equal(mask, expected[order] if restricted else expected)
+            owner = np.searchsorted(blocks, order, side="right") - 1
+            for layer, masks in enumerate(pack_masks["attention"]):
+                restricted = rows is not None and layer == layers - 1
+                for i, (single, drops) in enumerate(zip(singles, dropping)):
+                    if not drops:
+                        assert masks[i] is None
+                        continue
+                    (expected,) = single[1]["attention"][layer]
+                    if restricted:
+                        expected = expected[:, np.asarray(order)[owner == i] - blocks[i]]
+                    assert np.array_equal(masks[i], expected)
+
+        # Gradients: the pack's equal the sum of the single passes'. The key
+        # bias has an exactly zero gradient, so its entries are rounding
+        # noise; the absolute floor is set from the largest gradient.
+        summed: dict = {}
+        for _, _, grads in singles:
+            for name, grad in grads.items():
+                summed[name] = summed.get(name, 0.0) + grad
+        assert pack_grads.keys() == summed.keys()
+        floor = 1e-13 * max(np.abs(g).max() for g in summed.values())
+        for name, grad in summed.items():
+            np.testing.assert_allclose(pack_grads[name], grad, rtol=1e-10, atol=floor,
+                                       err_msg=name)
 
 
 class TestHeads:
@@ -224,6 +364,14 @@ class TestHeads:
         assert np.array_equal(bias[:keep], old_b[:keep])
         assert np.all(bias[keep:] == 0.0) and np.all(weight[keep:] != 0.0)
         assert model.length_probs(params, np.zeros(32)).data.shape == (size,)
+
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_resize_length_head_rejects_no_rows(self, size):
+        params = model.init_params(small_config(), seed=5)
+        with pytest.raises(InvalidConfig, match="max_name_tokens must be >= 1"):
+            model.resize_length_head(params, size)
+        assert params["length_head.weight"].data.shape == (5, 32)
 
 
 class TestPooling:
@@ -341,31 +489,41 @@ class TestServingPrecision:
     forward may widen it (see the dtype rule in ``autodiff``)."""
 
     @staticmethod
-    def graph_dtypes(*outputs):
-        seen, stack, dtypes = set(), list(outputs), {}
+    def graph_nodes(*outputs):
+        seen, stack, nodes = set(), list(outputs), []
         while stack:
             node = stack.pop()
             if id(node) in seen:
                 continue
             seen.add(id(node))
-            dtypes[id(node)] = node.data.dtype
+            nodes.append(node)
             stack.extend(node._parents)
-        return dtypes
+        return nodes
 
     @pytest.mark.parametrize("rows", [None, [0], [3, 1, 3]])
     def test_eval_forward_stays_float32(self, tmp_path, rows):
+        self.check_float32(tmp_path, [CLS, 9, 10, 11, 12, SEP], rows)
+
+    def test_eval_pack_stays_float32(self, tmp_path):
+        self.check_float32(tmp_path, [CLS, 9, 10, 11, 12, SEP, CLS, 13, 14, SEP],
+                           [9, 0, 6, 3], lengths=[6, 4])
+
+    def check_float32(self, tmp_path, ids, rows, lengths=None):
         path = str(tmp_path / "model.rfbt")
         model.save_checkpoint(model.init_params(small_config(num_layers=2), seed=7), path)
         params = model.load_checkpoint(path)
         assert params.dtype == np.float32
         assert all(t.data.dtype == np.float32 and t.data.flags.writeable
                    for t in params.tensors.values())
-        hidden = model.forward(params, [CLS, 9, 10, 11, 12, SEP], rows=rows)
+        hidden = model.forward(params, ids, rows=rows, lengths=lengths)
         token = model.token_probs(params, hidden)
         length = model.length_probs(params, ad.take(hidden, [0]))
-        dtypes = self.graph_dtypes(token, length)
-        assert len(dtypes) > 40                 # the walk reached the parameters
-        assert set(dtypes.values()) == {np.dtype(np.float32)}
+        nodes = self.graph_nodes(token, length)
+        assert len(nodes) > 40                  # the walk reached the parameters
+        assert {node.data.dtype for node in nodes} == {np.dtype(np.float32)}
+        attention = [node for node in nodes if node._backward is not None
+                     and node._backward.__qualname__.startswith("packed_attention")]
+        assert len(attention) == 2              # one per layer
 
     def test_fresh_parameters_are_float64(self):
         assert model.init_params(small_config(), seed=7).dtype == np.float64

@@ -5,7 +5,7 @@ import pytest
 
 from varnamer import autodiff as ad
 from varnamer import bpe, corpus, masking, model, training
-from varnamer.errors import InvalidConfig, ShapeMismatch
+from varnamer.errors import InvalidConfig, NoTrainingExamples, ShapeMismatch
 
 import toycorpus
 
@@ -62,6 +62,12 @@ class TestTrainConfig:
             training.TrainConfig(tau=0.0).validate()
         with pytest.raises(InvalidConfig):
             training.TrainConfig(lambda_bot=-0.1).validate()
+
+    @pytest.mark.parametrize("overrides", [dict(max_name_tokens=0), dict(max_name_tokens=-2),
+                                           dict(max_seq_len=2), dict(max_seq_len=0)])
+    def test_limits_without_room_for_a_name_rejected(self, overrides):
+        with pytest.raises(InvalidConfig):
+            training.TrainConfig(**overrides).validate()
 
 
 class TestAdam:
@@ -149,9 +155,10 @@ class TestDatasets:
 _FULL_FORWARD = model.forward
 
 
-def _full_forward_then_take(params, ids, train_mode=False, dropout_seed=0, rows=None):
+def _full_forward_then_take(params, ids, train_mode=False, dropout_seed=0, rows=None,
+                            lengths=None):
     """Reference for ``forward(..., rows=R)``: the full output's rows R."""
-    hidden = _FULL_FORWARD(params, ids, train_mode, dropout_seed)
+    hidden = _FULL_FORWARD(params, ids, train_mode, dropout_seed, lengths=lengths)
     return hidden if rows is None else ad.take(hidden, rows)
 
 
@@ -222,6 +229,48 @@ class TestLoops:
         for name in a.params.tensors:
             np.testing.assert_array_equal(
                 a.params[name].data, b.params[name].data)
+
+    def test_tg_deterministic(self, desk_vocab, toy_records):
+        def run(dropout=0.1):
+            params = tiny_model(desk_vocab, dropout=dropout)
+            config = tiny_train_config(max_epochs=2, batch_size=4, dropout=dropout)
+            return training.finetune_tg(config, params, toy_records[:12], desk_vocab)
+
+        a, b = run(), run()
+        assert a.history == b.history
+        assert [r["loss"] for r in a.history] != [r["loss"] for r in run(0.0).history]
+        for name in a.params.tensors:
+            np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
+
+    def test_epoch_order_comes_from_one_generator_per_stage(self, desk_vocab, toy_records,
+                                                            monkeypatch):
+        examples, _ = training.build_cmlm_dataset(desk_vocab, toy_records[:12],
+                                                  tiny_train_config())
+        seen = []
+        batch_loss = training.cmlm_batch_loss
+
+        def recording(params, batch, train_mode, dropout_seeds):
+            if train_mode:
+                seen.extend(examples.index(ex) for ex in batch)
+            return batch_loss(params, batch, train_mode, dropout_seeds)
+
+        monkeypatch.setattr(training, "cmlm_batch_loss", recording)
+        config = tiny_train_config(max_epochs=3, batch_size=5, seed=4)
+        training.pretrain(config, tiny_model(desk_vocab), toy_records[:12], desk_vocab)
+        rng = np.random.default_rng(4)
+        assert seen == [int(i) for _ in range(3) for i in rng.permutation(len(examples))]
+
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune_lp", "finetune_tg"])
+    def test_stage_without_examples_raises_before_writing(self, desk_vocab, toy_records,
+                                                          tmp_path, stage):
+        # Every name has at least one sub-token past a 3-token window.
+        params = tiny_model(desk_vocab, max_seq_len=3)
+        with pytest.raises(NoTrainingExamples,
+                           match=rf"{stage}: no training examples from 8 .*excluded: "
+                                 r"\d+ with names longer .* \d+ with every occurrence"):
+            getattr(training, stage)(tiny_train_config(), params, toy_records[:8], desk_vocab,
+                                     out_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_lp_freezes_token_head(self, desk_vocab, toy_records):
         params = tiny_model(desk_vocab)
