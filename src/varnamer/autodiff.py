@@ -17,12 +17,15 @@ The rewritten kernels keep the same floating-point operations in the same
 association order as the plain expressions, so results are bit-identical.
 
 Dtype rule: a ``Tensor`` keeps float32 data as float32 and turns anything
-else into float64, and every op computes in its inputs' dtype. Training
-and gradient checks run in float64. Float32 enters only through a loaded
-checkpoint, which is served in the precision it was stored in, so no op
-of an eval-mode forward may widen it: mixing in a float64 array or 0-d
-``Tensor`` (a constant, a mask) would silently turn the rest of the
-graph float64. Python scalars do not widen.
+else into float64, every op computes in its inputs' dtype, and a node's
+gradient is stored in the node's own dtype. Training computes in float32
+(on float32 copies of float64 master weights, see ``training``); a loaded
+checkpoint serves in its stored float32; fresh parameters and gradient
+checks are float64. So no op of a float32 graph may widen it: mixing in
+a float64 array or non-scalar ``Tensor`` (a constant, a mask) would
+silently turn the rest of the graph float64, and with it the backward.
+Python scalars do not widen, nor do the 0-d float64 loss accumulators
+that only sum float32 terms.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class Tensor:
     def accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
             # copy: the incoming array may be shared with another node
-            self.grad = np.array(grad, dtype=np.float64)
+            self.grad = np.array(grad, dtype=self.data.dtype)
         else:
             self.grad += grad
 
@@ -409,7 +412,7 @@ def dropout(a, rate: float, rng: np.random.Generator, mask=None) -> Tensor:
         return as_tensor(a)
     a = as_tensor(a)
     if mask is None:
-        mask = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
+        mask = np.divide(rng.random(a.data.shape) >= rate, 1.0 - rate, dtype=a.data.dtype)
 
     def backward(g):
         a.accumulate(g * mask)

@@ -145,9 +145,15 @@ def _numeric_environment() -> dict:
     }
 
 
+# The arithmetic of a training run, as its manifest records it.
+TRAINING_PRECISION = {"compute": np.dtype(training.COMPUTE_DTYPE).name,
+                      "master": np.dtype(training.MASTER_DTYPE).name}
+
+
 def _write_manifest(out_dir: str, command: str, args: argparse.Namespace,
                     inputs: list[str], config_text: str | None = None,
-                    model_dtype: str | None = None) -> None:
+                    model_dtype: str | None = None,
+                    training_precision: dict | None = None) -> None:
     manifest = {
         "command": command,
         "package_version": __version__,
@@ -158,6 +164,8 @@ def _write_manifest(out_dir: str, command: str, args: argparse.Namespace,
     }
     if model_dtype is not None:
         manifest["model_dtype"] = model_dtype
+    if training_precision is not None:
+        manifest["training_precision"] = training_precision
     os.makedirs(out_dir, exist_ok=True)
     with atomic_write(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, default=str)
@@ -297,7 +305,7 @@ def _cmd_train(args, stage: str) -> int:
     final_path = os.path.join(out_dir, f"{stage}-final.rfbt")
     model.save_checkpoint(result.params, final_path)
     _write_manifest(out_dir, stage, args, [args.data, args.vocab],
-                    config_text=config.to_text())
+                    config_text=config.to_text(), training_precision=TRAINING_PRECISION)
     print(json.dumps({
         "stage": stage,
         "epochs": len(result.history),
@@ -415,7 +423,8 @@ def _cmd_sweep(args) -> int:
     out_dir = args.out or "."
     results = sweep(args.config, args.param, values, args.data, args.model,
                     args.vocab, out_dir, seed=args.seed)
-    _write_manifest(out_dir, "sweep", args, [args.data, args.model, args.vocab])
+    _write_manifest(out_dir, "sweep", args, [args.data, args.model, args.vocab],
+                    training_precision=TRAINING_PRECISION)
     print(json.dumps({
         "parameter": args.param,
         "rows": [{"value": v, "accuracy": r.accuracy} for v, r in results],

@@ -2,9 +2,11 @@
 
 Sizes are config-driven; the defaults are desk scale (2 layers, width 128)
 but the full-size geometry remains expressible. Checkpoints store float32.
-Fresh parameters and training are float64 (training widens loaded ones
-first); a model read from a checkpoint computes in float32, the precision
-it was stored in (see the dtype rule in ``autodiff``).
+Fresh parameters are float64; training computes in float32 on rounded
+copies of float64 master weights and hands back the masters (see
+``training``); a model read from a checkpoint computes in float32, the
+precision it was stored in (see the dtype rule in ``autodiff``). The
+encoder computes in its parameters' dtype, dropout masks included.
 
 ``forward`` encodes a pack: one or more CLS...SEP sequences stored back to
 back as one ``(ΣS, d)`` row block, so that embeddings, every projection,
@@ -183,7 +185,8 @@ class ModelParams:
     @property
     def dtype(self) -> np.dtype:
         """The precision the model computes in: float64 when fresh or
-        training, float32 when read from a checkpoint."""
+        handed back by a training stage, float32 during a stage's steps and
+        when read from a checkpoint."""
         return self.tensors["token_embedding"].data.dtype
 
 
@@ -255,6 +258,7 @@ def forward(
         raise ValueError(f"{len(seeds)} dropout seeds for {lengths.size} sequences")
     rngs = [np.random.default_rng(s) if rate > 0 and s is not None else None for s in seeds]
     dropping = any(rng is not None for rng in rngs)
+    dtype = params.dtype        # of the activations, and so of the masks
 
     def drop(x: Tensor, last: bool) -> Tensor:
         """Dropout on ``(rows, d)`` activations, each sequence's full-size
@@ -263,8 +267,9 @@ def forward(
             return x
         width = x.shape[1]
         mask = np.concatenate([
-            (rng.random((n, width)) >= rate) / (1.0 - rate) if rng is not None
-            else np.ones((n, width)) for rng, n in zip(rngs, lengths)])
+            np.divide(rng.random((n, width)) >= rate, 1.0 - rate, dtype=dtype)
+            if rng is not None else np.ones((n, width), dtype)
+            for rng, n in zip(rngs, lengths)])
         return ad.dropout(x, rate, None, mask=mask[rows] if last else mask)
 
     def attention_masks(last: bool):
@@ -278,7 +283,7 @@ def forward(
             keep = rng.random((heads, n, n)) >= rate
             if last:
                 keep = np.take(keep, rows[queries[i]] - offsets[i], axis=1)
-            masks.append(keep / (1.0 - rate))
+            masks.append(np.divide(keep, 1.0 - rate, dtype=dtype))
         return masks
 
     positions = np.arange(total) - np.repeat(offsets[:-1], lengths)
@@ -405,7 +410,7 @@ def load_checkpoint(path: str) -> ModelParams:
     """Read a checkpoint, validating tensor shapes against its config.
 
     Tensors come back as float32, as stored (writable copies); training
-    widens them to float64 before its first step.
+    widens them exactly into its float64 master weights.
 
     A truncated or undecodable file raises CorruptCheckpoint naming the
     path and the byte offset where reading failed.

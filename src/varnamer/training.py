@@ -15,10 +15,20 @@ masked pass and, for the contrastive term, its after and before passes.
 The token head and the masked-token gather then run once over all the
 pack's selected rows; the bag-of-tokens and contrastive terms stay per
 example, on slices of those rows. Validation runs the same batch losses.
+
+Steps compute in float32: a stage keeps a float64 master copy of every
+parameter, the forward and backward run on the masters' float32
+rounding, and Adam widens each gradient and updates the master in
+float64 before rounding it back into the compute copy (the master-weight
+scheme of Micikevicius et al. 2018). A stage hands back the float64
+masters, so stages chain without re-rounding, and every checkpoint it
+writes holds the compute copy's float32 values.
+
 Each stage draws its epochs' example orders from one generator seeded
 with ``seed``, and each example's dropout from its own seed. Everything is
-seeded and single-threaded, so a fixed (seed, config, corpus) triple
-reproduces the same checkpoints bit for bit.
+seeded, and bit-reproducible for a fixed BLAS thread count, so a fixed
+(seed, config, corpus) triple reproduces the same checkpoints bit for bit
+under one BLAS setting.
 """
 
 from __future__ import annotations
@@ -49,6 +59,11 @@ from .model import ModelParams
 
 logger = logging.getLogger(__name__)
 
+# The precision of a training step's arithmetic and of the weights Adam
+# updates (see the module docstring).
+COMPUTE_DTYPE = np.float32
+MASTER_DTYPE = np.float64
+
 
 @dataclass
 class TrainConfig(model.TextConfig):
@@ -61,7 +76,7 @@ class TrainConfig(model.TextConfig):
     learning_rate: float = 1e-3
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
+    adam_epsilon: float = 1e-6          # BERT's; 1e-8 sits in float32 gradient noise
     batch_size: int = 16
     max_epochs: int = 50
     seed: int = 0
@@ -99,9 +114,13 @@ class TrainConfig(model.TextConfig):
 
 @dataclass
 class AdamState:
+    """Adam's moments and step count, and the float64 master of each
+    parameter."""
+
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
+    master: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def adam_update(
@@ -110,7 +129,14 @@ def adam_update(
     state: AdamState,
     config: TrainConfig,
 ) -> tuple[ModelParams, AdamState]:
-    """One Adam step with bias correction; parameters update in place."""
+    """One Adam step with bias correction, in float64.
+
+    Each parameter's float64 master in ``state.master`` (made from the
+    parameter on its first step when absent) takes the step, and the
+    parameter's array then receives the master in place: its float32
+    rounding during training, an exact copy for a float64 parameter.
+    Gradients widen to float64 before any arithmetic.
+    """
     state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     correction1 = 1.0 - b1 ** state.step
@@ -121,15 +147,20 @@ def adam_update(
             raise ShapeMismatch(
                 f"gradient for {name!r} has shape {grad.shape}, "
                 f"parameter has {tensor.data.shape}")
-        m = state.m.setdefault(name, np.zeros_like(tensor.data))
-        v = state.v.setdefault(name, np.zeros_like(tensor.data))
+        master = state.master.get(name)
+        if master is None:
+            master = state.master[name] = tensor.data.astype(MASTER_DTYPE)
+        m = state.m.setdefault(name, np.zeros_like(master))
+        v = state.v.setdefault(name, np.zeros_like(master))
+        grad = grad.astype(MASTER_DTYPE, copy=False)
         m *= b1
         m += (1.0 - b1) * grad
         v *= b2
         v += (1.0 - b2) * grad * grad
         m_hat = m / correction1
         v_hat = v / correction2
-        tensor.data -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+        master -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+        np.copyto(tensor.data, master)
     return params, state
 
 
@@ -326,72 +357,79 @@ def _run_loop(
 ) -> TrainResult:
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    # Training runs in float64; a loaded checkpoint's float32 values widen exactly.
-    for tensor in params.tensors.values():
-        tensor.data = tensor.data.astype(np.float64, copy=False)
-    state = AdamState()
+    # Float64 masters (a loaded checkpoint's float32 values widen exactly)
+    # and their float32 compute copies; see the module docstring.
+    state = AdamState(master={name: t.data.astype(MASTER_DTYPE, copy=False)
+                              for name, t in params.tensors.items()})
+    for name, tensor in params.tensors.items():
+        tensor.data = state.master[name].astype(COMPUTE_DTYPE)
     history: list[dict[str, float]] = []
     best_val = float("inf")
-    best_data: dict[str, np.ndarray] | None = None
+    best_masters: dict[str, np.ndarray] | None = None
     best_path = None
     patience_left = config.patience
     step = 0
     rng = np.random.default_rng(config.seed)
-    for epoch in range(config.max_epochs):
-        order = rng.permutation(len(examples))
-        epoch_losses: list[float] = []
-        component_sums: dict[str, float] = {}
-        for batch in _batches(order, config.batch_size):
-            params.zero_grads()
-            total, parts = loss_fn(params, [examples[i] for i in batch],
-                                   [_dropout_seed(config.seed, epoch, int(i)) for i in batch])
-            for key, part in parts.items():
-                component_sums[key] = component_sums.get(key, 0.0) + part
-            total = ad.scale(total, 1.0 / len(batch))
-            loss_value = total.item()
-            if not np.isfinite(loss_value):
-                raise NonFiniteLoss(
-                    f"{stage}: loss {loss_value} at epoch {epoch} step {step}")
-            total.backward()
-            # A tensor the loss does not reach has no gradient and no update.
-            grads = {name: t.grad for name, t in params.tensors.items()
-                     if t.grad is not None}
-            adam_update(params, grads, state, config)
-            del total, grads        # free this batch's graph before the next one is built
-            epoch_losses.append(loss_value)
-            step += 1
-        row: dict[str, float] = {
-            "epoch": float(epoch),
-            "step": float(step),
-            "loss": float(np.mean(epoch_losses)),
-        }
-        for key, total_part in component_sums.items():
-            row[key] = total_part / len(examples)
-        if val_examples:
-            val_total = sum(loss_fn(params, chunk, [0] * len(chunk), train_mode=False)[0].item()
-                            for chunk in _batches(val_examples, config.batch_size))
-            row["val_loss"] = val_total / len(val_examples)
-        history.append(row)
-        logger.info("%s epoch %d: %s", stage, epoch,
-                    " ".join(f"{k}={v:.4f}" for k, v in row.items() if k != "epoch"))
-        if out_dir:
-            model.save_checkpoint(params, os.path.join(out_dir, f"{stage}-epoch{epoch}.rfbt"))
-        if val_examples:
-            if row["val_loss"] < best_val - 1e-12:
-                best_val = row["val_loss"]
-                best_data = {name: t.data.copy() for name, t in params.tensors.items()}
-                patience_left = config.patience
-                if out_dir:
-                    best_path = os.path.join(out_dir, f"{stage}-best.rfbt")
-                    model.save_checkpoint(params, best_path)
-            else:
-                patience_left -= 1
-                if patience_left <= 0:
-                    logger.info("%s: early stop at epoch %d", stage, epoch)
-                    break
-    if best_data is not None:
-        # The parameters leave the loop as they were at the best epoch.
-        for name, data in best_data.items():
+    # The parameters leave the stage as float64 masters: the best epoch's
+    # with a validation split, otherwise (and when a step raises) the latest.
+    final = state.master
+    try:
+        for epoch in range(config.max_epochs):
+            order = rng.permutation(len(examples))
+            epoch_losses: list[float] = []
+            component_sums: dict[str, float] = {}
+            for batch in _batches(order, config.batch_size):
+                params.zero_grads()
+                total, parts = loss_fn(params, [examples[i] for i in batch],
+                                       [_dropout_seed(config.seed, epoch, int(i)) for i in batch])
+                for key, part in parts.items():
+                    component_sums[key] = component_sums.get(key, 0.0) + part
+                total = ad.scale(total, 1.0 / len(batch))
+                loss_value = total.item()
+                if not np.isfinite(loss_value):
+                    raise NonFiniteLoss(
+                        f"{stage}: loss {loss_value} at epoch {epoch} step {step}")
+                total.backward()
+                # A tensor the loss does not reach has no gradient and no update.
+                grads = {name: t.grad for name, t in params.tensors.items()
+                         if t.grad is not None}
+                adam_update(params, grads, state, config)
+                del total, grads        # free this batch's graph before the next one is built
+                epoch_losses.append(loss_value)
+                step += 1
+            row: dict[str, float] = {
+                "epoch": float(epoch),
+                "step": float(step),
+                "loss": float(np.mean(epoch_losses)),
+            }
+            for key, total_part in component_sums.items():
+                row[key] = total_part / len(examples)
+            if val_examples:
+                val_total = sum(loss_fn(params, chunk, [0] * len(chunk), train_mode=False)[0].item()
+                                for chunk in _batches(val_examples, config.batch_size))
+                row["val_loss"] = val_total / len(val_examples)
+            history.append(row)
+            logger.info("%s epoch %d: %s", stage, epoch,
+                        " ".join(f"{k}={v:.4f}" for k, v in row.items() if k != "epoch"))
+            if out_dir:
+                model.save_checkpoint(params, os.path.join(out_dir, f"{stage}-epoch{epoch}.rfbt"))
+            if val_examples:
+                if row["val_loss"] < best_val - 1e-12:
+                    best_val = row["val_loss"]
+                    best_masters = {name: data.copy() for name, data in state.master.items()}
+                    patience_left = config.patience
+                    if out_dir:
+                        best_path = os.path.join(out_dir, f"{stage}-best.rfbt")
+                        model.save_checkpoint(params, best_path)
+                else:
+                    patience_left -= 1
+                    if patience_left <= 0:
+                        logger.info("%s: early stop at epoch %d", stage, epoch)
+                        break
+        if best_masters is not None:
+            final = best_masters
+    finally:
+        for name, data in final.items():
             params.tensors[name].data = data
     if out_dir:
         _write_log(os.path.join(out_dir, f"{stage}-log.csv"), history)

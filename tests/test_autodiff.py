@@ -247,6 +247,38 @@ def test_op_leaves_inputs_and_incoming_gradient_unmodified(name):
         assert t.grad is not None
 
 
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_op_keeps_float32_in_value_and_gradients(name):
+    build, shapes, positive = OP_CASES[name]
+    rng = np.random.default_rng(6)
+    arrays = [rng.normal(0.0, 1.0, size=shape).astype(np.float32) for shape in shapes]
+    if positive:
+        arrays = [np.abs(a) + np.float32(0.5) for a in arrays]
+    tensors = [ad.Tensor(a, requires_grad=True) for a in arrays]
+    out = build(*tensors)
+    ad.sum_all(ad.mul(out, rng.normal(0.0, 1.0, size=out.shape).astype(np.float32))).backward()
+    assert out.data.dtype == np.float32
+    assert [t.grad.dtype for t in tensors] == [np.dtype(np.float32)] * len(tensors)
+
+
+class TestAccumulate:
+    def test_first_gradient_takes_the_node_dtype(self):
+        t = ad.Tensor(np.zeros(3, np.float32), requires_grad=True)
+        t.accumulate(np.ones(3))
+        t.accumulate(np.ones(3))
+        assert t.grad.dtype == np.float32 and np.array_equal(t.grad, [2.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_array_reaching_two_parents_is_not_shared(self, dtype):
+        # add hands its incoming gradient to both parents unchanged
+        a = ad.Tensor(np.zeros((2, 3), dtype), requires_grad=True)
+        b = ad.Tensor(np.zeros((2, 3), dtype), requires_grad=True)
+        ad.sum_all(ad.add(a, b)).backward()
+        a.accumulate(np.full((2, 3), 5.0, dtype))
+        assert np.array_equal(b.grad, np.ones((2, 3)))
+        assert np.array_equal(a.grad, np.full((2, 3), 6.0))
+
+
 # --- bit-identity with the plain formulas ------------------------------------
 
 _C = math.sqrt(2.0 / math.pi)

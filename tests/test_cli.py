@@ -254,6 +254,20 @@ class TestHappyPaths:
         assert (out / "manifest.json").exists()
         assert (out / "pretrain-log.csv").exists()
 
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune-lp", "finetune-tg"])
+    def test_training_manifest_records_the_precision(self, workspace, tmp_path, capsys,
+                                                     stage):
+        out = tmp_path / "run"
+        source = (["--layers", "1", "--hidden-dim", "32", "--ffn-dim", "64"]
+                  if stage == "pretrain" else ["--model", workspace["model"]])
+        code = cli.run([stage, "--data", workspace["corpus"], "--vocab", workspace["vocab"],
+                        "--out", str(out), "--config", _quick_config(tmp_path)] + source)
+        assert code == 0, capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == stage
+        assert manifest["training_precision"] == {"compute": "float32", "master": "float64"}
+        assert "model_dtype" not in manifest
+
     def test_finetune_requires_model(self, workspace, tmp_path):
         code = cli.run(["finetune-lp", "--data", workspace["corpus"],
                        "--vocab", workspace["vocab"], "--out", str(tmp_path / "x")])

@@ -5,7 +5,7 @@ import pytest
 
 from varnamer import autodiff as ad
 from varnamer import bpe, corpus, masking, model, training
-from varnamer.errors import InvalidConfig, NoTrainingExamples, ShapeMismatch
+from varnamer.errors import InvalidConfig, NonFiniteLoss, NoTrainingExamples, ShapeMismatch
 
 import toycorpus
 
@@ -94,7 +94,8 @@ class TestAdam:
 
     def test_two_steps_match_hand_rolled_oracle(self):
         # independent scalar Adam, computed step by step
-        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        config = tiny_train_config(learning_rate=0.01)
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, config.adam_epsilon
         theta, m, v = 0.5, 0.0, 0.0
         grads_seq = [0.3, -0.2]
         for t, g in enumerate(grads_seq, start=1):
@@ -107,11 +108,51 @@ class TestAdam:
         vocab = toycorpus.handmade_vocab(["int"])
         params = tiny_model(vocab)
         params.tensors["probe"] = model.Tensor(np.array([0.5]), requires_grad=True)
-        config = tiny_train_config(learning_rate=lr)
         state = training.AdamState()
         for g in grads_seq:
             training.adam_update(params, {"probe": np.array([g])}, state, config)
         assert abs(params.tensors["probe"].data[0] - theta) < 1e-12
+
+    @staticmethod
+    def plain_adam(data, m, v, grads, config):
+        """The float64 update, step by step, on copies."""
+        data, m, v = data.copy(), m.copy(), v.copy()
+        b1, b2 = config.adam_beta1, config.adam_beta2
+        for step, grad in enumerate(grads, start=1):
+            grad = grad.astype(np.float64)
+            m *= b1
+            m += (1.0 - b1) * grad
+            v *= b2
+            v += (1.0 - b2) * grad * grad
+            m_hat = m / (1.0 - b1 ** step)
+            v_hat = v / (1.0 - b2 ** step)
+            data -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+        return data, m, v
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_update_over_masters_equals_the_plain_expression(self, dtype):
+        rng = np.random.default_rng(3)
+        shapes = {"w": (6, 5), "b": (5,), "s": (40,)}
+        start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        params = model.ModelParams(config=None, tensors={
+            name: ad.Tensor(data.astype(dtype), requires_grad=True)
+            for name, data in start.items()})
+        state = training.AdamState()
+        if dtype == np.float32:   # as a stage sets it up: the masters are the float64 values
+            state.master = {name: data.copy() for name, data in start.items()}
+        config = tiny_train_config(learning_rate=3e-3)
+        steps = [{name: rng.normal(size=shape).astype(dtype) * 10.0 ** -k
+                  for name, shape in shapes.items()} for k in range(3)]
+        for grads in steps:
+            training.adam_update(params, grads, state, config)
+        for name in shapes:
+            zeros = np.zeros(shapes[name])
+            data, m, v = self.plain_adam(start[name], zeros, zeros,
+                                         [grads[name] for grads in steps], config)
+            assert np.array_equal(state.master[name], data)
+            assert np.array_equal(state.m[name], m) and np.array_equal(state.v[name], v)
+            assert params[name].data.dtype == dtype
+            assert np.array_equal(params[name].data, data.astype(dtype))
 
     def test_shape_mismatch(self):
         vocab = toycorpus.handmade_vocab(["int"])
@@ -366,3 +407,102 @@ class TestLoops:
         log = (tmp_path / "pretrain-log.csv").read_text().splitlines()
         assert log[0].startswith("epoch,step,loss")
         assert len(log) == 3
+
+
+def graph_nodes(*outputs):
+    seen, stack, nodes = set(), list(outputs), []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def float32_copy(params):
+    return model.ModelParams(config=params.config, tensors={
+        name: ad.Tensor(t.data.astype(np.float32), requires_grad=True)
+        for name, t in params.tensors.items()})
+
+
+class TestFloat32Training:
+    def test_train_mode_tg_batch_stays_float32(self, desk_vocab, toy_records, monkeypatch):
+        params = float32_copy(tiny_model(desk_vocab, num_layers=2, dropout=0.1))
+        mask_dtypes = []
+        attention = ad.packed_attention
+
+        def recording(q, k, v, offsets, heads, queries=None, masks=None):
+            mask_dtypes.extend(m.dtype for m in masks or () if m is not None)
+            return attention(q, k, v, offsets, heads, queries, masks)
+
+        monkeypatch.setattr(ad, "packed_attention", recording)
+        config = tiny_train_config(dropout=0.1)
+        examples, _ = training.build_tg_dataset(desk_vocab, toy_records[:12], config)
+        first = examples[0]
+        second = next(ex for ex in examples
+                      if len(ex.masked.input_ids) != len(first.masked.input_ids))
+        assert config.lambda_bot > 0 and config.lambda_cl > 0
+        total, _ = training.tg_batch_loss(params, [first, second], config, True, [3, 4])
+        total.backward()
+        nodes = graph_nodes(total)
+        arrays = [node.data for node in nodes] + [node.grad for node in nodes]
+        wide = [a for a in arrays if a.ndim > 0 and a.dtype != np.float32]
+        assert len(nodes) > 100 and wide == []
+        assert mask_dtypes and set(mask_dtypes) == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("batch_loss", ["cmlm", "lp", "tg"])
+    def test_float32_batch_loss_matches_float64(self, desk_vocab, toy_records, batch_loss):
+        wide = tiny_model(desk_vocab, num_layers=2)
+        config = tiny_train_config()
+        build, loss = {
+            "cmlm": (training.build_cmlm_dataset, training.cmlm_batch_loss),
+            "lp": (training.build_num_dataset, training.lp_batch_loss),
+            "tg": (training.build_tg_dataset,
+                   lambda p, b, mode, seeds: training.tg_batch_loss(p, b, config, mode, seeds)[0]),
+        }[batch_loss]
+        examples, _ = build(desk_vocab, toy_records[:8], config)
+        narrow = float32_copy(wide)
+        for tensor in wide.tensors.values():   # the same weights in both precisions
+            tensor.data = tensor.data.astype(np.float32).astype(np.float64)
+        expected = loss(wide, examples, False, [0] * len(examples))
+        got = loss(narrow, examples, False, [0] * len(examples))
+        assert narrow.dtype == np.float32 and wide.dtype == np.float64
+        assert got.item() == pytest.approx(expected.item(), rel=1e-5)
+
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune_lp", "finetune_tg"])
+    def test_stage_hands_back_masters_of_its_checkpoints(self, desk_vocab, toy_records,
+                                                         tmp_path, stage):
+        params = tiny_model(desk_vocab, dropout=0.1)
+        config = tiny_train_config(max_epochs=2, batch_size=4)
+        result = getattr(training, stage)(config, params, toy_records[:8], desk_vocab,
+                                          out_dir=str(tmp_path))
+        assert result.params is params
+        saved = model.load_checkpoint(
+            str(tmp_path / f"{stage.replace('_', '-')}-epoch1.rfbt"))
+        for name, tensor in params.tensors.items():
+            assert tensor.data.dtype == np.float64
+            assert np.array_equal(tensor.data.astype(np.float32), saved[name].data), name
+        # the masters themselves, not their rounding, so the next stage starts from them
+        assert any(not np.array_equal(t.data, t.data.astype(np.float32))
+                   for t in params.tensors.values())
+
+    def test_nonfinite_loss_leaves_float64_parameters(self, desk_vocab, toy_records,
+                                                      monkeypatch):
+        params = tiny_model(desk_vocab)
+        before = {name: t.data.copy() for name, t in params.tensors.items()}
+        batch_loss = training.cmlm_batch_loss
+        calls = []
+
+        def failing(params, batch, train_mode, dropout_seeds):
+            calls.append(1)
+            loss = batch_loss(params, batch, train_mode, dropout_seeds)
+            return ad.scale(loss, float("nan")) if len(calls) == 2 else loss
+
+        monkeypatch.setattr(training, "cmlm_batch_loss", failing)
+        with pytest.raises(NonFiniteLoss, match="pretrain: loss nan at epoch 0 step 1"):
+            training.pretrain(tiny_train_config(batch_size=4), params, toy_records[:12],
+                              desk_vocab)
+        assert {t.data.dtype for t in params.tensors.values()} == {np.dtype(np.float64)}
+        # the one completed step moved the masters
+        assert not np.array_equal(params["token_head.bias"].data, before["token_head.bias"])
