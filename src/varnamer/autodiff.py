@@ -201,8 +201,13 @@ def take(a, indices) -> Tensor:
     idx = np.asarray(indices)
 
     def backward(g):
-        grad = np.zeros_like(a.data)
-        np.add.at(grad, idx, g)
+        # np.add.at over flat element indices takes numpy's fast path (row
+        # indices do not) and adds in the same order, so the sums are equal.
+        # A negative row index maps to the same negative flat offset.
+        grad = np.zeros(a.data.shape, dtype=a.data.dtype)
+        row = math.prod(grad.shape[1:])
+        flat = idx.reshape(-1, 1) * row + np.arange(row)
+        np.add.at(grad.reshape(-1), flat.reshape(-1), g.reshape(-1))
         a.accumulate(grad)
 
     return _node(a.data[idx], (a,), backward)

@@ -95,7 +95,20 @@ def adapt_record(
     a different name sampled from the pool replaces it to form code_before.
     Deterministic: same code, seed and pool give an identical record.
     """
-    variables = javalex.extract_variables(code)
+    return _record(code, javalex.extract_variables(code), rng_seed, name_pool,
+                   record_id, split)
+
+
+def _record(
+    code: str,
+    variables: list[javalex.VariableOccurrence],
+    rng_seed: int,
+    name_pool: list[str],
+    record_id: str | None,
+    split: str,
+) -> RefactoringRecord:
+    """``adapt_record`` on the variables ``javalex.extract_variables`` found
+    in ``code``."""
     if not variables:
         raise NoVariables("function declares no variables or parameters")
     if not name_pool:
@@ -166,24 +179,21 @@ def adapt_corpus(
     record_seeds = [base.next() for _ in functions]
 
     # Pass 1: pick the ground-truth variable per function; build the pool.
-    picks: list[str | None] = []
+    found = [javalex.extract_variables(code) for code in functions]
     pool: list[str] = []
     pool_seen: set[str] = set()
-    for code, rseed in zip(functions, record_seeds):
-        variables = javalex.extract_variables(code)
+    for variables, rseed in zip(found, record_seeds):
         if not variables:
-            picks.append(None)
             stats["no_variables"] += 1
             continue
         name = variables[SplitMix64(rseed).below(len(variables))].name
-        picks.append(name)
         if name not in pool_seen:
             pool_seen.add(name)
             pool.append(name)
 
     # Pass 2: build records; the per-record PRNG re-draws the same pick.
     records: list[RefactoringRecord] = []
-    usable = [i for i, p in enumerate(picks) if p is not None]
+    usable = [i for i, variables in enumerate(found) if variables]
     n = len(usable)
     n_test = int(n * test_fraction)
     n_val = int(n * validation_fraction)
@@ -195,10 +205,8 @@ def adapt_corpus(
         else:
             split = "test"
         try:
-            record = adapt_record(
-                functions[idx], record_seeds[idx], pool,
-                record_id=f"{idx:06d}", split=split,
-            )
+            record = _record(functions[idx], found[idx], record_seeds[idx], pool,
+                             f"{idx:06d}", split)
         except PoolExhausted:
             stats.setdefault("pool_exhausted", 0)
             stats["pool_exhausted"] += 1

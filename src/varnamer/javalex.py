@@ -1,4 +1,4 @@
-"""Lexical analysis of Java function source.
+r"""Lexical analysis of Java function source.
 
 A full Java grammar is deliberately out of scope: declarations of local
 variables and parameters are recognized with token-level heuristics
@@ -6,12 +6,34 @@ variables and parameters are recognized with token-level heuristics
 ``catch`` clauses, try-with-resources). Comments and string literals are
 lexed as single tokens and therefore never scanned for identifier
 occurrences.
+
+``lex`` is one regular expression, ``_TOKEN_RE``, whose alternatives are
+tried in this order at each token start:
+
+- ``//`` comment, up to (not including) the next newline;
+- ``/*`` comment, up to the first ``*/`` after the opening two characters;
+- ``"`` string and ``'`` char literal, where a backslash escapes the next
+  character;
+- word: ``(?:[^\W\d]|\$)[\w$]*``, a Unicode word character that is not
+  a decimal digit (a letter or ``_``) or ``$``, then any word characters
+  or ``$``. This approximates Java's identifier rule
+  (``Character.isJavaIdentifierStart``/``Part``), so ``résumé`` and
+  ``größe`` are one word each; a word in ``JAVA_KEYWORDS`` is a keyword;
+- number (``_NUMBER_RE``; ``\d`` is any Unicode decimal digit);
+- ``...``, ``::`` and ``->`` as single tokens;
+- any other non-whitespace character as a one-character punct token.
+
+Whitespace is what ``str.isspace`` accepts. An unterminated comment, string
+or char literal, or one ending in a lone backslash, runs to the end of the
+input. Text blocks are not recognized: the three quotes that open one lex
+as the empty string ``""`` followed by a string.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MalformedCode
 
@@ -44,20 +66,32 @@ CHAR = "char"
 COMMENT = "comment"
 PUNCT = "punct"
 
-_IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 _NUMBER_RE = re.compile(
     r"0[xX][0-9a-fA-F_]+[lL]?"
     r"|0[bB][01_]+[lL]?"
     r"|\d[\d_]*\.?[\d_]*(?:[eE][+-]?\d+)?[fFdDlL]?"
     r"|\.\d[\d_]*(?:[eE][+-]?\d+)?[fFdD]?"
 )
-# Multi-char operators lexed as one token where splitting them would
-# confuse the declaration heuristics (varargs, method refs, lambdas).
-_MULTI_PUNCT = ("...", "::", "->")
+# Each group is named after the token kind it yields (a keyword matches the
+# IDENT group). The whitespace after a token is consumed with it, so every
+# match starts where the previous one ended: a leading ``\s*`` would instead
+# rescan trailing whitespace from each of its positions (quadratic time).
+# ``...``, ``::`` and ``->`` stay whole because splitting them would confuse
+# the declaration heuristics (varargs, method refs, lambdas).
+_TOKEN_RE = re.compile(
+    rf"""(?:
+      (?P<{COMMENT}> //[^\n]* | /\*[\s\S]*?(?:\*/|\Z) )
+    | (?P<{STRING}> "(?:[^"\\]|\\[\s\S])*(?:"|\\?\Z) )
+    | (?P<{CHAR}> '(?:[^'\\]|\\[\s\S])*(?:'|\\?\Z) )
+    | (?P<{IDENT}> (?:[^\W\d]|\$)[\w$]* )
+    | (?P<{NUMBER}> {_NUMBER_RE.pattern} )
+    | (?P<{PUNCT}> \.\.\. | :: | -> | \S )
+    )\s*""",
+    re.VERBOSE,
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     start: int
@@ -65,75 +99,18 @@ class Token:
 
 
 def lex(code: str) -> list[Token]:
-    """Split Java source into tokens with character offsets.
-
-    Whitespace is skipped; comments, strings and char literals become
-    single tokens. Unterminated comments/strings extend to end of input.
-    """
+    """Split Java source into tokens with character offsets (see the module
+    docstring for the rules)."""
     tokens: list[Token] = []
-    i = 0
-    n = len(code)
-    while i < n:
-        ch = code[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if code.startswith("//", i):
-            j = code.find("\n", i)
-            j = n if j < 0 else j
-            tokens.append(Token(COMMENT, code[i:j], i, j))
-            i = j
-            continue
-        if code.startswith("/*", i):
-            j = code.find("*/", i + 2)
-            j = n if j < 0 else j + 2
-            tokens.append(Token(COMMENT, code[i:j], i, j))
-            i = j
-            continue
-        if ch == '"':
-            j = _scan_quoted(code, i, '"')
-            tokens.append(Token(STRING, code[i:j], i, j))
-            i = j
-            continue
-        if ch == "'":
-            j = _scan_quoted(code, i, "'")
-            tokens.append(Token(CHAR, code[i:j], i, j))
-            i = j
-            continue
-        m = _IDENT_RE.match(code, i)
-        if m:
-            text = m.group()
-            kind = KEYWORD if text in JAVA_KEYWORDS else IDENT
-            tokens.append(Token(kind, text, i, m.end()))
-            i = m.end()
-            continue
-        m = _NUMBER_RE.match(code, i)
-        if m and m.group():
-            tokens.append(Token(NUMBER, m.group(), i, m.end()))
-            i = m.end()
-            continue
-        for op in _MULTI_PUNCT:
-            if code.startswith(op, i):
-                tokens.append(Token(PUNCT, op, i, i + len(op)))
-                i += len(op)
-                break
-        else:
-            tokens.append(Token(PUNCT, ch, i, i + 1))
-            i += 1
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(code, len(code) - len(code.lstrip())):
+        kind = m.lastgroup
+        text = m[kind]
+        start = m.start()
+        if kind == IDENT and text in JAVA_KEYWORDS:
+            kind = KEYWORD
+        append(Token(kind, text, start, start + len(text)))
     return tokens
-
-
-def _scan_quoted(code: str, i: int, quote: str) -> int:
-    j = i + 1
-    n = len(code)
-    while j < n:
-        if code[j] == "\\":
-            j += 2
-            continue
-        if code[j] == quote:
-            return j + 1
-        j += 1
-    return n
 
 
 def check_braces(tokens: list[Token]) -> None:
@@ -430,31 +407,36 @@ def extract_variables(code: str) -> list[VariableOccurrence]:
     """
     if not code.strip():
         raise MalformedCode("empty input")
+    scanner = _scan(code)
+    declared = sorted(scanner.declared, key=scanner.declared.__getitem__)
+    spans = _occurrence_spans(scanner.toks, declared, scanner.type_positions)
+    return [VariableOccurrence(name=name, spans=tuple(spans[name])) for name in declared]
+
+
+def _scan(code: str) -> _DeclScanner:
+    """Lex ``code`` once, check its braces and find its declarations."""
     tokens = lex(code)
     check_braces(tokens)
     scanner = _DeclScanner(tokens)
     scanner.scan()
-    if not scanner.declared:
-        return []
-    result = []
-    for name, decl_idx in sorted(scanner.declared.items(), key=lambda kv: kv[1]):
-        spans = _occurrence_spans(scanner.toks, name, scanner.type_positions)
-        result.append(VariableOccurrence(name=name, spans=tuple(spans)))
-    return result
+    return scanner
 
 
-def _occurrence_spans(toks: list[Token], name: str, type_positions: set[int]) -> list[tuple[int, int]]:
-    spans = []
-    for i, t in enumerate(toks):
-        if t.kind != IDENT or t.text != name or i in type_positions:
+def _occurrence_spans(
+    toks: list[Token], names: list[str], type_positions: set[int],
+) -> dict[str, list[tuple[int, int]]]:
+    """Spans of each of ``names`` as a plain identifier, in one sweep: not at
+    an index in ``type_positions``, not after ``.``, not before ``(``."""
+    spans: dict[str, list[tuple[int, int]]] = {name: [] for name in names}
+    last = len(toks) - 1
+    for i, (kind, text, start, end) in enumerate(toks):
+        if kind != IDENT or text not in spans or i in type_positions:
             continue
-        prev = toks[i - 1] if i > 0 else None
-        if prev is not None and prev.kind == PUNCT and prev.text == ".":
+        if i > 0 and toks[i - 1].kind == PUNCT and toks[i - 1].text == ".":
             continue
-        nxt = toks[i + 1] if i + 1 < len(toks) else None
-        if nxt is not None and nxt.kind == PUNCT and nxt.text == "(":
+        if i < last and toks[i + 1].kind == PUNCT and toks[i + 1].text == "(":
             continue
-        spans.append((t.start, t.end))
+        spans[text].append((start, end))
     return spans
 
 
@@ -462,13 +444,9 @@ def find_identifier_occurrences(code: str, name: str) -> list[tuple[int, int]]:
     """Spans where ``name`` occurs as a plain identifier (not a field access
     or call). Falls back to this rule when ``name`` is not a declared
     variable; declared variables additionally exclude type positions."""
-    tokens = lex(code)
-    check_braces(tokens)
-    scanner = _DeclScanner(tokens)
-    scanner.scan()
-    if name in scanner.declared:
-        return _occurrence_spans(scanner.toks, name, scanner.type_positions)
-    return _occurrence_spans(scanner.toks, name, set())
+    scanner = _scan(code)
+    type_positions = scanner.type_positions if name in scanner.declared else set()
+    return _occurrence_spans(scanner.toks, [name], type_positions)[name]
 
 
 def substitute(code: str, spans: list[tuple[int, int]], replacement: str) -> str:

@@ -83,6 +83,23 @@ class TestStructuralOps:
     def test_take_with_duplicates(self):
         fd_check(lambda a: ad.take(a, [0, 2, 2, 1]), (4, 3))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("table_shape, index_shape", [
+        ((7,), (40,)), ((7, 5), (40,)), ((7, 5), (8, 6)), ((7,), (8, 6)), ((7, 3, 2), (40,)),
+    ])
+    def test_take_gradient_equals_row_indexed_add_at(self, dtype, table_shape, index_shape):
+        rng = np.random.default_rng(0)
+        table = ad.Tensor(rng.normal(size=table_shape).astype(dtype), requires_grad=True)
+        # many repeats of few rows, half of them as negative indices
+        idx = rng.integers(-table_shape[0], table_shape[0], size=index_shape)
+        out = ad.take(table, idx)
+        g = rng.normal(0.0, 1.0, size=out.shape).astype(dtype)
+        ad.sum_all(ad.mul(out, ad.Tensor(g))).backward()
+        expected = np.zeros(table_shape, dtype=dtype)
+        np.add.at(expected, idx, g)
+        assert table.grad.dtype == dtype
+        assert np.array_equal(table.grad, expected)
+
     def test_take_items(self):
         fd_check(lambda a: ad.take_items(a, [0, 1, 1], [2, 0, 0]), (3, 4))
 

@@ -1,4 +1,7 @@
+import hashlib
+import inspect
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -146,3 +149,40 @@ class TestAdaptCorpus:
     def test_all_records_validate(self, toy_records):
         for record in toy_records:
             corpus.validate_record(record)
+
+    def test_extracts_variables_once_per_function(self, toy_functions, monkeypatch):
+        seen = []
+        extract = javalex.extract_variables
+
+        def counting(code):
+            seen.append(code)
+            return extract(code)
+
+        monkeypatch.setattr(javalex, "extract_variables", counting)
+        kept, _ = corpus.filter_functions(toy_functions)
+        corpus.adapt_corpus(toy_functions, seed=7)
+        assert seen == kept
+
+    def test_adapt_record_keeps_its_signature(self):
+        params = inspect.signature(corpus.adapt_record).parameters
+        assert list(params) == ["code", "rng_seed", "name_pool", "record_id", "split"]
+        assert params["record_id"].default is None
+        assert params["split"].default == "train"
+
+    def test_records_equal_adapt_record_per_function(self, toy_functions):
+        records, stats = corpus.adapt_corpus(toy_functions, seed=7)
+        assert stats["no_variables"] == 0 and "pool_exhausted" not in stats
+        base = corpus.SplitMix64(7)
+        seeds = [base.next() for _ in toy_functions]
+        pool = list(dict.fromkeys(r.variable_after for r in records))
+        for record in records:
+            idx = int(record.id)
+            assert record == corpus.adapt_record(
+                toy_functions[idx], seeds[idx], pool, record_id=record.id, split=record.split)
+
+    def test_records_are_unchanged(self, toy_functions):
+        # sha256 of the records that the two-pass, two-lex adapt_corpus made
+        records, _ = corpus.adapt_corpus(toy_functions, seed=7)
+        dump = json.dumps([asdict(r) for r in records]).encode("utf-8")
+        assert hashlib.sha256(dump).hexdigest() == (
+            "50d6f9f6a0c4354387ce0fc4343e91edde264b401cf3e15d5828ceed30111f5d")

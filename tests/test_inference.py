@@ -178,6 +178,12 @@ class TestSuggest:
         with pytest.raises(VariableNotFound):
             inference.suggest(params, desk_vocab, "int a = 1;", "missing")
 
+    def test_non_ascii_variable_is_found(self, desk_vocab, overfit_setup):
+        params, _ = overfit_setup
+        code = "int f(int a) {\n  int größe = a + 1;\n  return größe;\n}"
+        suggestion = inference.suggest(params, desk_vocab, code, "größe")
+        assert suggestion.length_used >= 1
+
     def test_json_serialization(self, desk_vocab, overfit_setup):
         import json
 
