@@ -11,10 +11,27 @@ the test suite; this module is the single differentiation path for
 training.
 
 An op may overwrite only arrays it allocated itself: never an input's
-``.data``, nor the gradient array handed to its backward closure (that
-array is the output node's ``.grad``, which other code may still read).
-The rewritten kernels keep the same floating-point operations in the same
+``.data``, nor the gradient array handed to its backward closure. The
+rewritten kernels keep the same floating-point operations in the same
 association order as the plain expressions, so results are bit-identical.
+
+Tape lifetime: ``backward`` runs the nodes in reverse topological order
+and releases each non-leaf node as soon as its backward closure has run:
+the node drops its ``.grad``, its closure (and with it the arrays the
+closure saved) and its parents, so an activation is freed once nothing
+upstream still needs it. Leaves (parameters and constants) keep their
+``.grad``. A later ``backward`` that reaches a released node raises
+``GraphReleased``: a graph takes one backward.
+A gradient array an op allocated for one parent alone (``linear``,
+``gelu``, ``layer_norm``, ``take``, ``softmax``, ``dropout``,
+``packed_attention``, the elementwise ops, ...) is handed over with
+``accumulate(..., owned=True)``, and the parent adopts it as its first
+gradient without a copy. An array the op does not own is copied: the
+incoming gradient that ``add``, ``transpose`` and ``reshape`` pass on, or
+an array handed to two parents. Inside ``with no_grad():`` ops record no
+tape: their results have no parents and no backward, so nothing is kept
+for a backward pass. The flag is a context variable, so it holds only in
+the thread (and context) that entered the block.
 
 Dtype rule: a ``Tensor`` keeps float32 data as float32 and turns anything
 else into float64, every op computes in its inputs' dtype, and a node's
@@ -30,13 +47,35 @@ that only sum float32 terms.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 
 import numpy as np
 
+from .errors import GraphReleased
+
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _GELU_A3 = 3.0 * _GELU_A
+
+# False inside ``no_grad``; a context variable, so per thread.
+_recording = contextvars.ContextVar("autodiff_recording", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no tape in this thread until the block exits."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
+def _released(grad):
+    """The backward of a node whose backward has already run."""
+    raise GraphReleased("backward reached a node that an earlier backward released")
 
 
 class Tensor:
@@ -59,10 +98,13 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def accumulate(self, grad: np.ndarray) -> None:
+    def accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``.grad``. ``owned`` says the caller allocated
+        ``grad`` for this node alone, so a first gradient of the node's
+        dtype is adopted rather than copied."""
         if self.grad is None:
-            # copy: the incoming array may be shared with another node
-            self.grad = np.array(grad, dtype=self.data.dtype)
+            dtype = self.data.dtype
+            self.grad = np.asarray(grad, dtype) if owned else np.array(grad, dtype)
         else:
             self.grad += grad
 
@@ -70,7 +112,8 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Backpropagate from this (scalar) node through the graph."""
+        """Backpropagate from this (scalar) node through the graph,
+        releasing each non-leaf node once its backward has run."""
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -81,15 +124,21 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _released:
+                _released(None)
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue            # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _released, ()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -101,7 +150,7 @@ def as_tensor(x) -> Tensor:
 
 def _node(data, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -134,8 +183,8 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g):
-        a.accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b.accumulate(_unbroadcast(g * a.data, b.data.shape))
+        a.accumulate(_unbroadcast(g * b.data, a.data.shape), owned=True)
+        b.accumulate(_unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return _node(out_data, (a, b), backward)
 
@@ -144,7 +193,7 @@ def scale(a, c: float) -> Tensor:
     a = as_tensor(a)
 
     def backward(g):
-        a.accumulate(g * c)
+        a.accumulate(g * c, owned=True)
 
     return _node(a.data * c, (a,), backward)
 
@@ -155,8 +204,8 @@ def matmul(a, b) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g):
-        a.accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        b.accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        a.accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape), owned=True)
+        b.accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape), owned=True)
 
     return _node(out_data, (a, b), backward)
 
@@ -168,9 +217,9 @@ def linear(x, w, b) -> Tensor:
     out_data += b.data
 
     def backward(g):
-        x.accumulate(g @ w.data.T)
-        w.accumulate(x.data.T @ g)
-        b.accumulate(g.sum(axis=0))
+        x.accumulate(g @ w.data.T, owned=True)
+        w.accumulate(x.data.T @ g, owned=True)
+        b.accumulate(g.sum(axis=0), owned=True)
 
     return _node(out_data, (x, w, b), backward)
 
@@ -208,7 +257,7 @@ def take(a, indices) -> Tensor:
         row = math.prod(grad.shape[1:])
         flat = idx.reshape(-1, 1) * row + np.arange(row)
         np.add.at(grad.reshape(-1), flat.reshape(-1), g.reshape(-1))
-        a.accumulate(grad)
+        a.accumulate(grad, owned=True)
 
     return _node(a.data[idx], (a,), backward)
 
@@ -222,7 +271,7 @@ def take_items(a, rows, cols) -> Tensor:
     def backward(g):
         grad = np.zeros_like(a.data)
         np.add.at(grad, (rows, cols), g)
-        a.accumulate(grad)
+        a.accumulate(grad, owned=True)
 
     return _node(a.data[rows, cols], (a,), backward)
 
@@ -231,7 +280,7 @@ def sum_all(a) -> Tensor:
     a = as_tensor(a)
 
     def backward(g):
-        a.accumulate(np.full_like(a.data, g))
+        a.accumulate(np.full_like(a.data, g), owned=True)
 
     return _node(a.data.sum(), (a,), backward)
 
@@ -241,7 +290,7 @@ def mean_axis(a, axis: int = 0) -> Tensor:
     n = a.data.shape[axis]
 
     def backward(g):
-        a.accumulate(np.repeat(np.expand_dims(g / n, axis), n, axis=axis))
+        a.accumulate(np.repeat(np.expand_dims(g / n, axis), n, axis=axis), owned=True)
 
     return _node(a.data.mean(axis=axis), (a,), backward)
 
@@ -251,7 +300,7 @@ def sum_axis(a, axis: int) -> Tensor:
     n = a.data.shape[axis]
 
     def backward(g):
-        a.accumulate(np.repeat(np.expand_dims(g, axis), n, axis=axis))
+        a.accumulate(np.repeat(np.expand_dims(g, axis), n, axis=axis), owned=True)
 
     return _node(a.data.sum(axis=axis), (a,), backward)
 
@@ -264,7 +313,7 @@ def ordered_sum_rows(a) -> Tensor:
     n = a.data.shape[0]
 
     def backward(g):
-        a.accumulate(np.repeat(np.expand_dims(g, 0), n, axis=0))
+        a.accumulate(np.repeat(np.expand_dims(g, 0), n, axis=0), owned=True)
 
     return _node(np.sort(a.data, axis=0).sum(axis=0), (a,), backward)
 
@@ -273,7 +322,7 @@ def power(a, exponent: float) -> Tensor:
     a = as_tensor(a)
 
     def backward(g):
-        a.accumulate(g * exponent * np.power(a.data, exponent - 1.0))
+        a.accumulate(g * exponent * np.power(a.data, exponent - 1.0), owned=True)
 
     return _node(np.power(a.data, exponent), (a,), backward)
 
@@ -286,7 +335,7 @@ def log(a) -> Tensor:
     a = as_tensor(a)
 
     def backward(g):
-        a.accumulate(g / a.data)
+        a.accumulate(g / a.data, owned=True)
 
     return _node(np.log(a.data), (a,), backward)
 
@@ -297,7 +346,7 @@ def clamp_min(a, floor: float) -> Tensor:
     mask = a.data > floor
 
     def backward(g):
-        a.accumulate(g * mask)
+        a.accumulate(g * mask, owned=True)
 
     return _node(np.maximum(a.data, floor), (a,), backward)
 
@@ -307,7 +356,7 @@ def sigmoid(a) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-a.data))
 
     def backward(g):
-        a.accumulate(g * s * (1.0 - s))
+        a.accumulate(g * s * (1.0 - s), owned=True)
 
     return _node(s, (a,), backward)
 
@@ -319,7 +368,7 @@ def softplus(a) -> Tensor:
     out_data = np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
 
     def backward(g):
-        a.accumulate(g / (1.0 + np.exp(-x)))
+        a.accumulate(g / (1.0 + np.exp(-x)), owned=True)
 
     return _node(out_data, (a,), backward)
 
@@ -352,7 +401,7 @@ def gelu(a) -> Tensor:
         d_inner *= 0.5
         grad += d_inner
         grad *= g
-        a.accumulate(grad)
+        a.accumulate(grad, owned=True)
 
     return _node(out_data, (a,), backward)
 
@@ -369,7 +418,7 @@ def softmax(a) -> Tensor:
         dot = grad.sum(axis=-1, keepdims=True)
         np.subtract(g, dot, out=grad)
         grad *= y
-        a.accumulate(grad)
+        a.accumulate(grad, owned=True)
 
     return _node(y, (a,), backward)
 
@@ -397,11 +446,11 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
         dxhat -= mean_dx
         dxhat -= tmp
         dxhat *= inv
-        a.accumulate(dxhat)
+        a.accumulate(dxhat, owned=True)
         axes = tuple(range(g.ndim - 1))
         np.multiply(g, xhat, out=tmp)
-        gain.accumulate(tmp.sum(axis=axes))
-        bias.accumulate(g.sum(axis=axes))
+        gain.accumulate(tmp.sum(axis=axes), owned=True)
+        bias.accumulate(g.sum(axis=axes), owned=True)
 
     return _node(out_data, (a, gain, bias), backward)
 
@@ -420,7 +469,7 @@ def dropout(a, rate: float, rng: np.random.Generator, mask=None) -> Tensor:
         mask = np.divide(rng.random(a.data.shape) >= rate, 1.0 - rate, dtype=a.data.dtype)
 
     def backward(g):
-        a.accumulate(g * mask)
+        a.accumulate(g * mask, owned=True)
 
     return _node(a.data * mask, (a,), backward)
 
@@ -490,9 +539,9 @@ def packed_attention(q, k, v, offsets, heads: int, queries=None, masks=None) -> 
             gq[mine] = np.transpose(g_qh, (1, 0, 2)).reshape(m, width)
             gk[keys] = np.transpose(g_kh, (1, 0, 2)).reshape(n, width)
             gv[keys] = np.transpose(g_vh, (1, 0, 2)).reshape(n, width)
-        q.accumulate(gq)
-        k.accumulate(gk)
-        v.accumulate(gv)
+        q.accumulate(gq, owned=True)
+        k.accumulate(gk, owned=True)
+        v.accumulate(gv, owned=True)
 
     return _node(out_data, (q, k, v), backward)
 

@@ -87,6 +87,10 @@ class NonFiniteGradient(VarnamerError):
     """An analytic gradient contains NaN or infinity."""
 
 
+class GraphReleased(VarnamerError):
+    """A backward pass reached a graph node an earlier backward released."""
+
+
 class ShapeMismatch(VarnamerError):
     """Tensor shapes disagree between parameters, gradients, or checkpoints."""
 

@@ -1,5 +1,10 @@
 """Two-stage prediction: choose a sub-token count, then decode that many
-distinct sub-tokens and concatenate them into the suggested name."""
+distinct sub-tokens and concatenate them into the suggested name.
+
+Serving records no tape: both encoder passes run under
+``autodiff.no_grad``, so a request keeps no graph, saved activations or
+gradients for a backward pass that never comes.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import bpe, masking, model
 from .bpe import SPECIAL_TOKENS, SubwordVocab
 from .corpus import RefactoringRecord
@@ -43,8 +49,9 @@ def _ranked_lengths(params: ModelParams, vocab: SubwordVocab,
     config = params.config
     input_ids, _ = masking.masked_sequence(
         vocab, code, name, masking.SCHEME_NUM, 1, config.max_seq_len)
-    cls = model.forward(params, input_ids, train_mode=False, rows=[0])
-    probs = model.length_probs(params, cls.data[0]).data
+    with ad.no_grad():
+        cls = model.forward(params, input_ids, train_mode=False, rows=[0])
+        probs = model.length_probs(params, cls.data[0]).data
     ranked = sorted(
         ((length, float(probs[length - 1])) for length in range(1, config.max_name_tokens + 1)),
         key=lambda lp: (-lp[1], lp[0]),
@@ -59,8 +66,9 @@ def _slot_distributions(params: ModelParams, vocab: SubwordVocab,
     input_ids, groups = masking.masked_sequence(
         vocab, code, name, masking.SCHEME_CMLM, slots, config.max_seq_len)
     flat = [p for group in groups for p in group]
-    hidden = model.forward(params, input_ids, train_mode=False, rows=flat)
-    probs = model.token_probs(params, hidden.data).data
+    with ad.no_grad():
+        hidden = model.forward(params, input_ids, train_mode=False, rows=flat)
+        probs = model.token_probs(params, hidden.data).data
     per_occurrence = probs.reshape(len(groups), slots, -1)
     return per_occurrence.mean(axis=0)
 

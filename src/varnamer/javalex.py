@@ -12,8 +12,9 @@ tried in this order at each token start:
 
 - ``//`` comment, up to (not including) the next newline;
 - ``/*`` comment, up to the first ``*/`` after the opening two characters;
-- ``"`` string and ``'`` char literal, where a backslash escapes the next
-  character;
+- text block, from three double quotes up to the next three, as one
+  string token;
+- ``"`` string and ``'`` char literal;
 - word: ``(?:[^\W\d]|\$)[\w$]*``, a Unicode word character that is not
   a decimal digit (a letter or ``_``) or ``$``, then any word characters
   or ``$``. This approximates Java's identifier rule
@@ -23,10 +24,11 @@ tried in this order at each token start:
 - ``...``, ``::`` and ``->`` as single tokens;
 - any other non-whitespace character as a one-character punct token.
 
-Whitespace is what ``str.isspace`` accepts. An unterminated comment, string
-or char literal, or one ending in a lone backslash, runs to the end of the
-input. Text blocks are not recognized: the three quotes that open one lex
-as the empty string ``""`` followed by a string.
+In a text block, string or char literal a backslash escapes the next
+character, so an escaped quote does not close a text block. Whitespace
+is what ``str.isspace`` accepts. An unterminated comment, text block,
+string or char literal, or one ending in a lone backslash, runs to the
+end of the input.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ _NUMBER_RE = re.compile(
 _TOKEN_RE = re.compile(
     rf"""(?:
       (?P<{COMMENT}> //[^\n]* | /\*[\s\S]*?(?:\*/|\Z) )
-    | (?P<{STRING}> "(?:[^"\\]|\\[\s\S])*(?:"|\\?\Z) )
+    | (?P<{STRING}> \"\"\"(?:[^"\\]|\\[\s\S]|"(?!""))*(?:\"\"\"|\\?\Z)
+                  | "(?:[^"\\]|\\[\s\S])*(?:"|\\?\Z) )
     | (?P<{CHAR}> '(?:[^'\\]|\\[\s\S])*(?:'|\\?\Z) )
     | (?P<{IDENT}> (?:[^\W\d]|\$)[\w$]* )
     | (?P<{NUMBER}> {_NUMBER_RE.pattern} )

@@ -135,7 +135,8 @@ def adam_update(
     parameter on its first step when absent) takes the step, and the
     parameter's array then receives the master in place: its float32
     rounding during training, an exact copy for a float64 parameter.
-    Gradients widen to float64 before any arithmetic.
+    Gradients widen to float64 before any arithmetic, and the moments and
+    master update in place.
     """
     state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
@@ -152,14 +153,27 @@ def adam_update(
             master = state.master[name] = tensor.data.astype(MASTER_DTYPE)
         m = state.m.setdefault(name, np.zeros_like(master))
         v = state.v.setdefault(name, np.zeros_like(master))
-        grad = grad.astype(MASTER_DTYPE, copy=False)
+        # In place through two scratch arrays, with the operations of
+        #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+        #   master -= lr * (m/c1) / (sqrt(v/c2) + eps)
+        # in the same order, so the results are bit-identical to it.
+        wide = np.empty_like(master)
+        term = np.empty_like(master)
+        np.copyto(wide, grad)                       # exact widening
         m *= b1
-        m += (1.0 - b1) * grad
+        np.multiply(wide, 1.0 - b1, out=term)
+        m += term
         v *= b2
-        v += (1.0 - b2) * grad * grad
-        m_hat = m / correction1
-        v_hat = v / correction2
-        master -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+        np.multiply(wide, 1.0 - b2, out=term)
+        term *= wide
+        v += term
+        np.divide(v, correction2, out=wide)
+        np.sqrt(wide, out=wide)
+        wide += config.adam_epsilon
+        np.divide(m, correction1, out=term)
+        term *= config.learning_rate
+        term /= wide
+        master -= term
         np.copyto(tensor.data, master)
     return params, state
 
@@ -394,7 +408,7 @@ def _run_loop(
                 grads = {name: t.grad for name, t in params.tensors.items()
                          if t.grad is not None}
                 adam_update(params, grads, state, config)
-                del total, grads        # free this batch's graph before the next one is built
+                del grads       # so the next zero_grads frees these gradients
                 epoch_losses.append(loss_value)
                 step += 1
             row: dict[str, float] = {
@@ -405,8 +419,10 @@ def _run_loop(
             for key, total_part in component_sums.items():
                 row[key] = total_part / len(examples)
             if val_examples:
-                val_total = sum(loss_fn(params, chunk, [0] * len(chunk), train_mode=False)[0].item()
-                                for chunk in _batches(val_examples, config.batch_size))
+                with ad.no_grad():
+                    val_total = sum(
+                        loss_fn(params, chunk, [0] * len(chunk), train_mode=False)[0].item()
+                        for chunk in _batches(val_examples, config.batch_size))
                 row["val_loss"] = val_total / len(val_examples)
             history.append(row)
             logger.info("%s epoch %d: %s", stage, epoch,

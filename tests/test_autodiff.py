@@ -6,11 +6,13 @@ and any disagreement beyond 1e-6 is a genuine bug, not noise.
 
 import inspect
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from varnamer import autodiff as ad
+from varnamer.errors import GraphReleased
 
 
 def fd_check(build, *shapes, seed=0, eps=1e-6, tol=1e-6, positive=False):
@@ -238,7 +240,7 @@ OP_CASES = {
 def test_every_public_op_has_an_in_place_case():
     public = {name for name, fn in vars(ad).items()
               if inspect.isfunction(fn) and fn.__module__ == ad.__name__
-              and not name.startswith("_") and name != "as_tensor"}
+              and not name.startswith("_") and name not in ("as_tensor", "no_grad")}
     assert public == set(OP_CASES)
 
 
@@ -255,9 +257,21 @@ def test_op_leaves_inputs_and_incoming_gradient_unmodified(name):
     for t, a in zip(tensors, arrays):
         assert np.array_equal(t.data, a), "forward overwrote an input"
     weight = rng.normal(0.0, 1.0, size=out.shape)
+    # backward releases out.grad, so out's closure is watched as it runs
+    incoming = []
+    closure = out._backward
+
+    def watched(g):
+        before = g.copy()
+        closure(g)
+        incoming.append((before, g))
+
+    out._backward = watched
     # mul hands out.grad = 1.0 * weight, exactly weight, to out's backward
     ad.sum_all(ad.mul(out, weight)).backward()
-    assert np.array_equal(out.grad, weight), "backward overwrote its incoming gradient"
+    [(before, g)] = incoming
+    assert np.array_equal(before, weight)
+    assert np.array_equal(g, before), "backward overwrote its incoming gradient"
     assert np.array_equal(out.data, out_data), "backward overwrote the op's output"
     for t, a in zip(tensors, arrays):
         assert np.array_equal(t.data, a), "backward overwrote an input"
@@ -294,6 +308,74 @@ class TestAccumulate:
         a.accumulate(np.full((2, 3), 5.0, dtype))
         assert np.array_equal(b.grad, np.ones((2, 3)))
         assert np.array_equal(a.grad, np.full((2, 3), 6.0))
+
+
+    def test_owned_first_gradient_is_adopted_and_others_copied(self):
+        t = ad.Tensor(np.zeros(3), requires_grad=True)
+        owned = np.ones(3)
+        t.accumulate(owned, owned=True)
+        assert t.grad is owned
+        u = ad.Tensor(np.zeros(3, np.float32), requires_grad=True)
+        u.accumulate(owned, owned=True)          # another dtype: converted
+        shared = np.ones(3)
+        v = ad.Tensor(np.zeros(3), requires_grad=True)
+        v.accumulate(shared)
+        v.accumulate(shared)
+        assert u.grad.dtype == np.float32 and v.grad is not shared
+        assert np.array_equal(shared, np.ones(3)) and np.array_equal(v.grad, [2.0, 2.0, 2.0])
+
+
+class TestTapeLifetime:
+    def test_backward_releases_inner_nodes_and_keeps_leaf_gradients(self):
+        x = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        hidden = ad.mul(x, x)
+        total = ad.sum_all(hidden)
+        total.backward()
+        assert np.array_equal(x.grad, [2.0, 4.0])
+        for node in (hidden, total):
+            assert node.grad is None and node._parents == ()
+        assert np.array_equal(hidden.data, [1.0, 4.0]) and total.item() == 5.0
+
+    def test_backward_through_a_released_node_raises(self):
+        x = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        hidden = ad.scale(x, 3.0)
+        ad.sum_all(hidden).backward()
+        with pytest.raises(GraphReleased):
+            ad.dot(hidden, x).backward()
+        assert np.array_equal(x.grad, [3.0, 3.0])   # untouched by the failed pass
+
+    def test_no_grad_records_nothing_and_restores(self):
+        x = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with ad.no_grad():
+            with ad.no_grad():
+                inner = ad.mul(x, x)
+            outer = ad.gelu(x)
+        after = ad.mul(x, x)
+        for node in (inner, outer):
+            assert node._parents == () and node._backward is None and not node.requires_grad
+        assert np.array_equal(inner.data, after.data)
+        assert after._parents == (x, x) and after.requires_grad
+
+    def test_no_grad_holds_only_in_its_own_thread(self):
+        x = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        entered, recorded = threading.Event(), threading.Event()
+        serving = []
+
+        def serve():
+            with ad.no_grad():
+                entered.set()
+                recorded.wait(10)
+                serving.append(ad.mul(x, x))
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        assert entered.wait(10)
+        training = ad.sum_all(ad.mul(x, x))     # while the other thread is in no_grad
+        recorded.set()
+        thread.join(10)
+        training.backward()
+        assert np.array_equal(x.grad, [2.0, 4.0])
+        assert serving[0]._parents == () and np.array_equal(serving[0].data, [1.0, 4.0])
 
 
 # --- bit-identity with the plain formulas ------------------------------------

@@ -1,9 +1,11 @@
+import contextlib
 import itertools
 
 import numpy as np
 import pytest
 
-from varnamer import bpe, inference, model
+from varnamer import autodiff as ad
+from varnamer import baseline, bpe, inference, model
 from varnamer.errors import VariableNotFound, VocabExhausted
 
 import toycorpus
@@ -228,6 +230,39 @@ class TestModelPredictor:
             expected = inference.suggest(params, desk_vocab, record.code_before,
                                          record.variable_before)
             assert predictor.predict_name(record) == expected.name
+
+
+class TestServingRecordsNoTape:
+    def test_encoder_outputs_have_no_parents(self, desk_vocab, overfit_setup, monkeypatch):
+        params, records = overfit_setup
+        outputs = []
+        encoder = model.forward
+
+        def recording_forward(*args, **kwargs):
+            outputs.append(encoder(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        inference.suggest(params, desk_vocab, records[0].code_before,
+                          records[0].variable_before)
+        baseline.heuristic_lp(params, desk_vocab, records[0])
+        assert len(outputs) == 2 + params.config.max_name_tokens
+        assert all(out._parents == () and out._backward is None for out in outputs)
+
+    def test_outputs_equal_those_of_a_recorded_tape(self, desk_vocab, overfit_setup,
+                                                    monkeypatch):
+        params, records = overfit_setup
+
+        def serve():
+            predictor = inference.ModelPredictor(params, desk_vocab)
+            return [(inference.suggest(params, desk_vocab, r.code_before, r.variable_before),
+                     predictor.predict_length(r), predictor.predict_name(r),
+                     baseline.heuristic_lp(params, desk_vocab, r))
+                    for r in records]
+
+        untaped = serve()
+        monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
+        assert serve() == untaped
 
 
 def as_float64(params):

@@ -122,6 +122,15 @@ class TestFindOccurrences:
             replaced, javalex.find_identifier_occurrences(replaced, "total"), "count")
         assert back == code
 
+    def test_text_block_is_not_renamed(self):
+        block = '"""\n say "hi count" now\n """'
+        code = f"String f(int count) {{ String s = {block}; return s + count; }}"
+        spans = javalex.find_identifier_occurrences(code, "count")
+        assert len(spans) == 2
+        replaced = javalex.substitute(code, spans, "total")
+        assert replaced == f"String f(int total) {{ String s = {block}; return s + total; }}"
+        assert [t.text for t in javalex.lex(code) if t.kind == javalex.STRING] == [block]
+
 
 class TestNonAsciiIdentifiers:
     def test_accented_name_is_not_split(self):
@@ -148,13 +157,13 @@ _REFERENCE_WORD = re.compile(r"(?:[^\W\d]|\$)[\w$]*")
 
 
 def _reference_quoted_end(code, i, quote):
-    j = i + 1
+    j = i + len(quote)
     while j < len(code):
         if code[j] == "\\":
             j += 2
             continue
-        if code[j] == quote:
-            return j + 1
+        if code.startswith(quote, j):
+            return j + len(quote)
         j += 1
     return len(code)
 
@@ -176,6 +185,8 @@ def reference_lex(code):
             j = code.find("*/", i + 2)
             j = n if j < 0 else j + 2
             kind = javalex.COMMENT
+        elif code.startswith('"""', i):
+            j, kind = _reference_quoted_end(code, i, '"""'), javalex.STRING
         elif ch == '"':
             j, kind = _reference_quoted_end(code, i, '"'), javalex.STRING
         elif ch == "'":

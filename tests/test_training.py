@@ -1,11 +1,19 @@
+import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from varnamer import autodiff as ad
 from varnamer import bpe, corpus, masking, model, training
-from varnamer.errors import InvalidConfig, NonFiniteLoss, NoTrainingExamples, ShapeMismatch
+from varnamer.errors import (
+    GraphReleased,
+    InvalidConfig,
+    NonFiniteLoss,
+    NoTrainingExamples,
+    ShapeMismatch,
+)
 
 import toycorpus
 
@@ -153,6 +161,27 @@ class TestAdam:
             assert np.array_equal(state.m[name], m) and np.array_equal(state.v[name], v)
             assert params[name].data.dtype == dtype
             assert np.array_equal(params[name].data, data.astype(dtype))
+
+    def test_in_place_update_keeps_its_arrays_and_the_plain_values(self):
+        rng = np.random.default_rng(11)
+        start = rng.normal(size=(7, 9))
+        params = model.ModelParams(config=None, tensors={
+            "w": ad.Tensor(start.astype(np.float32), requires_grad=True)})
+        state = training.AdamState(master={"w": start.copy()})
+        config = tiny_train_config(learning_rate=2e-3)
+        # float32 gradients over many magnitudes, zeros included
+        steps = [(rng.normal(size=start.shape) * 10.0 ** rng.integers(-8, 4, size=start.shape)
+                  * (rng.random(start.shape) > 0.1)).astype(np.float32) for _ in range(6)]
+        training.adam_update(params, {"w": steps[0]}, state, config)
+        arrays = (state.master["w"], state.m["w"], state.v["w"], params["w"].data)
+        for grad in steps[1:]:
+            training.adam_update(params, {"w": grad}, state, config)
+        assert all(a is b for a, b in zip(arrays, (state.master["w"], state.m["w"],
+                                                   state.v["w"], params["w"].data)))
+        zeros = np.zeros(start.shape)
+        data, m, v = self.plain_adam(start, zeros, zeros, steps, config)
+        assert np.array_equal(state.master["w"], data)
+        assert np.array_equal(state.m["w"], m) and np.array_equal(state.v["w"], v)
 
     def test_shape_mismatch(self):
         vocab = toycorpus.handmade_vocab(["int"])
@@ -436,7 +465,18 @@ class TestFloat32Training:
             mask_dtypes.extend(m.dtype for m in masks or () if m is not None)
             return attention(q, k, v, offsets, heads, queries, masks)
 
+        # backward releases the intermediate gradients, so each one is
+        # recorded as it reaches its node
+        grad_dtypes = []
+        accumulate = ad.Tensor.accumulate
+
+        def recording_accumulate(node, grad, owned=False):
+            if np.ndim(grad) > 0:
+                grad_dtypes.append(grad.dtype)
+            accumulate(node, grad, owned)
+
         monkeypatch.setattr(ad, "packed_attention", recording)
+        monkeypatch.setattr(ad.Tensor, "accumulate", recording_accumulate)
         config = tiny_train_config(dropout=0.1)
         examples, _ = training.build_tg_dataset(desk_vocab, toy_records[:12], config)
         first = examples[0]
@@ -444,11 +484,12 @@ class TestFloat32Training:
                       if len(ex.masked.input_ids) != len(first.masked.input_ids))
         assert config.lambda_bot > 0 and config.lambda_cl > 0
         total, _ = training.tg_batch_loss(params, [first, second], config, True, [3, 4])
-        total.backward()
         nodes = graph_nodes(total)
-        arrays = [node.data for node in nodes] + [node.grad for node in nodes]
-        wide = [a for a in arrays if a.ndim > 0 and a.dtype != np.float32]
-        assert len(nodes) > 100 and wide == []
+        total.backward()
+        wide = [node.data.dtype for node in nodes
+                if node.data.ndim > 0 and node.data.dtype != np.float32]
+        wide += [dtype for dtype in grad_dtypes if dtype != np.float32]
+        assert len(nodes) > 100 and len(grad_dtypes) > 100 and wide == []
         assert mask_dtypes and set(mask_dtypes) == {np.dtype(np.float32)}
 
     @pytest.mark.parametrize("batch_loss", ["cmlm", "lp", "tg"])
@@ -506,3 +547,77 @@ class TestFloat32Training:
         assert {t.data.dtype for t in params.tensors.values()} == {np.dtype(np.float64)}
         # the one completed step moved the masters
         assert not np.array_equal(params["token_head.bias"].data, before["token_head.bias"])
+
+
+class TestTapeLifetime:
+    @staticmethod
+    def tg_setup(desk_vocab, toy_records):
+        params = float32_copy(tiny_model(desk_vocab, num_layers=2, dropout=0.1))
+        config = tiny_train_config(dropout=0.1)
+        examples, _ = training.build_tg_dataset(desk_vocab, toy_records[:4], config)
+        return params, config, examples[:2]
+
+    def test_backward_frees_saved_activations_and_keeps_parameter_gradients(
+            self, desk_vocab, toy_records, monkeypatch):
+        params, config, batch = self.tg_setup(desk_vocab, toy_records)
+        gelu_inputs = []
+        gelu = ad.gelu
+
+        def recording_gelu(a):
+            gelu_inputs.append(weakref.ref(a.data))
+            return gelu(a)
+
+        monkeypatch.setattr(ad, "gelu", recording_gelu)
+        total, _ = training.tg_batch_loss(params, batch, config, True, [1, 2])
+        assert len(gelu_inputs) == 2 and all(ref() is not None for ref in gelu_inputs)
+        total.backward()
+        assert all(ref() is None for ref in gelu_inputs)
+        assert total._parents == () and total.grad is None
+        # stage 2 reaches every parameter but the length head
+        untouched = {name for name, t in params.tensors.items() if t.grad is None}
+        assert untouched == {"length_head.weight", "length_head.bias"}
+
+    def test_adopted_gradients_equal_copied_ones(self, desk_vocab, toy_records, monkeypatch):
+        params, config, batch = self.tg_setup(desk_vocab, toy_records)
+
+        def gradients():
+            params.zero_grads()
+            total, _ = training.tg_batch_loss(params, batch, config, True, [1, 2])
+            total.backward()
+            return {name: t.grad for name, t in params.tensors.items() if t.grad is not None}
+
+        adopted = gradients()
+        accumulate = ad.Tensor.accumulate
+        monkeypatch.setattr(ad.Tensor, "accumulate",
+                            lambda node, grad, owned=False: accumulate(node, grad))
+        copied = gradients()
+        assert len(adopted) > 10 and adopted.keys() == copied.keys()
+        assert all(np.array_equal(adopted[name], copied[name]) for name in adopted)
+
+    def test_second_backward_through_a_released_graph_raises(self, desk_vocab, toy_records):
+        params, config, batch = self.tg_setup(desk_vocab, toy_records)
+        hidden = model.forward(params, batch[0].masked.input_ids, True, 5)
+        first = ad.sum_all(hidden)
+        second = ad.sum_all(ad.mul(hidden, hidden))
+        first.backward()
+        with pytest.raises(GraphReleased):
+            second.backward()
+        with pytest.raises(GraphReleased):
+            first.backward()
+
+    def test_validation_records_no_tape(self, desk_vocab, toy_records, monkeypatch):
+        taped = []
+        forward = model.forward
+
+        def recording_forward(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            taped.append(out._backward is not None)
+            return out
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        records = [dataclasses.replace(r, split="validation") if i % 4 == 0 else r
+                   for i, r in enumerate(toy_records[:12])]
+        config = tiny_train_config(max_epochs=1, batch_size=4)
+        training.pretrain(config, tiny_model(desk_vocab), records, desk_vocab)
+        # three training batches record a tape, the validation batch none
+        assert taped == [True, True, True, False]
