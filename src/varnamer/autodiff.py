@@ -15,6 +15,15 @@ An op may overwrite only arrays it allocated itself: never an input's
 rewritten kernels keep the same floating-point operations in the same
 association order as the plain expressions, so results are bit-identical.
 
+What an op keeps for its backward: its parents' data (alive anyway as
+the parents), boolean patterns, per-row statistics, and only those other
+arrays it cannot rebuild cheaply. Dropout keeps its keep pattern, not the
+float mask; ``gelu`` recomputes tanh in row blocks; ``layer_norm`` keeps
+the per-row mean and 1/std and rebuilds the normalized rows;
+``packed_attention`` keeps the probabilities (rebuilding them would cost a
+matrix product) but rebuilds their dropout mask and masked copy. A rebuilt
+array repeats the forward's operations, so it is bit-identical.
+
 Tape lifetime: ``backward`` runs the nodes in reverse topological order
 and releases each non-leaf node as soon as its backward closure has run:
 the node drops its ``.grad``, its closure (and with it the arrays the
@@ -26,9 +35,12 @@ A gradient array an op allocated for one parent alone (``linear``,
 ``gelu``, ``layer_norm``, ``take``, ``softmax``, ``dropout``,
 ``packed_attention``, the elementwise ops, ...) is handed over with
 ``accumulate(..., owned=True)``, and the parent adopts it as its first
-gradient without a copy. An array the op does not own is copied: the
-incoming gradient that ``add``, ``transpose`` and ``reshape`` pass on, or
-an array handed to two parents. Inside ``with no_grad():`` ops record no
+gradient without a copy. ``add``, ``transpose`` and ``reshape`` hand their
+incoming gradient (or a view of it) to one parent the same way. That is
+safe because only ``backward`` calls ``_backward``, and it releases the
+node's ``.grad`` right after, so the parent is the array's one holder.
+An array handed to a second parent is copied, also in ``add(x, x)``,
+where one tensor is both parents. Inside ``with no_grad():`` ops record no
 tape: their results have no parents and no backward, so nothing is kept
 for a backward pass. The flag is a context variable, so it holds only in
 the thread (and context) that entered the block.
@@ -58,6 +70,9 @@ from .errors import GraphReleased
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _GELU_A3 = 3.0 * _GELU_A
+# Rows of GELU's input per block of its backward: the block's three
+# temporaries stay small beside the one full-size gradient.
+_GELU_BLOCK_ROWS = 64
 
 # False inside ``no_grad``; a context variable, so per thread.
 _recording = contextvars.ContextVar("autodiff_recording", default=True)
@@ -172,8 +187,10 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
-        a.accumulate(_unbroadcast(g, a.data.shape))
-        b.accumulate(_unbroadcast(g, b.data.shape))
+        # a adopts g uncopied, except in add(x, x); b gets a copy of g
+        a.accumulate(_unbroadcast(g, a.data.shape), owned=b is not a)
+        gb = _unbroadcast(g, b.data.shape)
+        b.accumulate(gb, owned=gb is not g)
 
     return _node(out_data, (a, b), backward)
 
@@ -229,7 +246,7 @@ def transpose(a, axes: tuple[int, ...]) -> Tensor:
     inverse = np.argsort(axes)
 
     def backward(g):
-        a.accumulate(np.transpose(g, inverse))
+        a.accumulate(np.transpose(g, inverse), owned=True)
 
     return _node(np.transpose(a.data, axes), (a,), backward)
 
@@ -239,7 +256,7 @@ def reshape(a, shape) -> Tensor:
     original = a.data.shape
 
     def backward(g):
-        a.accumulate(g.reshape(original))
+        a.accumulate(g.reshape(original), owned=True)
 
     return _node(a.data.reshape(shape), (a,), backward)
 
@@ -373,34 +390,46 @@ def softplus(a) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def gelu(a) -> Tensor:
-    """GELU with the tanh approximation."""
-    a = as_tensor(a)
-    x = a.data
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(c * (x + a*x^3)), in a new array."""
     t = x * x
     t *= _GELU_A
     t *= x
     t += x
     t *= _GELU_C
-    np.tanh(t, out=t)                   # tanh(c * (x + a*x^3))
+    return np.tanh(t, out=t)
+
+
+def gelu(a) -> Tensor:
+    """GELU with the tanh approximation, on an input with at least one
+    axis. Keeps nothing but its input: the backward recomputes tanh
+    ``_GELU_BLOCK_ROWS`` rows (along axis 0) at a time, so the gradient is
+    its only full-size array."""
+    a = as_tensor(a)
+    x = a.data
+    t = _gelu_tanh(x)
+    t += 1.0
     out_data = 0.5 * x
-    out_data *= 1.0 + t
+    out_data *= t
 
     def backward(g):
-        # x*x is recomputed rather than kept: one array less to allocate
-        # and hold between the passes.
-        d_inner = x * x
-        d_inner *= _GELU_A3
-        d_inner += 1.0
-        d_inner *= _GELU_C
-        grad = t * t
-        np.subtract(1.0, grad, out=grad)
-        grad *= 0.5 * x
-        grad *= d_inner
-        np.add(t, 1.0, out=d_inner)
-        d_inner *= 0.5
-        grad += d_inner
-        grad *= g
+        grad = np.empty_like(x)
+        for start in range(0, len(x), _GELU_BLOCK_ROWS):
+            rows = slice(start, start + _GELU_BLOCK_ROWS)
+            xb, out = x[rows], grad[rows]
+            t = _gelu_tanh(xb)
+            d_inner = xb * xb
+            d_inner *= _GELU_A3
+            d_inner += 1.0
+            d_inner *= _GELU_C
+            np.multiply(t, t, out=out)
+            np.subtract(1.0, out, out=out)
+            out *= 0.5 * xb
+            out *= d_inner
+            np.add(t, 1.0, out=d_inner)
+            d_inner *= 0.5
+            out += d_inner
+            out *= g[rows]
         a.accumulate(grad, owned=True)
 
     return _node(out_data, (a,), backward)
@@ -424,10 +453,13 @@ def softmax(a) -> Tensor:
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+    Keeps the per-row mean and 1/std; the backward rebuilds the
+    normalized rows from them."""
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
     x = a.data
-    xhat = x - x.mean(axis=-1, keepdims=True)
+    mean = x.mean(axis=-1, keepdims=True)
+    xhat = x - mean
     out_data = xhat * xhat
     inv = out_data.mean(axis=-1, keepdims=True)     # the variance, then 1/std
     inv += eps
@@ -438,6 +470,8 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     out_data += bias.data
 
     def backward(g):
+        xhat = x - mean
+        xhat *= inv
         dxhat = g * gain.data
         tmp = dxhat * xhat
         mean_dx_xhat = tmp.mean(axis=-1, keepdims=True)
@@ -455,26 +489,38 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     return _node(out_data, (a, gain, bias), backward)
 
 
-def dropout(a, rate: float, rng: np.random.Generator, mask=None) -> Tensor:
-    """Inverted dropout; the mask is a constant w.r.t. differentiation.
+def dropout(a, rate: float, rng: np.random.Generator, keep=None, scale=None) -> Tensor:
+    """Inverted dropout: ``a * (keep * scale)``, the mask a constant w.r.t.
+    differentiation.
 
-    ``mask`` (shaped like ``a``) replaces the draw from ``rng``, for callers
-    that draw their masks piecewise: 0 where dropped, ``1 / (1 - rate)``
-    where kept, and 1 in rows that skip dropout.
+    ``keep`` (a boolean pattern shaped like ``a``) replaces the draw
+    ``rng.random(a.shape) >= rate``, for callers that draw their patterns
+    piecewise. ``scale`` is a scalar or an ``(N, 1)`` column in ``a``'s
+    dtype, by default ``1 / (1 - rate)``; a column gives rows that skip
+    dropout (all kept) a scale of 1. Only the booleans are kept; both
+    passes rebuild the mask from them.
     """
     if rate <= 0.0:
         return as_tensor(a)
     a = as_tensor(a)
-    if mask is None:
-        mask = np.divide(rng.random(a.data.shape) >= rate, 1.0 - rate, dtype=a.data.dtype)
+    dtype = a.data.dtype
+    if keep is None:
+        keep = rng.random(a.data.shape) >= rate
+    if scale is None:
+        scale = np.divide(1.0, 1.0 - rate, dtype=dtype)
+    out_data = np.multiply(keep, scale, dtype=dtype)
+    out_data *= a.data
 
     def backward(g):
-        a.accumulate(g * mask, owned=True)
+        grad = np.multiply(keep, scale, dtype=dtype)
+        grad *= g
+        a.accumulate(grad, owned=True)
 
-    return _node(a.data * mask, (a,), backward)
+    return _node(out_data, (a,), backward)
 
 
-def packed_attention(q, k, v, offsets, heads: int, queries=None, masks=None) -> Tensor:
+def packed_attention(q, k, v, offsets, heads: int, queries=None, keeps=None,
+                     scale=None) -> Tensor:
     """Multi-head scaled dot-product attention within each sequence of a pack.
 
     ``k`` and ``v`` are ``(N, d)`` row blocks holding the pack's sequences
@@ -483,8 +529,11 @@ def packed_attention(q, k, v, offsets, heads: int, queries=None, masks=None) -> 
     crosses a sequence boundary. ``q`` has k's row layout when ``queries``
     is None; otherwise it is ``(M, d)`` and ``queries[i]`` lists the rows
     of ``q`` that belong to sequence ``i`` (each row of ``q`` to exactly
-    one sequence). ``masks[i]``, shaped ``(heads, m_i, n_i)`` or None,
-    multiplies sequence ``i``'s attention probabilities (inverted dropout).
+    one sequence). ``keeps[i]``, a boolean ``(heads, m_i, n_i)`` pattern or
+    None, drops sequence ``i``'s attention probabilities (inverted
+    dropout): they are multiplied by the mask ``keeps[i] * scale``, with
+    ``scale`` a scalar in q's dtype. Only the pattern is kept; the backward
+    rebuilds the mask and the masked probabilities.
     Returns the ``(M, d)`` context rows, heads concatenated.
 
     Per sequence this runs the same array operations, in the same order,
@@ -492,6 +541,7 @@ def packed_attention(q, k, v, offsets, heads: int, queries=None, masks=None) -> 
     the head transposes, so a one-sequence pack is bit-identical to it.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    dtype = q.data.dtype
     width = q.data.shape[1]
     head_dim = width // heads
     inv_sqrt = 1.0 / math.sqrt(head_dim)
@@ -512,23 +562,29 @@ def packed_attention(q, k, v, offsets, heads: int, queries=None, masks=None) -> 
         y -= y.max(axis=-1, keepdims=True)
         np.exp(y, out=y)
         y /= y.sum(axis=-1, keepdims=True)
-        mask = None if masks is None else masks[i]
-        dropped = y if mask is None else y * mask
+        keep = None if keeps is None else keeps[i]
+        dropped = y
+        if keep is not None:
+            dropped = np.multiply(keep, scale, dtype=dtype)
+            dropped *= y
         context = dropped @ vh                           # (heads, m, head_dim)
         out_data[mine] = np.transpose(context, (1, 0, 2)).reshape(m, width)
-        saved.append((mine, keys, qh, kh, vh, y, mask, dropped))
+        saved.append((mine, keys, qh, kh, vh, y, keep))
 
     def backward(g):
         gq = np.zeros_like(q.data, dtype=g.dtype)
         gk = np.zeros_like(k.data, dtype=g.dtype)
         gv = np.zeros_like(v.data, dtype=g.dtype)
-        for mine, keys, qh, kh, vh, y, mask, dropped in saved:
+        for mine, keys, qh, kh, vh, y, keep in saved:
             m, n = qh.shape[1], kh.shape[1]
             g_context = np.transpose(g[mine].reshape(m, heads, head_dim), (1, 0, 2))
             g_probs = g_context @ np.swapaxes(vh, -1, -2)
+            dropped = y
+            if keep is not None:
+                dropped = np.multiply(keep, scale, dtype=dtype)     # the mask
+                g_probs *= dropped
+                dropped *= y
             g_vh = np.swapaxes(dropped, -1, -2) @ g_context
-            if mask is not None:
-                g_probs *= mask
             g_scores = g_probs * y                       # softmax backward
             dot = g_scores.sum(axis=-1, keepdims=True)
             np.subtract(g_probs, dot, out=g_scores)

@@ -143,8 +143,7 @@ def loss_suite(params, example, tau: float = 0.05) -> dict[str, object]:
     lengths, which runs as one pack of six sequences."""
     from . import masking
     from .bpe import NUM
-    from .training import (TrainConfig, cmlm_example_loss, lp_example_loss,
-                           tg_batch_loss, tg_example_loss)
+    from .training import TrainConfig, cmlm_batch_loss, lp_batch_loss, tg_batch_loss
 
     # The [NUM] scheme puts one placeholder where the toy's single mask group is.
     (group,) = example.masked.mask_positions
@@ -156,13 +155,13 @@ def loss_suite(params, example, tau: float = 0.05) -> dict[str, object]:
 
     def tg_fn(**weights):
         config = TrainConfig(tau=tau, dropout=0.0, **weights)
-        return lambda p: tg_example_loss(p, example, config, False, 0)[0]
+        return lambda p: tg_batch_loss(p, [example], config, False, [0])[0]
 
     def cmlm_fn(p):
-        return cmlm_example_loss(p, example.masked, False, 0)
+        return cmlm_batch_loss(p, [example.masked], False, [0])
 
     def lp_fn(p):
-        return lp_example_loss(p, num_example, False, 0)
+        return lp_batch_loss(p, [num_example], False, [0])
 
     def batch_fn(p):
         return tg_batch_loss(p, batch, TrainConfig(tau=tau, dropout=0.0), False, [0, 0])[0]

@@ -6,7 +6,14 @@ Fresh parameters are float64; training computes in float32 on rounded
 copies of float64 master weights and hands back the masters (see
 ``training``); a model read from a checkpoint computes in float32, the
 precision it was stored in (see the dtype rule in ``autodiff``). The
-encoder computes in its parameters' dtype, dropout masks included.
+encoder computes in its parameters' dtype, dropout scales included.
+
+Dropout is handed to ``autodiff`` as boolean keep patterns and a scale,
+``1 / (1 - rate)`` divided in the parameters' dtype, so that
+``keep * scale`` is the float mask; the ops keep only the booleans. In a
+pack, the rows of a sequence without a dropout seed keep every entry at
+scale 1 (the scale is an ``(N, 1)`` column), so they pass unchanged, and
+that sequence gets no attention pattern.
 
 ``forward`` encodes a pack: one or more CLS...SEP sequences stored back to
 back as one ``(ΣS, d)`` row block, so that embeddings, every projection,
@@ -258,33 +265,36 @@ def forward(
         raise ValueError(f"{len(seeds)} dropout seeds for {lengths.size} sequences")
     rngs = [np.random.default_rng(s) if rate > 0 and s is not None else None for s in seeds]
     dropping = any(rng is not None for rng in rngs)
-    dtype = params.dtype        # of the activations, and so of the masks
+    dtype = params.dtype        # of the activations, and so of the scales
+    scale = row_scale = None
+    if dropping:
+        scale = np.divide(1.0, 1.0 - rate, dtype=dtype)
+        row_scale = np.repeat(np.array([1 if rng is None else scale for rng in rngs], dtype),
+                              lengths)[:, None]
 
     def drop(x: Tensor, last: bool) -> Tensor:
         """Dropout on ``(rows, d)`` activations, each sequence's full-size
-        mask drawn from its own generator, as its own pass would draw it."""
+        pattern drawn from its own generator, as its own pass would draw it."""
         if not dropping:
             return x
         width = x.shape[1]
-        mask = np.concatenate([
-            np.divide(rng.random((n, width)) >= rate, 1.0 - rate, dtype=dtype)
-            if rng is not None else np.ones((n, width), dtype)
+        keep = np.concatenate([
+            rng.random((n, width)) >= rate if rng is not None else np.ones((n, width), bool)
             for rng, n in zip(rngs, lengths)])
-        return ad.dropout(x, rate, None, mask=mask[rows] if last else mask)
+        if last:
+            return ad.dropout(x, rate, None, keep[rows], row_scale[rows])
+        return ad.dropout(x, rate, None, keep, row_scale)
 
-    def attention_masks(last: bool):
+    def attention_keeps(last: bool):
         if not dropping:
             return None
-        masks = []
+        keeps = []
         for i, (rng, n) in enumerate(zip(rngs, lengths)):
-            if rng is None:
-                masks.append(None)
-                continue
-            keep = rng.random((heads, n, n)) >= rate
-            if last:
+            keep = None if rng is None else rng.random((heads, n, n)) >= rate
+            if keep is not None and last:
                 keep = np.take(keep, rows[queries[i]] - offsets[i], axis=1)
-            masks.append(np.divide(keep, 1.0 - rate, dtype=dtype))
-        return masks
+            keeps.append(keep)
+        return keeps
 
     positions = np.arange(total) - np.repeat(offsets[:-1], lengths)
     x = ad.add(ad.take(params["token_embedding"], arr),
@@ -301,7 +311,7 @@ def forward(
         k = _project(params, f"{p}.attention.key", x)
         v = _project(params, f"{p}.attention.value", x)
         context = ad.packed_attention(q, k, v, offsets, heads,
-                                      queries if last else None, attention_masks(last))
+                                      queries if last else None, attention_keeps(last), scale)
         attn_out = drop(_project(params, f"{p}.attention.output", context), last)
         x = ad.layer_norm(ad.add(xq, attn_out),
                           params[f"{p}.attention_norm.scale"],

@@ -325,21 +325,6 @@ def tg_batch_loss(params: ModelParams, examples: list[TgExample], config: TrainC
     return total, parts
 
 
-def cmlm_example_loss(params: ModelParams, example: masking.MaskedExample,
-                      train_mode: bool, dropout_seed: int) -> Tensor:
-    return cmlm_batch_loss(params, [example], train_mode, [dropout_seed])
-
-
-def lp_example_loss(params: ModelParams, example: masking.MaskedExample,
-                    train_mode: bool, dropout_seed: int) -> Tensor:
-    return lp_batch_loss(params, [example], train_mode, [dropout_seed])
-
-
-def tg_example_loss(params: ModelParams, example: TgExample, config: TrainConfig,
-                    train_mode: bool, dropout_seed: int) -> tuple[Tensor, dict[str, float]]:
-    return tg_batch_loss(params, [example], config, train_mode, [dropout_seed])
-
-
 # --- generic loop ------------------------------------------------------------
 
 @dataclass

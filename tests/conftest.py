@@ -1,3 +1,4 @@
+import ctypes
 import os
 import sys
 from pathlib import Path
@@ -14,11 +15,31 @@ import toycorpus  # noqa: E402
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def pytest_report_header(config):
+def _openblas_threads() -> str:
+    """The thread count numpy's bundled OpenBLAS uses, or ``unknown``."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return "unknown"
+    get.argtypes, get.restype = [], ctypes.c_int
+    return str(get())
+
+
+def numeric_setting() -> str:
     """The numeric setting the bit-level and acceptance gates depend on
     (a GEMM's summation order follows the BLAS thread count)."""
     threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS)
-    return f"numpy {np.__version__}; {threads}"
+    return f"numpy {np.__version__}; {threads}; OpenBLAS threads {_openblas_threads()}"
+
+
+def pytest_report_header(config):
+    return numeric_setting()
+
+
+def pytest_terminal_summary(terminalreporter):
+    # the report header is hidden under -q; this line is not
+    terminalreporter.write_line(f"numeric setting: {numeric_setting()}")
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ and any disagreement beyond 1e-6 is a genuine bug, not noise.
 import inspect
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,12 +144,13 @@ class TestPackedAttention:
         rows = [1, 4, 4, 0]
         queries = [np.array([0, 3]), np.array([1, 2])]
         rng = np.random.default_rng(8)
-        masks = [None, (rng.random((2, 2, 5)) >= 0.3) / 0.7]
+        keeps = [None, rng.random((2, 2, 5)) >= 0.3]
         weight = rng.normal(size=(4, 4))
 
         def build(x, k, v):
             q = ad.take(x, rows)
-            return ad.mul(ad.packed_attention(q, k, v, self.OFFSETS, 2, queries, masks), weight)
+            out = ad.packed_attention(q, k, v, self.OFFSETS, 2, queries, keeps, 1 / 0.7)
+            return ad.mul(out, weight)
 
         fd_check(build, (8, 4), (8, 4), (8, 4))
 
@@ -230,7 +232,7 @@ OP_CASES = {
     "packed_attention": (
         lambda q, k, v: ad.packed_attention(
             q, k, v, [0, 3, 7], 2, [np.array([0, 3]), np.array([1, 2, 4])],
-            [None, np.full((2, 3, 4), 2.0)]),
+            [None, np.arange(24).reshape(2, 3, 4) % 3 != 0], 2.0),
         [(5, 4), (7, 4), (7, 4)], False),
     "l2_normalize": (lambda a: ad.l2_normalize(a), [(5,)], True),
     "dot": (lambda a, b: ad.dot(a, b), [(7,), (7,)], False),
@@ -422,28 +424,57 @@ def ref_linear(x, w, b, g):
     return out.data, [t.grad for t in tensors]
 
 
-def ref_attention(q, k, v, g, heads=2):
+def ref_attention(q, k, v, g, heads=2, mask=None):
     """The unfused graph of one sequence's attention, as the encoder built
-    it from matmul, scale, softmax and the head transposes."""
+    it from matmul, scale, softmax, a float dropout mask and the head
+    transposes."""
     tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in (q, k, v)]
     (m, width), n = q.shape, k.shape[0]
     hq, hk, hv = (ad.transpose(ad.reshape(t, (rows, heads, width // heads)), (1, 0, 2))
                   for t, rows in zip(tensors, (m, n, n)))
     scores = ad.scale(ad.matmul(hq, ad.transpose(hk, (0, 2, 1))), 1.0 / math.sqrt(width // heads))
-    context = ad.matmul(ad.softmax(scores), hv)
+    probs = ad.softmax(scores)
+    if mask is not None:
+        probs = ad.mul(probs, mask)
+    context = ad.matmul(probs, hv)
     out = ad.reshape(ad.transpose(context, (1, 0, 2)), (m, width))
     ad.sum_all(ad.mul(out, g)).backward()
     return out.data, [t.grad for t in tensors]
+
+
+# Dropout at rate 0.3 on 9 rows, as the encoder applies it to a pack: rows
+# of sequences with dropout (row % 3 != 1) keep a random pattern at scale
+# 1 / 0.7; the others keep everything at scale 1.
+_DROP_ROWS = np.arange(9) % 3 != 1
+_DROP_KEEP = (np.random.default_rng(11).random((9, 16)) >= 0.3) | ~_DROP_ROWS[:, None]
+_DROP_SCALE = np.where(_DROP_ROWS, np.divide(1.0, 0.7), 1.0)[:, None]
+_ATTENTION_KEEP = np.random.default_rng(12).random((2, 9, 9)) >= 0.3
+
+
+def ref_dropout(x, g):
+    """The float mask the encoder used to build: ``keep / (1 - rate)`` in
+    rows with dropout, ones elsewhere."""
+    mask = np.where(_DROP_ROWS[:, None], np.divide(_DROP_KEEP, 0.7), 1.0)
+    return x * mask, [g * mask]
 
 
 BIT_CASES = {
     "softmax-2d": (ad.softmax, ref_softmax, [(9, 40)]),
     "softmax-3d": (ad.softmax, ref_softmax, [(4, 7, 33)]),
     "gelu": (ad.gelu, ref_gelu, [(7, 64)]),
+    # taller than one block of the backward's tanh recomputation
+    "gelu-blocks": (ad.gelu, ref_gelu, [(2 * ad._GELU_BLOCK_ROWS + 5, 16)]),
     "layer_norm": (ad.layer_norm, ref_layer_norm, [(7, 48), (48,), (48,)]),
     "linear": (ad.linear, ref_linear, [(7, 32), (32, 24), (24,)]),
+    "dropout": (lambda a: ad.dropout(a, 0.3, None, _DROP_KEEP, _DROP_SCALE),
+                ref_dropout, [(9, 16)]),
     "packed_attention": (lambda q, k, v: ad.packed_attention(q, k, v, [0, 9], 2),
                          ref_attention, [(9, 8), (9, 8), (9, 8)]),
+    "packed_attention-dropout": (
+        lambda q, k, v: ad.packed_attention(q, k, v, [0, 9], 2, None, [_ATTENTION_KEEP],
+                                            np.divide(1.0, 0.7)),
+        lambda q, k, v, g: ref_attention(q, k, v, g, mask=np.divide(_ATTENTION_KEEP, 0.7)),
+        [(9, 8), (9, 8), (9, 8)]),
 }
 
 
@@ -463,3 +494,155 @@ def test_kernel_bit_identical_to_plain_formula(name, seed):
     assert len(expected_grads) == len(tensors)
     for t, expected in zip(tensors, expected_grads):
         assert np.array_equal(t.grad, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.1, 0.15, 0.5])
+def test_dropout_scale_rounds_like_the_float_mask(dtype, rate):
+    # 1 / (1 - rate) rounded from float64 can differ from the division in
+    # dtype (it does for float32 at rate 0.15); the mask is the latter.
+    x = np.random.default_rng(3).normal(size=(6, 7)).astype(dtype)
+    out = ad.dropout(ad.Tensor(x), rate, np.random.default_rng(4))
+    mask = np.divide(np.random.default_rng(4).random(x.shape) >= rate, 1.0 - rate, dtype=dtype)
+    assert out.data.dtype == dtype and np.array_equal(out.data, x * mask)
+
+
+# --- what a node keeps for its backward ---------------------------------------
+
+def closure_arrays(node):
+    """Every array a node's backward closure holds, through lists and tuples."""
+    found, stack = [], [cell.cell_contents for cell in node._backward.__closure__]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+    return found
+
+
+def rebuildable(node):
+    """The float arrays a node keeps that are neither a view of a parent's
+    data nor a per-row statistic (last axis 1), nor a boolean pattern."""
+    return [arr for arr in closure_arrays(node)
+            if arr.dtype.kind == "f" and arr.shape[-1:] != (1,)
+            and not any(np.shares_memory(arr, p.data) for p in node._parents)]
+
+
+class TestSavedForBackward:
+    """Train-mode nodes on float32 inputs keep only what their backward
+    cannot rebuild cheaply."""
+
+    @staticmethod
+    def tensor(*shape, seed=0):
+        data = np.random.default_rng(seed).normal(size=shape).astype(np.float32)
+        return ad.Tensor(data, requires_grad=True)
+
+    def test_gelu_keeps_only_its_input(self):
+        assert rebuildable(ad.gelu(self.tensor(10, 8))) == []
+
+    def test_layer_norm_keeps_row_statistics(self):
+        x = self.tensor(10, 8)
+        node = ad.layer_norm(x, self.tensor(8, seed=1), self.tensor(8, seed=2))
+        assert rebuildable(node) == []
+        assert sorted(arr.shape for arr in closure_arrays(node) if arr is not x.data) \
+            == [(10, 1), (10, 1)]
+
+    def test_dropout_keeps_a_boolean_pattern(self):
+        keep = np.arange(80).reshape(10, 8) % 3 != 0
+        scale = np.where(np.arange(10) < 6, np.float32(2.0), np.float32(1.0))[:, None]
+        node = ad.dropout(self.tensor(10, 8), 0.5, None, keep, scale)
+        assert rebuildable(node) == []
+        assert [arr.dtype for arr in closure_arrays(node) if arr.shape == (10, 8)] == [bool]
+
+    def test_packed_attention_keeps_probabilities_and_patterns(self):
+        q, k, v = (self.tensor(8, 4, seed=s) for s in range(3))
+        keeps = [None, np.random.default_rng(3).random((2, 5, 5)) >= 0.5]
+        node = ad.packed_attention(q, k, v, [0, 3, 8], 2, None, keeps, np.float32(2.0))
+        kept = rebuildable(node)
+        # one probability array per sequence, unmasked: its rows sum to 1
+        assert sorted(arr.shape for arr in kept) == [(2, 3, 3), (2, 5, 5)]
+        for probs in kept:
+            np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=1e-6)
+        assert [arr.dtype for arr in closure_arrays(node) if arr.shape == (2, 5, 5)
+                and arr.dtype != np.float32] == [bool]
+
+
+def test_gelu_backward_peak_is_its_gradient_plus_blocks():
+    rows, width = 8 * ad._GELU_BLOCK_ROWS + 3, 256
+    x = TestSavedForBackward.tensor(rows, width)
+    out = ad.gelu(x)
+    g = np.ones((rows, width), np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    full = rows * width * 4
+    block = ad._GELU_BLOCK_ROWS * width * 4
+    # the gradient, three block-sized temporaries and some slack
+    assert x.grad.nbytes == full and peak <= full + 3 * block + 64 * 1024
+
+
+# --- gradients handed over uncopied --------------------------------------------
+
+def two_consumers(x):
+    """h feeds a transpose and a reshape; add copies for its second parent."""
+    h = ad.reshape(x, (4, 3))
+    return ad.add(ad.transpose(h, (1, 0)), ad.reshape(h, (3, 4)))
+
+
+HAND_OFF_CASES = {
+    # (build from a (3, 4) input, first gradients copied rather than adopted)
+    "add(x, x)": (lambda x: ad.add(x, x), 1),
+    "two consumers": (two_consumers, 1),
+    "transpose-reshape": (
+        lambda x: ad.reshape(ad.transpose(ad.reshape(x, (3, 2, 2)), (1, 0, 2)), (2, 6)), 0),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(HAND_OFF_CASES))
+def test_hand_off_matches_copying_code(name, dtype, monkeypatch):
+    build, expected_copies = HAND_OFF_CASES[name]
+    rng = np.random.default_rng(9)
+    data = rng.normal(size=(3, 4)).astype(dtype)
+    weight = rng.normal(size=12).astype(dtype)
+    accumulate = ad.Tensor.accumulate
+
+    def run(copy_all):
+        copies = []
+
+        def counting(node, grad, owned=False):
+            owned = owned and not copy_all
+            if node.grad is None and np.ndim(grad) > 0 and not owned:
+                copies.append(grad.shape)
+            accumulate(node, grad, owned)
+
+        monkeypatch.setattr(ad.Tensor, "accumulate", counting)
+        x = ad.Tensor(data.copy(), requires_grad=True)
+        out = build(x)
+        # every closure must leave the gradient it is handed as it was
+        nodes, stack = [], [out]
+        while stack:
+            node = stack.pop()
+            if node._backward is not None and node not in nodes:
+                nodes.append(node)
+                stack.extend(node._parents)
+        for node in nodes:
+            def watched(g, closure=node._backward):
+                before = g.copy()
+                closure(g)
+                assert np.array_equal(g, before)
+            node._backward = watched
+        ad.sum_all(ad.mul(out, weight.reshape(out.shape))).backward()
+        monkeypatch.setattr(ad.Tensor, "accumulate", accumulate)
+        return x.grad, copies
+
+    grad, copies = run(copy_all=False)
+    reference, _ = run(copy_all=True)
+    assert grad.dtype == dtype and np.array_equal(grad, reference)
+    # sum_all and mul allocate theirs; add, transpose and reshape pass theirs on
+    assert len(copies) == expected_copies

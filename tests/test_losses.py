@@ -205,13 +205,13 @@ class TestClLoss:
 
 
 class TestFineTuneLoss:
-    """The stage-2 loss, ``training.tg_example_loss``, on the toy example."""
+    """The stage-2 loss, ``training.tg_batch_loss``, on the toy example alone."""
 
     @staticmethod
     def _loss(**weights):
         params, example = gradcheck.toy_model()
         config = training.TrainConfig(dropout=0.0, **weights)
-        total, parts = training.tg_example_loss(params, example, config, False, 0)
+        total, parts = training.tg_batch_loss(params, [example], config, False, [0])
         return total.item(), parts, config, params, example
 
     def test_all_zero_weights(self):
@@ -221,7 +221,7 @@ class TestFineTuneLoss:
 
     def test_cmlm_only_matches_exactly(self):
         value, _, _, params, example = self._loss(lambda_bot=0.0, lambda_cl=0.0)
-        assert value == training.cmlm_example_loss(params, example.masked, False, 0).item()
+        assert value == training.cmlm_batch_loss(params, [example.masked], False, [0]).item()
 
     def test_weighted_sum_matches_hand_computation(self):
         value, parts, config, *_ = self._loss(lambda_cmlm=1.0, lambda_bot=0.1,

@@ -205,17 +205,21 @@ def packs(draw):
 
 def recording_masks(fn):
     """Call ``fn`` and return its result with the dropout masks the encoder
-    handed to ``dropout`` and ``packed_attention``, in call order."""
+    handed to ``dropout`` and ``packed_attention``, in call order, each
+    rebuilt in float from its boolean keep pattern and scale."""
     seen = {"dropout": [], "attention": []}
     dropout, attention = ad.dropout, ad.packed_attention
 
-    def record_dropout(a, rate, rng, mask=None):
-        seen["dropout"].append(mask)
-        return dropout(a, rate, rng, mask)
+    def record_dropout(a, rate, rng, keep=None, scale=None):
+        assert keep.dtype == bool
+        seen["dropout"].append(keep * scale)
+        return dropout(a, rate, rng, keep, scale)
 
-    def record_attention(q, k, v, offsets, heads, queries=None, masks=None):
-        seen["attention"].append(masks)
-        return attention(q, k, v, offsets, heads, queries, masks)
+    def record_attention(q, k, v, offsets, heads, queries=None, keeps=None, scale=None):
+        assert all(keep is None or keep.dtype == bool for keep in keeps or ())
+        seen["attention"].append(
+            None if keeps is None else [None if keep is None else keep * scale for keep in keeps])
+        return attention(q, k, v, offsets, heads, queries, keeps, scale)
 
     ad.dropout, ad.packed_attention = record_dropout, record_attention
     try:

@@ -245,11 +245,13 @@ class TestRowRestrictedLosses:
         cases = []
         for train_mode in (False, True):
             for seed, ex in enumerate(tg_examples):
-                cases.append((training.cmlm_example_loss, ex.masked, train_mode, seed))
-                cases.append((lambda p, e, t, s: training.tg_example_loss(p, e, tc, t, s)[0],
+                cases.append((lambda p, e, t, s: training.cmlm_batch_loss(p, [e], t, [s]),
+                              ex.masked, train_mode, seed))
+                cases.append((lambda p, e, t, s: training.tg_batch_loss(p, [e], tc, t, [s])[0],
                               ex, train_mode, seed))
             for seed, ex in enumerate(num_examples):
-                cases.append((training.lp_example_loss, ex, train_mode, seed))
+                cases.append((lambda p, e, t, s: training.lp_batch_loss(p, [e], t, [s]),
+                              ex, train_mode, seed))
         return cases
 
     @staticmethod
@@ -458,12 +460,21 @@ def float32_copy(params):
 class TestFloat32Training:
     def test_train_mode_tg_batch_stays_float32(self, desk_vocab, toy_records, monkeypatch):
         params = float32_copy(tiny_model(desk_vocab, num_layers=2, dropout=0.1))
-        mask_dtypes = []
-        attention = ad.packed_attention
+        # each op rebuilds its float masks as keep * scale
+        keep_dtypes, mask_dtypes = [], []
+        attention, dropout = ad.packed_attention, ad.dropout
 
-        def recording(q, k, v, offsets, heads, queries=None, masks=None):
-            mask_dtypes.extend(m.dtype for m in masks or () if m is not None)
-            return attention(q, k, v, offsets, heads, queries, masks)
+        def recording(q, k, v, offsets, heads, queries=None, keeps=None, scale=None):
+            for keep in keeps or ():
+                if keep is not None:
+                    keep_dtypes.append(keep.dtype)
+                    mask_dtypes.append((keep * scale).dtype)
+            return attention(q, k, v, offsets, heads, queries, keeps, scale)
+
+        def recording_dropout(a, rate, rng, keep=None, scale=None):
+            keep_dtypes.append(keep.dtype)
+            mask_dtypes.append((keep * scale).dtype)
+            return dropout(a, rate, rng, keep, scale)
 
         # backward releases the intermediate gradients, so each one is
         # recorded as it reaches its node
@@ -476,6 +487,7 @@ class TestFloat32Training:
             accumulate(node, grad, owned)
 
         monkeypatch.setattr(ad, "packed_attention", recording)
+        monkeypatch.setattr(ad, "dropout", recording_dropout)
         monkeypatch.setattr(ad.Tensor, "accumulate", recording_accumulate)
         config = tiny_train_config(dropout=0.1)
         examples, _ = training.build_tg_dataset(desk_vocab, toy_records[:12], config)
@@ -490,6 +502,7 @@ class TestFloat32Training:
                 if node.data.ndim > 0 and node.data.dtype != np.float32]
         wide += [dtype for dtype in grad_dtypes if dtype != np.float32]
         assert len(nodes) > 100 and len(grad_dtypes) > 100 and wide == []
+        assert set(keep_dtypes) == {np.dtype(bool)}
         assert mask_dtypes and set(mask_dtypes) == {np.dtype(np.float32)}
 
     @pytest.mark.parametrize("batch_loss", ["cmlm", "lp", "tg"])
