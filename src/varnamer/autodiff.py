@@ -1,36 +1,55 @@
 """Minimal reverse-mode automatic differentiation over dense float arrays.
 
 Just the operations the encoder and its losses need: matmul, the fused
-``linear`` projection (matmul plus bias), broadcast add/mul, softmax, GELU,
-layer norm, dropout, gathers, sigmoid/softplus/log, means, and
-``packed_attention``: multi-head attention over a pack of sequences stored
-back to back as one row block, one node per encoder layer, whose forward
-and backward loop over the sequences so that no softmax crosses a sequence
-boundary. Gradient correctness is enforced by finite-difference checks in
-the test suite; this module is the single differentiation path for
-training.
+``linear`` projection (matmul plus bias), the fused FFN tail
+``gelu_linear``, broadcast add/mul, softmax, GELU, layer norm, dropout,
+gathers, sigmoid/softplus/log, means, and ``packed_attention``: multi-head
+attention over a pack of sequences stored back to back as one row block,
+one node per encoder layer, whose forward and backward loop over the
+sequences so that no softmax crosses a sequence boundary. Gradient
+correctness is enforced by finite-difference checks in the test suite;
+this module is the single differentiation path for training.
 
 An op may overwrite only arrays it allocated itself: never an input's
 ``.data``, nor the gradient array handed to its backward closure. The
 rewritten kernels keep the same floating-point operations in the same
 association order as the plain expressions, so results are bit-identical.
 
-What an op keeps for its backward: its parents' data (alive anyway as
-the parents), boolean patterns, per-row statistics, and only those other
-arrays it cannot rebuild cheaply. Dropout keeps its keep pattern, not the
-float mask; ``gelu`` recomputes tanh in row blocks; ``layer_norm`` keeps
-the per-row mean and 1/std and rebuilds the normalized rows;
-``packed_attention`` keeps the probabilities (rebuilding them would cost a
-matrix product) but rebuilds their dropout mask and masked copy. A rebuilt
-array repeats the forward's operations, so it is bit-identical.
+The tape is made of edges, not tensors. A leaf (a parameter, a constant,
+any result not recorded) is its own tape node and keeps its ``.grad``.
+An op's recorded result is a ``Tensor`` whose ``_edge`` holds what
+backward needs: the gradient slot, the parents' nodes (an edge or a leaf
+each) and the backward closure. ``Tensor.grad``, ``_parents`` and ``_backward`` read
+through to the edge, and ``_backward`` may be replaced there.
 
-Tape lifetime: ``backward`` runs the nodes in reverse topological order
-and releases each non-leaf node as soon as its backward closure has run:
-the node drops its ``.grad``, its closure (and with it the arrays the
-closure saved) and its parents, so an activation is freed once nothing
-upstream still needs it. Leaves (parameters and constants) keep their
-``.grad``. A later ``backward`` that reaches a released node raises
-``GraphReleased``: a graph takes one backward.
+What an op keeps for its backward: its parents' nodes, and in its
+closure only the arrays its backward reads, never a parent ``Tensor``.
+So an output that no backward reads (a gather, a dropout's input or
+output, the sum before a layer norm) lives only as long as the caller's
+variable. Of the arrays read, an op keeps boolean patterns, per-row
+statistics, its inputs (``linear`` keeps ``x`` and ``w``) and only those
+other arrays it cannot rebuild cheaply. Dropout keeps its keep pattern,
+not the float mask; ``gelu`` recomputes tanh in row blocks; ``layer_norm``
+keeps its input and the per-row mean and 1/std and rebuilds the
+normalized rows; ``gelu_linear`` keeps GELU's input, not its output, and
+rebuilds that output for the weight gradient; ``packed_attention`` keeps
+the probabilities (rebuilding them would cost a matrix product) but
+rebuilds their dropout mask and masked copy. A rebuilt array repeats the
+forward's operations, so it is bit-identical.
+
+No reference cycles: an edge never refers to its own ``Tensor`` or to
+itself, and a closure captures only parent nodes and arrays, so the tape
+is a DAG from the result down to the leaves. Reference counting alone
+then frees a graph, and a model, as soon as the last name for it goes,
+without waiting for the cyclic collector.
+
+Tape lifetime: ``backward`` runs the edges in reverse topological order
+and releases each one as soon as its backward closure has run: the edge
+drops its gradient, its closure (and with it the arrays the closure
+saved) and its parents, so an activation is freed once nothing upstream
+still needs it. Leaves keep their ``.grad``. A later ``backward`` that
+reaches a released edge raises ``GraphReleased``: a graph takes one
+backward.
 A gradient array an op allocated for one parent alone (``linear``,
 ``gelu``, ``layer_norm``, ``take``, ``softmax``, ``dropout``,
 ``packed_attention``, the elementwise ops, ...) is handed over with
@@ -38,23 +57,24 @@ A gradient array an op allocated for one parent alone (``linear``,
 gradient without a copy. ``add``, ``transpose`` and ``reshape`` hand their
 incoming gradient (or a view of it) to one parent the same way. That is
 safe because only ``backward`` calls ``_backward``, and it releases the
-node's ``.grad`` right after, so the parent is the array's one holder.
+edge's gradient right after, so the parent is the array's one holder.
 An array handed to a second parent is copied, also in ``add(x, x)``,
 where one tensor is both parents. Inside ``with no_grad():`` ops record no
-tape: their results have no parents and no backward, so nothing is kept
-for a backward pass. The flag is a context variable, so it holds only in
-the thread (and context) that entered the block.
+tape: their results have no edge, so nothing is kept for a backward pass.
+The flag is a context variable, so it holds only in the thread (and
+context) that entered the block.
 
-Dtype rule: a ``Tensor`` keeps float32 data as float32 and turns anything
-else into float64, every op computes in its inputs' dtype, and a node's
-gradient is stored in the node's own dtype. Training computes in float32
-(on float32 copies of float64 master weights, see ``training``); a loaded
-checkpoint serves in its stored float32; fresh parameters and gradient
-checks are float64. So no op of a float32 graph may widen it: mixing in
-a float64 array or non-scalar ``Tensor`` (a constant, a mask) would
-silently turn the rest of the graph float64, and with it the backward.
-Python scalars do not widen, nor do the 0-d float64 loss accumulators
-that only sum float32 terms.
+Dtype rule: a ``Tensor`` keeps float32 data as float32 and turns
+anything else into float64, every op computes in its inputs' dtype, and
+a node's gradient is stored in the node's own dtype: an edge's in its
+result's, a leaf's in that of its ``.data`` when the gradient arrives.
+Training computes in float32 (on float32 copies of float64 master
+weights, see ``training``); a loaded checkpoint serves in its stored
+float32; fresh parameters and gradient checks are float64. So no op of a
+float32 graph may widen it: mixing in a float64 array or non-scalar
+``Tensor`` (a constant, a mask) would silently turn the rest of the
+graph float64, and with it the backward. Python scalars do not widen,
+nor do the 0-d float64 loss accumulators that only sum float32 terms.
 """
 
 from __future__ import annotations
@@ -70,8 +90,8 @@ from .errors import GraphReleased
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _GELU_A3 = 3.0 * _GELU_A
-# Rows of GELU's input per block of its backward: the block's three
-# temporaries stay small beside the one full-size gradient.
+# Rows of GELU's input per block of a rebuild: the block's three
+# temporaries stay small beside the one full-size array being filled.
 _GELU_BLOCK_ROWS = 64
 
 # False inside ``no_grad``; a context variable, so per thread.
@@ -89,26 +109,81 @@ def no_grad():
 
 
 def _released(grad):
-    """The backward of a node whose backward has already run."""
+    """The backward of an edge whose backward has already run."""
     raise GraphReleased("backward reached a node that an earlier backward released")
 
 
-class Tensor:
-    """A node in the computation graph wrapping a float32 or float64 ndarray."""
+class _Edge:
+    """The tape node of an op's recorded result: its gradient slot, its
+    parents' nodes and its backward closure. It refers to no ``Tensor``
+    but leaf parents, so it keeps alive no array its closure does not."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("grad", "dtype", "_parents", "_backward")
+    requires_grad = True
+
+    def __init__(self, dtype: np.dtype, parents: tuple, backward):
+        self.grad: np.ndarray | None = None
+        self.dtype = dtype
+        self._parents = parents
+        self._backward = backward
+
+    def accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        self.grad = _accumulated(self.grad, grad, self.dtype, owned)
+
+
+def _accumulated(total: np.ndarray | None, grad: np.ndarray, dtype: np.dtype,
+                 owned: bool) -> np.ndarray:
+    """``total + grad``, added in place; a first gradient becomes ``total``
+    in ``dtype``, adopted uncopied when ``owned``."""
+    if total is None:
+        return np.asarray(grad, dtype) if owned else np.array(grad, dtype)
+    total += grad
+    return total
+
+
+class Tensor:
+    """A float32 or float64 ndarray; an op's recorded result also has the
+    edge its gradient flows through (see the module docstring)."""
+
+    __slots__ = ("data", "requires_grad", "_grad", "_edge", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         dtype = np.float32 if getattr(data, "dtype", None) == np.float32 else np.float64
         self.data = np.asarray(data, dtype=dtype)
-        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._grad: np.ndarray | None = None
+        self._edge: _Edge | None = None
 
     @property
     def shape(self):
         return self.data.shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._grad if self._edge is None else self._edge.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        if self._edge is None:
+            self._grad = value
+        else:
+            self._edge.grad = value
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._edge is None else self._edge._parents
+
+    @property
+    def _backward(self):
+        return None if self._edge is None else self._edge._backward
+
+    @_backward.setter
+    def _backward(self, backward) -> None:
+        self._edge._backward = backward
 
     def item(self) -> float:
         return float(self.data)
@@ -117,21 +192,21 @@ class Tensor:
         """Add ``grad`` into ``.grad``. ``owned`` says the caller allocated
         ``grad`` for this node alone, so a first gradient of the node's
         dtype is adopted rather than copied."""
-        if self.grad is None:
-            dtype = self.data.dtype
-            self.grad = np.asarray(grad, dtype) if owned else np.array(grad, dtype)
+        if self._edge is not None:
+            self._edge.accumulate(grad, owned)
         else:
-            self.grad += grad
+            self._grad = _accumulated(self._grad, grad, self.dtype, owned)
 
     def zero_grad(self) -> None:
         self.grad = None
 
     def backward(self) -> None:
-        """Backpropagate from this (scalar) node through the graph,
-        releasing each non-leaf node once its backward has run."""
-        topo: list[Tensor] = []
+        """Backpropagate from this (scalar) tensor through the graph,
+        releasing each edge once its backward has run."""
+        root = self if self._edge is None else self._edge
+        topo: list = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[object, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -146,7 +221,7 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
             if node._backward is None:
@@ -163,12 +238,20 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(data, parents: tuple[Tensor, ...], backward) -> Tensor:
+def _split(x) -> tuple:
+    """``x``'s array and the node that collects its gradient: the tensor
+    itself for a leaf, otherwise its edge."""
+    t = x if isinstance(x, Tensor) else Tensor(x)
+    return t.data, (t if t._edge is None else t._edge)
+
+
+def _node(data, parents: tuple, backward) -> Tensor:
+    """The result of an op; recorded (given an edge) when taping and some
+    parent node requires a gradient."""
     out = Tensor(data)
     if _recording.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+        out._edge = _Edge(out.data.dtype, parents, backward)
     return out
 
 
@@ -183,165 +266,166 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data + b.data
+    (x, an), (y, bn) = _split(a), _split(b)
+    a_shape, b_shape = x.shape, y.shape
 
     def backward(g):
         # a adopts g uncopied, except in add(x, x); b gets a copy of g
-        a.accumulate(_unbroadcast(g, a.data.shape), owned=b is not a)
-        gb = _unbroadcast(g, b.data.shape)
-        b.accumulate(gb, owned=gb is not g)
+        an.accumulate(_unbroadcast(g, a_shape), owned=bn is not an)
+        gb = _unbroadcast(g, b_shape)
+        bn.accumulate(gb, owned=gb is not g)
 
-    return _node(out_data, (a, b), backward)
+    return _node(x + y, (an, bn), backward)
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data * b.data
+    (x, an), (y, bn) = _split(a), _split(b)
 
     def backward(g):
-        a.accumulate(_unbroadcast(g * b.data, a.data.shape), owned=True)
-        b.accumulate(_unbroadcast(g * a.data, b.data.shape), owned=True)
+        an.accumulate(_unbroadcast(g * y, x.shape), owned=True)
+        bn.accumulate(_unbroadcast(g * x, y.shape), owned=True)
 
-    return _node(out_data, (a, b), backward)
+    return _node(x * y, (an, bn), backward)
 
 
 def scale(a, c: float) -> Tensor:
-    a = as_tensor(a)
+    x, an = _split(a)
 
     def backward(g):
-        a.accumulate(g * c, owned=True)
+        an.accumulate(g * c, owned=True)
 
-    return _node(a.data * c, (a,), backward)
+    return _node(x * c, (an,), backward)
 
 
 def matmul(a, b) -> Tensor:
     """Matrix product over the last two axes (leading axes must match)."""
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data @ b.data
+    (x, an), (y, bn) = _split(a), _split(b)
 
     def backward(g):
-        a.accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape), owned=True)
-        b.accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape), owned=True)
+        an.accumulate(_unbroadcast(g @ np.swapaxes(y, -1, -2), x.shape), owned=True)
+        bn.accumulate(_unbroadcast(np.swapaxes(x, -1, -2) @ g, y.shape), owned=True)
 
-    return _node(out_data, (a, b), backward)
+    return _node(x @ y, (an, bn), backward)
 
 
 def linear(x, w, b) -> Tensor:
     """``x @ w + b`` for a 2-D ``x``, as one node."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    out_data = x.data @ w.data
-    out_data += b.data
+    (xd, xn), (wd, wn), (bd, bn) = _split(x), _split(w), _split(b)
+    out_data = xd @ wd
+    out_data += bd
 
     def backward(g):
-        x.accumulate(g @ w.data.T, owned=True)
-        w.accumulate(x.data.T @ g, owned=True)
-        b.accumulate(g.sum(axis=0), owned=True)
+        xn.accumulate(g @ wd.T, owned=True)
+        wn.accumulate(xd.T @ g, owned=True)
+        bn.accumulate(g.sum(axis=0), owned=True)
 
-    return _node(out_data, (x, w, b), backward)
+    return _node(out_data, (xn, wn, bn), backward)
 
 
 def transpose(a, axes: tuple[int, ...]) -> Tensor:
-    a = as_tensor(a)
+    x, an = _split(a)
     inverse = np.argsort(axes)
 
     def backward(g):
-        a.accumulate(np.transpose(g, inverse), owned=True)
+        an.accumulate(np.transpose(g, inverse), owned=True)
 
-    return _node(np.transpose(a.data, axes), (a,), backward)
+    return _node(np.transpose(x, axes), (an,), backward)
 
 
 def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    original = a.data.shape
+    x, an = _split(a)
+    original = x.shape
 
     def backward(g):
-        a.accumulate(g.reshape(original), owned=True)
+        an.accumulate(g.reshape(original), owned=True)
 
-    return _node(a.data.reshape(shape), (a,), backward)
+    return _node(x.reshape(shape), (an,), backward)
 
 
 def take(a, indices) -> Tensor:
     """Select rows along axis 0 (embedding lookup / position gather)."""
-    a = as_tensor(a)
+    x, an = _split(a)
     idx = np.asarray(indices)
+    shape, dtype = x.shape, x.dtype
 
     def backward(g):
         # np.add.at over flat element indices takes numpy's fast path (row
         # indices do not) and adds in the same order, so the sums are equal.
         # A negative row index maps to the same negative flat offset.
-        grad = np.zeros(a.data.shape, dtype=a.data.dtype)
-        row = math.prod(grad.shape[1:])
+        grad = np.zeros(shape, dtype=dtype)
+        row = math.prod(shape[1:])
         flat = idx.reshape(-1, 1) * row + np.arange(row)
         np.add.at(grad.reshape(-1), flat.reshape(-1), g.reshape(-1))
-        a.accumulate(grad, owned=True)
+        an.accumulate(grad, owned=True)
 
-    return _node(a.data[idx], (a,), backward)
+    return _node(x[idx], (an,), backward)
 
 
 def take_items(a, rows, cols) -> Tensor:
     """Pick individual entries a[rows[i], cols[i]] from a 2-D tensor."""
-    a = as_tensor(a)
+    x, an = _split(a)
     rows = np.asarray(rows)
     cols = np.asarray(cols)
+    shape, dtype = x.shape, x.dtype
 
     def backward(g):
-        grad = np.zeros_like(a.data)
+        grad = np.zeros(shape, dtype)
         np.add.at(grad, (rows, cols), g)
-        a.accumulate(grad, owned=True)
+        an.accumulate(grad, owned=True)
 
-    return _node(a.data[rows, cols], (a,), backward)
+    return _node(x[rows, cols], (an,), backward)
 
 
 def sum_all(a) -> Tensor:
-    a = as_tensor(a)
+    x, an = _split(a)
+    shape, dtype = x.shape, x.dtype
 
     def backward(g):
-        a.accumulate(np.full_like(a.data, g), owned=True)
+        an.accumulate(np.full(shape, g, dtype), owned=True)
 
-    return _node(a.data.sum(), (a,), backward)
+    return _node(x.sum(), (an,), backward)
 
 
 def mean_axis(a, axis: int = 0) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.shape[axis]
+    x, an = _split(a)
+    n = x.shape[axis]
 
     def backward(g):
-        a.accumulate(np.repeat(np.expand_dims(g / n, axis), n, axis=axis), owned=True)
+        an.accumulate(np.repeat(np.expand_dims(g / n, axis), n, axis=axis), owned=True)
 
-    return _node(a.data.mean(axis=axis), (a,), backward)
+    return _node(x.mean(axis=axis), (an,), backward)
 
 
 def sum_axis(a, axis: int) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.shape[axis]
+    x, an = _split(a)
+    n = x.shape[axis]
 
     def backward(g):
-        a.accumulate(np.repeat(np.expand_dims(g, axis), n, axis=axis), owned=True)
+        an.accumulate(np.repeat(np.expand_dims(g, axis), n, axis=axis), owned=True)
 
-    return _node(a.data.sum(axis=axis), (a,), backward)
+    return _node(x.sum(axis=axis), (an,), backward)
 
 
 def ordered_sum_rows(a) -> Tensor:
     """Sum over axis 0 with addends sorted per column, so any row
     permutation of the input produces a bit-identical result. The gradient
     of a plain sum is order-free, so backward needs no unsorting."""
-    a = as_tensor(a)
-    n = a.data.shape[0]
+    x, an = _split(a)
+    n = x.shape[0]
 
     def backward(g):
-        a.accumulate(np.repeat(np.expand_dims(g, 0), n, axis=0), owned=True)
+        an.accumulate(np.repeat(np.expand_dims(g, 0), n, axis=0), owned=True)
 
-    return _node(np.sort(a.data, axis=0).sum(axis=0), (a,), backward)
+    return _node(np.sort(x, axis=0).sum(axis=0), (an,), backward)
 
 
 def power(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
+    x, an = _split(a)
 
     def backward(g):
-        a.accumulate(g * exponent * np.power(a.data, exponent - 1.0), owned=True)
+        an.accumulate(g * exponent * np.power(x, exponent - 1.0), owned=True)
 
-    return _node(np.power(a.data, exponent), (a,), backward)
+    return _node(np.power(x, exponent), (an,), backward)
 
 
 def divide(a, b) -> Tensor:
@@ -349,45 +433,44 @@ def divide(a, b) -> Tensor:
 
 
 def log(a) -> Tensor:
-    a = as_tensor(a)
+    x, an = _split(a)
 
     def backward(g):
-        a.accumulate(g / a.data, owned=True)
+        an.accumulate(g / x, owned=True)
 
-    return _node(np.log(a.data), (a,), backward)
+    return _node(np.log(x), (an,), backward)
 
 
 def clamp_min(a, floor: float) -> Tensor:
     """max(a, floor); gradient flows only where a exceeded the floor."""
-    a = as_tensor(a)
-    mask = a.data > floor
+    x, an = _split(a)
+    mask = x > floor
 
     def backward(g):
-        a.accumulate(g * mask, owned=True)
+        an.accumulate(g * mask, owned=True)
 
-    return _node(np.maximum(a.data, floor), (a,), backward)
+    return _node(np.maximum(x, floor), (an,), backward)
 
 
 def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    x, an = _split(a)
+    s = 1.0 / (1.0 + np.exp(-x))
 
     def backward(g):
-        a.accumulate(g * s * (1.0 - s), owned=True)
+        an.accumulate(g * s * (1.0 - s), owned=True)
 
-    return _node(s, (a,), backward)
+    return _node(s, (an,), backward)
 
 
 def softplus(a) -> Tensor:
     """log(1 + e^x), computed without overflow; derivative is sigmoid."""
-    a = as_tensor(a)
-    x = a.data
+    x, an = _split(a)
     out_data = np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
 
     def backward(g):
-        a.accumulate(g / (1.0 + np.exp(-x)), owned=True)
+        an.accumulate(g / (1.0 + np.exp(-x)), owned=True)
 
-    return _node(out_data, (a,), backward)
+    return _node(out_data, (an,), backward)
 
 
 def _gelu_tanh(x: np.ndarray) -> np.ndarray:
@@ -400,45 +483,90 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(t, out=t)
 
 
+def _row_blocks(n: int):
+    """Slices of ``_GELU_BLOCK_ROWS`` rows covering ``n`` rows."""
+    return (slice(start, start + _GELU_BLOCK_ROWS) for start in range(0, n, _GELU_BLOCK_ROWS))
+
+
+def _gelu_values(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """GELU of ``x`` (tanh approximation), into ``out`` or a new array."""
+    t = _gelu_tanh(x)
+    t += 1.0
+    out = np.multiply(0.5, x, out=out)
+    out *= t
+    return out
+
+
+def _gelu_slope(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """GELU's derivative at ``x``, into ``out`` or a new array."""
+    t = _gelu_tanh(x)
+    d_inner = x * x
+    d_inner *= _GELU_A3
+    d_inner += 1.0
+    d_inner *= _GELU_C
+    out = np.multiply(t, t, out=out)
+    np.subtract(1.0, out, out=out)
+    out *= 0.5 * x
+    out *= d_inner
+    np.add(t, 1.0, out=d_inner)
+    d_inner *= 0.5
+    out += d_inner
+    return out
+
+
 def gelu(a) -> Tensor:
     """GELU with the tanh approximation, on an input with at least one
     axis. Keeps nothing but its input: the backward recomputes tanh
     ``_GELU_BLOCK_ROWS`` rows (along axis 0) at a time, so the gradient is
     its only full-size array."""
-    a = as_tensor(a)
-    x = a.data
-    t = _gelu_tanh(x)
-    t += 1.0
-    out_data = 0.5 * x
-    out_data *= t
+    x, an = _split(a)
 
     def backward(g):
         grad = np.empty_like(x)
-        for start in range(0, len(x), _GELU_BLOCK_ROWS):
-            rows = slice(start, start + _GELU_BLOCK_ROWS)
-            xb, out = x[rows], grad[rows]
-            t = _gelu_tanh(xb)
-            d_inner = xb * xb
-            d_inner *= _GELU_A3
-            d_inner += 1.0
-            d_inner *= _GELU_C
-            np.multiply(t, t, out=out)
-            np.subtract(1.0, out, out=out)
-            out *= 0.5 * xb
-            out *= d_inner
-            np.add(t, 1.0, out=d_inner)
-            d_inner *= 0.5
-            out += d_inner
-            out *= g[rows]
-        a.accumulate(grad, owned=True)
+        for rows in _row_blocks(len(x)):
+            block = grad[rows]
+            _gelu_slope(x[rows], block)
+            block *= g[rows]
+        an.accumulate(grad, owned=True)
 
-    return _node(out_data, (a,), backward)
+    return _node(_gelu_values(x), (an,), backward)
+
+
+def gelu_linear(h, w, b) -> Tensor:
+    """``linear(gelu(h), w, b)`` for a 2-D ``h``, as one node that keeps
+    ``h`` and ``w`` but not GELU's output.
+
+    The backward rebuilds GELU's output in row blocks for the weight
+    gradient and frees it before it forms ``g @ w.T``, then multiplies
+    GELU's derivative into that array in place, block by block: no GELU
+    output and no second ``(N, ffn)`` gradient are alive beside it. The
+    operations are those of the two-node graph (``g * d`` for its ``d * g``,
+    an equal product), so results are bit-identical to it.
+    """
+    (x, hn), (wd, wn), (bd, bn) = _split(h), _split(w), _split(b)
+    out_data = _gelu_values(x) @ wd
+    out_data += bd
+
+    def backward(g):
+        act = np.empty_like(x)
+        for rows in _row_blocks(len(x)):
+            _gelu_values(x[rows], act[rows])
+        wn.accumulate(act.T @ g, owned=True)
+        del act
+        bn.accumulate(g.sum(axis=0), owned=True)
+        grad = g @ wd.T
+        for rows in _row_blocks(len(x)):
+            block = grad[rows]
+            block *= _gelu_slope(x[rows])
+        hn.accumulate(grad, owned=True)
+
+    return _node(out_data, (hn, wn, bn), backward)
 
 
 def softmax(a) -> Tensor:
     """Softmax over the last axis, shift-stabilized."""
-    a = as_tensor(a)
-    y = a.data - a.data.max(axis=-1, keepdims=True)
+    x, an = _split(a)
+    y = x - x.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 
@@ -447,17 +575,16 @@ def softmax(a) -> Tensor:
         dot = grad.sum(axis=-1, keepdims=True)
         np.subtract(g, dot, out=grad)
         grad *= y
-        a.accumulate(grad, owned=True)
+        an.accumulate(grad, owned=True)
 
-    return _node(y, (a,), backward)
+    return _node(y, (an,), backward)
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
     Keeps the per-row mean and 1/std; the backward rebuilds the
     normalized rows from them."""
-    a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
-    x = a.data
+    (x, an), (gd, gn), (bd, bn) = _split(a), _split(gain), _split(bias)
     mean = x.mean(axis=-1, keepdims=True)
     xhat = x - mean
     out_data = xhat * xhat
@@ -466,13 +593,13 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    np.multiply(xhat, gain.data, out=out_data)
-    out_data += bias.data
+    np.multiply(xhat, gd, out=out_data)
+    out_data += bd
 
     def backward(g):
         xhat = x - mean
         xhat *= inv
-        dxhat = g * gain.data
+        dxhat = g * gd
         tmp = dxhat * xhat
         mean_dx_xhat = tmp.mean(axis=-1, keepdims=True)
         mean_dx = dxhat.mean(axis=-1, keepdims=True)
@@ -480,13 +607,13 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
         dxhat -= mean_dx
         dxhat -= tmp
         dxhat *= inv
-        a.accumulate(dxhat, owned=True)
+        an.accumulate(dxhat, owned=True)
         axes = tuple(range(g.ndim - 1))
         np.multiply(g, xhat, out=tmp)
-        gain.accumulate(tmp.sum(axis=axes), owned=True)
-        bias.accumulate(g.sum(axis=axes), owned=True)
+        gn.accumulate(tmp.sum(axis=axes), owned=True)
+        bn.accumulate(g.sum(axis=axes), owned=True)
 
-    return _node(out_data, (a, gain, bias), backward)
+    return _node(out_data, (an, gn, bn), backward)
 
 
 def dropout(a, rate: float, rng: np.random.Generator, keep=None, scale=None) -> Tensor:
@@ -502,21 +629,21 @@ def dropout(a, rate: float, rng: np.random.Generator, keep=None, scale=None) -> 
     """
     if rate <= 0.0:
         return as_tensor(a)
-    a = as_tensor(a)
-    dtype = a.data.dtype
+    x, an = _split(a)
+    dtype = x.dtype
     if keep is None:
-        keep = rng.random(a.data.shape) >= rate
+        keep = rng.random(x.shape) >= rate
     if scale is None:
         scale = np.divide(1.0, 1.0 - rate, dtype=dtype)
     out_data = np.multiply(keep, scale, dtype=dtype)
-    out_data *= a.data
+    out_data *= x
 
     def backward(g):
         grad = np.multiply(keep, scale, dtype=dtype)
         grad *= g
-        a.accumulate(grad, owned=True)
+        an.accumulate(grad, owned=True)
 
-    return _node(out_data, (a,), backward)
+    return _node(out_data, (an,), backward)
 
 
 def packed_attention(q, k, v, offsets, heads: int, queries=None, keeps=None,
@@ -540,23 +667,23 @@ def packed_attention(q, k, v, offsets, heads: int, queries=None, keeps=None,
     as the unfused graph of matmul, scale, softmax, dropout, matmul and
     the head transposes, so a one-sequence pack is bit-identical to it.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    dtype = q.data.dtype
-    width = q.data.shape[1]
+    (qd, qn), (kd, kn), (vd, vn) = _split(q), _split(k), _split(v)
+    dtype = qd.dtype
+    width = qd.shape[1]
     head_dim = width // heads
     inv_sqrt = 1.0 / math.sqrt(head_dim)
-    out_data = np.zeros_like(q.data)
+    out_data = np.zeros_like(qd)
     saved = []          # what each sequence's backward reads
     for i in range(len(offsets) - 1):
         keys = slice(int(offsets[i]), int(offsets[i + 1]))
         mine = keys if queries is None else queries[i]
-        qs = q.data[mine]
+        qs = qd[mine]
         m, n = qs.shape[0], keys.stop - keys.start
         if m == 0:
             continue
         qh = np.transpose(qs.reshape(m, heads, head_dim), (1, 0, 2))
-        kh = np.transpose(k.data[keys].reshape(n, heads, head_dim), (1, 0, 2))
-        vh = np.transpose(v.data[keys].reshape(n, heads, head_dim), (1, 0, 2))
+        kh = np.transpose(kd[keys].reshape(n, heads, head_dim), (1, 0, 2))
+        vh = np.transpose(vd[keys].reshape(n, heads, head_dim), (1, 0, 2))
         y = qh @ np.transpose(kh, (0, 2, 1))
         y *= inv_sqrt
         y -= y.max(axis=-1, keepdims=True)
@@ -570,11 +697,12 @@ def packed_attention(q, k, v, offsets, heads: int, queries=None, keeps=None,
         context = dropped @ vh                           # (heads, m, head_dim)
         out_data[mine] = np.transpose(context, (1, 0, 2)).reshape(m, width)
         saved.append((mine, keys, qh, kh, vh, y, keep))
+    q_shape, kv_shape = qd.shape, kd.shape
 
     def backward(g):
-        gq = np.zeros_like(q.data, dtype=g.dtype)
-        gk = np.zeros_like(k.data, dtype=g.dtype)
-        gv = np.zeros_like(v.data, dtype=g.dtype)
+        gq = np.zeros(q_shape, dtype=g.dtype)
+        gk = np.zeros(kv_shape, dtype=g.dtype)
+        gv = np.zeros(kv_shape, dtype=g.dtype)
         for mine, keys, qh, kh, vh, y, keep in saved:
             m, n = qh.shape[1], kh.shape[1]
             g_context = np.transpose(g[mine].reshape(m, heads, head_dim), (1, 0, 2))
@@ -595,11 +723,11 @@ def packed_attention(q, k, v, offsets, heads: int, queries=None, keeps=None,
             gq[mine] = np.transpose(g_qh, (1, 0, 2)).reshape(m, width)
             gk[keys] = np.transpose(g_kh, (1, 0, 2)).reshape(n, width)
             gv[keys] = np.transpose(g_vh, (1, 0, 2)).reshape(n, width)
-        q.accumulate(gq, owned=True)
-        k.accumulate(gk, owned=True)
-        v.accumulate(gv, owned=True)
+        qn.accumulate(gq, owned=True)
+        kn.accumulate(gk, owned=True)
+        vn.accumulate(gv, owned=True)
 
-    return _node(out_data, (q, k, v), backward)
+    return _node(out_data, (qn, kn, vn), backward)
 
 
 def l2_normalize(a) -> Tensor:

@@ -259,7 +259,9 @@ def save_vocab(vocab: SubwordVocab, path: str) -> None:
 
 def load_vocab(path: str) -> SubwordVocab:
     """Read a vocabulary file; a malformed one raises CorruptVocab naming
-    the path and the 1-based line."""
+    the path and the 1-based line. The ``#SPECIALS`` section lists every
+    special token with its id, in the order of ``SPECIAL_TOKENS``, which
+    fixes the ids."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
@@ -290,10 +292,18 @@ def load_vocab(path: str) -> SubwordVocab:
         left, right = parts
         if in_specials:
             try:
-                specials[left] = int(right)
+                token_id = int(right)
             except ValueError:
                 raise CorruptVocab(path, line_no,
                                    f"special id {right!r} is not an integer") from None
+            if len(specials) == len(SPECIAL_TOKENS):
+                raise CorruptVocab(path, line_no, f"unexpected special {line!r}")
+            expected = (SPECIAL_TOKENS[len(specials)], len(specials))
+            if (left, token_id) != expected:
+                raise CorruptVocab(path, line_no,
+                                   f"expected special '{expected[0]} {expected[1]}', "
+                                   f"got {line!r}")
+            specials[left] = token_id
         elif not all(c in _CHAR_TO_BYTE for c in left + right):
             raise CorruptVocab(path, line_no,
                                f"merge {line!r} has a symbol outside the byte alphabet")
@@ -318,4 +328,8 @@ def load_vocab(path: str) -> SubwordVocab:
     if vocab.size != declared_size:
         raise CorruptVocab(
             path, 1, f"header declares {declared_size} tokens, merges rebuild {vocab.size}")
+    if len(specials) < len(SPECIAL_TOKENS):
+        missing = SPECIAL_TOKENS[len(specials)]
+        raise CorruptVocab(path, len(lines) + 1,
+                           f"file ends before special '{missing} {len(specials)}'")
     return vocab

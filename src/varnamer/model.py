@@ -26,6 +26,12 @@ matrix products may sum in another order), with exactly the same masks.
 A one-sequence pack is the plain single-sequence encoder that inference
 calls.
 
+A layer's FFN is ``gelu_linear(linear(x, w_in, b_in), w_out, b_out)``:
+GELU and the output projection are one ``autodiff`` node, which keeps the
+GELU input and rebuilds its output in the backward, so a recorded step
+holds no ``(ΣS, ffn_dim)`` GELU output. It runs the operations of
+``linear(gelu(...))``, so its results are bit-identical to those.
+
 Every loss and decoder reads only a few output rows: [CLS] for length
 prediction, the masked or name positions for the token head and the
 pooled name vectors. ``forward(..., rows=R)`` returns just those rows,
@@ -316,8 +322,9 @@ def forward(
         x = ad.layer_norm(ad.add(xq, attn_out),
                           params[f"{p}.attention_norm.scale"],
                           params[f"{p}.attention_norm.bias"])
-        ffn = ad.gelu(_project(params, f"{p}.ffn.in", x))
-        ffn = drop(_project(params, f"{p}.ffn.out", ffn), last)
+        ffn = ad.gelu_linear(_project(params, f"{p}.ffn.in", x),
+                             params[f"{p}.ffn.out.weight"], params[f"{p}.ffn.out.bias"])
+        ffn = drop(ffn, last)
         x = ad.layer_norm(ad.add(x, ffn),
                           params[f"{p}.ffn_norm.scale"],
                           params[f"{p}.ffn_norm.bias"])
@@ -422,8 +429,9 @@ def load_checkpoint(path: str) -> ModelParams:
     Tensors come back as float32, as stored (writable copies); training
     widens them exactly into its float64 master weights.
 
-    A truncated or undecodable file raises CorruptCheckpoint naming the
-    path and the byte offset where reading failed.
+    A truncated or undecodable file, or one that stores a tensor twice,
+    raises CorruptCheckpoint naming the path and the byte offset where
+    reading failed or the second copy starts.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -464,8 +472,12 @@ def load_checkpoint(path: str) -> ModelParams:
     expected = parameter_shapes(config)
     tensors: dict[str, Tensor] = {}
     while off < len(blob):
+        start = off
         (name_len,) = unpack("<I", "tensor name length")
         name = text(name_len, "tensor name")
+        if name in tensors:
+            raise CorruptCheckpoint(
+                f"{path}: tensor {name!r} stored a second time at offset {start}")
         (rank,) = unpack("<I", f"rank of {name!r}")
         shape = unpack(f"<{rank}I", f"shape of {name!r}")
         if name not in expected:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# The benchmark's modules, for the tests that pin what it relies on.
+sys.path.append(str(Path(__file__).parent.parent / "bench"))
 
 from varnamer import bpe, corpus  # noqa: E402
 

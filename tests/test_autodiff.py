@@ -77,6 +77,9 @@ class TestStructuralOps:
     def test_linear(self):
         fd_check(lambda x, w, b: ad.linear(x, w, b), (3, 4), (4, 2), (2,))
 
+    def test_gelu_linear(self):
+        fd_check(lambda h, w, b: ad.gelu_linear(h, w, b), (3, 4), (4, 2), (2,))
+
     def test_matmul_batched(self):
         fd_check(lambda a, b: ad.matmul(a, b), (2, 3, 4), (2, 4, 3))
 
@@ -226,6 +229,7 @@ OP_CASES = {
     "sigmoid": (lambda a: ad.sigmoid(a), [(3, 3)], False),
     "softplus": (lambda a: ad.softplus(a), [(8,)], False),
     "gelu": (lambda a: ad.gelu(a), [(3, 4)], False),
+    "gelu_linear": (lambda h, w, b: ad.gelu_linear(h, w, b), [(5, 4), (4, 3), (3,)], False),
     "softmax": (lambda a: ad.softmax(a), [(2, 3, 5)], False),
     "layer_norm": (lambda a, g, b: ad.layer_norm(a, g, b), [(4, 6), (6,), (6,)], False),
     "dropout": (lambda a: ad.dropout(a, 0.5, np.random.default_rng(0)), [(5, 5)], False),
@@ -311,6 +315,14 @@ class TestAccumulate:
         assert np.array_equal(b.grad, np.ones((2, 3)))
         assert np.array_equal(a.grad, np.full((2, 3), 6.0))
 
+
+    def test_leaf_gradient_takes_the_dtype_of_its_current_data(self):
+        # training rounds each parameter's .data to float32 after building it
+        w = ad.Tensor(np.ones((3, 2)), requires_grad=True)
+        w.data = w.data.astype(np.float32)
+        x = ad.Tensor(np.ones((4, 3), np.float32))
+        ad.sum_all(ad.linear(x, w, np.zeros(2, np.float32))).backward()
+        assert w.grad.dtype == np.float32 and np.array_equal(w.grad, np.full((3, 2), 4.0))
 
     def test_owned_first_gradient_is_adopted_and_others_copied(self):
         t = ad.Tensor(np.zeros(3), requires_grad=True)
@@ -424,6 +436,14 @@ def ref_linear(x, w, b, g):
     return out.data, [t.grad for t in tensors]
 
 
+def ref_gelu_linear(h, w, b, g):
+    """The unfused graph: a gelu node feeding a linear node."""
+    tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in (h, w, b)]
+    out = ad.linear(ad.gelu(tensors[0]), tensors[1], tensors[2])
+    ad.sum_all(ad.mul(out, g)).backward()
+    return out.data, [t.grad for t in tensors]
+
+
 def ref_attention(q, k, v, g, heads=2, mask=None):
     """The unfused graph of one sequence's attention, as the encoder built
     it from matmul, scale, softmax, a float dropout mask and the head
@@ -466,6 +486,9 @@ BIT_CASES = {
     "gelu-blocks": (ad.gelu, ref_gelu, [(2 * ad._GELU_BLOCK_ROWS + 5, 16)]),
     "layer_norm": (ad.layer_norm, ref_layer_norm, [(7, 48), (48,), (48,)]),
     "linear": (ad.linear, ref_linear, [(7, 32), (32, 24), (24,)]),
+    # more than two blocks of the backward's GELU rebuild, the last one short
+    "gelu_linear": (ad.gelu_linear, ref_gelu_linear,
+                    [(2 * ad._GELU_BLOCK_ROWS + 5, 24), (24, 16), (16,)]),
     "dropout": (lambda a: ad.dropout(a, 0.3, None, _DROP_KEEP, _DROP_SCALE),
                 ref_dropout, [(9, 16)]),
     "packed_attention": (lambda q, k, v: ad.packed_attention(q, k, v, [0, 9], 2),
@@ -494,6 +517,23 @@ def test_kernel_bit_identical_to_plain_formula(name, seed):
     assert len(expected_grads) == len(tensors)
     for t, expected in zip(tensors, expected_grads):
         assert np.array_equal(t.grad, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_linear_is_the_two_node_graph_bit_for_bit(dtype):
+    rows = 2 * ad._GELU_BLOCK_ROWS + 7
+    assert rows % ad._GELU_BLOCK_ROWS != 0
+    rng = np.random.default_rng(8)
+    arrays = [rng.normal(0.0, 3.0, size=shape).astype(dtype)
+              for shape in [(rows, 48), (48, 16), (16,)]]
+    g = rng.normal(0.0, 1.0, size=(rows, 16)).astype(dtype)
+    tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = ad.gelu_linear(*tensors)
+    ad.sum_all(ad.mul(out, g)).backward()
+    expected_out, expected_grads = ref_gelu_linear(*arrays, g)
+    assert out.data.dtype == dtype and np.array_equal(out.data, expected_out)
+    for t, expected in zip(tensors, expected_grads):
+        assert t.grad.dtype == dtype and np.array_equal(t.grad, expected)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -545,8 +585,14 @@ class TestSavedForBackward:
         x = self.tensor(10, 8)
         node = ad.layer_norm(x, self.tensor(8, seed=1), self.tensor(8, seed=2))
         assert rebuildable(node) == []
-        assert sorted(arr.shape for arr in closure_arrays(node) if arr is not x.data) \
-            == [(10, 1), (10, 1)]
+        assert sorted(arr.shape for arr in closure_arrays(node)
+                      if not any(arr is p.data for p in node._parents)) == [(10, 1), (10, 1)]
+
+    def test_gelu_linear_keeps_its_input_and_weight(self):
+        h, w, b = self.tensor(10, 8), self.tensor(8, 3, seed=1), self.tensor(3, seed=2)
+        node = ad.gelu_linear(h, w, b)
+        assert rebuildable(node) == []
+        assert {id(arr) for arr in closure_arrays(node)} == {id(h.data), id(w.data)}
 
     def test_dropout_keeps_a_boolean_pattern(self):
         keep = np.arange(80).reshape(10, 8) % 3 != 0
@@ -586,6 +632,28 @@ def test_gelu_backward_peak_is_its_gradient_plus_blocks():
     assert x.grad.nbytes == full and peak <= full + 3 * block + 64 * 1024
 
 
+def test_gelu_linear_backward_peak_is_one_full_size_array_plus_blocks():
+    rows, width, out_width = 8 * ad._GELU_BLOCK_ROWS + 3, 256, 16
+    tensor = TestSavedForBackward.tensor
+    h, w, b = tensor(rows, width), tensor(width, out_width, seed=1), tensor(out_width, seed=2)
+    out = ad.gelu_linear(h, w, b)
+    g = np.ones((rows, out_width), np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    full = rows * width * 4
+    block = ad._GELU_BLOCK_ROWS * width * 4
+    # the rebuilt GELU output is freed before the input gradient is formed:
+    # one full-size array, the small weight and bias gradients, a block of
+    # GELU's slope with its three temporaries, and some slack
+    assert h.grad.nbytes == full
+    assert peak <= full + w.grad.nbytes + b.grad.nbytes + 4 * block + 64 * 1024
+
+
 # --- gradients handed over uncopied --------------------------------------------
 
 def two_consumers(x):
@@ -610,18 +678,18 @@ def test_hand_off_matches_copying_code(name, dtype, monkeypatch):
     rng = np.random.default_rng(9)
     data = rng.normal(size=(3, 4)).astype(dtype)
     weight = rng.normal(size=12).astype(dtype)
-    accumulate = ad.Tensor.accumulate
+    accumulated = ad._accumulated
 
     def run(copy_all):
         copies = []
 
-        def counting(node, grad, owned=False):
+        def counting(total, grad, dtype, owned):
             owned = owned and not copy_all
-            if node.grad is None and np.ndim(grad) > 0 and not owned:
+            if total is None and np.ndim(grad) > 0 and not owned:
                 copies.append(grad.shape)
-            accumulate(node, grad, owned)
+            return accumulated(total, grad, dtype, owned)
 
-        monkeypatch.setattr(ad.Tensor, "accumulate", counting)
+        monkeypatch.setattr(ad, "_accumulated", counting)
         x = ad.Tensor(data.copy(), requires_grad=True)
         out = build(x)
         # every closure must leave the gradient it is handed as it was
@@ -638,7 +706,7 @@ def test_hand_off_matches_copying_code(name, dtype, monkeypatch):
                 assert np.array_equal(g, before)
             node._backward = watched
         ad.sum_all(ad.mul(out, weight.reshape(out.shape))).backward()
-        monkeypatch.setattr(ad.Tensor, "accumulate", accumulate)
+        monkeypatch.setattr(ad, "_accumulated", accumulated)
         return x.grad, copies
 
     grad, copies = run(copy_all=False)
@@ -646,3 +714,39 @@ def test_hand_off_matches_copying_code(name, dtype, monkeypatch):
     assert grad.dtype == dtype and np.array_equal(grad, reference)
     # sum_all and mul allocate theirs; add, transpose and reshape pass theirs on
     assert len(copies) == expected_copies
+
+
+# --- what the benchmark's tracer relies on -------------------------------------
+
+def test_tracer_ops_resolve_in_autodiff():
+    from bench_trace import COMPOSITE_OPS, LEAF_OPS
+
+    for name in LEAF_OPS + COMPOSITE_OPS:
+        assert inspect.isfunction(getattr(ad, name, None)), name
+
+
+def test_backward_calls_a_replaced_closure():
+    from bench_trace import Tracer
+
+    x = ad.Tensor(np.linspace(-2.0, 2.0, 12).reshape(3, 4), requires_grad=True)
+    ad.sum_all(ad.gelu(x)).backward()
+    expected = x.grad
+    x.zero_grad()
+    out = ad.gelu(x)
+    calls = []
+    closure = out._backward
+
+    def replacement(g):
+        calls.append(g.shape)
+        closure(g)
+
+    out._backward = replacement
+    ad.sum_all(out).backward()
+    assert calls == [(3, 4)] and np.array_equal(x.grad, expected)
+    # the tracer times each op's backward through the same replacement
+    x.zero_grad()
+    tracer = Tracer()
+    with tracer.active("root"):
+        ad.sum_all(ad.gelu(x)).backward()
+    assert tracer.calls["autodiff.bwd.gelu"] == 1 and tracer.calls["autodiff.bwd.sum_all"] == 1
+    assert np.array_equal(x.grad, expected)

@@ -194,6 +194,7 @@ class TestVocabFile:
 
 
 VALID_HEADER = f"BPE v1 {bpe.MIN_VOCAB_SIZE}\n"
+SPECIALS = "#SPECIALS\n" + "".join(f"{name} {i}\n" for i, name in enumerate(bpe.SPECIAL_TOKENS))
 
 
 @pytest.mark.parametrize("content, line_no", [
@@ -207,6 +208,13 @@ VALID_HEADER = f"BPE v1 {bpe.MIN_VOCAB_SIZE}\n"
     (VALID_HEADER.encode() + b"a b\n\xff \xfe\n", 3),
     (VALID_HEADER.encode() + "a b\n\u20ac x\n".encode(), 3),
     (f"BPE v1 {bpe.MIN_VOCAB_SIZE + 5}\na b\n".encode(), 1),
+    # the special ids are fixed by the order of SPECIAL_TOKENS
+    (VALID_HEADER.encode() + b"#SPECIALS\n[MASK] 9\n", 3),
+    (VALID_HEADER.encode() + b"#SPECIALS\n[SEP] 1\n[CLS] 0\n", 3),
+    (VALID_HEADER.encode() + b"#SPECIALS\n[CLS] 0\n[SEP] 2\n", 4),
+    (VALID_HEADER.encode(), 2),
+    ((VALID_HEADER + SPECIALS.rsplit("[UNK]", 1)[0]).encode(), 8),
+    ((VALID_HEADER + SPECIALS + "[CLS] 0\n").encode(), 9),
 ])
 def test_malformed_vocab_names_path_and_line(tmp_path, content, line_no):
     path = tmp_path / "bad.vocab"
@@ -214,3 +222,11 @@ def test_malformed_vocab_names_path_and_line(tmp_path, content, line_no):
     with pytest.raises(CorruptVocab, match=f"bad.vocab: line {line_no}: ") as info:
         bpe.load_vocab(str(path))
     assert info.value.line_no == line_no
+
+
+def test_minimal_vocab_file_loads(tmp_path):
+    path = tmp_path / "min.vocab"
+    path.write_text(VALID_HEADER + SPECIALS)
+    vocab = bpe.load_vocab(str(path))
+    assert vocab.special_ids == dict(zip(bpe.SPECIAL_TOKENS, range(len(bpe.SPECIAL_TOKENS))))
+    assert vocab.size == bpe.MIN_VOCAB_SIZE and vocab.merges == []

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -457,6 +459,21 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpoint, match="offset 12"):
             model.load_checkpoint(str(path))
 
+    def test_tensor_stored_twice_is_corrupt(self, tmp_path):
+        params = model.init_params(small_config(), seed=7)
+        path = tmp_path / "model.rfbt"
+        model.save_checkpoint(params, str(path))
+        blob = path.read_bytes()
+        name = b"token_head.bias"
+        bias = np.full(params.config.vocab_size, 7.0, "<f4")
+        second = (struct.pack("<I", len(name)) + name + struct.pack("<II", 1, bias.size)
+                  + bias.tobytes())
+        path.write_bytes(blob + second)
+        with pytest.raises(CorruptCheckpoint,
+                           match=rf"model\.rfbt: tensor 'token_head\.bias' stored a second "
+                                 rf"time at offset {len(blob)}$"):
+            model.load_checkpoint(str(path))
+
     def test_shape_mismatch_rejected(self, tmp_path):
         params = model.init_params(small_config(), seed=7)
         params.tensors["length_head.bias"] = model.Tensor(
@@ -524,7 +541,7 @@ class TestServingPrecision:
         length = model.length_probs(params, ad.take(hidden, [0]))
         nodes = self.graph_nodes(token, length)
         assert len(nodes) > 40                  # the walk reached the parameters
-        assert {node.data.dtype for node in nodes} == {np.dtype(np.float32)}
+        assert {node.dtype for node in nodes} == {np.dtype(np.float32)}
         attention = [node for node in nodes if node._backward is not None
                      and node._backward.__qualname__.startswith("packed_attention")]
         assert len(attention) == 2              # one per layer

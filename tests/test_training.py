@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -477,18 +479,18 @@ class TestFloat32Training:
             return dropout(a, rate, rng, keep, scale)
 
         # backward releases the intermediate gradients, so each one is
-        # recorded as it reaches its node
+        # recorded as it reaches its node, with the node's own dtype
         grad_dtypes = []
-        accumulate = ad.Tensor.accumulate
+        accumulated = ad._accumulated
 
-        def recording_accumulate(node, grad, owned=False):
+        def recording_accumulated(total, grad, dtype, owned):
             if np.ndim(grad) > 0:
-                grad_dtypes.append(grad.dtype)
-            accumulate(node, grad, owned)
+                grad_dtypes.extend((grad.dtype, np.dtype(dtype)))
+            return accumulated(total, grad, dtype, owned)
 
         monkeypatch.setattr(ad, "packed_attention", recording)
         monkeypatch.setattr(ad, "dropout", recording_dropout)
-        monkeypatch.setattr(ad.Tensor, "accumulate", recording_accumulate)
+        monkeypatch.setattr(ad, "_accumulated", recording_accumulated)
         config = tiny_train_config(dropout=0.1)
         examples, _ = training.build_tg_dataset(desk_vocab, toy_records[:12], config)
         first = examples[0]
@@ -498,8 +500,10 @@ class TestFloat32Training:
         total, _ = training.tg_batch_loss(params, [first, second], config, True, [3, 4])
         nodes = graph_nodes(total)
         total.backward()
-        wide = [node.data.dtype for node in nodes
-                if node.data.ndim > 0 and node.data.dtype != np.float32]
+        # an edge's array is gone with its Tensor; its dtype is checked as
+        # its gradient arrives, a leaf's here
+        wide = [node.dtype for node in nodes if isinstance(node, ad.Tensor)
+                and node.data.ndim > 0 and node.dtype != np.float32]
         wide += [dtype for dtype in grad_dtypes if dtype != np.float32]
         assert len(nodes) > 100 and len(grad_dtypes) > 100 and wide == []
         assert set(keep_dtypes) == {np.dtype(bool)}
@@ -574,13 +578,13 @@ class TestTapeLifetime:
             self, desk_vocab, toy_records, monkeypatch):
         params, config, batch = self.tg_setup(desk_vocab, toy_records)
         gelu_inputs = []
-        gelu = ad.gelu
+        gelu_linear = ad.gelu_linear
 
-        def recording_gelu(a):
-            gelu_inputs.append(weakref.ref(a.data))
-            return gelu(a)
+        def recording_gelu_linear(h, w, b):
+            gelu_inputs.append(weakref.ref(h.data))
+            return gelu_linear(h, w, b)
 
-        monkeypatch.setattr(ad, "gelu", recording_gelu)
+        monkeypatch.setattr(ad, "gelu_linear", recording_gelu_linear)
         total, _ = training.tg_batch_loss(params, batch, config, True, [1, 2])
         assert len(gelu_inputs) == 2 and all(ref() is not None for ref in gelu_inputs)
         total.backward()
@@ -589,6 +593,62 @@ class TestTapeLifetime:
         # stage 2 reaches every parameter but the length head
         untouched = {name for name, t in params.tensors.items() if t.grad is None}
         assert untouched == {"length_head.weight", "length_head.bias"}
+
+    def test_forward_frees_what_no_backward_reads(self, desk_vocab, toy_records, monkeypatch):
+        params, config, batch = self.tg_setup(desk_vocab, toy_records)
+        refs = {"take output": [], "dropout input": [], "dropout output": [],
+                "gelu output": []}
+        take, dropout, gelu_values = ad.take, ad.dropout, ad._gelu_values
+
+        def recording_take(a, indices):
+            out = take(a, indices)
+            refs["take output"].append(weakref.ref(out))
+            return out
+
+        def recording_dropout(a, rate, rng, keep=None, scale=None):
+            out = dropout(a, rate, rng, keep, scale)
+            # the embedding layer norm's output, the projections before dropout
+            refs["dropout input"].append(weakref.ref(a))
+            refs["dropout output"].append(weakref.ref(out))
+            return out
+
+        def recording_gelu_values(x, out=None):
+            out = gelu_values(x, out)
+            refs["gelu output"].append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(ad, "take", recording_take)
+        monkeypatch.setattr(ad, "dropout", recording_dropout)
+        monkeypatch.setattr(ad, "_gelu_values", recording_gelu_values)
+        gc.disable()
+        try:
+            total, _ = training.tg_batch_loss(params, batch, config, True, [1, 2])
+            alive = {kind: [ref() is not None for ref in kind_refs]
+                     for kind, kind_refs in refs.items()}
+            total.backward()
+        finally:
+            gc.enable()
+        # two layers: the embedding's dropout and two per layer, a GELU per layer
+        counts = {kind: len(flags) for kind, flags in alive.items()}
+        assert counts["take output"] > 0 and counts["gelu output"] == 2
+        assert counts["dropout input"] == counts["dropout output"] == 5
+        assert not any(any(flags) for flags in alive.values()), alive
+
+    def test_dropped_model_is_freed_without_the_cycle_collector(self, desk_vocab,
+                                                                toy_records):
+        gc.disable()
+        try:
+            params, config, batch = self.tg_setup(desk_vocab, toy_records)
+            refs = [weakref.ref(params)] + [weakref.ref(t) for t in params.tensors.values()]
+            done, _ = training.tg_batch_loss(params, batch, config, True, [1, 2])
+            done.backward()
+            pending, _ = training.tg_batch_loss(params, batch, config, True, [3, 4])
+            result = training.finetune_tg(tiny_train_config(max_epochs=1, batch_size=2),
+                                          params, toy_records[:4], desk_vocab)
+            del params, done, pending, result
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
     def test_adopted_gradients_equal_copied_ones(self, desk_vocab, toy_records, monkeypatch):
         params, config, batch = self.tg_setup(desk_vocab, toy_records)
@@ -600,9 +660,10 @@ class TestTapeLifetime:
             return {name: t.grad for name, t in params.tensors.items() if t.grad is not None}
 
         adopted = gradients()
-        accumulate = ad.Tensor.accumulate
-        monkeypatch.setattr(ad.Tensor, "accumulate",
-                            lambda node, grad, owned=False: accumulate(node, grad))
+        accumulated = ad._accumulated
+        monkeypatch.setattr(ad, "_accumulated",
+                            lambda total, grad, dtype, owned: accumulated(total, grad, dtype,
+                                                                          False))
         copied = gradients()
         assert len(adopted) > 10 and adopted.keys() == copied.keys()
         assert all(np.array_equal(adopted[name], copied[name]) for name in adopted)
@@ -634,3 +695,36 @@ class TestTapeLifetime:
         training.pretrain(config, tiny_model(desk_vocab), records, desk_vocab)
         # three training batches record a tape, the validation batch none
         assert taped == [True, True, True, False]
+
+
+class TestStepMemory:
+    def test_long_stage2_step_stays_under_its_bound(self):
+        """The traced peak of one float32 train-mode stage-2 step of the
+        benchmark's train-long model (seed 4, 2 layers) over its three
+        longest examples, 256 tokens each: 35.7 MB when the bound was set
+        (48.8 MB with a tensor per tape node and a separate GELU node)."""
+        import bench_workloads as bw
+
+        sizes = bw.SIZES["train-long"]["full"]
+        data = bw.make_corpus(4, sizes)
+        vocab = bpe.train_bpe([r.code_after for r in data.train + data.held_out],
+                              sizes.vocab_size, camel_split=True)
+        params = float32_copy(model.init_params(model.ModelConfig(
+            vocab_size=vocab.size, num_layers=sizes.num_layers, hidden_dim=sizes.hidden_dim,
+            num_heads=4, ffn_dim=4 * sizes.hidden_dim, max_seq_len=sizes.max_seq_len,
+            max_name_tokens=bw.MAX_NAME_TOKENS), 4))
+        config = training.TrainConfig(batch_size=3, seed=4, max_seq_len=sizes.max_seq_len,
+                                      max_name_tokens=bw.MAX_NAME_TOKENS)
+        examples, _ = training.build_tg_dataset(vocab, data.train, config)
+        longest = sorted(examples, key=lambda ex: -len(ex.masked.input_ids))[:3]
+        assert [len(ex.masked.input_ids) for ex in longest] == [256] * 3
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            total, _ = training.tg_batch_loss(params, longest, config, True, [1, 2, 3])
+            ad.scale(total, 1.0 / 3).backward()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the measured peak plus a 12% margin
+        assert peak <= 40e6, f"{peak / 1e6:.1f} MB"
