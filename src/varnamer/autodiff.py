@@ -33,9 +33,10 @@ not the float mask; ``gelu`` recomputes tanh in row blocks; ``layer_norm``
 keeps its input and the per-row mean and 1/std and rebuilds the
 normalized rows; ``gelu_linear`` keeps GELU's input, not its output, and
 rebuilds that output for the weight gradient; ``packed_attention`` keeps
-the probabilities (rebuilding them would cost a matrix product) but
-rebuilds their dropout mask and masked copy. A rebuilt array repeats the
-forward's operations, so it is bit-identical.
+each softmax row's max and sum, not the probabilities, and rebuilds
+those with one more matrix product, then their dropout mask and masked
+copy. A rebuilt array repeats the forward's operations, so it is
+bit-identical.
 
 No reference cycles: an edge never refers to its own ``Tensor`` or to
 itself, and a closure captures only parent nodes and arrays, so the tape
@@ -532,25 +533,34 @@ def gelu(a) -> Tensor:
     return _node(_gelu_values(x), (an,), backward)
 
 
+def _gelu_rows(x: np.ndarray) -> np.ndarray:
+    """GELU of ``x``, built ``_GELU_BLOCK_ROWS`` rows at a time into one
+    new array, so that its temporaries stay block-sized."""
+    act = np.empty_like(x)
+    for rows in _row_blocks(len(x)):
+        _gelu_values(x[rows], act[rows])
+    return act
+
+
 def gelu_linear(h, w, b) -> Tensor:
     """``linear(gelu(h), w, b)`` for a 2-D ``h``, as one node that keeps
     ``h`` and ``w`` but not GELU's output.
 
-    The backward rebuilds GELU's output in row blocks for the weight
-    gradient and frees it before it forms ``g @ w.T``, then multiplies
+    Both passes build GELU's output in row blocks, so no full-size tanh
+    temporary sits beside it: the forward for its product with ``w``, the
+    backward for the weight gradient. The backward frees that output
+    before it forms ``g @ w.T``, then multiplies
     GELU's derivative into that array in place, block by block: no GELU
     output and no second ``(N, ffn)`` gradient are alive beside it. The
     operations are those of the two-node graph (``g * d`` for its ``d * g``,
     an equal product), so results are bit-identical to it.
     """
     (x, hn), (wd, wn), (bd, bn) = _split(h), _split(w), _split(b)
-    out_data = _gelu_values(x) @ wd
+    out_data = _gelu_rows(x) @ wd
     out_data += bd
 
     def backward(g):
-        act = np.empty_like(x)
-        for rows in _row_blocks(len(x)):
-            _gelu_values(x[rows], act[rows])
+        act = _gelu_rows(x)
         wn.accumulate(act.T @ g, owned=True)
         del act
         bn.accumulate(g.sum(axis=0), owned=True)
@@ -580,15 +590,25 @@ def softmax(a) -> Tensor:
     return _node(y, (an,), backward)
 
 
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)`` bit for bit, without ``np.mean``'s
+    overhead: the same pairwise sum, then a division by the count in
+    ``x``'s dtype. ``np.mean`` divides in float64 and rounds, which for
+    float32 gives the same correctly rounded quotient."""
+    total = np.add.reduce(x, axis=-1, keepdims=True)
+    total /= x.shape[-1]
+    return total
+
+
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
     Keeps the per-row mean and 1/std; the backward rebuilds the
     normalized rows from them."""
     (x, an), (gd, gn), (bd, bn) = _split(a), _split(gain), _split(bias)
-    mean = x.mean(axis=-1, keepdims=True)
+    mean = _row_mean(x)
     xhat = x - mean
     out_data = xhat * xhat
-    inv = out_data.mean(axis=-1, keepdims=True)     # the variance, then 1/std
+    inv = _row_mean(out_data)     # the variance, then 1/std
     inv += eps
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
@@ -601,8 +621,8 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
         xhat *= inv
         dxhat = g * gd
         tmp = dxhat * xhat
-        mean_dx_xhat = tmp.mean(axis=-1, keepdims=True)
-        mean_dx = dxhat.mean(axis=-1, keepdims=True)
+        mean_dx_xhat = _row_mean(tmp)
+        mean_dx = _row_mean(dxhat)
         np.multiply(xhat, mean_dx_xhat, out=tmp)
         dxhat -= mean_dx
         dxhat -= tmp
@@ -646,6 +666,23 @@ def dropout(a, rate: float, rng: np.random.Generator, keep=None, scale=None) -> 
     return _node(out_data, (an,), backward)
 
 
+def _attention_probs(qh, kh, inv_sqrt: float, top=None, total=None) -> tuple:
+    """``softmax(qh @ khᵀ * inv_sqrt)`` over the last axis, with the row max
+    ``top`` it subtracted and the row sum ``total`` it divided by. Given
+    those two, it rebuilds the same probabilities bit for bit: the same
+    product, then the same scale, subtract, exp and divide."""
+    y = qh @ np.transpose(kh, (0, 2, 1))
+    y *= inv_sqrt
+    if top is None:
+        top = y.max(axis=-1, keepdims=True)
+    y -= top
+    np.exp(y, out=y)
+    if total is None:
+        total = y.sum(axis=-1, keepdims=True)
+    y /= total
+    return y, top, total
+
+
 def packed_attention(q, k, v, offsets, heads: int, queries=None, keeps=None,
                      scale=None) -> Tensor:
     """Multi-head scaled dot-product attention within each sequence of a pack.
@@ -659,9 +696,14 @@ def packed_attention(q, k, v, offsets, heads: int, queries=None, keeps=None,
     one sequence). ``keeps[i]``, a boolean ``(heads, m_i, n_i)`` pattern or
     None, drops sequence ``i``'s attention probabilities (inverted
     dropout): they are multiplied by the mask ``keeps[i] * scale``, with
-    ``scale`` a scalar in q's dtype. Only the pattern is kept; the backward
-    rebuilds the mask and the masked probabilities.
+    ``scale`` a scalar in q's dtype.
     Returns the ``(M, d)`` context rows, heads concatenated.
+
+    Per sequence the node keeps its heads' queries, keys and values, the
+    dropout pattern, and the row max and row sum of the scaled scores,
+    each ``(heads, m_i, 1)``, but not the ``(heads, m_i, n_i)``
+    probabilities: the backward rebuilds them (one more ``qh @ khᵀ``, as
+    FlashAttention does), then the mask and the masked probabilities.
 
     Per sequence this runs the same array operations, in the same order,
     as the unfused graph of matmul, scale, softmax, dropout, matmul and
@@ -684,39 +726,41 @@ def packed_attention(q, k, v, offsets, heads: int, queries=None, keeps=None,
         qh = np.transpose(qs.reshape(m, heads, head_dim), (1, 0, 2))
         kh = np.transpose(kd[keys].reshape(n, heads, head_dim), (1, 0, 2))
         vh = np.transpose(vd[keys].reshape(n, heads, head_dim), (1, 0, 2))
-        y = qh @ np.transpose(kh, (0, 2, 1))
-        y *= inv_sqrt
-        y -= y.max(axis=-1, keepdims=True)
-        np.exp(y, out=y)
-        y /= y.sum(axis=-1, keepdims=True)
+        y, top, total = _attention_probs(qh, kh, inv_sqrt)
         keep = None if keeps is None else keeps[i]
-        dropped = y
         if keep is not None:
             dropped = np.multiply(keep, scale, dtype=dtype)
             dropped *= y
-        context = dropped @ vh                           # (heads, m, head_dim)
+            y = dropped
+        context = y @ vh                                 # (heads, m, head_dim)
+        del y
         out_data[mine] = np.transpose(context, (1, 0, 2)).reshape(m, width)
-        saved.append((mine, keys, qh, kh, vh, y, keep))
+        saved.append((mine, keys, qh, kh, vh, top, total, keep))
     q_shape, kv_shape = qd.shape, kd.shape
 
     def backward(g):
         gq = np.zeros(q_shape, dtype=g.dtype)
         gk = np.zeros(kv_shape, dtype=g.dtype)
         gv = np.zeros(kv_shape, dtype=g.dtype)
-        for mine, keys, qh, kh, vh, y, keep in saved:
+        for mine, keys, qh, kh, vh, top, total, keep in saved:
             m, n = qh.shape[1], kh.shape[1]
             g_context = np.transpose(g[mine].reshape(m, heads, head_dim), (1, 0, 2))
             g_probs = g_context @ np.swapaxes(vh, -1, -2)
-            dropped = y
-            if keep is not None:
+            y = _attention_probs(qh, kh, inv_sqrt, top, total)[0]
+            if keep is None:
+                g_vh = np.swapaxes(y, -1, -2) @ g_context
+            else:
                 dropped = np.multiply(keep, scale, dtype=dtype)     # the mask
                 g_probs *= dropped
                 dropped *= y
-            g_vh = np.swapaxes(dropped, -1, -2) @ g_context
-            g_scores = g_probs * y                       # softmax backward
-            dot = g_scores.sum(axis=-1, keepdims=True)
-            np.subtract(g_probs, dot, out=g_scores)
+                g_vh = np.swapaxes(dropped, -1, -2) @ g_context
+                del dropped
+            # softmax backward, in place in g_probs: y * (g_probs - dot)
+            dot = (g_probs * y).sum(axis=-1, keepdims=True)
+            g_scores = g_probs
+            g_scores -= dot
             g_scores *= y
+            del y
             g_scores *= inv_sqrt
             g_qh = g_scores @ kh
             g_kh = np.transpose(np.swapaxes(qh, -1, -2) @ g_scores, (0, 2, 1))

@@ -110,7 +110,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="check analytic gradients on a toy model")
     common(p, "seed")
-    p.add_argument("--epsilon", type=float, default=3e-4)
+    p.add_argument("--epsilon", type=float, default=gradcheck.DEFAULT_EPSILON)
     p.add_argument("--coords", type=int, default=200)
 
     p = sub.add_parser("sweep", help="finetune-tg + evaluate across parameter values")

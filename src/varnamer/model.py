@@ -40,8 +40,10 @@ at every position (every row of a sequence is attended to) but queries,
 attention output, FFN and layer norms only at ``R``, each row attending
 within its own sequence; this saves about 40% of a 2-layer encoder's
 multiply-adds. The result equals the full output's rows ``R`` up to
-rounding, in train mode too: the last layer's dropout masks are drawn at
-full size and subset.
+rounding, in train mode too: the last layer's dropout patterns are the
+rows ``R`` of the full draws, bit for bit. They are drawn only over the
+runs of rows that ``R`` reads, and the generator's ``advance`` skips the
+rest (see ``_drawn_rows``).
 """
 
 from __future__ import annotations
@@ -69,6 +71,10 @@ from .fileio import atomic_write
 
 CHECKPOINT_MAGIC = b"RFBT"
 CHECKPOINT_VERSION = 1
+
+# A gap between the rows ``_drawn_rows`` needs is skipped with ``advance``
+# from this many doubles on, and drawn below it.
+_SKIP_MIN_DRAWS = 1024
 
 _BOOLEANS = {"true": True, "yes": True, "1": True,
              "false": False, "no": False, "0": False}
@@ -272,23 +278,33 @@ def forward(
     rngs = [np.random.default_rng(s) if rate > 0 and s is not None else None for s in seeds]
     dropping = any(rng is not None for rng in rngs)
     dtype = params.dtype        # of the activations, and so of the scales
-    scale = row_scale = None
+    scale = row_scale = spans = None
     if dropping:
         scale = np.divide(1.0, 1.0 - rate, dtype=dtype)
         row_scale = np.repeat(np.array([1 if rng is None else scale for rng in rngs], dtype),
                               lengths)[:, None]
+        if rows is not None:
+            # Per sequence, the distinct positions the last layer reads,
+            # sorted, and where each of its query rows finds its own.
+            spans = [np.unique(rows[mine] - start, return_inverse=True)
+                     for mine, start in zip(queries, offsets)]
 
     def drop(x: Tensor, last: bool) -> Tensor:
-        """Dropout on ``(rows, d)`` activations, each sequence's full-size
-        pattern drawn from its own generator, as its own pass would draw it."""
+        """Dropout on ``(rows, d)`` activations, each sequence's pattern
+        drawn from its own generator, as its own pass would draw it; in
+        the last layer, only the rows it reads."""
         if not dropping:
             return x
         width = x.shape[1]
+        if last:
+            keep = np.ones((rows.size, width), bool)
+            for rng, n, mine, (local, inverse) in zip(rngs, lengths, queries, spans):
+                if rng is not None:
+                    keep[mine] = _drawn_rows(rng, local, n, width, rate)[inverse]
+            return ad.dropout(x, rate, None, keep, row_scale[rows])
         keep = np.concatenate([
             rng.random((n, width)) >= rate if rng is not None else np.ones((n, width), bool)
             for rng, n in zip(rngs, lengths)])
-        if last:
-            return ad.dropout(x, rate, None, keep[rows], row_scale[rows])
         return ad.dropout(x, rate, None, keep, row_scale)
 
     def attention_keeps(last: bool):
@@ -296,10 +312,16 @@ def forward(
             return None
         keeps = []
         for i, (rng, n) in enumerate(zip(rngs, lengths)):
-            keep = None if rng is None else rng.random((heads, n, n)) >= rate
-            if keep is not None and last:
-                keep = np.take(keep, rows[queries[i]] - offsets[i], axis=1)
-            keeps.append(keep)
+            if rng is None:
+                keeps.append(None)
+            elif last:
+                # the pattern's rows are heads * n rows of n; each head reads rows ``local``
+                local, inverse = spans[i]
+                wanted = (np.arange(heads)[:, None] * n + local).reshape(-1)
+                keep = _drawn_rows(rng, wanted, heads * n, n, rate)
+                keeps.append(keep.reshape(heads, local.size, n)[:, inverse])
+            else:
+                keeps.append(rng.random((heads, n, n)) >= rate)
         return keeps
 
     positions = np.arange(total) - np.repeat(offsets[:-1], lengths)
@@ -329,6 +351,31 @@ def forward(
                           params[f"{p}.ffn_norm.scale"],
                           params[f"{p}.ffn_norm.bias"])
     return x
+
+
+def _drawn_rows(rng: np.random.Generator, rows: np.ndarray, count: int, width: int,
+                rate: float) -> np.ndarray:
+    """``rng.random((count, width))[rows] >= rate`` for sorted distinct
+    ``rows``, drawing only runs of rows around them, and leaving ``rng``
+    where the full draw would.
+
+    The generator is a PCG64, which spends one 64-bit output per double,
+    so ``advance`` skips the rows between runs exactly. Rows closer than
+    ``_SKIP_MIN_DRAWS`` doubles share a run: drawing that gap costs less
+    than one more call.
+    """
+    keep = np.empty((rows.size, width), bool)
+    generator = rng.bit_generator
+    cuts = np.flatnonzero((np.diff(rows) - 1) * width >= _SKIP_MIN_DRAWS) + 1
+    done = position = 0
+    for run in np.split(rows, cuts) if rows.size else ():
+        first, last = int(run[0]), int(run[-1])
+        generator.advance(int((first - position) * width))
+        block = rng.random((last + 1 - first, width))
+        np.greater_equal(block[run - first], rate, out=keep[done:done + run.size])
+        done, position = done + run.size, last + 1
+    generator.advance(int((count - position) * width))
+    return keep
 
 
 def _project(params: ModelParams, prefix: str, x: Tensor) -> Tensor:

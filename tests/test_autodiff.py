@@ -485,6 +485,10 @@ BIT_CASES = {
     # taller than one block of the backward's tanh recomputation
     "gelu-blocks": (ad.gelu, ref_gelu, [(2 * ad._GELU_BLOCK_ROWS + 5, 16)]),
     "layer_norm": (ad.layer_norm, ref_layer_norm, [(7, 48), (48,), (48,)]),
+    # np.mean divides a float32 sum in float64 and rounds; the kernel
+    # divides in float32, which rounds to the same quotient
+    "layer_norm-float32": (ad.layer_norm, ref_layer_norm, [(7, 48), (48,), (48,)]),
+    "layer_norm-rows-float32": (ad.layer_norm, ref_layer_norm, [(243, 128), (128,), (128,)]),
     "linear": (ad.linear, ref_linear, [(7, 32), (32, 24), (24,)]),
     # more than two blocks of the backward's GELU rebuild, the last one short
     "gelu_linear": (ad.gelu_linear, ref_gelu_linear,
@@ -505,18 +509,20 @@ BIT_CASES = {
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_kernel_bit_identical_to_plain_formula(name, seed):
     op, reference, shapes = BIT_CASES[name]
+    dtype = np.float32 if name.endswith("-float32") else np.float64
     rng = np.random.default_rng(seed)
     # a wide spread reaches tanh saturation and large softmax shifts
-    arrays = [rng.normal(0.0, 3.0, size=shape) for shape in shapes]
+    arrays = [rng.normal(0.0, 3.0, size=shape).astype(dtype) for shape in shapes]
     tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
     out = op(*tensors)
-    g = rng.normal(0.0, 1.0, size=out.shape)
+    g = rng.normal(0.0, 1.0, size=out.shape).astype(dtype)
     ad.sum_all(ad.mul(out, g)).backward()
     expected_out, expected_grads = reference(*arrays, g)
+    assert out.data.dtype == expected_out.dtype == dtype
     assert np.array_equal(out.data, expected_out)
     assert len(expected_grads) == len(tensors)
     for t, expected in zip(tensors, expected_grads):
-        assert np.array_equal(t.grad, expected)
+        assert t.grad.dtype == dtype and np.array_equal(t.grad, expected)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -601,17 +607,18 @@ class TestSavedForBackward:
         assert rebuildable(node) == []
         assert [arr.dtype for arr in closure_arrays(node) if arr.shape == (10, 8)] == [bool]
 
-    def test_packed_attention_keeps_probabilities_and_patterns(self):
+    def test_packed_attention_keeps_row_statistics_and_patterns(self):
         q, k, v = (self.tensor(8, 4, seed=s) for s in range(3))
         keeps = [None, np.random.default_rng(3).random((2, 5, 5)) >= 0.5]
         node = ad.packed_attention(q, k, v, [0, 3, 8], 2, None, keeps, np.float32(2.0))
-        kept = rebuildable(node)
-        # one probability array per sequence, unmasked: its rows sum to 1
-        assert sorted(arr.shape for arr in kept) == [(2, 3, 3), (2, 5, 5)]
-        for probs in kept:
-            np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=1e-6)
-        assert [arr.dtype for arr in closure_arrays(node) if arr.shape == (2, 5, 5)
-                and arr.dtype != np.float32] == [bool]
+        assert rebuildable(node) == []
+        # per sequence, the softmax's row max and row sum, (heads, m, 1)
+        # each, and the boolean pattern; no (heads, m, n) probabilities
+        own = [arr for arr in closure_arrays(node)
+               if not any(np.shares_memory(arr, p.data) for p in node._parents)]
+        assert sorted((arr.shape, arr.dtype.kind) for arr in own) == [
+            ((2, 3, 1), "f"), ((2, 3, 1), "f"), ((2, 5, 1), "f"), ((2, 5, 1), "f"),
+            ((2, 5, 5), "b")]
 
 
 def test_gelu_backward_peak_is_its_gradient_plus_blocks():

@@ -316,6 +316,97 @@ class TestPackedForward:
                                        err_msg=name)
 
 
+class TestSpanDrawnDropout:
+    """The last layer draws its dropout patterns only over the rows it
+    reads; they must equal those rows of the full draws, bit for bit."""
+
+    # With 1024 doubles as the skip threshold:
+    @pytest.mark.parametrize("count,width,rows", [
+        (300, 4, []),                          # nothing read: one skip
+        (300, 4, [0, 299]),                    # first and last, a skipped gap
+        (300, 8, [0, 1, 2, 250, 251]),         # two runs
+        (300, 4, [5, 7, 9]),                   # gaps drawn, not skipped
+        (10, 128, [3]),
+        (40, 600, [0, 3, 39]),                 # every gap skipped
+    ])
+    def test_drawn_rows_equal_the_full_draw(self, count, width, rows):
+        assert model._SKIP_MIN_DRAWS == 1024
+        rows = np.asarray(rows, dtype=np.int64)
+        full_rng, span_rng = np.random.default_rng(17), np.random.default_rng(17)
+        full = full_rng.random((count, width)) >= 0.1
+        span = model._drawn_rows(span_rng, rows, count, width, 0.1)
+        assert span.dtype == bool and np.array_equal(span, full[rows])
+        assert span_rng.bit_generator.state == full_rng.bit_generator.state
+
+    @staticmethod
+    def _full_draws(seed, n, config):
+        """Every pattern one sequence's pass draws, in its order."""
+        rng = np.random.default_rng(seed)
+        rate, d, heads = config.dropout, config.hidden_dim, config.num_heads
+        draws = {"dropout": [rng.random((n, d)) >= rate], "attention": []}
+        for _ in range(config.num_layers):
+            draws["attention"].append(rng.random((heads, n, n)) >= rate)
+            draws["dropout"] += [rng.random((n, d)) >= rate, rng.random((n, d)) >= rate]
+        return draws, rng
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_last_layer_patterns_are_rows_of_the_full_draws(self, num_layers, monkeypatch):
+        config = small_config(num_layers=num_layers, max_seq_len=40, hidden_dim=8,
+                              num_heads=2, ffn_dim=16)
+        params = model.init_params(config, seed=4)
+        lengths = [40, 12, 7, 20]
+        seeds = [5, None, 6, 7]                 # the last sequence has no output row
+        starts = np.cumsum([0] + lengths)
+        # Unsorted, repeated, in several sequences, the first and last
+        # positions; rows 2 and 39 of the first sequence are far enough
+        # apart in its attention pattern (36 * 40 doubles) to be skipped.
+        local = {0: [39, 0, 2, 2, 1], 1: [4], 2: [6, 0, 3, 3]}
+        assert 36 * 40 >= model._SKIP_MIN_DRAWS
+        rows = [starts[i] + r for i, rs in local.items() for r in rs][::-1]
+        ids = [t for n in lengths for t in wrap(range(10, 8 + n))]
+
+        generators = []
+        default_rng = np.random.default_rng
+
+        def recording_rng(seed):
+            generators.append(default_rng(seed))
+            return generators[-1]
+
+        keeps = {"dropout": [], "attention": []}
+        dropout, attention = ad.dropout, ad.packed_attention
+
+        def record_dropout(a, rate, rng, keep=None, scale=None):
+            keeps["dropout"].append(keep)
+            return dropout(a, rate, rng, keep, scale)
+
+        def record_attention(q, k, v, offsets, heads, queries=None, patterns=None, scale=None):
+            keeps["attention"].append(patterns)
+            return attention(q, k, v, offsets, heads, queries, patterns, scale)
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        monkeypatch.setattr(ad, "dropout", record_dropout)
+        monkeypatch.setattr(ad, "packed_attention", record_attention)
+        model.forward(params, ids, True, seeds, rows=rows, lengths=lengths)
+        monkeypatch.undo()
+
+        rows = np.asarray(rows)
+        owner = np.searchsorted(starts, rows, side="right") - 1
+        drawn = iter(generators)            # one per sequence with a seed
+        last_drop = keeps["dropout"][-2:]
+        for i, (seed, n) in enumerate(zip(seeds, lengths)):
+            mine = rows[owner == i] - starts[i]
+            if seed is None:
+                assert keeps["attention"][-1][i] is None
+                assert all(keep[owner == i].all() for keep in last_drop)
+                continue
+            full, rng = self._full_draws(seed, n, config)
+            assert np.array_equal(keeps["attention"][-1][i], full["attention"][-1][:, mine])
+            for keep, expected in zip(last_drop, full["dropout"][-2:]):
+                assert np.array_equal(keep[owner == i], expected[mine])
+            # the generator ends where the full draws leave it
+            assert next(drawn).bit_generator.state == rng.bit_generator.state
+
+
 class TestHeads:
     def test_token_probs_normalized(self):
         params = model.init_params(small_config(), seed=5)
@@ -566,6 +657,39 @@ class TestGradientCheckContract:
             gradcheck.quadratic_probe, params, epsilon=1e-3,
             coords_per_tensor=200, seed=0)
         assert err < 1e-7
+
+    def test_default_step_resolves_a_gradient_near_the_floor(self):
+        # The sampled coordinate of the cmlm check (toy seed 0, default
+        # sampling) with the smallest analytic gradient: central differences
+        # at a 3e-4 step were off by 3.6e-4 relative there, from rounding.
+        params, example = gradcheck.toy_model(seed=0)
+        cmlm = gradcheck.loss_suite(params, example)["cmlm"]
+        cmlm(params).backward()
+        name, index = "layer1.attention.query.weight", 834
+        analytic = params[name].grad.reshape(-1)[index]
+        params.zero_grads()
+        assert 1e-8 < analytic < 1.01e-8
+        numeric = gradcheck.numeric_derivative(cmlm, params, name, index)
+        assert abs(analytic - numeric) / analytic < 1e-4
+
+    def test_a_gradient_off_by_a_tenth_of_a_percent_fails(self, monkeypatch, caplog):
+        from varnamer import autodiff as ad
+
+        params, example = gradcheck.toy_model(seed=0)
+        cmlm = gradcheck.loss_suite(params, example)["cmlm"]
+        linear = ad.linear
+
+        def corrupted_linear(x, w, b):
+            out = linear(x, w, b)
+            backward = out._backward
+            out._backward = lambda g: backward(g * 1.001)
+            return out
+
+        monkeypatch.setattr(ad, "linear", corrupted_linear)
+        with caplog.at_level("INFO", logger="varnamer.gradcheck"):
+            worst = gradcheck.gradient_check(cmlm, params, coords_per_tensor=2)
+        assert worst > 1e-4
+        assert "worst coordinate" in caplog.text and "analytic" in caplog.text
 
     def test_epsilon_range_enforced(self):
         params = model.init_params(small_config(num_layers=1), seed=8)
