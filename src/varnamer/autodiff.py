@@ -1,14 +1,15 @@
 """Minimal reverse-mode automatic differentiation over dense float arrays.
 
 Just the operations the encoder and its losses need: matmul, the fused
-``linear`` projection (matmul plus bias), the fused FFN tail
-``gelu_linear``, broadcast add/mul, softmax, GELU, layer norm, dropout,
-gathers, sigmoid/softplus/log, means, and ``packed_attention``: multi-head
-attention over a pack of sequences stored back to back as one row block,
-one node per encoder layer, whose forward and backward loop over the
-sequences so that no softmax crosses a sequence boundary. Gradient
-correctness is enforced by finite-difference checks in the test suite;
-this module is the single differentiation path for training.
+``linear`` projection (matmul plus bias), the fused feed-forward block
+``ffn``, broadcast add/mul, softmax, GELU, layer norm, dropout, gathers,
+sigmoid/softplus/log, means, and multi-head attention over a pack of
+sequences stored back to back as one row block: ``packed_attention`` over
+given queries, keys and values, and ``self_attention``, which also makes
+them from its input. Both run one per-sequence kernel, so that no softmax
+crosses a sequence boundary. Gradient correctness is enforced by
+finite-difference checks in the test suite; this module is the single
+differentiation path for training.
 
 An op may overwrite only arrays it allocated itself: never an input's
 ``.data``, nor the gradient array handed to its backward closure. The
@@ -27,16 +28,19 @@ closure only the arrays its backward reads, never a parent ``Tensor``.
 So an output that no backward reads (a gather, a dropout's input or
 output, the sum before a layer norm) lives only as long as the caller's
 variable. Of the arrays read, an op keeps boolean patterns, per-row
-statistics, its inputs (``linear`` keeps ``x`` and ``w``) and only those
-other arrays it cannot rebuild cheaply. Dropout keeps its keep pattern,
-not the float mask; ``gelu`` recomputes tanh in row blocks; ``layer_norm``
-keeps its input and the per-row mean and 1/std and rebuilds the
-normalized rows; ``gelu_linear`` keeps GELU's input, not its output, and
-rebuilds that output for the weight gradient; ``packed_attention`` keeps
+statistics and its inputs (``linear`` keeps ``x`` and ``w``), and
+rebuilds the rest, also where that takes a matrix product. Dropout keeps
+its keep pattern, not the float mask; ``gelu`` recomputes tanh in row
+blocks; ``layer_norm`` keeps its input and the per-row mean and 1/std and
+rebuilds the normalized rows; ``ffn`` keeps its input and weights, and
+rebuilds GELU's input and output from them; ``packed_attention`` keeps
 each softmax row's max and sum, not the probabilities, and rebuilds
 those with one more matrix product, then their dropout mask and masked
-copy. A rebuilt array repeats the forward's operations, so it is
-bit-identical.
+copy; ``self_attention`` keeps those and its input, and rebuilds each
+sequence's queries, keys and values. A rebuilt array repeats the
+forward's operations, so it is bit-identical. So are the rows of a
+matrix product rebuilt from those rows of its input (see ``_affine``),
+which lets a backward rebuild block by block and hold one block at a time.
 
 No reference cycles: an edge never refers to its own ``Tensor`` or to
 itself, and a closure captures only parent nodes and arrays, so the tape
@@ -91,8 +95,9 @@ from .errors import GraphReleased
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _GELU_A3 = 3.0 * _GELU_A
-# Rows of GELU's input per block of a rebuild: the block's three
-# temporaries stay small beside the one full-size array being filled.
+# Rows of GELU's input per block of a rebuild: the block's temporaries,
+# and in ``ffn`` the block of ``x @ w_in + b_in`` rebuilt for GELU's slope,
+# stay small beside the one full-size array being filled.
 _GELU_BLOCK_ROWS = 64
 
 # False inside ``no_grad``; a context variable, so per thread.
@@ -309,18 +314,43 @@ def matmul(a, b) -> Tensor:
     return _node(x @ y, (an, bn), backward)
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, rows: slice | None = None) -> np.ndarray:
+    """``x @ w + b`` in a new array, or only its ``rows``, computed from
+    those rows of ``x``.
+
+    The BLAS sums each entry of a product over the inner axis in one order
+    whatever the number of rows, so a block of rows equals those rows of
+    the full product bit for bit (the tests check it for the encoder's
+    shapes), except a one-row block: numpy runs that as a matrix-vector
+    product, which sums in another order. So a lone row is computed
+    beside a neighbour and taken out of the two-row product.
+    """
+    if rows is not None:
+        start, stop, _ = rows.indices(len(x))
+        if stop - start == 1 and len(x) > 1:
+            first = start - (stop == len(x))
+            return _affine(x, w, b, slice(first, first + 2))[start - first:][:1]
+        x = x[rows]
+    out = x @ w
+    out += b
+    return out
+
+
+def _linear_backward(g: np.ndarray, xd: np.ndarray, xn, wd: np.ndarray, wn, bn) -> None:
+    """Hand ``x @ w + b``'s gradients to the nodes of ``x``, ``w`` and ``b``."""
+    xn.accumulate(g @ wd.T, owned=True)
+    wn.accumulate(xd.T @ g, owned=True)
+    bn.accumulate(g.sum(axis=0), owned=True)
+
+
 def linear(x, w, b) -> Tensor:
     """``x @ w + b`` for a 2-D ``x``, as one node."""
     (xd, xn), (wd, wn), (bd, bn) = _split(x), _split(w), _split(b)
-    out_data = xd @ wd
-    out_data += bd
 
     def backward(g):
-        xn.accumulate(g @ wd.T, owned=True)
-        wn.accumulate(xd.T @ g, owned=True)
-        bn.accumulate(g.sum(axis=0), owned=True)
+        _linear_backward(g, xd, xn, wd, wn, bn)
 
-    return _node(out_data, (xn, wn, bn), backward)
+    return _node(_affine(xd, wd, bd), (xn, wn, bn), backward)
 
 
 def transpose(a, axes: tuple[int, ...]) -> Tensor:
@@ -533,44 +563,45 @@ def gelu(a) -> Tensor:
     return _node(_gelu_values(x), (an,), backward)
 
 
-def _gelu_rows(x: np.ndarray) -> np.ndarray:
-    """GELU of ``x``, built ``_GELU_BLOCK_ROWS`` rows at a time into one
-    new array, so that its temporaries stay block-sized."""
-    act = np.empty_like(x)
-    for rows in _row_blocks(len(x)):
-        _gelu_values(x[rows], act[rows])
+def _gelu_affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``gelu(x @ w + b)``, built in the product's own array
+    ``_GELU_BLOCK_ROWS`` rows at a time, so that GELU's temporaries stay
+    block-sized."""
+    act = _affine(x, w, b)
+    for rows in _row_blocks(len(act)):
+        block = act[rows]
+        _gelu_values(block, block)
     return act
 
 
-def gelu_linear(h, w, b) -> Tensor:
-    """``linear(gelu(h), w, b)`` for a 2-D ``h``, as one node that keeps
-    ``h`` and ``w`` but not GELU's output.
+def ffn(x, w_in, b_in, w_out, b_out) -> Tensor:
+    """``linear(gelu(linear(x, w_in, b_in)), w_out, b_out)`` for a 2-D
+    ``x``, as one node that keeps ``x`` and the weights: no ``(N, ffn)``
+    array outlives a pass.
 
-    Both passes build GELU's output in row blocks, so no full-size tanh
-    temporary sits beside it: the forward for its product with ``w``, the
-    backward for the weight gradient. The backward frees that output
-    before it forms ``g @ w.T``, then multiplies
-    GELU's derivative into that array in place, block by block: no GELU
-    output and no second ``(N, ffn)`` gradient are alive beside it. The
-    operations are those of the two-node graph (``g * d`` for its ``d * g``,
-    an equal product), so results are bit-identical to it.
+    Both passes build GELU's output from the product ``x @ w_in + b_in``,
+    in place and in row blocks. The backward frees that output right after
+    ``w_out``'s gradient, forms ``g @ w_outᵀ`` and multiplies GELU's slope
+    into it block by block, each block's input rebuilt from its rows of
+    ``x``, so no pass holds two ``(N, ffn)`` arrays. The operations are
+    those of the three-node graph (``g * d`` for its ``d * g``, an equal
+    product), so results are bit-identical to it.
     """
-    (x, hn), (wd, wn), (bd, bn) = _split(h), _split(w), _split(b)
-    out_data = _gelu_rows(x) @ wd
-    out_data += bd
+    (xd, xn), (wi, win), (bi, bin_), (wo, won), (bo, bon) = (
+        _split(x), _split(w_in), _split(b_in), _split(w_out), _split(b_out))
 
     def backward(g):
-        act = _gelu_rows(x)
-        wn.accumulate(act.T @ g, owned=True)
+        act = _gelu_affine(xd, wi, bi)
+        won.accumulate(act.T @ g, owned=True)
         del act
-        bn.accumulate(g.sum(axis=0), owned=True)
-        grad = g @ wd.T
-        for rows in _row_blocks(len(x)):
+        bon.accumulate(g.sum(axis=0), owned=True)
+        grad = g @ wo.T
+        for rows in _row_blocks(len(xd)):
             block = grad[rows]
-            block *= _gelu_slope(x[rows])
-        hn.accumulate(grad, owned=True)
+            block *= _gelu_slope(_affine(xd, wi, bi, rows))
+        _linear_backward(grad, xd, xn, wi, win, bin_)
 
-    return _node(out_data, (hn, wn, bn), backward)
+    return _node(_affine(_gelu_affine(xd, wi, bi), wo, bo), (xn, win, bin_, won, bon), backward)
 
 
 def softmax(a) -> Tensor:
@@ -666,6 +697,18 @@ def dropout(a, rate: float, rng: np.random.Generator, keep=None, scale=None) -> 
     return _node(out_data, (an,), backward)
 
 
+def _heads(rows: np.ndarray, heads: int) -> np.ndarray:
+    """``(m, d)`` rows as ``(heads, m, d / heads)``, a view for a view."""
+    m, width = rows.shape
+    return np.transpose(rows.reshape(m, heads, width // heads), (1, 0, 2))
+
+
+def _merged(h: np.ndarray) -> np.ndarray:
+    """``(heads, m, head_dim)`` as ``(m, heads * head_dim)`` rows."""
+    heads, m, head_dim = h.shape
+    return np.transpose(h, (1, 0, 2)).reshape(m, heads * head_dim)
+
+
 def _attention_probs(qh, kh, inv_sqrt: float, top=None, total=None) -> tuple:
     """``softmax(qh @ khᵀ * inv_sqrt)`` over the last axis, with the row max
     ``top`` it subtracted and the row sum ``total`` it divided by. Given
@@ -681,6 +724,54 @@ def _attention_probs(qh, kh, inv_sqrt: float, top=None, total=None) -> tuple:
         total = y.sum(axis=-1, keepdims=True)
     y /= total
     return y, top, total
+
+
+def _attend(qh, kh, vh, keep, scale) -> tuple:
+    """One sequence's attention: the context ``(heads, m, head_dim)``, and
+    the row max and row sum of its scaled scores, ``(heads, m, 1)`` each.
+    ``keep``, a boolean ``(heads, m, n)`` pattern or None, drops
+    probabilities with the mask ``keep * scale``."""
+    y, top, total = _attention_probs(qh, kh, 1.0 / math.sqrt(qh.shape[-1]))
+    if keep is not None:
+        dropped = np.multiply(keep, scale, dtype=qh.dtype)
+        dropped *= y
+        y = dropped
+    return y @ vh, top, total
+
+
+def _attend_backward(g_context, qh, kh, vh, top, total, keep, scale) -> tuple:
+    """The gradients of ``_attend``'s context with respect to ``qh``, ``kh``
+    and ``vh``. Rebuilds the probabilities from ``top`` and ``total`` (one
+    more ``qh @ khᵀ``, as FlashAttention does), then the mask and the
+    masked probabilities."""
+    inv_sqrt = 1.0 / math.sqrt(qh.shape[-1])
+    g_probs = g_context @ np.swapaxes(vh, -1, -2)
+    y = _attention_probs(qh, kh, inv_sqrt, top, total)[0]
+    if keep is None:
+        g_vh = np.swapaxes(y, -1, -2) @ g_context
+    else:
+        dropped = np.multiply(keep, scale, dtype=qh.dtype)     # the mask
+        g_probs *= dropped
+        dropped *= y
+        g_vh = np.swapaxes(dropped, -1, -2) @ g_context
+        del dropped
+    # softmax backward, in place in g_probs: y * (g_probs - dot)
+    dot = (g_probs * y).sum(axis=-1, keepdims=True)
+    g_scores = g_probs
+    g_scores -= dot
+    g_scores *= y
+    del y
+    g_scores *= inv_sqrt
+    g_qh = g_scores @ kh
+    g_kh = np.transpose(np.swapaxes(qh, -1, -2) @ g_scores, (0, 2, 1))
+    return g_qh, g_kh, g_vh
+
+
+def _sequences(offsets):
+    """The row slice of each non-empty sequence of a pack, with its index."""
+    for i in range(len(offsets) - 1):
+        if offsets[i + 1] > offsets[i]:
+            yield i, slice(int(offsets[i]), int(offsets[i + 1]))
 
 
 def packed_attention(q, k, v, offsets, heads: int, queries=None, keeps=None,
@@ -702,39 +793,24 @@ def packed_attention(q, k, v, offsets, heads: int, queries=None, keeps=None,
     Per sequence the node keeps its heads' queries, keys and values, the
     dropout pattern, and the row max and row sum of the scaled scores,
     each ``(heads, m_i, 1)``, but not the ``(heads, m_i, n_i)``
-    probabilities: the backward rebuilds them (one more ``qh @ khᵀ``, as
-    FlashAttention does), then the mask and the masked probabilities.
+    probabilities: the backward rebuilds them (see ``_attend_backward``).
 
     Per sequence this runs the same array operations, in the same order,
     as the unfused graph of matmul, scale, softmax, dropout, matmul and
     the head transposes, so a one-sequence pack is bit-identical to it.
     """
     (qd, qn), (kd, kn), (vd, vn) = _split(q), _split(k), _split(v)
-    dtype = qd.dtype
-    width = qd.shape[1]
-    head_dim = width // heads
-    inv_sqrt = 1.0 / math.sqrt(head_dim)
     out_data = np.zeros_like(qd)
     saved = []          # what each sequence's backward reads
-    for i in range(len(offsets) - 1):
-        keys = slice(int(offsets[i]), int(offsets[i + 1]))
+    for i, keys in _sequences(offsets):
         mine = keys if queries is None else queries[i]
-        qs = qd[mine]
-        m, n = qs.shape[0], keys.stop - keys.start
-        if m == 0:
+        qh = _heads(qd[mine], heads)
+        if qh.shape[1] == 0:
             continue
-        qh = np.transpose(qs.reshape(m, heads, head_dim), (1, 0, 2))
-        kh = np.transpose(kd[keys].reshape(n, heads, head_dim), (1, 0, 2))
-        vh = np.transpose(vd[keys].reshape(n, heads, head_dim), (1, 0, 2))
-        y, top, total = _attention_probs(qh, kh, inv_sqrt)
+        kh, vh = _heads(kd[keys], heads), _heads(vd[keys], heads)
         keep = None if keeps is None else keeps[i]
-        if keep is not None:
-            dropped = np.multiply(keep, scale, dtype=dtype)
-            dropped *= y
-            y = dropped
-        context = y @ vh                                 # (heads, m, head_dim)
-        del y
-        out_data[mine] = np.transpose(context, (1, 0, 2)).reshape(m, width)
+        context, top, total = _attend(qh, kh, vh, keep, scale)
+        out_data[mine] = _merged(context)
         saved.append((mine, keys, qh, kh, vh, top, total, keep))
     q_shape, kv_shape = qd.shape, kd.shape
 
@@ -743,35 +819,57 @@ def packed_attention(q, k, v, offsets, heads: int, queries=None, keeps=None,
         gk = np.zeros(kv_shape, dtype=g.dtype)
         gv = np.zeros(kv_shape, dtype=g.dtype)
         for mine, keys, qh, kh, vh, top, total, keep in saved:
-            m, n = qh.shape[1], kh.shape[1]
-            g_context = np.transpose(g[mine].reshape(m, heads, head_dim), (1, 0, 2))
-            g_probs = g_context @ np.swapaxes(vh, -1, -2)
-            y = _attention_probs(qh, kh, inv_sqrt, top, total)[0]
-            if keep is None:
-                g_vh = np.swapaxes(y, -1, -2) @ g_context
-            else:
-                dropped = np.multiply(keep, scale, dtype=dtype)     # the mask
-                g_probs *= dropped
-                dropped *= y
-                g_vh = np.swapaxes(dropped, -1, -2) @ g_context
-                del dropped
-            # softmax backward, in place in g_probs: y * (g_probs - dot)
-            dot = (g_probs * y).sum(axis=-1, keepdims=True)
-            g_scores = g_probs
-            g_scores -= dot
-            g_scores *= y
-            del y
-            g_scores *= inv_sqrt
-            g_qh = g_scores @ kh
-            g_kh = np.transpose(np.swapaxes(qh, -1, -2) @ g_scores, (0, 2, 1))
-            gq[mine] = np.transpose(g_qh, (1, 0, 2)).reshape(m, width)
-            gk[keys] = np.transpose(g_kh, (1, 0, 2)).reshape(n, width)
-            gv[keys] = np.transpose(g_vh, (1, 0, 2)).reshape(n, width)
+            g_qh, g_kh, g_vh = _attend_backward(_heads(g[mine], heads), qh, kh, vh,
+                                                top, total, keep, scale)
+            gq[mine], gk[keys], gv[keys] = _merged(g_qh), _merged(g_kh), _merged(g_vh)
         qn.accumulate(gq, owned=True)
         kn.accumulate(gk, owned=True)
         vn.accumulate(gv, owned=True)
 
     return _node(out_data, (qn, kn, vn), backward)
+
+
+def self_attention(x, wq, bq, wk, bk, wv, bv, offsets, heads: int, keeps=None,
+                   scale=None) -> Tensor:
+    """``packed_attention`` of the projections ``linear(x, wq, bq)``,
+    ``linear(x, wk, bk)`` and ``linear(x, wv, bv)``, every row a query, as
+    one node that keeps ``x`` but not the projections.
+
+    Per sequence it keeps the dropout pattern and the softmax rows' max and
+    sum, as ``packed_attention`` does, and runs the same per-sequence
+    kernels. Its backward rebuilds each sequence's q, k and v rows from
+    that sequence's rows of ``x``, one sequence at a time, and hands ``x``
+    its three gradient pieces separately, in Q, K, V order: the order in
+    which the backwards of the three ``linear`` nodes add them, so the sum
+    into ``x`` associates as in that graph and is bit-identical to it.
+    """
+    xd, xn = _split(x)
+    weights = [(_split(w), _split(b)) for w, b in ((wq, bq), (wk, bk), (wv, bv))]
+    q, k, v = (_affine(xd, wd, bd) for (wd, _), (bd, _) in weights)
+    shape = q.shape
+    out_data = np.zeros_like(q)
+    saved = []          # what each sequence's backward reads
+    for i, keys in _sequences(offsets):
+        keep = None if keeps is None else keeps[i]
+        context, top, total = _attend(_heads(q[keys], heads), _heads(k[keys], heads),
+                                      _heads(v[keys], heads), keep, scale)
+        out_data[keys] = _merged(context)
+        saved.append((keys, top, total, keep))
+
+    def backward(g):
+        grads = [np.zeros(shape, dtype=g.dtype) for _ in weights]
+        for keys, top, total, keep in saved:
+            qh, kh, vh = (_heads(_affine(xd, wd, bd, keys), heads)
+                          for (wd, _), (bd, _) in weights)
+            pieces = _attend_backward(_heads(g[keys], heads), qh, kh, vh,
+                                      top, total, keep, scale)
+            for grad, piece in zip(grads, pieces):
+                grad[keys] = _merged(piece)
+        for (wd, wn), (_, bn) in weights:     # popped: freed once handed on
+            _linear_backward(grads.pop(0), xd, xn, wd, wn, bn)
+
+    return _node(out_data, (xn,) + tuple(node for pair in weights for _, node in pair),
+                 backward)
 
 
 def l2_normalize(a) -> Tensor:

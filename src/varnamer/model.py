@@ -18,19 +18,27 @@ that sequence gets no attention pattern.
 ``forward`` encodes a pack: one or more CLS...SEP sequences stored back to
 back as one ``(ΣS, d)`` row block, so that embeddings, every projection,
 layer norm, GELU and dropout run once for all of them. Each sequence has
-its own positions (0 at its [CLS]) and attends only to itself
-(``autodiff.packed_attention``), and each draws its dropout masks from its
-own seed, in the order its own pass would draw them. A pack's rows
-therefore equal those of one pass per sequence up to rounding (the larger
-matrix products may sum in another order), with exactly the same masks.
+its own positions (0 at its [CLS]) and attends only to itself, and each
+draws its dropout masks from its own seed, in the order its own pass
+would draw them. A pack's rows therefore equal those of one pass per
+sequence up to rounding (the larger matrix products may sum in another
+order), with exactly the same masks.
 A one-sequence pack is the plain single-sequence encoder that inference
 calls.
 
-A layer's FFN is ``gelu_linear(linear(x, w_in, b_in), w_out, b_out)``:
-GELU and the output projection are one ``autodiff`` node, which keeps the
-GELU input and rebuilds its output in the backward, so a recorded step
-holds no ``(ΣS, ffn_dim)`` GELU output. It runs the operations of
-``linear(gelu(...))``, so its results are bit-identical to those.
+A layer's FFN is one ``autodiff.ffn`` node, which keeps the layer's
+post-attention rows and rebuilds GELU's input and output from them in the
+backward, so a recorded step holds no ``(ΣS, ffn_dim)`` array. A
+full-width layer's attention, its Q/K/V projections included, is one
+``autodiff.self_attention`` node, which keeps the layer's input and
+rebuilds each sequence's queries, keys and values in the backward. Both
+run the operations of the graphs they replace, in the same order, so
+results are bit-identical to those. The row-restricted last layer (below)
+keeps three ``linear`` projections and ``autodiff.packed_attention``: its
+queries come through a ``take``, whose backward scatters the residual's
+and the queries' gradient pieces, already summed, into the layer's input
+before the key and value pieces arrive; one node taking that input would
+sum them in another order.
 
 Every loss and decoder reads only a few output rows: [CLS] for length
 prediction, the masked or name positions for the token head and the
@@ -334,19 +342,25 @@ def forward(
         p = f"layer{i}"
         # Queries and everything after them run only at the output rows.
         last = rows is not None and i == config.num_layers - 1
-        xq = ad.take(x, rows) if last else x
-        q = _project(params, f"{p}.attention.query", xq)
-        k = _project(params, f"{p}.attention.key", x)
-        v = _project(params, f"{p}.attention.value", x)
-        context = ad.packed_attention(q, k, v, offsets, heads,
-                                      queries if last else None, attention_keeps(last), scale)
+        if last:
+            xq = ad.take(x, rows)
+            q = _project(params, f"{p}.attention.query", xq)
+            k = _project(params, f"{p}.attention.key", x)
+            v = _project(params, f"{p}.attention.value", x)
+            context = ad.packed_attention(q, k, v, offsets, heads, queries,
+                                          attention_keeps(True), scale)
+        else:
+            xq = x
+            projections = [params[f"{p}.attention.{proj}.{part}"]
+                           for proj in ("query", "key", "value") for part in ("weight", "bias")]
+            context = ad.self_attention(x, *projections, offsets, heads,
+                                        attention_keeps(False), scale)
         attn_out = drop(_project(params, f"{p}.attention.output", context), last)
         x = ad.layer_norm(ad.add(xq, attn_out),
                           params[f"{p}.attention_norm.scale"],
                           params[f"{p}.attention_norm.bias"])
-        ffn = ad.gelu_linear(_project(params, f"{p}.ffn.in", x),
-                             params[f"{p}.ffn.out.weight"], params[f"{p}.ffn.out.bias"])
-        ffn = drop(ffn, last)
+        ffn = drop(ad.ffn(x, params[f"{p}.ffn.in.weight"], params[f"{p}.ffn.in.bias"],
+                          params[f"{p}.ffn.out.weight"], params[f"{p}.ffn.out.bias"]), last)
         x = ad.layer_norm(ad.add(x, ffn),
                           params[f"{p}.ffn_norm.scale"],
                           params[f"{p}.ffn_norm.bias"])

@@ -77,8 +77,9 @@ class TestStructuralOps:
     def test_linear(self):
         fd_check(lambda x, w, b: ad.linear(x, w, b), (3, 4), (4, 2), (2,))
 
-    def test_gelu_linear(self):
-        fd_check(lambda h, w, b: ad.gelu_linear(h, w, b), (3, 4), (4, 2), (2,))
+    def test_ffn(self):
+        fd_check(lambda x, wi, bi, wo, bo: ad.ffn(x, wi, bi, wo, bo),
+                 (3, 4), (4, 5), (5,), (5, 2), (2,))
 
     def test_matmul_batched(self):
         fd_check(lambda a, b: ad.matmul(a, b), (2, 3, 4), (2, 4, 3))
@@ -157,6 +158,18 @@ class TestPackedAttention:
 
         fd_check(build, (8, 4), (8, 4), (8, 4))
 
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_self_attention_projects_its_input(self, dropout):
+        rng = np.random.default_rng(9)
+        keeps = [rng.random((2, 3, 3)) >= 0.3, None] if dropout else None
+        weight = rng.normal(size=(8, 4))
+
+        def build(x, wq, bq, wk, bk, wv, bv):
+            out = ad.self_attention(x, wq, bq, wk, bk, wv, bv, self.OFFSETS, 2, keeps, 1 / 0.7)
+            return ad.mul(out, weight)
+
+        fd_check(build, (8, 4), (4, 4), (4,), (4, 4), (4,), (4, 4), (4,))
+
     def test_sequence_without_queries_gets_no_gradient(self):
         q = ad.Tensor(np.ones((2, 4)), requires_grad=True)
         k, v = (ad.Tensor(np.ones((8, 4)), requires_grad=True) for _ in range(2))
@@ -229,7 +242,8 @@ OP_CASES = {
     "sigmoid": (lambda a: ad.sigmoid(a), [(3, 3)], False),
     "softplus": (lambda a: ad.softplus(a), [(8,)], False),
     "gelu": (lambda a: ad.gelu(a), [(3, 4)], False),
-    "gelu_linear": (lambda h, w, b: ad.gelu_linear(h, w, b), [(5, 4), (4, 3), (3,)], False),
+    "ffn": (lambda x, wi, bi, wo, bo: ad.ffn(x, wi, bi, wo, bo),
+            [(5, 4), (4, 6), (6,), (6, 3), (3,)], False),
     "softmax": (lambda a: ad.softmax(a), [(2, 3, 5)], False),
     "layer_norm": (lambda a, g, b: ad.layer_norm(a, g, b), [(4, 6), (6,), (6,)], False),
     "dropout": (lambda a: ad.dropout(a, 0.5, np.random.default_rng(0)), [(5, 5)], False),
@@ -238,6 +252,11 @@ OP_CASES = {
             q, k, v, [0, 3, 7], 2, [np.array([0, 3]), np.array([1, 2, 4])],
             [None, np.arange(24).reshape(2, 3, 4) % 3 != 0], 2.0),
         [(5, 4), (7, 4), (7, 4)], False),
+    "self_attention": (
+        lambda x, wq, bq, wk, bk, wv, bv: ad.self_attention(
+            x, wq, bq, wk, bk, wv, bv, [0, 3, 7], 2,
+            [None, np.arange(32).reshape(2, 4, 4) % 3 != 0], 2.0),
+        [(7, 4), (4, 4), (4,), (4, 4), (4,), (4, 4), (4,)], False),
     "l2_normalize": (lambda a: ad.l2_normalize(a), [(5,)], True),
     "dot": (lambda a, b: ad.dot(a, b), [(7,), (7,)], False),
 }
@@ -436,10 +455,22 @@ def ref_linear(x, w, b, g):
     return out.data, [t.grad for t in tensors]
 
 
-def ref_gelu_linear(h, w, b, g):
-    """The unfused graph: a gelu node feeding a linear node."""
-    tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in (h, w, b)]
-    out = ad.linear(ad.gelu(tensors[0]), tensors[1], tensors[2])
+def ref_ffn(x, w_in, b_in, w_out, b_out, g):
+    """The unfused graph: a linear node, a gelu node and a linear node."""
+    tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in (x, w_in, b_in, w_out, b_out)]
+    hidden = ad.gelu(ad.linear(*tensors[:3]))
+    out = ad.linear(hidden, tensors[3], tensors[4])
+    ad.sum_all(ad.mul(out, g)).backward()
+    return out.data, [t.grad for t in tensors]
+
+
+def ref_self_attention(x, wq, bq, wk, bk, wv, bv, g, offsets, heads, keeps=None, scale=None):
+    """The unfused graph of an encoder layer's attention: three linear
+    nodes feeding ``packed_attention``, and the residual add, whose
+    gradient reaches ``x`` first."""
+    tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in (x, wq, bq, wk, bk, wv, bv)]
+    q, k, v = (ad.linear(tensors[0], tensors[i], tensors[i + 1]) for i in (1, 3, 5))
+    out = ad.add(tensors[0], ad.packed_attention(q, k, v, offsets, heads, None, keeps, scale))
     ad.sum_all(ad.mul(out, g)).backward()
     return out.data, [t.grad for t in tensors]
 
@@ -491,8 +522,8 @@ BIT_CASES = {
     "layer_norm-rows-float32": (ad.layer_norm, ref_layer_norm, [(243, 128), (128,), (128,)]),
     "linear": (ad.linear, ref_linear, [(7, 32), (32, 24), (24,)]),
     # more than two blocks of the backward's GELU rebuild, the last one short
-    "gelu_linear": (ad.gelu_linear, ref_gelu_linear,
-                    [(2 * ad._GELU_BLOCK_ROWS + 5, 24), (24, 16), (16,)]),
+    "ffn": (ad.ffn, ref_ffn,
+            [(2 * ad._GELU_BLOCK_ROWS + 5, 16), (16, 24), (24,), (24, 16), (16,)]),
     "dropout": (lambda a: ad.dropout(a, 0.3, None, _DROP_KEEP, _DROP_SCALE),
                 ref_dropout, [(9, 16)]),
     "packed_attention": (lambda q, k, v: ad.packed_attention(q, k, v, [0, 9], 2),
@@ -526,17 +557,67 @@ def test_kernel_bit_identical_to_plain_formula(name, seed):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_gelu_linear_is_the_two_node_graph_bit_for_bit(dtype):
-    rows = 2 * ad._GELU_BLOCK_ROWS + 7
+@pytest.mark.parametrize("rows, inner, outer", [
+    (2 * ad._GELU_BLOCK_ROWS + 1, 48, 40),
+    # the benchmark encoder's FFN input and Q/K/V projections
+    (12 * ad._GELU_BLOCK_ROWS + 1, 128, 512), (12 * ad._GELU_BLOCK_ROWS + 1, 128, 128)])
+def test_affine_rows_are_the_full_product_rows(dtype, rows, inner, outer):
+    # the last block of rows is a lone row
+    rng = np.random.default_rng(7)
+    x, w, b = (rng.normal(size=shape).astype(dtype)
+               for shape in [(rows, inner), (inner, outer), (outer,)])
+    full = ad._affine(x, w, b)
+    assert np.array_equal(full, x @ w + b)
+    # GELU's row blocks, sequences of several lengths, and every lone row
+    cuts = np.cumsum([0, 2, 57, 93, 228, 256, 3])
+    blocks = (list(ad._row_blocks(rows)) + [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+              + [slice(i, i + 1) for i in range(rows)])
+    for block in blocks:
+        assert np.array_equal(ad._affine(x, w, b, block), full[block]), block
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [2 * ad._GELU_BLOCK_ROWS + 7, 2 * ad._GELU_BLOCK_ROWS + 1])
+def test_ffn_is_the_three_node_graph_bit_for_bit(dtype, rows):
     assert rows % ad._GELU_BLOCK_ROWS != 0
     rng = np.random.default_rng(8)
-    arrays = [rng.normal(0.0, 3.0, size=shape).astype(dtype)
-              for shape in [(rows, 48), (48, 16), (16,)]]
+    # weights scaled to their fan-in, so GELU's input spreads like x: into
+    # tanh saturation and across its curve
+    arrays = [rng.normal(0.0, 3.0, size=(rows, 48)).astype(dtype)] + [
+        rng.normal(0.0, 1.0 / math.sqrt(shape[0]), size=shape).astype(dtype)
+        for shape in [(48, 64), (64,), (64, 16), (16,)]]
     g = rng.normal(0.0, 1.0, size=(rows, 16)).astype(dtype)
     tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
-    out = ad.gelu_linear(*tensors)
+    out = ad.ffn(*tensors)
     ad.sum_all(ad.mul(out, g)).backward()
-    expected_out, expected_grads = ref_gelu_linear(*arrays, g)
+    expected_out, expected_grads = ref_ffn(*arrays, g)
+    assert out.data.dtype == dtype and np.array_equal(out.data, expected_out)
+    for t, expected in zip(tensors, expected_grads):
+        assert t.grad.dtype == dtype and np.array_equal(t.grad, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout", [False, True])
+def test_self_attention_is_the_four_node_graph_bit_for_bit(dtype, dropout):
+    # sequences of several lengths, one of them a lone row; 183 rows in all
+    lengths, width, heads = [2, 57, 93, 1, 30], 32, 4
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    assert offsets[-1] % ad._GELU_BLOCK_ROWS != 0
+    rng = np.random.default_rng(10)
+    x = rng.normal(0.0, 3.0, size=(offsets[-1], width)).astype(dtype)
+    params = [rng.normal(0.0, 0.3, size=shape).astype(dtype)
+              for _ in range(3) for shape in [(width, width), (width,)]]
+    keeps, scale = None, None
+    if dropout:
+        keeps = [None if i == 2 else rng.random((heads, n, n)) >= 0.3
+                 for i, n in enumerate(lengths)]
+        scale = np.divide(1.0, 0.7, dtype=dtype)
+    g = rng.normal(0.0, 1.0, size=x.shape).astype(dtype)
+    tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in [x] + params]
+    # x's gradient sums the residual's piece and then Q's, K's and V's
+    out = ad.add(tensors[0], ad.self_attention(*tensors, offsets, heads, keeps, scale))
+    ad.sum_all(ad.mul(out, g)).backward()
+    expected_out, expected_grads = ref_self_attention(x, *params, g, offsets, heads, keeps, scale)
     assert out.data.dtype == dtype and np.array_equal(out.data, expected_out)
     for t, expected in zip(tensors, expected_grads):
         assert t.grad.dtype == dtype and np.array_equal(t.grad, expected)
@@ -594,11 +675,28 @@ class TestSavedForBackward:
         assert sorted(arr.shape for arr in closure_arrays(node)
                       if not any(arr is p.data for p in node._parents)) == [(10, 1), (10, 1)]
 
-    def test_gelu_linear_keeps_its_input_and_weight(self):
-        h, w, b = self.tensor(10, 8), self.tensor(8, 3, seed=1), self.tensor(3, seed=2)
-        node = ad.gelu_linear(h, w, b)
+    def test_ffn_keeps_its_input_and_weights(self):
+        x, w_in, b_in = self.tensor(10, 8), self.tensor(8, 32, seed=1), self.tensor(32, seed=2)
+        w_out, b_out = self.tensor(32, 3, seed=3), self.tensor(3, seed=4)
+        node = ad.ffn(x, w_in, b_in, w_out, b_out)
         assert rebuildable(node) == []
-        assert {id(arr) for arr in closure_arrays(node)} == {id(h.data), id(w.data)}
+        # nothing with the ffn width but the parameters: no GELU input or output
+        assert {id(arr) for arr in closure_arrays(node)} == {
+            id(x.data), id(w_in.data), id(b_in.data), id(w_out.data)}
+
+    def test_self_attention_keeps_its_input_row_statistics_and_patterns(self):
+        x, *params = (self.tensor(*shape, seed=s) for s, shape in
+                      enumerate([(8, 4)] + [(4, 4), (4,)] * 3))
+        keeps = [None, np.random.default_rng(3).random((2, 5, 5)) >= 0.5]
+        node = ad.self_attention(x, *params, [0, 3, 8], 2, keeps, np.float32(2.0))
+        assert rebuildable(node) == []
+        # no q, k or v projection: of the (8, 4) arrays only x itself
+        assert [id(arr) for arr in closure_arrays(node) if arr.shape == (8, 4)] == [id(x.data)]
+        own = [arr for arr in closure_arrays(node)
+               if not any(np.shares_memory(arr, p.data) for p in node._parents)]
+        assert sorted((arr.shape, arr.dtype.kind) for arr in own) == [
+            ((2, 3, 1), "f"), ((2, 3, 1), "f"), ((2, 5, 1), "f"), ((2, 5, 1), "f"),
+            ((2, 5, 5), "b")]
 
     def test_dropout_keeps_a_boolean_pattern(self):
         keep = np.arange(80).reshape(10, 8) % 3 != 0
@@ -639,26 +737,50 @@ def test_gelu_backward_peak_is_its_gradient_plus_blocks():
     assert x.grad.nbytes == full and peak <= full + 3 * block + 64 * 1024
 
 
-def test_gelu_linear_backward_peak_is_one_full_size_array_plus_blocks():
-    rows, width, out_width = 8 * ad._GELU_BLOCK_ROWS + 3, 256, 16
-    tensor = TestSavedForBackward.tensor
-    h, w, b = tensor(rows, width), tensor(width, out_width, seed=1), tensor(out_width, seed=2)
-    out = ad.gelu_linear(h, w, b)
-    g = np.ones((rows, out_width), np.float32)
+def backward_peak(out, g):
+    """The traced peak, in bytes, of ``out``'s backward closure run on ``g``."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         out._backward(g)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    full = rows * width * 4
-    block = ad._GELU_BLOCK_ROWS * width * 4
-    # the rebuilt GELU output is freed before the input gradient is formed:
-    # one full-size array, the small weight and bias gradients, a block of
-    # GELU's slope with its three temporaries, and some slack
-    assert h.grad.nbytes == full
-    assert peak <= full + w.grad.nbytes + b.grad.nbytes + 4 * block + 64 * 1024
+
+
+def test_ffn_backward_peak_is_one_full_size_array_plus_blocks():
+    rows, width, ffn_width = 8 * ad._GELU_BLOCK_ROWS + 3, 16, 256
+    tensor = TestSavedForBackward.tensor
+    params = [tensor(width, ffn_width, seed=1), tensor(ffn_width, seed=2),
+              tensor(ffn_width, width, seed=3), tensor(width, seed=4)]
+    x = tensor(rows, width)
+    peak = backward_peak(ad.ffn(x, *params), np.ones((rows, width), np.float32))
+    full = rows * ffn_width * 4
+    block = ad._GELU_BLOCK_ROWS * ffn_width * 4
+    # the rebuilt GELU output is freed before the gradient of GELU's input
+    # is formed: one (rows, ffn) array at a time, x's gradient, the
+    # parameter gradients, a rebuilt block of GELU's input and its slope
+    # with three temporaries, and some slack
+    small = x.grad.nbytes + sum(p.grad.nbytes for p in params)
+    assert peak <= full + small + 5 * block + 64 * 1024
+
+
+def test_self_attention_backward_peak_rebuilds_one_sequence_at_a_time():
+    lengths, width, heads = [40] * 25 + [7], 64, 2
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    tensor = TestSavedForBackward.tensor
+    params = [tensor(*shape, seed=i + 1) for i, shape in enumerate([(width, width), (width,)] * 3)]
+    x = tensor(offsets[-1], width)
+    out = ad.self_attention(x, *params, offsets, heads)
+    peak = backward_peak(out, np.ones(out.shape, np.float32))
+    full = x.data.nbytes
+    rows = max(lengths) * width * 4
+    scores = heads * max(lengths) ** 2 * 4
+    # q, k and v's gradients and x's gradient with one more piece of it:
+    # five (rows, d) arrays; the parameter gradients; one sequence's
+    # rebuilt q, k and v, its gradient rows and its score-sized arrays
+    small = sum(p.grad.nbytes for p in params)
+    assert peak <= 5 * full + small + 6 * rows + 4 * scores + 64 * 1024
 
 
 # --- gradients handed over uncopied --------------------------------------------

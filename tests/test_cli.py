@@ -71,6 +71,19 @@ class TestUsageErrors:
         parsed = training.TrainConfig.from_text(out)
         assert parsed == training.TrainConfig()
 
+    def test_package_runs_as_a_module(self):
+        import subprocess
+        import sys
+
+        import varnamer
+
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(varnamer.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "varnamer", "--print-config"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "learning_rate = 0.001" in proc.stdout.splitlines()
+
 
 class TestDataErrors:
     def test_missing_data_file(self, workspace, capsys):

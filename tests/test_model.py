@@ -207,27 +207,37 @@ def packs(draw):
 
 def recording_masks(fn):
     """Call ``fn`` and return its result with the dropout masks the encoder
-    handed to ``dropout`` and ``packed_attention``, in call order, each
-    rebuilt in float from its boolean keep pattern and scale."""
+    handed to ``dropout`` and to the attention nodes (``self_attention`` or
+    ``packed_attention``), in call order, each rebuilt in float from its
+    boolean keep pattern and scale."""
     seen = {"dropout": [], "attention": []}
-    dropout, attention = ad.dropout, ad.packed_attention
+    dropout, attention, self_attention = ad.dropout, ad.packed_attention, ad.self_attention
 
     def record_dropout(a, rate, rng, keep=None, scale=None):
         assert keep.dtype == bool
         seen["dropout"].append(keep * scale)
         return dropout(a, rate, rng, keep, scale)
 
-    def record_attention(q, k, v, offsets, heads, queries=None, keeps=None, scale=None):
+    def record_keeps(keeps, scale):
         assert all(keep is None or keep.dtype == bool for keep in keeps or ())
         seen["attention"].append(
             None if keeps is None else [None if keep is None else keep * scale for keep in keeps])
+
+    def record_attention(q, k, v, offsets, heads, queries=None, keeps=None, scale=None):
+        record_keeps(keeps, scale)
         return attention(q, k, v, offsets, heads, queries, keeps, scale)
 
+    def record_self_attention(x, wq, bq, wk, bk, wv, bv, offsets, heads, keeps=None,
+                              scale=None):
+        record_keeps(keeps, scale)
+        return self_attention(x, wq, bq, wk, bk, wv, bv, offsets, heads, keeps, scale)
+
     ad.dropout, ad.packed_attention = record_dropout, record_attention
+    ad.self_attention = record_self_attention
     try:
         return fn(), seen
     finally:
-        ad.dropout, ad.packed_attention = dropout, attention
+        ad.dropout, ad.packed_attention, ad.self_attention = dropout, attention, self_attention
 
 
 _PACK_PARAMS = {layers: model.init_params(small_config(num_layers=layers, max_seq_len=40), 9)
@@ -634,7 +644,8 @@ class TestServingPrecision:
         assert len(nodes) > 40                  # the walk reached the parameters
         assert {node.dtype for node in nodes} == {np.dtype(np.float32)}
         attention = [node for node in nodes if node._backward is not None
-                     and node._backward.__qualname__.startswith("packed_attention")]
+                     and node._backward.__qualname__.startswith(
+                         ("packed_attention", "self_attention"))]
         assert len(attention) == 2              # one per layer
 
     def test_fresh_parameters_are_float64(self):
