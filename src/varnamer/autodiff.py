@@ -3,10 +3,9 @@
 Just the operations the encoder and its losses need: matmul, the fused
 ``linear`` projection (matmul plus bias), the fused feed-forward block
 ``ffn``, broadcast add/mul, softmax, GELU, layer norm, dropout, gathers,
-sigmoid/softplus/log, means, and multi-head attention over a pack of
-sequences stored back to back as one row block: ``packed_attention`` over
-given queries, keys and values, and ``self_attention``, which also makes
-them from its input. Both run one per-sequence kernel, so that no softmax
+sigmoid/softplus/log, means, and ``self_attention``: multi-head attention,
+its Q/K/V projections included, over a pack of sequences stored back to
+back as one row block, run one sequence at a time so that no softmax
 crosses a sequence boundary. Gradient correctness is enforced by
 finite-difference checks in the test suite; this module is the single
 differentiation path for training.
@@ -33,12 +32,11 @@ rebuilds the rest, also where that takes a matrix product. Dropout keeps
 its keep pattern, not the float mask; ``gelu`` recomputes tanh in row
 blocks; ``layer_norm`` keeps its input and the per-row mean and 1/std and
 rebuilds the normalized rows; ``ffn`` keeps its input and weights, and
-rebuilds GELU's input and output from them; ``packed_attention`` keeps
-each softmax row's max and sum, not the probabilities, and rebuilds
-those with one more matrix product, then their dropout mask and masked
-copy; ``self_attention`` keeps those and its input, and rebuilds each
-sequence's queries, keys and values. A rebuilt array repeats the
-forward's operations, so it is bit-identical. So are the rows of a
+rebuilds GELU's input and output from them; ``self_attention`` keeps its
+input and each softmax row's max and sum, not the probabilities, and
+rebuilds the queries, keys and values, then the probabilities with one
+more matrix product, their dropout mask and masked copy. A rebuilt
+array repeats the forward's operations, so it is bit-identical. So are the rows of a
 matrix product rebuilt from those rows of its input (see ``_affine``),
 which lets a backward rebuild block by block and hold one block at a time.
 
@@ -57,7 +55,7 @@ reaches a released edge raises ``GraphReleased``: a graph takes one
 backward.
 A gradient array an op allocated for one parent alone (``linear``,
 ``gelu``, ``layer_norm``, ``take``, ``softmax``, ``dropout``,
-``packed_attention``, the elementwise ops, ...) is handed over with
+``self_attention``, the elementwise ops, ...) is handed over with
 ``accumulate(..., owned=True)``, and the parent adopts it as its first
 gradient without a copy. ``add``, ``transpose`` and ``reshape`` hand their
 incoming gradient (or a view of it) to one parent the same way. That is
@@ -336,10 +334,17 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, rows: slice | None = No
     return out
 
 
-def _linear_backward(g: np.ndarray, xd: np.ndarray, xn, wd: np.ndarray, wn, bn) -> None:
-    """Hand ``x @ w + b``'s gradients to the nodes of ``x``, ``w`` and ``b``."""
-    xn.accumulate(g @ wd.T, owned=True)
-    wn.accumulate(xd.T @ g, owned=True)
+def _linear_backward(g: np.ndarray, xd: np.ndarray, xn, wd: np.ndarray, wn, bn,
+                     rows: np.ndarray | None = None) -> None:
+    """Hand ``x @ w + b``'s gradients to the nodes of ``x``, ``w`` and ``b``;
+    given ``rows``, those of ``x[rows] @ w + b``, with ``x``'s gradient
+    scattered back to its rows."""
+    if rows is None:
+        xn.accumulate(g @ wd.T, owned=True)
+        wn.accumulate(xd.T @ g, owned=True)
+    else:
+        xn.accumulate(_scattered(g @ wd.T, rows, xd.shape, xd.dtype), owned=True)
+        wn.accumulate(xd[rows].T @ g, owned=True)
     bn.accumulate(g.sum(axis=0), owned=True)
 
 
@@ -373,6 +378,21 @@ def reshape(a, shape) -> Tensor:
     return _node(x.reshape(shape), (an,), backward)
 
 
+def _scattered(g: np.ndarray, idx: np.ndarray, shape: tuple, dtype) -> np.ndarray:
+    """Zeros of ``shape`` with the rows of ``g`` added at rows ``idx``
+    along axis 0, a repeated row getting the sum of its pieces.
+
+    np.add.at over flat element indices takes numpy's fast path (row
+    indices do not) and adds in the same order, so the sums are equal. A
+    negative row index maps to the same negative flat offset.
+    """
+    grad = np.zeros(shape, dtype=dtype)
+    row = math.prod(shape[1:])
+    flat = idx.reshape(-1, 1) * row + np.arange(row)
+    np.add.at(grad.reshape(-1), flat.reshape(-1), g.reshape(-1))
+    return grad
+
+
 def take(a, indices) -> Tensor:
     """Select rows along axis 0 (embedding lookup / position gather)."""
     x, an = _split(a)
@@ -380,14 +400,7 @@ def take(a, indices) -> Tensor:
     shape, dtype = x.shape, x.dtype
 
     def backward(g):
-        # np.add.at over flat element indices takes numpy's fast path (row
-        # indices do not) and adds in the same order, so the sums are equal.
-        # A negative row index maps to the same negative flat offset.
-        grad = np.zeros(shape, dtype=dtype)
-        row = math.prod(shape[1:])
-        flat = idx.reshape(-1, 1) * row + np.arange(row)
-        np.add.at(grad.reshape(-1), flat.reshape(-1), g.reshape(-1))
-        an.accumulate(grad, owned=True)
+        an.accumulate(_scattered(g, idx, shape, dtype), owned=True)
 
     return _node(x[idx], (an,), backward)
 
@@ -667,14 +680,12 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     return _node(out_data, (an, gn, bn), backward)
 
 
-def dropout(a, rate: float, rng: np.random.Generator, keep=None, scale=None) -> Tensor:
+def dropout(a, rate: float, keep: np.ndarray, scale) -> Tensor:
     """Inverted dropout: ``a * (keep * scale)``, the mask a constant w.r.t.
-    differentiation.
+    differentiation; ``a`` itself at rate 0.
 
-    ``keep`` (a boolean pattern shaped like ``a``) replaces the draw
-    ``rng.random(a.shape) >= rate``, for callers that draw their patterns
-    piecewise. ``scale`` is a scalar or an ``(N, 1)`` column in ``a``'s
-    dtype, by default ``1 / (1 - rate)``; a column gives rows that skip
+    ``keep`` is a boolean pattern shaped like ``a``, and ``scale`` a scalar
+    or an ``(N, 1)`` column in ``a``'s dtype; a column gives rows that skip
     dropout (all kept) a scale of 1. Only the booleans are kept; both
     passes rebuild the mask from them.
     """
@@ -682,10 +693,6 @@ def dropout(a, rate: float, rng: np.random.Generator, keep=None, scale=None) -> 
         return as_tensor(a)
     x, an = _split(a)
     dtype = x.dtype
-    if keep is None:
-        keep = rng.random(x.shape) >= rate
-    if scale is None:
-        scale = np.divide(1.0, 1.0 - rate, dtype=dtype)
     out_data = np.multiply(keep, scale, dtype=dtype)
     out_data *= x
 
@@ -767,108 +774,80 @@ def _attend_backward(g_context, qh, kh, vh, top, total, keep, scale) -> tuple:
     return g_qh, g_kh, g_vh
 
 
-def _sequences(offsets):
-    """The row slice of each non-empty sequence of a pack, with its index."""
+def _sequences(offsets, rows):
+    """Each sequence of a pack that has queries: its index, its row slice
+    and its queries, the slice itself when ``rows`` is None, else the
+    positions in ``rows`` of the rows that lie in it."""
+    owner = None if rows is None else np.searchsorted(offsets, rows, side="right") - 1
     for i in range(len(offsets) - 1):
-        if offsets[i + 1] > offsets[i]:
-            yield i, slice(int(offsets[i]), int(offsets[i + 1]))
+        keys = slice(int(offsets[i]), int(offsets[i + 1]))
+        mine = keys if rows is None else np.flatnonzero(owner == i)
+        if keys.stop > keys.start and (rows is None or mine.size):
+            yield i, keys, mine
 
 
-def packed_attention(q, k, v, offsets, heads: int, queries=None, keeps=None,
-                     scale=None) -> Tensor:
-    """Multi-head scaled dot-product attention within each sequence of a pack.
+def self_attention(x, wq, bq, wk, bk, wv, bv, offsets, heads: int, rows=None,
+                   keeps=None, scale=None) -> Tensor:
+    """Multi-head scaled dot-product attention within each sequence of a
+    pack, from the projections ``x @ wq + bq``, ``x @ wk + bk`` and
+    ``x @ wv + bv``, as one node that keeps ``x`` but not the projections.
 
-    ``k`` and ``v`` are ``(N, d)`` row blocks holding the pack's sequences
-    back to back: sequence ``i`` owns rows ``offsets[i]:offsets[i + 1]``.
-    Queries attend only to the keys of their own sequence, so no softmax
-    crosses a sequence boundary. ``q`` has k's row layout when ``queries``
-    is None; otherwise it is ``(M, d)`` and ``queries[i]`` lists the rows
-    of ``q`` that belong to sequence ``i`` (each row of ``q`` to exactly
-    one sequence). ``keeps[i]``, a boolean ``(heads, m_i, n_i)`` pattern or
-    None, drops sequence ``i``'s attention probabilities (inverted
-    dropout): they are multiplied by the mask ``keeps[i] * scale``, with
-    ``scale`` a scalar in q's dtype.
-    Returns the ``(M, d)`` context rows, heads concatenated.
+    ``x`` is an ``(N, d)`` row block holding the pack's sequences back to
+    back: sequence ``i`` owns rows ``offsets[i]:offsets[i + 1]``, and its
+    queries attend only to its own keys, so no softmax crosses a sequence
+    boundary. ``rows`` (pack positions, None for every row) are the query
+    rows; the result has one context row per query row, in their order,
+    heads concatenated. ``keeps[i]``, a boolean ``(heads, m_i, n_i)``
+    pattern or None, drops sequence ``i``'s attention probabilities
+    (inverted dropout), its ``m_i`` rows being that sequence's query rows
+    in their order: they are multiplied by the mask ``keeps[i] * scale``,
+    with ``scale`` a scalar in x's dtype.
 
-    Per sequence the node keeps its heads' queries, keys and values, the
-    dropout pattern, and the row max and row sum of the scaled scores,
-    each ``(heads, m_i, 1)``, but not the ``(heads, m_i, n_i)``
-    probabilities: the backward rebuilds them (see ``_attend_backward``).
-
-    Per sequence this runs the same array operations, in the same order,
-    as the unfused graph of matmul, scale, softmax, dropout, matmul and
-    the head transposes, so a one-sequence pack is bit-identical to it.
-    """
-    (qd, qn), (kd, kn), (vd, vn) = _split(q), _split(k), _split(v)
-    out_data = np.zeros_like(qd)
-    saved = []          # what each sequence's backward reads
-    for i, keys in _sequences(offsets):
-        mine = keys if queries is None else queries[i]
-        qh = _heads(qd[mine], heads)
-        if qh.shape[1] == 0:
-            continue
-        kh, vh = _heads(kd[keys], heads), _heads(vd[keys], heads)
-        keep = None if keeps is None else keeps[i]
-        context, top, total = _attend(qh, kh, vh, keep, scale)
-        out_data[mine] = _merged(context)
-        saved.append((mine, keys, qh, kh, vh, top, total, keep))
-    q_shape, kv_shape = qd.shape, kd.shape
-
-    def backward(g):
-        gq = np.zeros(q_shape, dtype=g.dtype)
-        gk = np.zeros(kv_shape, dtype=g.dtype)
-        gv = np.zeros(kv_shape, dtype=g.dtype)
-        for mine, keys, qh, kh, vh, top, total, keep in saved:
-            g_qh, g_kh, g_vh = _attend_backward(_heads(g[mine], heads), qh, kh, vh,
-                                                top, total, keep, scale)
-            gq[mine], gk[keys], gv[keys] = _merged(g_qh), _merged(g_kh), _merged(g_vh)
-        qn.accumulate(gq, owned=True)
-        kn.accumulate(gk, owned=True)
-        vn.accumulate(gv, owned=True)
-
-    return _node(out_data, (qn, kn, vn), backward)
-
-
-def self_attention(x, wq, bq, wk, bk, wv, bv, offsets, heads: int, keeps=None,
-                   scale=None) -> Tensor:
-    """``packed_attention`` of the projections ``linear(x, wq, bq)``,
-    ``linear(x, wk, bk)`` and ``linear(x, wv, bv)``, every row a query, as
-    one node that keeps ``x`` but not the projections.
-
-    Per sequence it keeps the dropout pattern and the softmax rows' max and
-    sum, as ``packed_attention`` does, and runs the same per-sequence
-    kernels. Its backward rebuilds each sequence's q, k and v rows from
-    that sequence's rows of ``x``, one sequence at a time, and hands ``x``
-    its three gradient pieces separately, in Q, K, V order: the order in
-    which the backwards of the three ``linear`` nodes add them, so the sum
-    into ``x`` associates as in that graph and is bit-identical to it.
+    Per sequence the node keeps the dropout pattern and the row max and
+    row sum of the scaled scores, each ``(heads, m_i, 1)``. Its backward
+    rebuilds the queries (one sequence at a time, or given ``rows`` all at
+    once, as the forward made them), each sequence's keys and values, and
+    from those the probabilities (see ``_attend_backward``). It hands ``x``
+    its three gradient pieces separately, in Q, K, V order, the queries'
+    scattered back to ``rows``: the order in which the backwards of three
+    ``linear`` nodes add them. The array operations are those of that
+    graph and of each head's matmul, scale, softmax, dropout and matmul,
+    in the same order, so results are bit-identical to it.
     """
     xd, xn = _split(x)
-    weights = [(_split(w), _split(b)) for w, b in ((wq, bq), (wk, bk), (wv, bv))]
-    q, k, v = (_affine(xd, wd, bd) for (wd, _), (bd, _) in weights)
-    shape = q.shape
+    (wqd, wqn), (bqd, bqn) = _split(wq), _split(bq)
+    kv_weights = [(_split(w), _split(b)) for w, b in ((wk, bk), (wv, bv))]
+    if rows is not None:
+        rows = np.asarray(rows)
+    q = _affine(xd if rows is None else xd[rows], wqd, bqd)
+    k, v = (_affine(xd, wd, bd) for (wd, _), (bd, _) in kv_weights)
+    q_shape, kv_shape = q.shape, k.shape
     out_data = np.zeros_like(q)
     saved = []          # what each sequence's backward reads
-    for i, keys in _sequences(offsets):
+    for i, keys, mine in _sequences(offsets, rows):
         keep = None if keeps is None else keeps[i]
-        context, top, total = _attend(_heads(q[keys], heads), _heads(k[keys], heads),
+        context, top, total = _attend(_heads(q[mine], heads), _heads(k[keys], heads),
                                       _heads(v[keys], heads), keep, scale)
-        out_data[keys] = _merged(context)
-        saved.append((keys, top, total, keep))
+        out_data[mine] = _merged(context)
+        saved.append((keys, mine, top, total, keep))
 
     def backward(g):
-        grads = [np.zeros(shape, dtype=g.dtype) for _ in weights]
-        for keys, top, total, keep in saved:
-            qh, kh, vh = (_heads(_affine(xd, wd, bd, keys), heads)
-                          for (wd, _), (bd, _) in weights)
-            pieces = _attend_backward(_heads(g[keys], heads), qh, kh, vh,
+        q_rows = None if rows is None else _affine(xd[rows], wqd, bqd)
+        grads = [np.zeros(shape, dtype=g.dtype) for shape in (q_shape, kv_shape, kv_shape)]
+        for keys, mine, top, total, keep in saved:
+            qh = _heads(_affine(xd, wqd, bqd, keys) if rows is None else q_rows[mine], heads)
+            kh, vh = (_heads(_affine(xd, wd, bd, keys), heads) for (wd, _), (bd, _) in kv_weights)
+            pieces = _attend_backward(_heads(g[mine], heads), qh, kh, vh,
                                       top, total, keep, scale)
-            for grad, piece in zip(grads, pieces):
-                grad[keys] = _merged(piece)
-        for (wd, wn), (_, bn) in weights:     # popped: freed once handed on
+            for grad, own, piece in zip(grads, (mine, keys, keys), pieces):
+                grad[own] = _merged(piece)
+        del q_rows
+        # popped: each gradient is freed once handed on
+        _linear_backward(grads.pop(0), xd, xn, wqd, wqn, bqn, rows)
+        for (wd, wn), (_, bn) in kv_weights:
             _linear_backward(grads.pop(0), xd, xn, wd, wn, bn)
 
-    return _node(out_data, (xn,) + tuple(node for pair in weights for _, node in pair),
+    return _node(out_data, (xn, wqn, bqn) + tuple(node for pair in kv_weights for _, node in pair),
                  backward)
 
 

@@ -99,7 +99,6 @@ def build_parser() -> _Parser:
     common(p, "model", "vocab")
     p.add_argument("--code", required=True, help="file containing the function")
     p.add_argument("--var", required=True, help="variable to rename")
-    p.add_argument("--decode", default="greedy", choices=inference.DECODE_METHODS)
 
     p = sub.add_parser("baseline-eval", help="evaluate the two baselines")
     common(p, "data", "model", "vocab", "out", "lmax")
@@ -334,7 +333,7 @@ def _cmd_suggest(args) -> int:
     params, vocab = _load_model(args.model, _resolve_vocab(args))
     with open(args.code, "r", encoding="utf-8") as fh:
         code = fh.read()
-    suggestion = inference.suggest(params, vocab, code, args.var, method=args.decode)
+    suggestion = inference.suggest(params, vocab, code, args.var)
     print(json.dumps(suggestion.to_json_dict(record_id=args.code)))
     return 0
 

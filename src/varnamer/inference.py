@@ -19,9 +19,6 @@ from .corpus import RefactoringRecord
 from .errors import VocabExhausted
 from .model import ModelParams
 
-DECODE_METHODS = ("greedy", "global", "optimal")
-
-
 @dataclass
 class Suggestion:
     """A suggested rename with per-slot provenance probabilities."""
@@ -73,52 +70,23 @@ def _slot_distributions(params: ModelParams, vocab: SubwordVocab,
     return per_occurrence.mean(axis=0)
 
 
-def decode_unique(slot_probs: np.ndarray, vocab: SubwordVocab,
-                  method: str = "greedy") -> list[int]:
-    """Pick one token id per slot such that no token repeats.
-
-    greedy: slots decode in order, each taking its argmax among tokens not
-    yet chosen. global: the g tokens with the largest probability summed
-    over slots are chosen first, then assigned to slots greedily. optimal:
-    maximum-total-log-probability assignment (Hungarian method).
-    """
+def decode_unique(slot_probs: np.ndarray, vocab: SubwordVocab) -> list[int]:
+    """Pick one token id per slot such that no token repeats: slots decode
+    in order, each taking its argmax among tokens not yet chosen."""
     slots, vocab_size = slot_probs.shape
     num_specials = len(SPECIAL_TOKENS)
     if slots > vocab_size - num_specials:
         raise VocabExhausted(
             f"{slots} unique tokens requested from {vocab_size - num_specials} candidates")
-    allowed = np.ones(vocab_size, dtype=bool)
-    allowed[:num_specials] = False
-
-    if method == "greedy":
-        chosen: list[int] = []
-        available = allowed.copy()
-        for slot in range(slots):
-            masked = np.where(available, slot_probs[slot], -np.inf)
-            pick = int(np.argmax(masked))
-            chosen.append(pick)
-            available[pick] = False
-        return chosen
-    if method == "global":
-        totals = np.where(allowed, slot_probs.sum(axis=0), -np.inf)
-        pool = set(np.argsort(-totals)[:slots].tolist())
-        chosen = []
-        for slot in range(slots):
-            pick = max(pool, key=lambda t: (slot_probs[slot, t], -t))
-            chosen.append(int(pick))
-            pool.remove(pick)
-        return chosen
-    if method == "optimal":
-        from scipy.optimize import linear_sum_assignment
-
-        cost = -np.log(np.maximum(slot_probs[:, allowed], 1e-300))
-        candidate_ids = np.flatnonzero(allowed)
-        rows, cols = linear_sum_assignment(cost)
-        picks = [0] * slots
-        for row, col in zip(rows, cols):
-            picks[row] = int(candidate_ids[col])
-        return picks
-    raise ValueError(f"unknown decode method {method!r}; use one of {DECODE_METHODS}")
+    available = np.ones(vocab_size, dtype=bool)
+    available[:num_specials] = False
+    chosen: list[int] = []
+    for slot in range(slots):
+        masked = np.where(available, slot_probs[slot], -np.inf)
+        pick = int(np.argmax(masked))
+        chosen.append(pick)
+        available[pick] = False
+    return chosen
 
 
 def predict_length(params: ModelParams, vocab: SubwordVocab,
@@ -129,31 +97,29 @@ def predict_length(params: ModelParams, vocab: SubwordVocab,
 
 
 def generate_tokens(params: ModelParams, vocab: SubwordVocab,
-                    record: RefactoringRecord, g: int,
-                    method: str = "greedy") -> list[str]:
+                    record: RefactoringRecord, g: int) -> list[str]:
     """Decode g pairwise-distinct sub-token strings for the record."""
     if not 1 <= g <= params.config.max_name_tokens:
         raise ValueError(f"g must lie in 1..{params.config.max_name_tokens}")
     return _suggest_with_length(params, vocab, record.code_before,
-                                record.variable_before, g, method).sub_tokens
+                                record.variable_before, g).sub_tokens
 
 
 def suggest(params: ModelParams, vocab: SubwordVocab,
-            code: str, variable_before: str,
-            method: str = "greedy") -> Suggestion:
+            code: str, variable_before: str) -> Suggestion:
     """End-to-end suggestion: top-1 predicted length, then unique decoding.
 
     Raises VariableNotFound when the variable does not occur in ``code``.
     """
     ranked = _ranked_lengths(params, vocab, code, variable_before)
-    return _suggest_with_length(params, vocab, code, variable_before, ranked[0][0], method)
+    return _suggest_with_length(params, vocab, code, variable_before, ranked[0][0])
 
 
 def _suggest_with_length(params: ModelParams, vocab: SubwordVocab, code: str,
-                         variable_before: str, g: int, method: str) -> Suggestion:
+                         variable_before: str, g: int) -> Suggestion:
     """Decode ``g`` unique sub-tokens: the part of ``suggest`` after ranking."""
     slot_probs = _slot_distributions(params, vocab, code, variable_before, g)
-    ids = decode_unique(slot_probs, vocab, method)
+    ids = decode_unique(slot_probs, vocab)
     sub_tokens = [bpe.token_string(vocab, i) for i in ids]
     candidates = []
     for slot in range(g):
@@ -177,11 +143,9 @@ class ModelPredictor:
     same record, so a record evaluated for both costs two encoder passes.
     """
 
-    def __init__(self, params: ModelParams, vocab: SubwordVocab,
-                 method: str = "greedy"):
+    def __init__(self, params: ModelParams, vocab: SubwordVocab):
         self.params = params
         self.vocab = vocab
-        self.method = method
         self._ranked: tuple[RefactoringRecord, list[tuple[int, float]]] | None = None
 
     def predict_length(self, record: RefactoringRecord) -> list[tuple[int, float]]:
@@ -192,8 +156,8 @@ class ModelPredictor:
     def predict_name(self, record: RefactoringRecord) -> str:
         if self._ranked is None or self._ranked[0] is not record:
             return suggest(self.params, self.vocab, record.code_before,
-                           record.variable_before, self.method).name
+                           record.variable_before).name
         g = self._ranked[1][0][0]
         self._ranked = None
         return _suggest_with_length(self.params, self.vocab, record.code_before,
-                                    record.variable_before, g, self.method).name
+                                    record.variable_before, g).name

@@ -28,17 +28,12 @@ calls.
 
 A layer's FFN is one ``autodiff.ffn`` node, which keeps the layer's
 post-attention rows and rebuilds GELU's input and output from them in the
-backward, so a recorded step holds no ``(ΣS, ffn_dim)`` array. A
-full-width layer's attention, its Q/K/V projections included, is one
+backward, so a recorded step holds no ``(ΣS, ffn_dim)`` array. A layer's
+attention, its Q/K/V projections included, is one
 ``autodiff.self_attention`` node, which keeps the layer's input and
-rebuilds each sequence's queries, keys and values in the backward. Both
-run the operations of the graphs they replace, in the same order, so
-results are bit-identical to those. The row-restricted last layer (below)
-keeps three ``linear`` projections and ``autodiff.packed_attention``: its
-queries come through a ``take``, whose backward scatters the residual's
-and the queries' gradient pieces, already summed, into the layer's input
-before the key and value pieces arrive; one node taking that input would
-sum them in another order.
+rebuilds the queries, keys and values in the backward. Both run the
+operations of the graphs they replace, in the same order, so results are
+bit-identical to those.
 
 Every loss and decoder reads only a few output rows: [CLS] for length
 prediction, the masked or name positions for the token head and the
@@ -251,7 +246,10 @@ def forward(
     sequence without dropout. ``rows`` (pack positions in any order,
     repeats allowed) returns only those rows, shape ``(len(rows), d)``:
     the last layer attends from them alone, over keys and values at every
-    position of their sequence. ``None`` returns all rows.
+    position of their sequence. ``None`` returns all rows. A repeated
+    row's gradient into the last layer's input adds up the residual's and
+    the queries' pieces of its repeats as two sums, so it can differ in the
+    last bits from adding the repeats one at a time.
     Raises InvalidRows when ``rows`` is empty or out of range.
     """
     config = params.config
@@ -268,14 +266,10 @@ def forward(
     if np.any(arr[offsets[:-1]] != CLS) or np.any(arr[offsets[1:] - 1] != SEP):
         raise ValueError("each sequence must start with [CLS] and end with [SEP]")
     total = arr.size
-    queries = None
     if rows is not None:
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim != 1 or rows.size == 0 or rows.min() < 0 or rows.max() >= total:
             raise InvalidRows(f"rows must be a non-empty list of positions in [0, {total})")
-        # The last layer's query rows, grouped by the sequence they lie in.
-        owner = np.searchsorted(offsets, rows, side="right") - 1
-        queries = [np.flatnonzero(owner == i) for i in range(lengths.size)]
 
     heads = config.num_heads
     rate = config.dropout if train_mode else 0.0
@@ -286,14 +280,17 @@ def forward(
     rngs = [np.random.default_rng(s) if rate > 0 and s is not None else None for s in seeds]
     dropping = any(rng is not None for rng in rngs)
     dtype = params.dtype        # of the activations, and so of the scales
-    scale = row_scale = spans = None
+    scale = row_scale = queries = spans = None
     if dropping:
         scale = np.divide(1.0, 1.0 - rate, dtype=dtype)
         row_scale = np.repeat(np.array([1 if rng is None else scale for rng in rngs], dtype),
                               lengths)[:, None]
         if rows is not None:
-            # Per sequence, the distinct positions the last layer reads,
-            # sorted, and where each of its query rows finds its own.
+            # Per sequence, the positions in ``rows`` of its rows, the
+            # distinct positions the last layer reads there, sorted, and
+            # where each of its query rows finds its own.
+            owner = np.searchsorted(offsets, rows, side="right") - 1
+            queries = [np.flatnonzero(owner == i) for i in range(lengths.size)]
             spans = [np.unique(rows[mine] - start, return_inverse=True)
                      for mine, start in zip(queries, offsets)]
 
@@ -309,11 +306,11 @@ def forward(
             for rng, n, mine, (local, inverse) in zip(rngs, lengths, queries, spans):
                 if rng is not None:
                     keep[mine] = _drawn_rows(rng, local, n, width, rate)[inverse]
-            return ad.dropout(x, rate, None, keep, row_scale[rows])
+            return ad.dropout(x, rate, keep, row_scale[rows])
         keep = np.concatenate([
             rng.random((n, width)) >= rate if rng is not None else np.ones((n, width), bool)
             for rng, n in zip(rngs, lengths)])
-        return ad.dropout(x, rate, None, keep, row_scale)
+        return ad.dropout(x, rate, keep, row_scale)
 
     def attention_keeps(last: bool):
         if not dropping:
@@ -342,19 +339,14 @@ def forward(
         p = f"layer{i}"
         # Queries and everything after them run only at the output rows.
         last = rows is not None and i == config.num_layers - 1
-        if last:
-            xq = ad.take(x, rows)
-            q = _project(params, f"{p}.attention.query", xq)
-            k = _project(params, f"{p}.attention.key", x)
-            v = _project(params, f"{p}.attention.value", x)
-            context = ad.packed_attention(q, k, v, offsets, heads, queries,
-                                          attention_keeps(True), scale)
-        else:
-            xq = x
-            projections = [params[f"{p}.attention.{proj}.{part}"]
-                           for proj in ("query", "key", "value") for part in ("weight", "bias")]
-            context = ad.self_attention(x, *projections, offsets, heads,
-                                        attention_keeps(False), scale)
+        # xq is the residual add's first operand, so a take's backward reaches
+        # x before the attention node's: x's gradient sums the residual's,
+        # then Q's, K's and V's pieces, as in the graph of three linears.
+        xq = ad.take(x, rows) if last else x
+        projections = [params[f"{p}.attention.{proj}.{part}"]
+                       for proj in ("query", "key", "value") for part in ("weight", "bias")]
+        context = ad.self_attention(x, *projections, offsets, heads, rows if last else None,
+                                    attention_keeps(last), scale)
         attn_out = drop(_project(params, f"{p}.attention.output", context), last)
         x = ad.layer_norm(ad.add(xq, attn_out),
                           params[f"{p}.attention_norm.scale"],

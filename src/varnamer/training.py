@@ -151,8 +151,9 @@ def adam_update(
         master = state.master.get(name)
         if master is None:
             master = state.master[name] = tensor.data.astype(MASTER_DTYPE)
-        m = state.m.setdefault(name, np.zeros_like(master))
-        v = state.v.setdefault(name, np.zeros_like(master))
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(master), np.zeros_like(master)
+        m, v = state.m[name], state.v[name]
         # In place through two scratch arrays, with the operations of
         #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
         #   master -= lr * (m/c1) / (sqrt(v/c2) + eps)

@@ -261,7 +261,7 @@ def test_uniqueness_decoding(desk_vocab, toy_records):
     table[1, value] = 0.3
     table[2, value] = 0.8
     table[2, pattern] = 0.1
-    ids = inference.decode_unique(table, desk_vocab, method="greedy")
+    ids = inference.decode_unique(table, desk_vocab)
     assert ids[0] == field
     assert len(set(ids)) == 3
     assert ids.count(field) == 1

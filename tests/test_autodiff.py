@@ -15,6 +15,8 @@ import pytest
 from varnamer import autodiff as ad
 from varnamer.errors import GraphReleased
 
+from attention_reference import attention_block, packed_attention
+
 
 def fd_check(build, *shapes, seed=0, eps=1e-6, tol=1e-6, positive=False):
     """Compare analytic and numeric gradients of build(*tensors) -> Tensor."""
@@ -136,27 +138,28 @@ class TestPackedAttention:
     """Sequences of 3 and 5 rows in one pack, two heads of width 2."""
 
     OFFSETS = [0, 3, 8]
+    SHAPES = [(8, 4), (4, 4), (4,), (4, 4), (4,), (4, 4), (4,)]
 
     def test_self_attention(self):
-        weight = np.random.default_rng(7).normal(size=(8, 4))
-        fd_check(lambda q, k, v: ad.mul(ad.packed_attention(q, k, v, self.OFFSETS, 2), weight),
-                 (8, 4), (8, 4), (8, 4))
+        # query rows 6, 1 and 3: two in the 5-row sequence, one in the other
+        weight = np.random.default_rng(7).normal(size=(3, 4))
+        fd_check(lambda *t: ad.mul(ad.self_attention(*t, self.OFFSETS, 2, [6, 1, 3]), weight),
+                 *self.SHAPES)
 
     def test_query_rows_with_repeats_and_dropout(self):
         # Query rows 1, 4, 4, 0 of the pack: rows 1 and 0 lie in the 3-row
         # sequence, row 4 (twice) in the 5-row one.
         rows = [1, 4, 4, 0]
-        queries = [np.array([0, 3]), np.array([1, 2])]
         rng = np.random.default_rng(8)
         keeps = [None, rng.random((2, 2, 5)) >= 0.3]
         weight = rng.normal(size=(4, 4))
 
-        def build(x, k, v):
-            q = ad.take(x, rows)
-            out = ad.packed_attention(q, k, v, self.OFFSETS, 2, queries, keeps, 1 / 0.7)
-            return ad.mul(out, weight)
+        def build(x, wq, bq, wk, bk, wv, bv):
+            out = ad.self_attention(x, wq, bq, wk, bk, wv, bv, self.OFFSETS, 2, rows, keeps,
+                                    1 / 0.7)
+            return ad.mul(ad.add(ad.take(x, rows), out), weight)
 
-        fd_check(build, (8, 4), (8, 4), (8, 4))
+        fd_check(build, *self.SHAPES)
 
     @pytest.mark.parametrize("dropout", [False, True])
     def test_self_attention_projects_its_input(self, dropout):
@@ -165,17 +168,19 @@ class TestPackedAttention:
         weight = rng.normal(size=(8, 4))
 
         def build(x, wq, bq, wk, bk, wv, bv):
-            out = ad.self_attention(x, wq, bq, wk, bk, wv, bv, self.OFFSETS, 2, keeps, 1 / 0.7)
+            out = ad.self_attention(x, wq, bq, wk, bk, wv, bv, self.OFFSETS, 2, None, keeps,
+                                    1 / 0.7)
             return ad.mul(out, weight)
 
-        fd_check(build, (8, 4), (4, 4), (4,), (4, 4), (4,), (4, 4), (4,))
+        fd_check(build, *self.SHAPES)
 
     def test_sequence_without_queries_gets_no_gradient(self):
-        q = ad.Tensor(np.ones((2, 4)), requires_grad=True)
-        k, v = (ad.Tensor(np.ones((8, 4)), requires_grad=True) for _ in range(2))
-        out = ad.packed_attention(q, k, v, self.OFFSETS, 2, [np.array([], int), np.array([0, 1])])
+        rng = np.random.default_rng(10)
+        x, *params = (ad.Tensor(rng.normal(size=shape), requires_grad=True)
+                      for shape in self.SHAPES)
+        out = ad.self_attention(x, *params, self.OFFSETS, 2, [5, 3])
         ad.sum_all(out).backward()
-        assert not np.any(k.grad[:3]) and not np.any(v.grad[:3]) and np.any(v.grad[3:])
+        assert not np.any(x.grad[:3]) and np.all(np.any(x.grad[3:], axis=1))
 
 
 class TestGraphMechanics:
@@ -192,15 +197,14 @@ class TestGraphMechanics:
 
     def test_dropout_eval_identity(self):
         x = ad.Tensor(np.ones((3, 3)), requires_grad=True)
-        assert ad.dropout(x, 0.0, np.random.default_rng(0)) is x
+        assert ad.dropout(x, 0.0, np.ones((3, 3), bool), 1.0) is x
 
     def test_dropout_seeded_mask(self):
         x = ad.Tensor(np.ones((20, 20)), requires_grad=True)
-        a = ad.dropout(x, 0.5, np.random.default_rng(42)).data
-        b = ad.dropout(x, 0.5, np.random.default_rng(42)).data
-        assert np.array_equal(a, b)
-        kept = a != 0
-        assert np.allclose(a[kept], 2.0)  # inverted scaling 1/(1-rate)
+        keep = np.random.default_rng(42).random((20, 20)) >= 0.5
+        out = ad.dropout(x, 0.5, keep, 2.0).data
+        assert np.array_equal(out != 0, keep)
+        assert np.allclose(out[keep], 2.0)  # inverted scaling 1/(1-rate)
 
     def test_backward_deep_chain(self):
         x = ad.Tensor([1.5], requires_grad=True)
@@ -246,16 +250,18 @@ OP_CASES = {
             [(5, 4), (4, 6), (6,), (6, 3), (3,)], False),
     "softmax": (lambda a: ad.softmax(a), [(2, 3, 5)], False),
     "layer_norm": (lambda a, g, b: ad.layer_norm(a, g, b), [(4, 6), (6,), (6,)], False),
-    "dropout": (lambda a: ad.dropout(a, 0.5, np.random.default_rng(0)), [(5, 5)], False),
-    "packed_attention": (
-        lambda q, k, v: ad.packed_attention(
-            q, k, v, [0, 3, 7], 2, [np.array([0, 3]), np.array([1, 2, 4])],
-            [None, np.arange(24).reshape(2, 3, 4) % 3 != 0], 2.0),
-        [(5, 4), (7, 4), (7, 4)], False),
+    "dropout": (lambda a: ad.dropout(a, 0.5, np.arange(25).reshape(5, 5) % 3 != 0, 2.0),
+                [(5, 5)], False),
     "self_attention": (
         lambda x, wq, bq, wk, bk, wv, bv: ad.self_attention(
-            x, wq, bq, wk, bk, wv, bv, [0, 3, 7], 2,
+            x, wq, bq, wk, bk, wv, bv, [0, 3, 7], 2, None,
             [None, np.arange(32).reshape(2, 4, 4) % 3 != 0], 2.0),
+        [(7, 4), (4, 4), (4,), (4, 4), (4,), (4, 4), (4,)], False),
+    # query rows 0 and 2 in the first sequence, 4, 6 and 5 in the second
+    "self_attention-rows": (
+        lambda x, wq, bq, wk, bk, wv, bv: ad.self_attention(
+            x, wq, bq, wk, bk, wv, bv, [0, 3, 7], 2, [4, 0, 6, 2, 5],
+            [None, np.arange(24).reshape(2, 3, 4) % 3 != 0], 2.0),
         [(7, 4), (4, 4), (4,), (4, 4), (4,), (4, 4), (4,)], False),
     "l2_normalize": (lambda a: ad.l2_normalize(a), [(5,)], True),
     "dot": (lambda a, b: ad.dot(a, b), [(7,), (7,)], False),
@@ -266,7 +272,8 @@ def test_every_public_op_has_an_in_place_case():
     public = {name for name, fn in vars(ad).items()
               if inspect.isfunction(fn) and fn.__module__ == ad.__name__
               and not name.startswith("_") and name not in ("as_tensor", "no_grad")}
-    assert public == set(OP_CASES)
+    # a case named "op-variant" is another call of op
+    assert public == {name.split("-")[0] for name in OP_CASES}
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
@@ -464,13 +471,14 @@ def ref_ffn(x, w_in, b_in, w_out, b_out, g):
     return out.data, [t.grad for t in tensors]
 
 
-def ref_self_attention(x, wq, bq, wk, bk, wv, bv, g, offsets, heads, keeps=None, scale=None):
+def ref_self_attention(x, wq, bq, wk, bk, wv, bv, g, offsets, heads, rows=None, keeps=None,
+                       scale=None):
     """The unfused graph of an encoder layer's attention: three linear
-    nodes feeding ``packed_attention``, and the residual add, whose
-    gradient reaches ``x`` first."""
+    nodes (the queries' on a ``take`` of ``rows``) feeding
+    ``packed_attention``, and the residual add, whose gradient reaches
+    ``x`` first."""
     tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in (x, wq, bq, wk, bk, wv, bv)]
-    q, k, v = (ad.linear(tensors[0], tensors[i], tensors[i + 1]) for i in (1, 3, 5))
-    out = ad.add(tensors[0], ad.packed_attention(q, k, v, offsets, heads, None, keeps, scale))
+    out = ad.add(*attention_block(*tensors, offsets, heads, rows, keeps, scale))
     ad.sum_all(ad.mul(out, g)).backward()
     return out.data, [t.grad for t in tensors]
 
@@ -524,13 +532,14 @@ BIT_CASES = {
     # more than two blocks of the backward's GELU rebuild, the last one short
     "ffn": (ad.ffn, ref_ffn,
             [(2 * ad._GELU_BLOCK_ROWS + 5, 16), (16, 24), (24,), (24, 16), (16,)]),
-    "dropout": (lambda a: ad.dropout(a, 0.3, None, _DROP_KEEP, _DROP_SCALE),
+    "dropout": (lambda a: ad.dropout(a, 0.3, _DROP_KEEP, _DROP_SCALE),
                 ref_dropout, [(9, 16)]),
-    "packed_attention": (lambda q, k, v: ad.packed_attention(q, k, v, [0, 9], 2),
+    # the reference that self_attention is held to, against the plain graph
+    "packed_attention": (lambda q, k, v: packed_attention(q, k, v, [0, 9], 2),
                          ref_attention, [(9, 8), (9, 8), (9, 8)]),
     "packed_attention-dropout": (
-        lambda q, k, v: ad.packed_attention(q, k, v, [0, 9], 2, None, [_ATTENTION_KEEP],
-                                            np.divide(1.0, 0.7)),
+        lambda q, k, v: packed_attention(q, k, v, [0, 9], 2, None, [_ATTENTION_KEEP],
+                                         np.divide(1.0, 0.7)),
         lambda q, k, v, g: ref_attention(q, k, v, g, mask=np.divide(_ATTENTION_KEEP, 0.7)),
         [(9, 8), (9, 8), (9, 8)]),
 }
@@ -596,31 +605,73 @@ def test_ffn_is_the_three_node_graph_bit_for_bit(dtype, rows):
         assert t.grad.dtype == dtype and np.array_equal(t.grad, expected)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("dropout", [False, True])
-def test_self_attention_is_the_four_node_graph_bit_for_bit(dtype, dropout):
-    # sequences of several lengths, one of them a lone row; 183 rows in all
-    lengths, width, heads = [2, 57, 93, 1, 30], 32, 4
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    assert offsets[-1] % ad._GELU_BLOCK_ROWS != 0
-    rng = np.random.default_rng(10)
+# Sequences of several lengths, one of them a lone row; 183 rows in all.
+ATTENTION_LENGTHS = [2, 57, 93, 1, 30]
+# Query rows: every row; the [CLS] rows; distinct rows in every sequence;
+# none in the third and the lone-row sequence; one row.
+ATTENTION_ROWS = [None, [0, 2, 59, 152, 153], [100, 3, 0, 160, 58, 152, 170, 2],
+                  [3, 0, 160, 58, 170, 2], [100]]
+
+
+def attention_case(dtype, dropout, rows, seed=10):
+    """x, the six projection parameters, the dropout patterns and scale,
+    and a gradient for the output, for self_attention over
+    ``ATTENTION_LENGTHS`` with query ``rows``."""
+    width, heads = 32, 4
+    offsets = np.concatenate(([0], np.cumsum(ATTENTION_LENGTHS)))
+    rng = np.random.default_rng(seed)
     x = rng.normal(0.0, 3.0, size=(offsets[-1], width)).astype(dtype)
     params = [rng.normal(0.0, 0.3, size=shape).astype(dtype)
               for _ in range(3) for shape in [(width, width), (width,)]]
     keeps, scale = None, None
     if dropout:
-        keeps = [None if i == 2 else rng.random((heads, n, n)) >= 0.3
-                 for i, n in enumerate(lengths)]
+        counts = (ATTENTION_LENGTHS if rows is None
+                  else np.bincount(np.searchsorted(offsets, rows, side="right") - 1,
+                                   minlength=len(ATTENTION_LENGTHS)))
+        keeps = [None if i == 2 else rng.random((heads, m, n)) >= 0.3
+                 for i, (m, n) in enumerate(zip(counts, ATTENTION_LENGTHS))]
         scale = np.divide(1.0, 0.7, dtype=dtype)
-    g = rng.normal(0.0, 1.0, size=x.shape).astype(dtype)
+    g = rng.normal(0.0, 1.0, size=(offsets[-1] if rows is None else len(rows), width))
+    return x, params, offsets, heads, keeps, scale, g.astype(dtype)
+
+
+def attention_node_graph(x, params, offsets, heads, rows, keeps, scale, g):
+    """The node plus the residual add (its rows through a ``take``): the
+    output and the gradients of x and the parameters."""
     tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in [x] + params]
     # x's gradient sums the residual's piece and then Q's, K's and V's
-    out = ad.add(tensors[0], ad.self_attention(*tensors, offsets, heads, keeps, scale))
+    residual = tensors[0] if rows is None else ad.take(tensors[0], rows)
+    out = ad.add(residual, ad.self_attention(*tensors, offsets, heads, rows, keeps, scale))
     ad.sum_all(ad.mul(out, g)).backward()
-    expected_out, expected_grads = ref_self_attention(x, *params, g, offsets, heads, keeps, scale)
-    assert out.data.dtype == dtype and np.array_equal(out.data, expected_out)
-    for t, expected in zip(tensors, expected_grads):
-        assert t.grad.dtype == dtype and np.array_equal(t.grad, expected)
+    return out.data, [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout", [False, True])
+def test_self_attention_is_the_four_node_graph_bit_for_bit(dtype, dropout):
+    assert sum(ATTENTION_LENGTHS) % ad._GELU_BLOCK_ROWS != 0
+    for rows in ATTENTION_ROWS:
+        x, params, offsets, heads, keeps, scale, g = attention_case(dtype, dropout, rows)
+        out, grads = attention_node_graph(x, params, offsets, heads, rows, keeps, scale, g)
+        expected_out, expected_grads = ref_self_attention(x, *params, g, offsets, heads, rows,
+                                                          keeps, scale)
+        assert out.dtype == dtype and np.array_equal(out, expected_out), rows
+        for grad, expected in zip(grads, expected_grads):
+            assert grad.dtype == dtype and np.array_equal(grad, expected), rows
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_repeated_query_rows_change_only_the_last_bits_of_gradients(dtype):
+    # repeats in three sequences, one row three times
+    rows = [100, 3, 0, 160, 3, 100, 170, 160, 3]
+    x, params, offsets, heads, keeps, scale, g = attention_case(dtype, True, rows)
+    out, grads = attention_node_graph(x, params, offsets, heads, rows, keeps, scale, g)
+    expected_out, expected_grads = ref_self_attention(x, *params, g, offsets, heads, rows,
+                                                      keeps, scale)
+    assert np.array_equal(out, expected_out)
+    for grad, expected in zip(grads, expected_grads):
+        np.testing.assert_allclose(grad, expected, rtol=1e-5 if dtype == np.float32 else 1e-12,
+                                   atol=1e-6 if dtype == np.float32 else 1e-12)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -629,8 +680,9 @@ def test_dropout_scale_rounds_like_the_float_mask(dtype, rate):
     # 1 / (1 - rate) rounded from float64 can differ from the division in
     # dtype (it does for float32 at rate 0.15); the mask is the latter.
     x = np.random.default_rng(3).normal(size=(6, 7)).astype(dtype)
-    out = ad.dropout(ad.Tensor(x), rate, np.random.default_rng(4))
-    mask = np.divide(np.random.default_rng(4).random(x.shape) >= rate, 1.0 - rate, dtype=dtype)
+    keep = np.random.default_rng(4).random(x.shape) >= rate
+    out = ad.dropout(ad.Tensor(x), rate, keep, np.divide(1.0, 1.0 - rate, dtype=dtype))
+    mask = np.divide(keep, 1.0 - rate, dtype=dtype)
     assert out.data.dtype == dtype and np.array_equal(out.data, x * mask)
 
 
@@ -688,7 +740,7 @@ class TestSavedForBackward:
         x, *params = (self.tensor(*shape, seed=s) for s, shape in
                       enumerate([(8, 4)] + [(4, 4), (4,)] * 3))
         keeps = [None, np.random.default_rng(3).random((2, 5, 5)) >= 0.5]
-        node = ad.self_attention(x, *params, [0, 3, 8], 2, keeps, np.float32(2.0))
+        node = ad.self_attention(x, *params, [0, 3, 8], 2, None, keeps, np.float32(2.0))
         assert rebuildable(node) == []
         # no q, k or v projection: of the (8, 4) arrays only x itself
         assert [id(arr) for arr in closure_arrays(node) if arr.shape == (8, 4)] == [id(x.data)]
@@ -701,22 +753,27 @@ class TestSavedForBackward:
     def test_dropout_keeps_a_boolean_pattern(self):
         keep = np.arange(80).reshape(10, 8) % 3 != 0
         scale = np.where(np.arange(10) < 6, np.float32(2.0), np.float32(1.0))[:, None]
-        node = ad.dropout(self.tensor(10, 8), 0.5, None, keep, scale)
+        node = ad.dropout(self.tensor(10, 8), 0.5, keep, scale)
         assert rebuildable(node) == []
         assert [arr.dtype for arr in closure_arrays(node) if arr.shape == (10, 8)] == [bool]
 
-    def test_packed_attention_keeps_row_statistics_and_patterns(self):
-        q, k, v = (self.tensor(8, 4, seed=s) for s in range(3))
-        keeps = [None, np.random.default_rng(3).random((2, 5, 5)) >= 0.5]
-        node = ad.packed_attention(q, k, v, [0, 3, 8], 2, None, keeps, np.float32(2.0))
+    def test_row_restricted_self_attention_keeps_no_projections(self):
+        x, *params = (self.tensor(*shape, seed=s) for s, shape in
+                      enumerate([(8, 4)] + [(4, 4), (4,)] * 3))
+        # query rows 4, 0 and 2: one in the 5-row sequence, two in the other
+        keeps = [np.random.default_rng(3).random((2, 2, 3)) >= 0.5, None]
+        node = ad.self_attention(x, *params, [0, 3, 8], 2, [4, 0, 2], keeps, np.float32(2.0))
         assert rebuildable(node) == []
-        # per sequence, the softmax's row max and row sum, (heads, m, 1)
+        # no q (3, 4), and no k or v (8, 4): of those shapes only x itself
+        assert [id(arr) for arr in closure_arrays(node) if arr.shape in ((3, 4), (8, 4))] == [
+            id(x.data)]
+        # per sequence the softmax's row max and row sum, (heads, m, 1)
         # each, and the boolean pattern; no (heads, m, n) probabilities
-        own = [arr for arr in closure_arrays(node)
-               if not any(np.shares_memory(arr, p.data) for p in node._parents)]
+        own = [arr for arr in closure_arrays(node) if arr.dtype.kind != "i"
+               and not any(np.shares_memory(arr, p.data) for p in node._parents)]
         assert sorted((arr.shape, arr.dtype.kind) for arr in own) == [
-            ((2, 3, 1), "f"), ((2, 3, 1), "f"), ((2, 5, 1), "f"), ((2, 5, 1), "f"),
-            ((2, 5, 5), "b")]
+            ((2, 1, 1), "f"), ((2, 1, 1), "f"), ((2, 2, 1), "f"), ((2, 2, 1), "f"),
+            ((2, 2, 3), "b")]
 
 
 def test_gelu_backward_peak_is_its_gradient_plus_blocks():

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -18,6 +19,8 @@ from varnamer.errors import (
     UnknownTokenId,
     VarnamerError,
 )
+
+from attention_reference import attention_block
 
 
 def small_config(**overrides):
@@ -207,37 +210,28 @@ def packs(draw):
 
 def recording_masks(fn):
     """Call ``fn`` and return its result with the dropout masks the encoder
-    handed to ``dropout`` and to the attention nodes (``self_attention`` or
-    ``packed_attention``), in call order, each rebuilt in float from its
-    boolean keep pattern and scale."""
+    handed to ``dropout`` and to ``self_attention``, in call order, each
+    rebuilt in float from its boolean keep pattern and scale."""
     seen = {"dropout": [], "attention": []}
-    dropout, attention, self_attention = ad.dropout, ad.packed_attention, ad.self_attention
+    dropout, self_attention = ad.dropout, ad.self_attention
 
-    def record_dropout(a, rate, rng, keep=None, scale=None):
+    def record_dropout(a, rate, keep, scale):
         assert keep.dtype == bool
         seen["dropout"].append(keep * scale)
-        return dropout(a, rate, rng, keep, scale)
+        return dropout(a, rate, keep, scale)
 
-    def record_keeps(keeps, scale):
+    def record_self_attention(x, wq, bq, wk, bk, wv, bv, offsets, heads, rows=None, keeps=None,
+                              scale=None):
         assert all(keep is None or keep.dtype == bool for keep in keeps or ())
         seen["attention"].append(
             None if keeps is None else [None if keep is None else keep * scale for keep in keeps])
+        return self_attention(x, wq, bq, wk, bk, wv, bv, offsets, heads, rows, keeps, scale)
 
-    def record_attention(q, k, v, offsets, heads, queries=None, keeps=None, scale=None):
-        record_keeps(keeps, scale)
-        return attention(q, k, v, offsets, heads, queries, keeps, scale)
-
-    def record_self_attention(x, wq, bq, wk, bk, wv, bv, offsets, heads, keeps=None,
-                              scale=None):
-        record_keeps(keeps, scale)
-        return self_attention(x, wq, bq, wk, bk, wv, bv, offsets, heads, keeps, scale)
-
-    ad.dropout, ad.packed_attention = record_dropout, record_attention
-    ad.self_attention = record_self_attention
+    ad.dropout, ad.self_attention = record_dropout, record_self_attention
     try:
         return fn(), seen
     finally:
-        ad.dropout, ad.packed_attention, ad.self_attention = dropout, attention, self_attention
+        ad.dropout, ad.self_attention = dropout, self_attention
 
 
 _PACK_PARAMS = {layers: model.init_params(small_config(num_layers=layers, max_seq_len=40), 9)
@@ -326,6 +320,67 @@ class TestPackedForward:
                                        err_msg=name)
 
 
+class TestRowRestrictedLastLayer:
+    """The last layer's one attention node against the graph it replaces:
+    a ``take`` of the query rows feeding the residual and the query
+    projection, ``linear`` key and value projections and
+    ``packed_attention``. Outputs and parameter gradients must match bit
+    for bit, which holds only while the residual's gradient reaches the
+    layer input first, then the queries', keys' and values' pieces."""
+
+    @staticmethod
+    def reference_forward(params, ids, rows, lengths):
+        config = params.config
+        before = model.ModelParams(
+            dataclasses.replace(config, num_layers=config.num_layers - 1), params.tensors)
+        x = model.forward(before, ids, lengths=lengths)
+        p = f"layer{config.num_layers - 1}"
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        projections = [params[f"{p}.attention.{proj}.{part}"]
+                       for proj in ("query", "key", "value") for part in ("weight", "bias")]
+        xq, context = attention_block(x, *projections, offsets, config.num_heads, rows)
+        attn_out = ad.linear(context, params[f"{p}.attention.output.weight"],
+                             params[f"{p}.attention.output.bias"])
+        x = ad.layer_norm(ad.add(xq, attn_out), params[f"{p}.attention_norm.scale"],
+                          params[f"{p}.attention_norm.bias"])
+        ffn = ad.ffn(x, params[f"{p}.ffn.in.weight"], params[f"{p}.ffn.in.bias"],
+                     params[f"{p}.ffn.out.weight"], params[f"{p}.ffn.out.bias"])
+        return ad.layer_norm(ad.add(x, ffn), params[f"{p}.ffn_norm.scale"],
+                             params[f"{p}.ffn_norm.bias"])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("num_layers", [2, 3])
+    def test_equals_the_take_linear_packed_attention_graph(self, dtype, num_layers):
+        fresh = model.init_params(small_config(num_layers=num_layers, max_seq_len=40), seed=5)
+        # weights 15 times their initial spread, so that the query, key and
+        # value pieces of the layer input's gradient are as large as the
+        # residual's, and summing them in another order shows
+        params = model.ModelParams(fresh.config, {
+            name: ad.Tensor((15 * t.data if t.data.ndim == 2 else t.data).astype(dtype),
+                            requires_grad=True)
+            for name, t in fresh.tensors.items()})
+        lengths = [9, 30, 14, 6]
+        ids = [t for n in lengths for t in wrap((7 * np.arange(n - 2) + n) % 50 + 10)]
+        # distinct, unsorted, in every sequence but the last
+        rows = [40, 0, 9, 25, 52, 10, 3]
+        weight = np.random.default_rng(6).normal(size=(len(rows), 32)).astype(dtype)
+
+        def run(forward):
+            params.zero_grads()
+            out = forward()
+            ad.sum_all(ad.mul(out, weight)).backward()
+            return out.data, {name: t.grad for name, t in params.tensors.items()
+                              if t.grad is not None}
+
+        out, grads = run(lambda: model.forward(params, ids, rows=rows, lengths=lengths))
+        expected_out, expected_grads = run(
+            lambda: self.reference_forward(params, ids, rows, lengths))
+        assert out.dtype == dtype and np.array_equal(out, expected_out)
+        assert grads.keys() == expected_grads.keys()
+        for name, grad in expected_grads.items():
+            assert grads[name].dtype == dtype and np.array_equal(grads[name], grad), name
+
+
 class TestSpanDrawnDropout:
     """The last layer draws its dropout patterns only over the rows it
     reads; they must equal those rows of the full draws, bit for bit."""
@@ -383,19 +438,20 @@ class TestSpanDrawnDropout:
             return generators[-1]
 
         keeps = {"dropout": [], "attention": []}
-        dropout, attention = ad.dropout, ad.packed_attention
+        dropout, attention = ad.dropout, ad.self_attention
 
-        def record_dropout(a, rate, rng, keep=None, scale=None):
+        def record_dropout(a, rate, keep, scale):
             keeps["dropout"].append(keep)
-            return dropout(a, rate, rng, keep, scale)
+            return dropout(a, rate, keep, scale)
 
-        def record_attention(q, k, v, offsets, heads, queries=None, patterns=None, scale=None):
+        def record_attention(x, wq, bq, wk, bk, wv, bv, offsets, heads, rows=None,
+                             patterns=None, scale=None):
             keeps["attention"].append(patterns)
-            return attention(q, k, v, offsets, heads, queries, patterns, scale)
+            return attention(x, wq, bq, wk, bk, wv, bv, offsets, heads, rows, patterns, scale)
 
         monkeypatch.setattr(np.random, "default_rng", recording_rng)
         monkeypatch.setattr(ad, "dropout", record_dropout)
-        monkeypatch.setattr(ad, "packed_attention", record_attention)
+        monkeypatch.setattr(ad, "self_attention", record_attention)
         model.forward(params, ids, True, seeds, rows=rows, lengths=lengths)
         monkeypatch.undo()
 
@@ -644,8 +700,7 @@ class TestServingPrecision:
         assert len(nodes) > 40                  # the walk reached the parameters
         assert {node.dtype for node in nodes} == {np.dtype(np.float32)}
         attention = [node for node in nodes if node._backward is not None
-                     and node._backward.__qualname__.startswith(
-                         ("packed_attention", "self_attention"))]
+                     and node._backward.__qualname__.startswith("self_attention")]
         assert len(attention) == 2              # one per layer
 
     def test_fresh_parameters_are_float64(self):

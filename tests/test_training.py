@@ -465,27 +465,20 @@ class TestFloat32Training:
         params = float32_copy(tiny_model(desk_vocab, num_layers=2, dropout=0.1))
         # each op rebuilds its float masks as keep * scale
         keep_dtypes, mask_dtypes = [], []
-        attention, self_attention, dropout = ad.packed_attention, ad.self_attention, ad.dropout
+        self_attention, dropout = ad.self_attention, ad.dropout
 
-        def record_keeps(keeps, scale):
+        def recording_self_attention(x, wq, bq, wk, bk, wv, bv, offsets, heads, rows=None,
+                                     keeps=None, scale=None):
             for keep in keeps or ():
                 if keep is not None:
                     keep_dtypes.append(keep.dtype)
                     mask_dtypes.append((keep * scale).dtype)
+            return self_attention(x, wq, bq, wk, bk, wv, bv, offsets, heads, rows, keeps, scale)
 
-        def recording(q, k, v, offsets, heads, queries=None, keeps=None, scale=None):
-            record_keeps(keeps, scale)
-            return attention(q, k, v, offsets, heads, queries, keeps, scale)
-
-        def recording_self_attention(x, wq, bq, wk, bk, wv, bv, offsets, heads, keeps=None,
-                                     scale=None):
-            record_keeps(keeps, scale)
-            return self_attention(x, wq, bq, wk, bk, wv, bv, offsets, heads, keeps, scale)
-
-        def recording_dropout(a, rate, rng, keep=None, scale=None):
+        def recording_dropout(a, rate, keep, scale):
             keep_dtypes.append(keep.dtype)
             mask_dtypes.append((keep * scale).dtype)
-            return dropout(a, rate, rng, keep, scale)
+            return dropout(a, rate, keep, scale)
 
         # backward releases the intermediate gradients, so each one is
         # recorded as it reaches its node, with the node's own dtype
@@ -497,7 +490,6 @@ class TestFloat32Training:
                 grad_dtypes.extend((grad.dtype, np.dtype(dtype)))
             return accumulated(total, grad, dtype, owned)
 
-        monkeypatch.setattr(ad, "packed_attention", recording)
         monkeypatch.setattr(ad, "self_attention", recording_self_attention)
         monkeypatch.setattr(ad, "dropout", recording_dropout)
         monkeypatch.setattr(ad, "_accumulated", recording_accumulated)
@@ -615,8 +607,8 @@ class TestTapeLifetime:
             refs["take output"].append(weakref.ref(out))
             return out
 
-        def recording_dropout(a, rate, rng, keep=None, scale=None):
-            out = dropout(a, rate, rng, keep, scale)
+        def recording_dropout(a, rate, keep, scale):
+            out = dropout(a, rate, keep, scale)
             # the embedding layer norm's output, the projections before dropout
             refs["dropout input"].append(weakref.ref(a))
             refs["dropout output"].append(weakref.ref(out))
