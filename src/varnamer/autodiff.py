@@ -680,17 +680,15 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     return _node(out_data, (an, gn, bn), backward)
 
 
-def dropout(a, rate: float, keep: np.ndarray, scale) -> Tensor:
+def dropout(a, keep: np.ndarray, scale) -> Tensor:
     """Inverted dropout: ``a * (keep * scale)``, the mask a constant w.r.t.
-    differentiation; ``a`` itself at rate 0.
+    differentiation. The caller decides whether anything drops.
 
     ``keep`` is a boolean pattern shaped like ``a``, and ``scale`` a scalar
     or an ``(N, 1)`` column in ``a``'s dtype; a column gives rows that skip
     dropout (all kept) a scale of 1. Only the booleans are kept; both
     passes rebuild the mask from them.
     """
-    if rate <= 0.0:
-        return as_tensor(a)
     x, an = _split(a)
     dtype = x.dtype
     out_data = np.multiply(keep, scale, dtype=dtype)

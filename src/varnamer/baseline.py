@@ -155,35 +155,6 @@ def save_ngram(ngram: NgramModel, path: str) -> None:
             fh.write(entry + "\n")
 
 
-def load_ngram(path: str) -> NgramModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("NGRAM v1 "):
-        raise ValueError(f"{path}: not an n-gram model file")
-    _, _, n, vocab_size, smoothing_k = lines[0].split()
-    ngram = NgramModel(n=int(n), vocab_size=int(vocab_size),
-                       smoothing_k=float(smoothing_k))
-    counts: dict[tuple[int, ...], Counter] = defaultdict(Counter)
-    candidates: dict[tuple[int, ...], set[str]] = defaultdict(set)
-    in_candidates = False
-    for line in lines[1:]:
-        if line == "#CANDIDATES":
-            in_candidates = True
-            continue
-        if not line:
-            continue
-        parts = line.split("\t")
-        key = tuple(int(i) for i in parts[0].split())
-        if in_candidates:
-            candidates[key].add(parts[1])
-        else:
-            counts[key][int(parts[1])] = int(parts[2])
-    ngram.counts = dict(counts)
-    ngram.context_totals = {ctx: sum(c.values()) for ctx, c in counts.items()}
-    ngram.candidate_names = dict(candidates)
-    return ngram
-
-
 class NgramPredictor:
     """Evaluation adapter for the n-gram suggester (generation only)."""
 

@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import CorruptVocab, EmptyName, VocabTooSmall
+from .errors import CorruptVocab, EmptyCorpus, EmptyName, VocabTooSmall
 from .fileio import atomic_write
 
 SPECIAL_TOKENS = ("[CLS]", "[SEP]", "[MASK]", "[NUM]", "[PAD]", "[UNK]")
@@ -108,16 +108,14 @@ def train_bpe(
             f"vocab_size {vocab_size} < {BASE_ALPHABET_SIZE} byte symbols "
             f"+ {len(SPECIAL_TOKENS)} specials")
     if not texts:
-        raise ValueError("texts must be non-empty")
+        raise EmptyCorpus("no texts to train the tokenizer on")
 
     words = Counter()
     for text in texts:
         for chunk in _pre_split(text, camel_split):
             words[_to_symbols(chunk)] += 1
 
-    tokens: list[str] = list(SPECIAL_TOKENS)
-    tokens.extend(_BYTE_TO_CHAR[b] for b in range(256))
-    token_set = set(tokens)
+    tokens = set(SPECIAL_TOKENS) | set(_BYTE_TO_CHAR.values())
     merges: list[tuple[str, str]] = []
 
     current = dict(words)
@@ -137,14 +135,20 @@ def train_bpe(
         )
         merges.append(best)
         merged = best[0] + best[1]
-        if merged not in token_set:
-            token_set.add(merged)
-            tokens.append(merged)
+        tokens.add(merged)
         current = {
             _merge_symbols(symbols, best, merged): count
             for symbols, count in current.items()
         }
+    return _vocab(merges)
 
+
+def _vocab(merges: list[tuple[str, str]]) -> SubwordVocab:
+    """The vocabulary that ``merges`` define. Ids run over the specials, the
+    256 byte symbols, then each merge's string where it first appears; a
+    merge whose string is already a token adds none."""
+    tokens = dict.fromkeys([*SPECIAL_TOKENS, *(_BYTE_TO_CHAR[b] for b in range(256)),
+                            *(left + right for left, right in merges)])
     token_to_id = {tok: i for i, tok in enumerate(tokens)}
     return SubwordVocab(
         merges=merges,
@@ -309,22 +313,7 @@ def load_vocab(path: str) -> SubwordVocab:
                                f"merge {line!r} has a symbol outside the byte alphabet")
         else:
             merges.append((left, right))
-
-    tokens: list[str] = list(SPECIAL_TOKENS)
-    tokens.extend(_BYTE_TO_CHAR[b] for b in range(256))
-    token_set = set(tokens)
-    for left, right in merges:
-        merged = left + right
-        if merged not in token_set:
-            token_set.add(merged)
-            tokens.append(merged)
-    token_to_id = {tok: i for i, tok in enumerate(tokens)}
-    vocab = SubwordVocab(
-        merges=merges,
-        token_to_id=token_to_id,
-        id_to_token={i: tok for tok, i in token_to_id.items()},
-        special_ids=specials,
-    )
+    vocab = _vocab(merges)
     if vocab.size != declared_size:
         raise CorruptVocab(
             path, 1, f"header declares {declared_size} tokens, merges rebuild {vocab.size}")

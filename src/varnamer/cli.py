@@ -253,26 +253,8 @@ def _cmd_build_corpus(args) -> int:
     return 0
 
 
-def _holds_functions(path: str) -> bool:
-    """Whether a JSONL file's first non-blank line is a plain function
-    ({"code": ...}) rather than a rename record."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    return False      # the corpus reader reports the line
-                return isinstance(obj, dict) and "code" in obj
-    return False
-
-
 def _cmd_train_tokenizer(args) -> int:
-    # The reader follows the file's first line, so its errors reach the user.
-    if _holds_functions(args.data):
-        texts = corpus.load_functions(args.data)
-    else:
-        texts = [r.code_after for r in corpus.load_corpus(args.data)]
+    texts = corpus.load_texts(args.data)
     vocab = bpe.train_bpe(texts, args.vocab_size, camel_split=args.camel_split)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)

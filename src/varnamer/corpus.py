@@ -3,12 +3,18 @@
 A plain Java function is turned into a training record by picking one of
 its variables as the ground-truth name and substituting a decoy name from
 a shared pool to produce the "before" version.
+
+Both JSONL formats, functions (``{"code": ...}``) and rename records, are
+read by one reader, ``_objects``: it parses each line and rejects bad JSON,
+non-objects and unknown fields, so ``load_functions``, ``load_corpus`` and
+``load_texts`` add only the checks of their own format.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 from . import javalex
@@ -27,6 +33,7 @@ RECORD_FIELDS = (
     "id", "code_before", "code_after", "variable_before", "variable_after",
     "refactoring_type", "split",
 )
+FUNCTION_FIELDS = ("code", "id")
 
 _MASK64 = (1 << 64) - 1
 
@@ -215,35 +222,12 @@ def adapt_corpus(
     return records, stats
 
 
-def load_functions(path: str) -> list[str]:
-    """Read plain functions from JSONL lines shaped {"code": ..., "id"?: ...}."""
-    functions: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaViolation(line_no, f"invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict) or "code" not in obj:
-                raise SchemaViolation(line_no, 'expected an object with a "code" field')
-            unknown = set(obj) - {"code", "id"}
-            if unknown:
-                raise SchemaViolation(line_no, f"unknown fields {sorted(unknown)}")
-            if not isinstance(obj["code"], str):
-                raise SchemaViolation(line_no, '"code" must be a string')
-            functions.append(obj["code"])
-    return functions
+def _objects(path: str, fields: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line_no, obj)`` for each non-blank line of a JSONL file.
 
-
-def load_corpus(path: str) -> list[RefactoringRecord]:
-    """Read a JSONL corpus, validating schema and record invariants.
-
-    Raises SchemaViolation with the offending line number, or
-    InvariantViolation with the record id. Unknown fields are rejected.
+    ``line_no`` is 1-based. A line that is not JSON, not a JSON object, or
+    that has a field outside ``fields`` raises SchemaViolation.
     """
-    records: list[RefactoringRecord] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -254,21 +238,56 @@ def load_corpus(path: str) -> list[RefactoringRecord]:
                 raise SchemaViolation(line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise SchemaViolation(line_no, "line is not a JSON object")
-            unknown = set(obj) - set(RECORD_FIELDS)
+            unknown = set(obj) - set(fields)
             if unknown:
                 raise SchemaViolation(line_no, f"unknown fields {sorted(unknown)}")
-            missing = set(RECORD_FIELDS) - set(obj)
-            if missing:
-                raise SchemaViolation(line_no, f"missing fields {sorted(missing)}")
-            for field in RECORD_FIELDS:
-                if not isinstance(obj[field], str):
-                    raise SchemaViolation(line_no, f"field {field!r} must be a string")
-            if obj["split"] not in SPLITS:
-                raise SchemaViolation(line_no, f"split must be one of {SPLITS}")
-            record = RefactoringRecord(**obj)
-            validate_record(record)
-            records.append(record)
+            yield line_no, obj
+
+
+def load_functions(path: str) -> list[str]:
+    """Read plain functions from JSONL lines shaped {"code": ..., "id"?: ...}."""
+    functions: list[str] = []
+    for line_no, obj in _objects(path, FUNCTION_FIELDS):
+        if "code" not in obj:
+            raise SchemaViolation(line_no, 'expected an object with a "code" field')
+        if not isinstance(obj["code"], str):
+            raise SchemaViolation(line_no, '"code" must be a string')
+        functions.append(obj["code"])
+    return functions
+
+
+def load_corpus(path: str) -> list[RefactoringRecord]:
+    """Read a JSONL corpus, validating schema and record invariants.
+
+    Raises SchemaViolation with the offending line number, or
+    InvariantViolation with the record id. Unknown fields are rejected.
+    """
+    records: list[RefactoringRecord] = []
+    for line_no, obj in _objects(path, RECORD_FIELDS):
+        missing = set(RECORD_FIELDS) - set(obj)
+        if missing:
+            raise SchemaViolation(line_no, f"missing fields {sorted(missing)}")
+        for field in RECORD_FIELDS:
+            if not isinstance(obj[field], str):
+                raise SchemaViolation(line_no, f"field {field!r} must be a string")
+        if obj["split"] not in SPLITS:
+            raise SchemaViolation(line_no, f"split must be one of {SPLITS}")
+        record = RefactoringRecord(**obj)
+        validate_record(record)
+        records.append(record)
     return records
+
+
+def load_texts(path: str) -> list[str]:
+    """The code of a functions file or of a records file: each function, or
+    each record's ``code_after``. A first object with a ``"code"`` field
+    makes it a functions file; the chosen loader reports any bad line."""
+    # Both formats' fields: a first line this rejects, the chosen loader
+    # would reject for the same reason.
+    first = next(_objects(path, FUNCTION_FIELDS + RECORD_FIELDS), None)
+    if first is not None and "code" in first[1]:
+        return load_functions(path)
+    return [record.code_after for record in load_corpus(path)]
 
 
 def save_corpus(records: list[RefactoringRecord], path: str) -> None:

@@ -16,7 +16,7 @@ from . import autodiff as ad
 from . import bpe, masking, model
 from .bpe import SPECIAL_TOKENS, SubwordVocab
 from .corpus import RefactoringRecord
-from .errors import VocabExhausted
+from .errors import LengthOutOfRange, VocabExhausted
 from .model import ModelParams
 
 @dataclass
@@ -100,7 +100,7 @@ def generate_tokens(params: ModelParams, vocab: SubwordVocab,
                     record: RefactoringRecord, g: int) -> list[str]:
     """Decode g pairwise-distinct sub-token strings for the record."""
     if not 1 <= g <= params.config.max_name_tokens:
-        raise ValueError(f"g must lie in 1..{params.config.max_name_tokens}")
+        raise LengthOutOfRange(f"g must lie in 1..{params.config.max_name_tokens}")
     return _suggest_with_length(params, vocab, record.code_before,
                                 record.variable_before, g).sub_tokens
 

@@ -306,11 +306,11 @@ def forward(
             for rng, n, mine, (local, inverse) in zip(rngs, lengths, queries, spans):
                 if rng is not None:
                     keep[mine] = _drawn_rows(rng, local, n, width, rate)[inverse]
-            return ad.dropout(x, rate, keep, row_scale[rows])
+            return ad.dropout(x, keep, row_scale[rows])
         keep = np.concatenate([
             rng.random((n, width)) >= rate if rng is not None else np.ones((n, width), bool)
             for rng, n in zip(rngs, lengths)])
-        return ad.dropout(x, rate, keep, row_scale)
+        return ad.dropout(x, keep, row_scale)
 
     def attention_keeps(last: bool):
         if not dropping:

@@ -368,7 +368,6 @@ def _run_loop(
     best_masters: dict[str, np.ndarray] | None = None
     best_path = None
     patience_left = config.patience
-    step = 0
     rng = np.random.default_rng(config.seed)
     # The parameters leave the stage as float64 masters: the best epoch's
     # with a validation split, otherwise (and when a step raises) the latest.
@@ -388,7 +387,7 @@ def _run_loop(
                 loss_value = total.item()
                 if not np.isfinite(loss_value):
                     raise NonFiniteLoss(
-                        f"{stage}: loss {loss_value} at epoch {epoch} step {step}")
+                        f"{stage}: loss {loss_value} at epoch {epoch} step {state.step}")
                 total.backward()
                 # A tensor the loss does not reach has no gradient and no update.
                 grads = {name: t.grad for name, t in params.tensors.items()
@@ -396,10 +395,9 @@ def _run_loop(
                 adam_update(params, grads, state, config)
                 del grads       # so the next zero_grads frees these gradients
                 epoch_losses.append(loss_value)
-                step += 1
             row: dict[str, float] = {
                 "epoch": float(epoch),
-                "step": float(step),
+                "step": float(state.step),
                 "loss": float(np.mean(epoch_losses)),
             }
             for key, total_part in component_sums.items():

@@ -195,14 +195,10 @@ class TestGraphMechanics:
         y = ad.mul(x, 3.0)
         assert y._backward is None and not y.requires_grad
 
-    def test_dropout_eval_identity(self):
-        x = ad.Tensor(np.ones((3, 3)), requires_grad=True)
-        assert ad.dropout(x, 0.0, np.ones((3, 3), bool), 1.0) is x
-
     def test_dropout_seeded_mask(self):
         x = ad.Tensor(np.ones((20, 20)), requires_grad=True)
         keep = np.random.default_rng(42).random((20, 20)) >= 0.5
-        out = ad.dropout(x, 0.5, keep, 2.0).data
+        out = ad.dropout(x, keep, 2.0).data
         assert np.array_equal(out != 0, keep)
         assert np.allclose(out[keep], 2.0)  # inverted scaling 1/(1-rate)
 
@@ -250,7 +246,7 @@ OP_CASES = {
             [(5, 4), (4, 6), (6,), (6, 3), (3,)], False),
     "softmax": (lambda a: ad.softmax(a), [(2, 3, 5)], False),
     "layer_norm": (lambda a, g, b: ad.layer_norm(a, g, b), [(4, 6), (6,), (6,)], False),
-    "dropout": (lambda a: ad.dropout(a, 0.5, np.arange(25).reshape(5, 5) % 3 != 0, 2.0),
+    "dropout": (lambda a: ad.dropout(a, np.arange(25).reshape(5, 5) % 3 != 0, 2.0),
                 [(5, 5)], False),
     "self_attention": (
         lambda x, wq, bq, wk, bk, wv, bv: ad.self_attention(
@@ -532,7 +528,7 @@ BIT_CASES = {
     # more than two blocks of the backward's GELU rebuild, the last one short
     "ffn": (ad.ffn, ref_ffn,
             [(2 * ad._GELU_BLOCK_ROWS + 5, 16), (16, 24), (24,), (24, 16), (16,)]),
-    "dropout": (lambda a: ad.dropout(a, 0.3, _DROP_KEEP, _DROP_SCALE),
+    "dropout": (lambda a: ad.dropout(a, _DROP_KEEP, _DROP_SCALE),
                 ref_dropout, [(9, 16)]),
     # the reference that self_attention is held to, against the plain graph
     "packed_attention": (lambda q, k, v: packed_attention(q, k, v, [0, 9], 2),
@@ -681,7 +677,7 @@ def test_dropout_scale_rounds_like_the_float_mask(dtype, rate):
     # dtype (it does for float32 at rate 0.15); the mask is the latter.
     x = np.random.default_rng(3).normal(size=(6, 7)).astype(dtype)
     keep = np.random.default_rng(4).random(x.shape) >= rate
-    out = ad.dropout(ad.Tensor(x), rate, keep, np.divide(1.0, 1.0 - rate, dtype=dtype))
+    out = ad.dropout(ad.Tensor(x), keep, np.divide(1.0, 1.0 - rate, dtype=dtype))
     mask = np.divide(keep, 1.0 - rate, dtype=dtype)
     assert out.data.dtype == dtype and np.array_equal(out.data, x * mask)
 
@@ -753,7 +749,7 @@ class TestSavedForBackward:
     def test_dropout_keeps_a_boolean_pattern(self):
         keep = np.arange(80).reshape(10, 8) % 3 != 0
         scale = np.where(np.arange(10) < 6, np.float32(2.0), np.float32(1.0))[:, None]
-        node = ad.dropout(self.tensor(10, 8), 0.5, keep, scale)
+        node = ad.dropout(self.tensor(10, 8), keep, scale)
         assert rebuildable(node) == []
         assert [arr.dtype for arr in closure_arrays(node) if arr.shape == (10, 8)] == [bool]
 

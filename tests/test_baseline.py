@@ -113,15 +113,23 @@ class TestNgramSuggest:
 
 
 class TestNgramPersistence:
-    def test_roundtrip(self, ngram, tmp_path):
-        path = str(tmp_path / "ngram.txt")
-        baseline.save_ngram(ngram, path)
-        loaded = baseline.load_ngram(path)
-        assert loaded.n == ngram.n
-        assert loaded.smoothing_k == ngram.smoothing_k
-        assert {k: dict(v) for k, v in loaded.counts.items()} == \
-            {k: dict(v) for k, v in ngram.counts.items()}
-        assert loaded.candidate_names == ngram.candidate_names
+    def test_file_holds_every_count_and_candidate(self, ngram, tmp_path):
+        path = tmp_path / "ngram.txt"
+        baseline.save_ngram(ngram, str(path))
+        lines = path.read_text().splitlines()
+        assert lines[0] == f"NGRAM v1 {ngram.n} {ngram.vocab_size} {ngram.smoothing_k}"
+        split = lines.index("#CANDIDATES")
+        counts = {}
+        for line in lines[1:split]:
+            context, token, count = line.split("\t")
+            key = tuple(int(i) for i in context.split())
+            counts.setdefault(key, {})[int(token)] = int(count)
+        candidates = {}
+        for line in lines[split + 1:]:
+            signature, name = line.split("\t")
+            candidates.setdefault(tuple(int(i) for i in signature.split()), set()).add(name)
+        assert counts == {k: dict(v) for k, v in ngram.counts.items()}
+        assert candidates == ngram.candidate_names
 
     def test_file_is_sorted_text(self, ngram, tmp_path):
         path = tmp_path / "ngram.txt"

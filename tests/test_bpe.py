@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varnamer import bpe
-from varnamer.errors import CorruptVocab, EmptyName, VocabTooSmall
+from varnamer.errors import CorruptVocab, EmptyCorpus, EmptyName, VocabTooSmall
 
 IDENTIFIER = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd"),
@@ -222,6 +222,26 @@ def test_malformed_vocab_names_path_and_line(tmp_path, content, line_no):
     with pytest.raises(CorruptVocab, match=f"bad.vocab: line {line_no}: ") as info:
         bpe.load_vocab(str(path))
     assert info.value.line_no == line_no
+
+
+def test_a_merge_string_already_a_token_adds_no_id(tmp_path):
+    # "[CLS]" equals a special, and ("a", "ab") repeats the string of ("aa", "b")
+    merges = [("a", "a"), ("aa", "b"), ("a", "b"), ("a", "ab"), ("[", "C"), ("[C", "L"),
+              ("[CL", "S"), ("[CLS", "]"), ("b", "b")]
+    added = ["aa", "aab", "ab", "[C", "[CL", "[CLS", "bb"]
+    path = tmp_path / "dup.vocab"
+    path.write_text(f"BPE v1 {bpe.MIN_VOCAB_SIZE + len(added)}\n"
+                    + "".join(f"{left} {right}\n" for left, right in merges) + SPECIALS)
+    vocab = bpe.load_vocab(str(path))
+    assert vocab.token_to_id["[CLS]"] == bpe.CLS
+    assert [vocab.id_to_token[i] for i in range(bpe.MIN_VOCAB_SIZE, vocab.size)] == added
+    bpe.save_vocab(vocab, str(path))
+    assert bpe.load_vocab(str(path)) == vocab
+
+
+def test_no_texts_is_an_empty_corpus():
+    with pytest.raises(EmptyCorpus, match="no texts"):
+        bpe.train_bpe([], bpe.MIN_VOCAB_SIZE)
 
 
 def test_minimal_vocab_file_loads(tmp_path):

@@ -202,6 +202,15 @@ class TestHappyPaths:
         assert code == 2
         assert 'line 2: "code" must be a string' in capsys.readouterr().err
 
+    def test_train_tokenizer_on_blank_lines_is_a_data_error(self, tmp_path, capsys):
+        blank = tmp_path / "blank.jsonl"
+        blank.write_text("\n  \n")
+        out = tmp_path / "tok"
+        code = cli.run(["train-tokenizer", "--data", str(blank), "--out", str(out)])
+        assert code == 2
+        assert "error: no texts to train the tokenizer on" in capsys.readouterr().err
+        assert not (out / "vocab.txt").exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "baseline-eval"])
     def test_evaluation_manifest_records_the_model_dtype(self, workspace, tmp_path,
                                                          capsys, command):

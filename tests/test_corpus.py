@@ -128,6 +128,69 @@ class TestCorpusIo:
             corpus.load_corpus(str(tmp_path / "missing.jsonl"))
 
 
+def _record_line(record, **changes) -> str:
+    obj = {**asdict(record), **changes}
+    return json.dumps({k: v for k, v in obj.items() if v is not None})
+
+
+FUNCTION_LINE = json.dumps({"code": CODE, "id": "f0"})
+
+# (format, bad line, reason); "records" lines are built from a toy record.
+BAD_LINES = [
+    ("functions", "{not json", "invalid JSON: "),
+    ("records", "{not json", "invalid JSON: "),
+    ("functions", "[1, 2]", "line is not a JSON object"),
+    ("records", "[1, 2]", "line is not a JSON object"),
+    ("functions", json.dumps({"code": CODE, "extra": 1}), "unknown fields ['extra']"),
+    ("records", {"extra": 1}, "unknown fields ['extra']"),
+    ("functions", json.dumps({"id": "f1"}), 'expected an object with a "code" field'),
+    ("functions", json.dumps({"code": 3}), '"code" must be a string'),
+    ("records", {"split": None}, "missing fields ['split']"),
+    ("records", {"split": "dev"}, f"split must be one of {corpus.SPLITS}"),
+]
+
+
+class TestOneReader:
+    """Every loader reports a bad line through the one JSONL reader, with
+    the file's 1-based line number, blank lines counted."""
+
+    @pytest.mark.parametrize("kind, bad, reason", BAD_LINES)
+    def test_bad_line_reported_by_every_loader(self, tmp_path, toy_records, kind, bad, reason):
+        if kind == "records":
+            good = _record_line(toy_records[0])
+            bad = bad if isinstance(bad, str) else _record_line(toy_records[1], **bad)
+            loaders = [corpus.load_corpus, corpus.load_texts]
+        else:
+            good = FUNCTION_LINE
+            loaders = [corpus.load_functions, corpus.load_texts]
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f"\n  \n{good}\n\n{bad}\n{good}\n")
+        for loader in loaders:
+            with pytest.raises(SchemaViolation) as excinfo:
+                loader(str(path))
+            assert excinfo.value.line_no == 5
+            assert excinfo.value.reason.startswith(reason)
+
+    @pytest.mark.parametrize("bad", ["{not json", "[1, 2]"])
+    def test_a_bad_first_line_is_reported_by_load_texts(self, tmp_path, bad):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f"\n{bad}\n{FUNCTION_LINE}\n")
+        with pytest.raises(SchemaViolation) as excinfo:
+            corpus.load_texts(str(path))
+        assert excinfo.value.line_no == 2
+
+    def test_load_texts_reads_either_format(self, tmp_path, toy_functions, toy_records):
+        functions = tmp_path / "functions.jsonl"
+        functions.write_text("\n" + "".join(json.dumps({"code": code}) + "\n"
+                                             for code in toy_functions[:5]))
+        records = tmp_path / "records.jsonl"
+        corpus.save_corpus(toy_records[:5], str(records))
+        assert corpus.load_texts(str(functions)) == corpus.load_functions(str(functions)) \
+            == toy_functions[:5]
+        assert corpus.load_texts(str(records)) == \
+            [r.code_after for r in corpus.load_corpus(str(records))]
+
+
 class TestAdaptCorpus:
     def test_pool_is_picked_names(self, toy_functions):
         records, _ = corpus.adapt_corpus(toy_functions, seed=5)

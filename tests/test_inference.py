@@ -6,7 +6,7 @@ import pytest
 
 from varnamer import autodiff as ad
 from varnamer import baseline, bpe, inference, model
-from varnamer.errors import VariableNotFound, VocabExhausted
+from varnamer.errors import LengthOutOfRange, VariableNotFound, VocabExhausted
 
 import toycorpus
 
@@ -155,6 +155,13 @@ class TestSuggest:
             tokens = inference.generate_tokens(params, desk_vocab, record,
                                                suggestion.length_used)
             assert tokens == suggestion.sub_tokens
+
+    def test_generate_tokens_rejects_a_length_outside_the_head(self, desk_vocab,
+                                                               overfit_setup):
+        params, records = overfit_setup
+        for g in (0, params.config.max_name_tokens + 1):
+            with pytest.raises(LengthOutOfRange, match=r"g must lie in 1\.\."):
+                inference.generate_tokens(params, desk_vocab, records[0], g)
 
     def test_variable_not_found(self, desk_vocab, overfit_setup):
         params, _ = overfit_setup

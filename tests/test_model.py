@@ -215,10 +215,10 @@ def recording_masks(fn):
     seen = {"dropout": [], "attention": []}
     dropout, self_attention = ad.dropout, ad.self_attention
 
-    def record_dropout(a, rate, keep, scale):
+    def record_dropout(a, keep, scale):
         assert keep.dtype == bool
         seen["dropout"].append(keep * scale)
-        return dropout(a, rate, keep, scale)
+        return dropout(a, keep, scale)
 
     def record_self_attention(x, wq, bq, wk, bk, wv, bv, offsets, heads, rows=None, keeps=None,
                               scale=None):
@@ -440,9 +440,9 @@ class TestSpanDrawnDropout:
         keeps = {"dropout": [], "attention": []}
         dropout, attention = ad.dropout, ad.self_attention
 
-        def record_dropout(a, rate, keep, scale):
+        def record_dropout(a, keep, scale):
             keeps["dropout"].append(keep)
-            return dropout(a, rate, keep, scale)
+            return dropout(a, keep, scale)
 
         def record_attention(x, wq, bq, wk, bk, wv, bv, offsets, heads, rows=None,
                              patterns=None, scale=None):

@@ -475,10 +475,10 @@ class TestFloat32Training:
                     mask_dtypes.append((keep * scale).dtype)
             return self_attention(x, wq, bq, wk, bk, wv, bv, offsets, heads, rows, keeps, scale)
 
-        def recording_dropout(a, rate, keep, scale):
+        def recording_dropout(a, keep, scale):
             keep_dtypes.append(keep.dtype)
             mask_dtypes.append((keep * scale).dtype)
-            return dropout(a, rate, keep, scale)
+            return dropout(a, keep, scale)
 
         # backward releases the intermediate gradients, so each one is
         # recorded as it reaches its node, with the node's own dtype
@@ -607,8 +607,8 @@ class TestTapeLifetime:
             refs["take output"].append(weakref.ref(out))
             return out
 
-        def recording_dropout(a, rate, keep, scale):
-            out = dropout(a, rate, keep, scale)
+        def recording_dropout(a, keep, scale):
+            out = dropout(a, keep, scale)
             # the embedding layer norm's output, the projections before dropout
             refs["dropout input"].append(weakref.ref(a))
             refs["dropout output"].append(weakref.ref(out))
