@@ -42,19 +42,19 @@ params = model.init_params(config, seed=0)
 
 print("\npretraining (masked-token cross entropy only)...")
 pre_cfg = training.TrainConfig(max_epochs=60, batch_size=6, seed=0,
-                               max_seq_len=128, dropout=0.0, learning_rate=3e-3)
+                               max_seq_len=128, learning_rate=3e-3)
 result = training.pretrain(pre_cfg, params, records, vocab)
 print(f"  final loss {result.history[-1]['loss']:.4f}")
 
 print("stage 1: length prediction (token head frozen)...")
 lp_cfg = training.TrainConfig(max_epochs=60, batch_size=6, seed=0,
-                              max_seq_len=128, dropout=0.0, learning_rate=5e-4)
+                              max_seq_len=128, learning_rate=5e-4)
 result = training.finetune_lp(lp_cfg, params, records, vocab)
 print(f"  final loss {result.history[-1]['loss']:.4f}")
 
 print("stage 2: token generation (combined loss, length head frozen)...")
 tg_cfg = training.TrainConfig(max_epochs=25, batch_size=6, seed=0,
-                              max_seq_len=128, dropout=0.0, learning_rate=5e-4)
+                              max_seq_len=128, learning_rate=5e-4)
 result = training.finetune_tg(tg_cfg, params, records, vocab)
 last = result.history[-1]
 print(f"  components: cmlm {last['cmlm']:.4f}, bot {last['bot']:.4f}, "

@@ -18,7 +18,7 @@ import numpy as np
 from . import bpe, inference, masking
 from .bpe import PAD, SubwordVocab
 from .corpus import RefactoringRecord
-from .errors import EmptyCorpus, NoCandidates, VariableNotFound
+from .errors import EmptyCorpus, InvalidConfig, NoCandidates, VariableNotFound
 from .fileio import atomic_write
 from .model import ModelParams
 
@@ -71,7 +71,9 @@ def train_ngram(records: list[RefactoringRecord], vocab: SubwordVocab,
     """Count sliding windows over the post-refactoring token streams and
     index each ground-truth name under its occurrence contexts."""
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise InvalidConfig(f"n-gram order {n} must be >= 2")
+    if smoothing_k <= 0:
+        raise InvalidConfig(f"smoothing_k {smoothing_k} must be positive")
     if not records:
         raise EmptyCorpus("no records to train on")
     ngram = NgramModel(n=n, vocab_size=len(vocab.token_to_id), smoothing_k=smoothing_k)

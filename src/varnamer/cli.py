@@ -91,6 +91,7 @@ def build_parser() -> _Parser:
             p.add_argument("--heads", type=int, default=4)
             p.add_argument("--ffn-dim", type=int, default=512)
             p.add_argument("--max-seq-len", type=int, default=512)
+            p.add_argument("--dropout", type=float, default=0.1)
 
     p = sub.add_parser("evaluate", help="run all metrics over a dataset")
     common(p, "data", "model", "vocab", "out", "lmax")
@@ -105,7 +106,6 @@ def build_parser() -> _Parser:
     p.add_argument("--train-data", required=True, help="records to fit the n-gram model")
     p.add_argument("--ngram-n", type=int, default=3)
     p.add_argument("--smoothing", type=float, default=0.01)
-    p.add_argument("--k", type=int, default=5, help="suggestions per record")
 
     p = sub.add_parser("gradcheck", help="check analytic gradients on a toy model")
     common(p, "seed")
@@ -231,7 +231,7 @@ def _init_model(args, vocab, config: training.TrainConfig) -> model.ModelParams:
         ffn_dim=args.ffn_dim,
         max_seq_len=args.max_seq_len,
         max_name_tokens=config.max_name_tokens,
-        dropout=config.dropout,
+        dropout=args.dropout,
     )
     return model.init_params(model_config, config.seed)
 

@@ -13,7 +13,7 @@ import logging
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import NonFiniteGradient
+from .errors import InvalidConfig, NonFiniteGradient
 from .model import ModelParams
 
 logger = logging.getLogger(__name__)
@@ -63,7 +63,7 @@ def gradient_check(
     where it occurs.
     """
     if not 1e-6 <= epsilon <= 1e-3:
-        raise ValueError("epsilon must lie in [1e-6, 1e-3]")
+        raise InvalidConfig(f"epsilon {epsilon} must lie in [1e-6, 1e-3]")
 
     params.zero_grads()
     out = loss_fn(params)
@@ -178,17 +178,17 @@ def loss_suite(params, example, tau: float = 0.05) -> dict[str, object]:
     batch = [example, _shortened(example)]
 
     def tg_fn(**weights):
-        config = TrainConfig(tau=tau, dropout=0.0, **weights)
-        return lambda p: tg_batch_loss(p, [example], config, False, [0])[0]
+        config = TrainConfig(tau=tau, **weights)
+        return lambda p: tg_batch_loss(p, [example], [None], config)[0]
 
     def cmlm_fn(p):
-        return cmlm_batch_loss(p, [example.masked], False, [0])
+        return cmlm_batch_loss(p, [example.masked], [None])[0]
 
     def lp_fn(p):
-        return lp_batch_loss(p, [num_example], False, [0])
+        return lp_batch_loss(p, [num_example], [None])[0]
 
     def batch_fn(p):
-        return tg_batch_loss(p, batch, TrainConfig(tau=tau, dropout=0.0), False, [0, 0])[0]
+        return tg_batch_loss(p, batch, [None, None], TrainConfig(tau=tau))[0]
 
     return {"cmlm": cmlm_fn, "lp": lp_fn,
             "bot": tg_fn(lambda_cmlm=0.0, lambda_bot=1.0, lambda_cl=0.0),

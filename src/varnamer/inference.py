@@ -47,7 +47,7 @@ def _ranked_lengths(params: ModelParams, vocab: SubwordVocab,
     input_ids, _ = masking.masked_sequence(
         vocab, code, name, masking.SCHEME_NUM, 1, config.max_seq_len)
     with ad.no_grad():
-        cls = model.forward(params, input_ids, train_mode=False, rows=[0])
+        cls = model.forward(params, input_ids, rows=[0])
         probs = model.length_probs(params, cls.data[0]).data
     ranked = sorted(
         ((length, float(probs[length - 1])) for length in range(1, config.max_name_tokens + 1)),
@@ -64,7 +64,7 @@ def _slot_distributions(params: ModelParams, vocab: SubwordVocab,
         vocab, code, name, masking.SCHEME_CMLM, slots, config.max_seq_len)
     flat = [p for group in groups for p in group]
     with ad.no_grad():
-        hidden = model.forward(params, input_ids, train_mode=False, rows=flat)
+        hidden = model.forward(params, input_ids, rows=flat)
         probs = model.token_probs(params, hidden.data).data
     per_occurrence = probs.reshape(len(groups), slots, -1)
     return per_occurrence.mean(axis=0)

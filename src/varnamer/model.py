@@ -8,12 +8,15 @@ copies of float64 master weights and hands back the masters (see
 precision it was stored in (see the dtype rule in ``autodiff``). The
 encoder computes in its parameters' dtype, dropout scales included.
 
-Dropout is handed to ``autodiff`` as boolean keep patterns and a scale,
-``1 / (1 - rate)`` divided in the parameters' dtype, so that
-``keep * scale`` is the float mask; the ops keep only the booleans. In a
-pack, the rows of a sequence without a dropout seed keep every entry at
-scale 1 (the scale is an ``(N, 1)`` column), so they pass unchanged, and
-that sequence gets no attention pattern.
+Dropout has one rule: a sequence drops out, at the rate
+``ModelConfig.dropout``, exactly when ``forward`` is given a seed for it,
+and runs deterministically without one (inference, validation and the
+contrastive passes). It is handed to ``autodiff`` as boolean keep
+patterns and a scale, ``1 / (1 - rate)`` divided in the parameters'
+dtype, so that ``keep * scale`` is the float mask; the ops keep only the
+booleans. In a pack, the rows of a sequence without a dropout seed keep
+every entry at scale 1 (the scale is an ``(N, 1)`` column), so they pass
+unchanged, and that sequence gets no attention pattern.
 
 ``forward`` encodes a pack: one or more CLS...SEP sequences stored back to
 back as one ``(ΣS, d)`` row block, so that embeddings, every projection,
@@ -43,7 +46,7 @@ at every position (every row of a sequence is attended to) but queries,
 attention output, FFN and layer norms only at ``R``, each row attending
 within its own sequence; this saves about 40% of a 2-layer encoder's
 multiply-adds. The result equals the full output's rows ``R`` up to
-rounding, in train mode too: the last layer's dropout patterns are the
+rounding, with dropout too: the last layer's dropout patterns are the
 rows ``R`` of the full draws, bit for bit. They are drawn only over the
 runs of rows that ``R`` reads, and the generator's ``advance`` skips the
 rest (see ``_drawn_rows``).
@@ -136,6 +139,9 @@ class ModelConfig(TextConfig):
     tie_token_head: bool = False
 
     def validate(self) -> None:
+        for name in ("num_layers", "hidden_dim", "num_heads", "ffn_dim"):
+            if getattr(self, name) < 1:
+                raise InvalidConfig(f"{name} must be positive")
         if self.hidden_dim % self.num_heads != 0:
             raise InvalidConfig("hidden_dim must be divisible by num_heads")
         if self.max_name_tokens < 1:
@@ -146,8 +152,6 @@ class ModelConfig(TextConfig):
             raise InvalidConfig("vocab_size must cover the special tokens")
         if not 0.0 <= self.dropout < 1.0:
             raise InvalidConfig("dropout must be in [0, 1)")
-        if min(self.num_layers, self.ffn_dim) < 1:
-            raise InvalidConfig("num_layers and ffn_dim must be positive")
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -231,8 +235,7 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
 def forward(
     params: ModelParams,
     ids: list[int],
-    train_mode: bool = False,
-    dropout_seed: int | list[int | None] = 0,
+    dropout_seed: int | None | list[int | None] = None,
     rows: list[int] | None = None,
     lengths: list[int] | None = None,
 ) -> Tensor:
@@ -240,11 +243,12 @@ def forward(
     contextual vector per row, a sequence's first row being its [CLS] summary.
 
     ``ids`` holds the pack's sequences back to back and ``lengths`` their
-    lengths; ``None`` is one sequence. Deterministic when train_mode is
-    off; dropout is seeded otherwise, by ``dropout_seed``: one seed for
-    every sequence or one per sequence, where a ``None`` seed runs that
-    sequence without dropout. ``rows`` (pack positions in any order,
-    repeats allowed) returns only those rows, shape ``(len(rows), d)``:
+    lengths; ``None`` is one sequence. A sequence drops out, at the rate
+    ``ModelConfig.dropout``, exactly when it has a seed: ``dropout_seed``
+    is one seed for every sequence or one per sequence, and a ``None``
+    seed (the default) runs its sequence deterministically, without
+    dropout. ``rows`` (pack positions in any order, repeats allowed)
+    returns only those rows, shape ``(len(rows), d)``:
     the last layer attends from them alone, over keys and values at every
     position of their sequence. ``None`` returns all rows. A repeated
     row's gradient into the last layer's input adds up the residual's and
@@ -272,7 +276,7 @@ def forward(
             raise InvalidRows(f"rows must be a non-empty list of positions in [0, {total})")
 
     heads = config.num_heads
-    rate = config.dropout if train_mode else 0.0
+    rate = config.dropout
     seeds = ([dropout_seed] * lengths.size if np.ndim(dropout_seed) == 0
              else list(dropout_seed))
     if len(seeds) != lengths.size:

@@ -24,11 +24,14 @@ scheme of Micikevicius et al. 2018). A stage hands back the float64
 masters, so stages chain without re-rounding, and every checkpoint it
 writes holds the compute copy's float32 values.
 
-Each stage draws its epochs' example orders from one generator seeded
-with ``seed``, and each example's dropout from its own seed. Everything is
-seeded, and bit-reproducible for a fixed BLAS thread count, so a fixed
-(seed, config, corpus) triple reproduces the same checkpoints bit for bit
-under one BLAS setting.
+Dropout has one owner and one rule: the model's ``ModelConfig.dropout``
+is the rate, and a sequence drops out exactly when ``model.forward`` gets
+a seed for it. A training step gives each example's masked pass its own
+seed; validation and the contrastive passes give ``None`` and run without
+dropout. Each stage draws its epochs' example orders from one generator
+seeded with ``seed``. Everything is seeded, and bit-reproducible for a
+fixed BLAS thread count, so a fixed (seed, config, corpus) triple
+reproduces the same checkpoints bit for bit under one BLAS setting.
 """
 
 from __future__ import annotations
@@ -69,8 +72,9 @@ MASTER_DTYPE = np.float64
 class TrainConfig(model.TextConfig):
     """Optimizer, loss and data settings of a training stage.
 
-    ``dropout`` only sets the dropout of a model the CLI creates for
-    ``pretrain``; stages train with the model's own ``ModelConfig.dropout``.
+    There is no dropout setting here: stages train at the model's own
+    ``ModelConfig.dropout``, each training example with its own seed, and
+    validate without dropout (see the module docstring).
     """
 
     learning_rate: float = 1e-3
@@ -86,7 +90,6 @@ class TrainConfig(model.TextConfig):
     tau: float = 0.05
     max_name_tokens: int = 5
     max_seq_len: int = 512
-    dropout: float = 0.1
     patience: int = 10
     dedupe_bot: bool = False
 
@@ -95,6 +98,8 @@ class TrainConfig(model.TextConfig):
             raise InvalidConfig("learning_rate, batch_size, max_epochs must be positive")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
             raise InvalidConfig("adam betas must lie in (0, 1)")
+        if self.adam_epsilon <= 0:
+            raise InvalidConfig("adam_epsilon must be positive")
         if self.tau <= 0:
             raise InvalidConfig("tau must be positive")
         if min(self.lambda_cmlm, self.lambda_bot, self.lambda_cl) < 0:
@@ -238,8 +243,8 @@ def build_tg_dataset(vocab: SubwordVocab, records: list[RefactoringRecord],
 
 # --- batch losses ------------------------------------------------------------
 
-def _encode_pack(params: ModelParams, passes: list[tuple[list[int], list[int], int | None]],
-                 train_mode: bool) -> tuple[Tensor, list[int]]:
+def _encode_pack(params: ModelParams,
+                 passes: list[tuple[list[int], list[int], int | None]]) -> tuple[Tensor, list[int]]:
     """One encoder pass over a pack of sequences, given as (ids, rows,
     dropout seed or None) each. Returns the requested rows of every
     sequence stacked in pass order, and where each sequence's rows start
@@ -251,7 +256,7 @@ def _encode_pack(params: ModelParams, passes: list[tuple[list[int], list[int], i
         rows.extend(len(ids) + r for r in seq_rows)
         ids.extend(seq_ids)
         bounds.append(len(rows))
-    hidden = model.forward(params, ids, train_mode, [seed for *_, seed in passes],
+    hidden = model.forward(params, ids, [seed for *_, seed in passes],
                            rows=rows, lengths=[len(seq_ids) for seq_ids, *_ in passes])
     return hidden, bounds
 
@@ -264,26 +269,28 @@ def _masked_prediction(params: ModelParams, hidden: Tensor,
     return L.MaskedPrediction(probs=model.token_probs(params, hidden), target_ids=targets)
 
 
+# A batch loss maps (params, examples, one dropout seed or None per example)
+# to the loss summed over the batch and the sums of its named terms.
+
 def cmlm_batch_loss(params: ModelParams, examples: list[masking.MaskedExample],
-                    train_mode: bool, dropout_seeds: list[int]) -> Tensor:
+                    dropout_seeds: list[int | None]) -> tuple[Tensor, dict[str, float]]:
     """Masked-token cross entropy summed over a batch, from one pack."""
     hidden, _ = _encode_pack(params, [(ex.input_ids, ex.flat_positions, seed)
-                                      for ex, seed in zip(examples, dropout_seeds)],
-                             train_mode)
-    return L.cmlm_loss(_masked_prediction(params, hidden, examples))
+                                      for ex, seed in zip(examples, dropout_seeds)])
+    return L.cmlm_loss(_masked_prediction(params, hidden, examples)), {}
 
 
 def lp_batch_loss(params: ModelParams, examples: list[masking.MaskedExample],
-                  train_mode: bool, dropout_seeds: list[int]) -> Tensor:
+                  dropout_seeds: list[int | None]) -> tuple[Tensor, dict[str, float]]:
     """Length cross entropy summed over a batch, from one pack's [CLS] rows."""
     cls, _ = _encode_pack(params, [(ex.input_ids, [0], seed)
-                                   for ex, seed in zip(examples, dropout_seeds)],
-                          train_mode)
-    return L.lp_loss(model.length_probs(params, cls), [ex.length_label for ex in examples])
+                                   for ex, seed in zip(examples, dropout_seeds)])
+    return L.lp_loss(model.length_probs(params, cls), [ex.length_label for ex in examples]), {}
 
 
-def tg_batch_loss(params: ModelParams, examples: list[TgExample], config: TrainConfig,
-                  train_mode: bool, dropout_seeds: list[int]) -> tuple[Tensor, dict[str, float]]:
+def tg_batch_loss(params: ModelParams, examples: list[TgExample],
+                  dropout_seeds: list[int | None],
+                  config: TrainConfig) -> tuple[Tensor, dict[str, float]]:
     """The stage-2 loss summed over a batch, and its terms' sums.
 
     One pack holds every example's masked pass and, for the contrastive
@@ -296,7 +303,7 @@ def tg_batch_loss(params: ModelParams, examples: list[TgExample], config: TrainC
     if config.lambda_cl != 0.0:
         passes += [(ex.after_ids, ex.after_positions, None) for ex in examples]
         passes += [(ex.before_ids, ex.before_positions, None) for ex in examples]
-    hidden, bounds = _encode_pack(params, passes, train_mode)
+    hidden, bounds = _encode_pack(params, passes)
     n = len(examples)
     masked_rows = hidden if bounds[n] == bounds[-1] else ad.take(hidden, np.arange(bounds[n]))
     pred = _masked_prediction(params, masked_rows, [ex.masked for ex in examples])
@@ -326,7 +333,7 @@ def tg_batch_loss(params: ModelParams, examples: list[TgExample], config: TrainC
     return total, parts
 
 
-# --- generic loop ------------------------------------------------------------
+# --- the stage runner --------------------------------------------------------
 
 @dataclass
 class TrainResult:
@@ -346,15 +353,28 @@ def _batches(items, size: int) -> list:
     return [items[start:start + size] for start in range(0, len(items), size)]
 
 
-def _run_loop(
-    params: ModelParams,
-    examples: list,
-    val_examples: list,
-    config: TrainConfig,
-    loss_fn,
-    stage: str,
-    out_dir: str | None,
-) -> TrainResult:
+def _stage(stage: str, build, batch_loss, config: TrainConfig, params: ModelParams,
+           records: list[RefactoringRecord], vocab: SubwordVocab,
+           out_dir: str | None) -> TrainResult:
+    """Run one training stage: ``build`` makes examples of the training
+    and the validation records, within the model's limits (see the module
+    docstring), and ``params`` train on ``batch_loss``. ``stage`` names the
+    stage in logs, errors, checkpoints and the log file."""
+    config.validate()
+    limits = replace(
+        config,
+        max_seq_len=min(config.max_seq_len, params.config.max_seq_len),
+        max_name_tokens=min(config.max_name_tokens, params.config.max_name_tokens))
+    train_records = [r for r in records if r.split == "train"]
+    examples, stats = build(vocab, train_records, limits)
+    if not examples:
+        raise NoTrainingExamples(
+            f"{stage}: no training examples from {len(train_records)} training records "
+            f"(excluded: {stats['too_long']} with names longer than "
+            f"{limits.max_name_tokens} sub-tokens, {stats['truncated']} with every "
+            f"occurrence past {limits.max_seq_len} tokens)")
+    val_examples, _ = build(vocab, [r for r in records if r.split == "validation"], limits)
+    logger.info("%s: %d examples (excluded %s)", stage, len(examples), stats)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     # Float64 masters (a loaded checkpoint's float32 values widen exactly)
@@ -379,8 +399,8 @@ def _run_loop(
             component_sums: dict[str, float] = {}
             for batch in _batches(order, config.batch_size):
                 params.zero_grads()
-                total, parts = loss_fn(params, [examples[i] for i in batch],
-                                       [_dropout_seed(config.seed, epoch, int(i)) for i in batch])
+                seeds = [_dropout_seed(config.seed, epoch, int(i)) for i in batch]
+                total, parts = batch_loss(params, [examples[i] for i in batch], seeds)
                 for key, part in parts.items():
                     component_sums[key] = component_sums.get(key, 0.0) + part
                 total = ad.scale(total, 1.0 / len(batch))
@@ -405,7 +425,7 @@ def _run_loop(
             if val_examples:
                 with ad.no_grad():
                     val_total = sum(
-                        loss_fn(params, chunk, [0] * len(chunk), train_mode=False)[0].item()
+                        batch_loss(params, chunk, [None] * len(chunk))[0].item()
                         for chunk in _batches(val_examples, config.batch_size))
                 row["val_loss"] = val_total / len(val_examples)
             history.append(row)
@@ -450,29 +470,9 @@ def _write_log(path: str, history: list[dict[str, float]]) -> None:
         writer.writerows(history)
 
 
-def _datasets(build, config: TrainConfig, params: ModelParams,
-              records: list[RefactoringRecord], vocab: SubwordVocab,
-              stage: str) -> tuple[list, list]:
-    """Training and validation examples of a stage, built within the
-    model's limits (see the module docstring)."""
-    limits = replace(
-        config,
-        max_seq_len=min(config.max_seq_len, params.config.max_seq_len),
-        max_name_tokens=min(config.max_name_tokens, params.config.max_name_tokens))
-    train_records = [r for r in records if r.split == "train"]
-    examples, stats = build(vocab, train_records, limits)
-    if not examples:
-        raise NoTrainingExamples(
-            f"{stage}: no training examples from {len(train_records)} training records "
-            f"(excluded: {stats['too_long']} with names longer than "
-            f"{limits.max_name_tokens} sub-tokens, {stats['truncated']} with every "
-            f"occurrence past {limits.max_seq_len} tokens)")
-    val_examples, _ = build(vocab, [r for r in records if r.split == "validation"], limits)
-    logger.info("%s: %d examples (excluded %s)", stage, len(examples), stats)
-    return examples, val_examples
-
-
 # --- stages ------------------------------------------------------------------
+# Each stage looks up its builder and batch loss in this module when called,
+# so a wrapper put in place of one (a tracer, a test) takes effect.
 
 def pretrain(
     config: TrainConfig,
@@ -483,15 +483,8 @@ def pretrain(
 ) -> TrainResult:
     """Masked-token pretraining; only the cross-entropy term, loss weights
     are deliberately ignored here."""
-    config.validate()
-    examples, val_examples = _datasets(build_cmlm_dataset, config, params, records,
-                                       vocab, "pretrain")
-
-    def loss_fn(p, batch, dropout_seeds, train_mode=True):
-        return cmlm_batch_loss(p, batch, train_mode, dropout_seeds), {}
-
-    return _run_loop(params, examples, val_examples, config, loss_fn,
-                     "pretrain", out_dir)
+    return _stage("pretrain", build_cmlm_dataset, cmlm_batch_loss,
+                  config, params, records, vocab, out_dir)
 
 
 def finetune_lp(
@@ -502,15 +495,8 @@ def finetune_lp(
     out_dir: str | None = None,
 ) -> TrainResult:
     """Stage 1: length prediction on [NUM]-masked inputs."""
-    config.validate()
-    examples, val_examples = _datasets(build_num_dataset, config, params, records,
-                                       vocab, "finetune_lp")
-
-    def loss_fn(p, batch, dropout_seeds, train_mode=True):
-        return lp_batch_loss(p, batch, train_mode, dropout_seeds), {}
-
-    return _run_loop(params, examples, val_examples, config, loss_fn,
-                     "finetune-lp", out_dir)
+    return _stage("finetune-lp", build_num_dataset, lp_batch_loss,
+                  config, params, records, vocab, out_dir)
 
 
 def finetune_tg(
@@ -521,12 +507,6 @@ def finetune_tg(
     out_dir: str | None = None,
 ) -> TrainResult:
     """Stage 2: combined generation loss with configurable term weights."""
-    config.validate()
-    examples, val_examples = _datasets(build_tg_dataset, config, params, records,
-                                       vocab, "finetune_tg")
-
-    def loss_fn(p, batch, dropout_seeds, train_mode=True):
-        return tg_batch_loss(p, batch, config, train_mode, dropout_seeds)
-
-    return _run_loop(params, examples, val_examples, config, loss_fn,
-                     "finetune-tg", out_dir)
+    return _stage("finetune-tg", build_tg_dataset,
+                  lambda p, batch, seeds: tg_batch_loss(p, batch, seeds, config),
+                  config, params, records, vocab, out_dir)

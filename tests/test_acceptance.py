@@ -194,20 +194,17 @@ def _overfit_pipeline():
     params = model.init_params(config, 0)
 
     pre_cfg = training.TrainConfig(max_epochs=80, batch_size=10, seed=0,
-                                   max_seq_len=128, dropout=0.0,
-                                   learning_rate=3e-3)
+                                   max_seq_len=128, learning_rate=3e-3)
     pre = training.pretrain(pre_cfg, params, records, vocab)
 
     lp_cfg = training.TrainConfig(max_epochs=100, batch_size=10, seed=0,
-                                  max_seq_len=128, dropout=0.0,
-                                  learning_rate=5e-4)
+                                  max_seq_len=128, learning_rate=5e-4)
     training.finetune_lp(lp_cfg, params, records, vocab)
     predictor = inference.ModelPredictor(params, vocab)
     lp_report = metrics.evaluate_corpus(predictor, records, vocab)
 
     tg_cfg = training.TrainConfig(max_epochs=30, batch_size=10, seed=0,
-                                  max_seq_len=128, dropout=0.0,
-                                  learning_rate=5e-4)
+                                  max_seq_len=128, learning_rate=5e-4)
     training.finetune_tg(tg_cfg, params, records, vocab)
     final_report = metrics.evaluate_corpus(predictor, records, vocab)
     return params, pre.history[-1]["loss"], lp_report, final_report
@@ -285,7 +282,7 @@ def test_ablation_reachability(desk_vocab, toy_records, tmp_path):
             num_heads=4, ffn_dim=64, max_seq_len=128, dropout=0.0)
         params = model.init_params(config, 0)
         tc = training.TrainConfig(max_epochs=2, batch_size=6, seed=0,
-                                  max_seq_len=128, dropout=0.0, **overrides)
+                                  max_seq_len=128, **overrides)
         result = training.finetune_tg(tc, params, records, desk_vocab)
         assert len(result.history) == 2
         assert all(np.isfinite(row["loss"]) for row in result.history)
@@ -301,8 +298,7 @@ def test_ablation_reachability(desk_vocab, toy_records, tmp_path):
     model.save_checkpoint(model.init_params(config, 0), str(tmp_path / "base.rfbt"))
     cfg_path = tmp_path / "train.cfg"
     cfg_path.write_text(training.TrainConfig(
-        max_epochs=1, batch_size=6, seed=0, max_seq_len=128,
-        dropout=0.0).to_text())
+        max_epochs=1, batch_size=6, seed=0, max_seq_len=128).to_text())
 
     for param, values, rows in (("tau", "0.02,0.05,0.10", 3),
                                 ("lambda_bot", "0.0,0.1", 2)):
@@ -339,16 +335,14 @@ def test_directional_bot_effect():
                                max_seq_len=150, dropout=0.0)
     base = model.init_params(config, 0)
     lp_cfg = training.TrainConfig(max_epochs=30, batch_size=8, seed=0,
-                                  max_seq_len=150, dropout=0.0,
-                                  learning_rate=1e-3)
+                                  max_seq_len=150, learning_rate=1e-3)
     training.finetune_lp(lp_cfg, base, records, vocab)
 
     accuracy = {}
     for label, lambda_bot in (("default", 0.1), ("no_bot", 0.0)):
         params = base.clone()
         tg_cfg = training.TrainConfig(max_epochs=40, batch_size=8, seed=0,
-                                      max_seq_len=150, dropout=0.0,
-                                      learning_rate=1e-3, lambda_bot=lambda_bot)
+                                      max_seq_len=150, learning_rate=1e-3, lambda_bot=lambda_bot)
         training.finetune_tg(tg_cfg, params, records, vocab)
         report = metrics.evaluate_corpus(
             inference.ModelPredictor(params, vocab), records, vocab)

@@ -1,3 +1,6 @@
+import argparse
+import ast
+import inspect
 import json
 import os
 
@@ -32,7 +35,7 @@ def workspace(tmp_path_factory, desk_vocab):
                                max_seq_len=128, dropout=0.0)
     params = model.init_params(config, 0)
     tc = training.TrainConfig(max_epochs=3, batch_size=8, seed=0,
-                              max_seq_len=128, dropout=0.0, learning_rate=3e-3)
+                              max_seq_len=128, learning_rate=3e-3)
     training.pretrain(tc, params, records, desk_vocab)
     model_path = root / "model.rfbt"
     model.save_checkpoint(params, str(model_path))
@@ -150,6 +153,73 @@ class TestDataErrors:
                        "--code", str(source), "--var", "ghost"])
         assert code == 2
         assert "ghost" in capsys.readouterr().err
+
+    def test_config_with_a_dropout_line_names_the_key(self, workspace, tmp_path, capsys):
+        # the rate belongs to the model: pretrain --dropout
+        config = tmp_path / "old.cfg"
+        config.write_text("max_epochs = 1\ndropout = 0.0\n")
+        code = cli.run(["pretrain", "--data", workspace["corpus"], "--vocab", workspace["vocab"],
+                        "--out", str(tmp_path / "run"), "--config", str(config)])
+        assert code == 2
+        assert "line 2: unknown key 'dropout'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,field", [("--heads=0", "num_heads"),
+                                            ("--heads=-2", "num_heads"),
+                                            ("--hidden-dim=0", "hidden_dim")])
+    def test_nonpositive_model_size_names_the_field(self, workspace, tmp_path, capsys,
+                                                    flag, field):
+        out = tmp_path / "run"
+        code = cli.run(["pretrain", "--data", workspace["corpus"], "--vocab", workspace["vocab"],
+                        "--out", str(out), flag])
+        assert code == 2
+        assert f"{field} must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--smoothing", "0"], "smoothing_k 0.0 must be positive"),
+        (["--ngram-n", "1"], "n-gram order 1 must be >= 2"),
+    ])
+    def test_bad_ngram_settings_exit_2(self, workspace, capsys, flags, message):
+        code = cli.run(["baseline-eval", "--data", workspace["corpus"],
+                        "--train-data", workspace["corpus"],
+                        "--model", workspace["model"]] + flags)
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+class TestEveryFlagIsRead:
+    """A flag that ``cli`` parses but never reads sets nothing."""
+
+    @staticmethod
+    def _dests(parser) -> set[str]:
+        dests = set()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    dests |= TestEveryFlagIsRead._dests(sub)
+            if not isinstance(action, argparse._HelpAction):
+                dests.add(action.dest)
+        return dests
+
+    def test_every_dest_is_read_outside_its_add_argument(self):
+        reads = set()
+
+        class Reads(ast.NodeVisitor):
+            def visit_Call(self, node):
+                if isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument":
+                    return
+                if (isinstance(node.func, ast.Name) and node.func.id == "getattr"
+                        and isinstance(node.args[1], ast.Constant)):
+                    reads.add(node.args[1].value)
+                self.generic_visit(node)
+
+            def visit_Attribute(self, node):
+                if isinstance(node.value, ast.Name) and node.value.id == "args":
+                    reads.add(node.attr)
+                self.generic_visit(node)
+
+        Reads().visit(ast.parse(inspect.getsource(cli)))
+        assert self._dests(cli.build_parser()) - reads == set()
 
 
 class TestHappyPaths:
@@ -276,6 +346,14 @@ class TestHappyPaths:
         assert (out / "manifest.json").exists()
         assert (out / "pretrain-log.csv").exists()
 
+    def test_pretrain_dropout_sets_the_model_rate(self, workspace, tmp_path, capsys):
+        code = cli.run(["pretrain", "--data", workspace["corpus"], "--vocab", workspace["vocab"],
+                        "--out", str(tmp_path / "run"), "--config", _quick_config(tmp_path),
+                        "--dropout", "0.25"] + _SMALL_MODEL)
+        assert code == 0, capsys.readouterr().err
+        checkpoint = json.loads(capsys.readouterr().out)["checkpoint"]
+        assert model.load_checkpoint(checkpoint).config.dropout == 0.25
+
     @pytest.mark.parametrize("stage", ["pretrain", "finetune-lp", "finetune-tg"])
     def test_training_manifest_records_the_precision(self, workspace, tmp_path, capsys,
                                                      stage):
@@ -336,8 +414,7 @@ class TestModelLimits:
     def test_pretrain_window_narrower_than_the_config(self, workspace, tmp_path, capsys):
         # The config keeps its default 512-token window; the model reads 40.
         config = tmp_path / "wide.cfg"
-        config.write_text(training.TrainConfig(max_epochs=1, batch_size=8,
-                                               dropout=0.0).to_text())
+        config.write_text(training.TrainConfig(max_epochs=1, batch_size=8).to_text())
         out = tmp_path / "run"
         code = cli.run(["pretrain", "--data", workspace["corpus"],
                         "--vocab", workspace["vocab"], "--out", str(out),
@@ -383,7 +460,7 @@ class TestModelLimits:
 
 def _quick_config(tmp_path) -> str:
     config = training.TrainConfig(max_epochs=2, batch_size=8, seed=1,
-                                  max_seq_len=128, dropout=0.0)
+                                  max_seq_len=128)
     path = tmp_path / "train.cfg"
     path.write_text(config.to_text())
     return str(path)
@@ -394,8 +471,7 @@ class TestSweep:
         out = tmp_path / "sweep"
         config = tmp_path / "sweep.cfg"
         config.write_text(training.TrainConfig(
-            max_epochs=1, batch_size=8, seed=0, max_seq_len=128,
-            dropout=0.0).to_text())
+            max_epochs=1, batch_size=8, seed=0, max_seq_len=128).to_text())
         code = cli.run(["sweep", "--param", "tau",
                        "--values", "0.02,0.05,0.10",
                        "--config", str(config),

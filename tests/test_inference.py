@@ -85,10 +85,10 @@ def overfit_setup(desk_vocab, toy_records):
                                max_seq_len=128, dropout=0.0)
     params = model.init_params(config, 1)
     tc = training.TrainConfig(max_epochs=60, batch_size=3, seed=0,
-                              max_seq_len=128, dropout=0.0, learning_rate=3e-3)
+                              max_seq_len=128, learning_rate=3e-3)
     training.pretrain(tc, params, records, desk_vocab)
     lp = training.TrainConfig(max_epochs=60, batch_size=3, seed=0,
-                              max_seq_len=128, dropout=0.0, learning_rate=5e-4)
+                              max_seq_len=128, learning_rate=5e-4)
     training.finetune_lp(lp, params, records, desk_vocab)
     return params, records
 

@@ -210,8 +210,8 @@ class TestFineTuneLoss:
     @staticmethod
     def _loss(**weights):
         params, example = gradcheck.toy_model()
-        config = training.TrainConfig(dropout=0.0, **weights)
-        total, parts = training.tg_batch_loss(params, [example], config, False, [0])
+        config = training.TrainConfig(**weights)
+        total, parts = training.tg_batch_loss(params, [example], [None], config)
         return total.item(), parts, config, params, example
 
     def test_all_zero_weights(self):
@@ -221,7 +221,7 @@ class TestFineTuneLoss:
 
     def test_cmlm_only_matches_exactly(self):
         value, _, _, params, example = self._loss(lambda_bot=0.0, lambda_cl=0.0)
-        assert value == training.cmlm_batch_loss(params, [example.masked], False, [0]).item()
+        assert value == training.cmlm_batch_loss(params, [example.masked], [None])[0].item()
 
     def test_weighted_sum_matches_hand_computation(self):
         value, parts, config, *_ = self._loss(lambda_cmlm=1.0, lambda_bot=0.1,

@@ -104,7 +104,7 @@ class TestForward:
         params = model.init_params(small_config(), seed=2)
         ids = wrap(range(10, 18))
         eval_out = model.forward(params, ids).data
-        train_out = model.forward(params, ids, train_mode=True, dropout_seed=1).data
+        train_out = model.forward(params, ids, dropout_seed=1).data
         assert not np.allclose(eval_out, train_out)
 
     def test_swap_symmetry_with_zero_positions(self):
@@ -147,7 +147,7 @@ class TestForward:
     def test_bad_pack_layout_rejected(self, lengths, seed, match):
         params = model.init_params(small_config(), seed=0)
         with pytest.raises(ValueError, match=match):
-            model.forward(params, wrap([10, 11, 12]) + wrap([13, 14]), True, seed,
+            model.forward(params, wrap([10, 11, 12]) + wrap([13, 14]), seed,
                           lengths=lengths)
 
 
@@ -159,12 +159,13 @@ class TestForwardRows:
 
     @pytest.mark.parametrize("num_layers", [1, 2])
     @pytest.mark.parametrize("rows", ROW_SETS)
-    @pytest.mark.parametrize("train_mode", [False, True])
-    def test_rows_equal_full_output_rows(self, num_layers, rows, train_mode):
+    @pytest.mark.parametrize("dropping", [False, True])
+    def test_rows_equal_full_output_rows(self, num_layers, rows, dropping):
         params = model.init_params(small_config(num_layers=num_layers), seed=6)
         ids = wrap(range(10, 18))
-        full = model.forward(params, ids, train_mode, dropout_seed=3).data
-        part = model.forward(params, ids, train_mode, dropout_seed=3, rows=rows)
+        seed = 3 if dropping else None
+        full = model.forward(params, ids, seed).data
+        part = model.forward(params, ids, seed, rows=rows)
         assert part.data.shape == (len(rows), 32)
         np.testing.assert_allclose(part.data, full[rows], rtol=0, atol=1e-12)
 
@@ -172,7 +173,7 @@ class TestForwardRows:
         params = model.init_params(small_config(), seed=6)
         ids = wrap(range(10, 18))
         eval_rows = model.forward(params, ids, rows=[2, 5]).data
-        train_rows = model.forward(params, ids, True, 3, rows=[2, 5]).data
+        train_rows = model.forward(params, ids, 3, rows=[2, 5]).data
         assert not np.allclose(eval_rows, train_rows)
 
     def test_cls_vector_of_row_zero(self):
@@ -192,8 +193,8 @@ class TestForwardRows:
 @st.composite
 def packs(draw):
     """1-6 sequences of 3-40 tokens, each with 1-5 output rows (repeats
-    allowed) and a dropout seed or None; the pack's rows in a random order,
-    or None for all rows."""
+    allowed) and a dropout seed or None, half the packs with no seed at
+    all; the pack's rows in a random order, or None for all rows."""
     count = draw(st.integers(1, 6))
     seqs, local_rows, seeds = [], [], []
     for _ in range(count):
@@ -203,9 +204,11 @@ def packs(draw):
         local_rows.append(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5)))
         seeds.append(draw(st.none() | st.integers(0, 2**31 - 1)))
     order = draw(st.permutations(range(sum(map(len, local_rows)))))
+    num_layers = draw(st.sampled_from([1, 2]))
+    if not draw(st.booleans()):
+        seeds = [None] * count
     return dict(seqs=seqs, local_rows=local_rows, seeds=seeds, order=list(order),
-                num_layers=draw(st.sampled_from([1, 2])), train_mode=draw(st.booleans()),
-                all_rows=draw(st.booleans()))
+                num_layers=num_layers, all_rows=draw(st.booleans()))
 
 
 def recording_masks(fn):
@@ -243,10 +246,10 @@ class TestPackedForward:
     dropout masks, and parameter gradients that sum the per-sequence ones."""
 
     @staticmethod
-    def _run(params, ids, train_mode, seed, rows, lengths, weight):
+    def _run(params, ids, seed, rows, lengths, weight):
         params.zero_grads()
         hidden, masks = recording_masks(lambda: model.forward(
-            params, ids, train_mode, seed, rows=rows, lengths=lengths))
+            params, ids, seed, rows=rows, lengths=lengths))
         ad.sum_all(ad.mul(hidden, weight)).backward()
         grads = {name: t.grad.copy() for name, t in params.tensors.items() if t.grad is not None}
         return hidden.data, masks, grads
@@ -255,7 +258,7 @@ class TestPackedForward:
     @given(packs())
     def test_pack_equals_one_pass_per_sequence(self, case):
         params = _PACK_PARAMS[case["num_layers"]]
-        seqs, local_rows, train_mode = case["seqs"], case["local_rows"], case["train_mode"]
+        seqs, local_rows = case["seqs"], case["local_rows"]
         if case["all_rows"]:
             local_rows = [list(range(len(ids))) for ids in seqs]
             order = list(range(sum(map(len, seqs))))
@@ -269,9 +272,9 @@ class TestPackedForward:
         weight = np.random.default_rng(len(order)).normal(size=(blocks[-1], 32))
 
         pack, pack_masks, pack_grads = self._run(
-            params, [t for ids in seqs for t in ids], train_mode, case["seeds"], rows,
+            params, [t for ids in seqs for t in ids], case["seeds"], rows,
             [len(ids) for ids in seqs], weight[order])
-        singles = [self._run(params, ids, train_mode, seed, None if rows is None else rs,
+        singles = [self._run(params, ids, seed, None if rows is None else rs,
                              None, weight[blocks[i]:blocks[i + 1]])
                    for i, (ids, rs, seed) in enumerate(zip(seqs, local_rows, case["seeds"]))]
 
@@ -280,7 +283,7 @@ class TestPackedForward:
 
         # Dropout masks: every sequence's rows masked exactly as in its own pass.
         layers = case["num_layers"]
-        dropping = [train_mode and seed is not None for seed in case["seeds"]]
+        dropping = [seed is not None for seed in case["seeds"]]
         if not any(dropping):
             assert pack_masks == {"dropout": [], "attention": [None] * layers}
         else:
@@ -452,7 +455,7 @@ class TestSpanDrawnDropout:
         monkeypatch.setattr(np.random, "default_rng", recording_rng)
         monkeypatch.setattr(ad, "dropout", record_dropout)
         monkeypatch.setattr(ad, "self_attention", record_attention)
-        model.forward(params, ids, True, seeds, rows=rows, lengths=lengths)
+        model.forward(params, ids, seeds, rows=rows, lengths=lengths)
         monkeypatch.undo()
 
         rows = np.asarray(rows)
@@ -759,7 +762,7 @@ class TestGradientCheckContract:
 
     def test_epsilon_range_enforced(self):
         params = model.init_params(small_config(num_layers=1), seed=8)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig, match="epsilon 0.5"):
             gradcheck.gradient_check(gradcheck.quadratic_probe, params, epsilon=0.5)
 
     @pytest.mark.filterwarnings("ignore:divide by zero")

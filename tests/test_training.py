@@ -30,7 +30,7 @@ def tiny_model(vocab, seed=0, **overrides):
 
 def tiny_train_config(**overrides):
     defaults = dict(max_epochs=3, batch_size=8, seed=0, max_seq_len=128,
-                    dropout=0.0, learning_rate=1e-3)
+                    learning_rate=1e-3)
     defaults.update(overrides)
     return training.TrainConfig(**defaults)
 
@@ -79,6 +79,13 @@ class TestTrainConfig:
     def test_limits_without_room_for_a_name_rejected(self, overrides):
         with pytest.raises(InvalidConfig):
             training.TrainConfig(**overrides).validate()
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-8])
+    def test_adam_epsilon_must_be_positive(self, desk_vocab, toy_records, epsilon):
+        # at 0, Adam divides 0 by 0 for every weight with zero gradient and moments
+        with pytest.raises(InvalidConfig, match="adam_epsilon must be positive"):
+            training.pretrain(tiny_train_config(adam_epsilon=epsilon), tiny_model(desk_vocab),
+                              toy_records[:8], desk_vocab)
 
 
 class TestAdam:
@@ -228,10 +235,9 @@ class TestDatasets:
 _FULL_FORWARD = model.forward
 
 
-def _full_forward_then_take(params, ids, train_mode=False, dropout_seed=0, rows=None,
-                            lengths=None):
+def _full_forward_then_take(params, ids, dropout_seed=None, rows=None, lengths=None):
     """Reference for ``forward(..., rows=R)``: the full output's rows R."""
-    hidden = _FULL_FORWARD(params, ids, train_mode, dropout_seed, lengths=lengths)
+    hidden = _FULL_FORWARD(params, ids, dropout_seed, lengths=lengths)
     return hidden if rows is None else ad.take(hidden, rows)
 
 
@@ -241,27 +247,25 @@ class TestRowRestrictedLosses:
 
     @staticmethod
     def _losses(vocab, records):
-        """(loss function, example, train_mode, dropout seed) tuples."""
-        tc = tiny_train_config(dropout=0.1)
+        """(batch loss, example, dropout seed or None) tuples."""
+        tc = tiny_train_config()
         tg_examples, _ = training.build_tg_dataset(vocab, records, tc)
         num_examples, _ = training.build_num_dataset(vocab, records, tc)
         cases = []
-        for train_mode in (False, True):
+        for dropping in (False, True):
             for seed, ex in enumerate(tg_examples):
-                cases.append((lambda p, e, t, s: training.cmlm_batch_loss(p, [e], t, [s]),
-                              ex.masked, train_mode, seed))
-                cases.append((lambda p, e, t, s: training.tg_batch_loss(p, [e], tc, t, [s])[0],
-                              ex, train_mode, seed))
+                seed = seed if dropping else None
+                cases.append((training.cmlm_batch_loss, ex.masked, seed))
+                cases.append((functools.partial(training.tg_batch_loss, config=tc), ex, seed))
             for seed, ex in enumerate(num_examples):
-                cases.append((lambda p, e, t, s: training.lp_batch_loss(p, [e], t, [s]),
-                              ex, train_mode, seed))
+                cases.append((training.lp_batch_loss, ex, seed if dropping else None))
         return cases
 
     @staticmethod
     def _value_and_grads(params, case):
-        loss_fn, example, train_mode, seed = case
+        batch_loss, example, seed = case
         params.zero_grads()
-        loss = loss_fn(params, example, train_mode, seed)
+        loss, _ = batch_loss(params, [example], [seed])
         loss.backward()
         return loss.item(), {name: t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
                              for name, t in params.tensors.items()}
@@ -291,10 +295,9 @@ class TestLoops:
         assert losses[-1] < losses[0]
 
     def test_pretrain_deterministic(self, desk_vocab, toy_records):
-        # Stages train with the model's dropout, so the model carries it.
         def run(dropout=0.1):
             params = tiny_model(desk_vocab, dropout=dropout)
-            config = tiny_train_config(max_epochs=2, dropout=dropout)
+            config = tiny_train_config(max_epochs=2)
             result = training.pretrain(config, params, toy_records[:12], desk_vocab)
             return result
 
@@ -308,7 +311,7 @@ class TestLoops:
     def test_tg_deterministic(self, desk_vocab, toy_records):
         def run(dropout=0.1):
             params = tiny_model(desk_vocab, dropout=dropout)
-            config = tiny_train_config(max_epochs=2, batch_size=4, dropout=dropout)
+            config = tiny_train_config(max_epochs=2, batch_size=4)
             return training.finetune_tg(config, params, toy_records[:12], desk_vocab)
 
         a, b = run(), run()
@@ -324,10 +327,10 @@ class TestLoops:
         seen = []
         batch_loss = training.cmlm_batch_loss
 
-        def recording(params, batch, train_mode, dropout_seeds):
-            if train_mode:
+        def recording(params, batch, dropout_seeds):
+            if None not in dropout_seeds:       # a training batch, not validation
                 seen.extend(examples.index(ex) for ex in batch)
-            return batch_loss(params, batch, train_mode, dropout_seeds)
+            return batch_loss(params, batch, dropout_seeds)
 
         monkeypatch.setattr(training, "cmlm_batch_loss", recording)
         config = tiny_train_config(max_epochs=3, batch_size=5, seed=4)
@@ -341,7 +344,7 @@ class TestLoops:
         # Every name has at least one sub-token past a 3-token window.
         params = tiny_model(desk_vocab, max_seq_len=3)
         with pytest.raises(NoTrainingExamples,
-                           match=rf"{stage}: no training examples from 8 .*excluded: "
+                           match=rf"{stage.replace('_', '-')}: no training examples from 8 .*excluded: "
                                  r"\d+ with names longer .* \d+ with every occurrence"):
             getattr(training, stage)(tiny_train_config(), params, toy_records[:8], desk_vocab,
                                      out_dir=str(tmp_path))
@@ -493,13 +496,13 @@ class TestFloat32Training:
         monkeypatch.setattr(ad, "self_attention", recording_self_attention)
         monkeypatch.setattr(ad, "dropout", recording_dropout)
         monkeypatch.setattr(ad, "_accumulated", recording_accumulated)
-        config = tiny_train_config(dropout=0.1)
+        config = tiny_train_config()
         examples, _ = training.build_tg_dataset(desk_vocab, toy_records[:12], config)
         first = examples[0]
         second = next(ex for ex in examples
                       if len(ex.masked.input_ids) != len(first.masked.input_ids))
         assert config.lambda_bot > 0 and config.lambda_cl > 0
-        total, _ = training.tg_batch_loss(params, [first, second], config, True, [3, 4])
+        total, _ = training.tg_batch_loss(params, [first, second], [3, 4], config)
         nodes = graph_nodes(total)
         total.backward()
         # an edge's array is gone with its Tensor; its dtype is checked as
@@ -519,14 +522,14 @@ class TestFloat32Training:
             "cmlm": (training.build_cmlm_dataset, training.cmlm_batch_loss),
             "lp": (training.build_num_dataset, training.lp_batch_loss),
             "tg": (training.build_tg_dataset,
-                   lambda p, b, mode, seeds: training.tg_batch_loss(p, b, config, mode, seeds)[0]),
+                   functools.partial(training.tg_batch_loss, config=config)),
         }[batch_loss]
         examples, _ = build(desk_vocab, toy_records[:8], config)
         narrow = float32_copy(wide)
         for tensor in wide.tensors.values():   # the same weights in both precisions
             tensor.data = tensor.data.astype(np.float32).astype(np.float64)
-        expected = loss(wide, examples, False, [0] * len(examples))
-        got = loss(narrow, examples, False, [0] * len(examples))
+        expected, _ = loss(wide, examples, [None] * len(examples))
+        got, _ = loss(narrow, examples, [None] * len(examples))
         assert narrow.dtype == np.float32 and wide.dtype == np.float64
         assert got.item() == pytest.approx(expected.item(), rel=1e-5)
 
@@ -554,10 +557,10 @@ class TestFloat32Training:
         batch_loss = training.cmlm_batch_loss
         calls = []
 
-        def failing(params, batch, train_mode, dropout_seeds):
+        def failing(params, batch, dropout_seeds):
             calls.append(1)
-            loss = batch_loss(params, batch, train_mode, dropout_seeds)
-            return ad.scale(loss, float("nan")) if len(calls) == 2 else loss
+            loss, parts = batch_loss(params, batch, dropout_seeds)
+            return (ad.scale(loss, float("nan")) if len(calls) == 2 else loss), parts
 
         monkeypatch.setattr(training, "cmlm_batch_loss", failing)
         with pytest.raises(NonFiniteLoss, match="pretrain: loss nan at epoch 0 step 1"):
@@ -572,7 +575,7 @@ class TestTapeLifetime:
     @staticmethod
     def tg_setup(desk_vocab, toy_records):
         params = float32_copy(tiny_model(desk_vocab, num_layers=2, dropout=0.1))
-        config = tiny_train_config(dropout=0.1)
+        config = tiny_train_config()
         examples, _ = training.build_tg_dataset(desk_vocab, toy_records[:4], config)
         return params, config, examples[:2]
 
@@ -587,7 +590,7 @@ class TestTapeLifetime:
             return ffn(x, w_in, b_in, w_out, b_out)
 
         monkeypatch.setattr(ad, "ffn", recording_ffn)
-        total, _ = training.tg_batch_loss(params, batch, config, True, [1, 2])
+        total, _ = training.tg_batch_loss(params, batch, [1, 2], config)
         assert len(ffn_inputs) == 2 and all(ref() is not None for ref in ffn_inputs)
         total.backward()
         assert all(ref() is None for ref in ffn_inputs)
@@ -624,7 +627,7 @@ class TestTapeLifetime:
         monkeypatch.setattr(ad, "_gelu_affine", recording_gelu_affine)
         gc.disable()
         try:
-            total, _ = training.tg_batch_loss(params, batch, config, True, [1, 2])
+            total, _ = training.tg_batch_loss(params, batch, [1, 2], config)
             alive = {kind: [ref() is not None for ref in kind_refs]
                      for kind, kind_refs in refs.items()}
             total.backward()
@@ -642,9 +645,9 @@ class TestTapeLifetime:
         try:
             params, config, batch = self.tg_setup(desk_vocab, toy_records)
             refs = [weakref.ref(params)] + [weakref.ref(t) for t in params.tensors.values()]
-            done, _ = training.tg_batch_loss(params, batch, config, True, [1, 2])
+            done, _ = training.tg_batch_loss(params, batch, [1, 2], config)
             done.backward()
-            pending, _ = training.tg_batch_loss(params, batch, config, True, [3, 4])
+            pending, _ = training.tg_batch_loss(params, batch, [3, 4], config)
             result = training.finetune_tg(tiny_train_config(max_epochs=1, batch_size=2),
                                           params, toy_records[:4], desk_vocab)
             del params, done, pending, result
@@ -657,7 +660,7 @@ class TestTapeLifetime:
 
         def gradients():
             params.zero_grads()
-            total, _ = training.tg_batch_loss(params, batch, config, True, [1, 2])
+            total, _ = training.tg_batch_loss(params, batch, [1, 2], config)
             total.backward()
             return {name: t.grad for name, t in params.tensors.items() if t.grad is not None}
 
@@ -672,7 +675,7 @@ class TestTapeLifetime:
 
     def test_second_backward_through_a_released_graph_raises(self, desk_vocab, toy_records):
         params, config, batch = self.tg_setup(desk_vocab, toy_records)
-        hidden = model.forward(params, batch[0].masked.input_ids, True, 5)
+        hidden = model.forward(params, batch[0].masked.input_ids, 5)
         first = ad.sum_all(hidden)
         second = ad.sum_all(ad.mul(hidden, hidden))
         first.backward()
@@ -685,9 +688,9 @@ class TestTapeLifetime:
         taped = []
         forward = model.forward
 
-        def recording_forward(*args, **kwargs):
-            out = forward(*args, **kwargs)
-            taped.append(out._backward is not None)
+        def recording_forward(params, ids, dropout_seed=None, **kwargs):
+            out = forward(params, ids, dropout_seed, **kwargs)
+            taped.append((out._backward is not None, set(dropout_seed) == {None}))
             return out
 
         monkeypatch.setattr(model, "forward", recording_forward)
@@ -695,8 +698,9 @@ class TestTapeLifetime:
                    for i, r in enumerate(toy_records[:12])]
         config = tiny_train_config(max_epochs=1, batch_size=4)
         training.pretrain(config, tiny_model(desk_vocab), records, desk_vocab)
-        # three training batches record a tape, the validation batch none
-        assert taped == [True, True, True, False]
+        # three training batches record a tape and carry seeds; the
+        # validation batch records none and runs without dropout
+        assert taped == [(True, False)] * 3 + [(False, True)]
 
 
 @functools.lru_cache(maxsize=1)
@@ -722,7 +726,7 @@ def long_stage2_step_peak() -> int:
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        total, _ = training.tg_batch_loss(params, longest, config, True, [1, 2, 3])
+        total, _ = training.tg_batch_loss(params, longest, [1, 2, 3], config)
         ad.scale(total, 1.0 / 3).backward()
         return tracemalloc.get_traced_memory()[1] - base
     finally:
