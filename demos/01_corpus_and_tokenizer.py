@@ -47,7 +47,7 @@ for code in functions:
 print("\n=== corpus adaptation ===")
 # One variable per function becomes the ground truth; a decoy name sampled
 # from the pool of picked names becomes the 'before' state.
-records, stats = corpus.adapt_corpus(functions, seed=42, apply_filters=False,
+records, stats = corpus.adapt_corpus(functions, seed=42,
                                      validation_fraction=0.0, test_fraction=0.0)
 print(f"  adapted {len(records)} records, stats {stats}")
 for record in records:

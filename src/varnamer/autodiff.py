@@ -774,14 +774,13 @@ def _attend_backward(g_context, qh, kh, vh, top, total, keep, scale) -> tuple:
 
 def _sequences(offsets, rows):
     """Each sequence of a pack that has queries: its index, its row slice
-    and its queries, the slice itself when ``rows`` is None, else the
-    positions in ``rows`` of the rows that lie in it."""
-    owner = None if rows is None else np.searchsorted(offsets, rows, side="right") - 1
+    and its query slice, the row slice itself when ``rows`` is None, else
+    the slice of the strictly increasing ``rows`` that lies in it."""
+    bounds = offsets if rows is None else np.searchsorted(rows, offsets)
     for i in range(len(offsets) - 1):
-        keys = slice(int(offsets[i]), int(offsets[i + 1]))
-        mine = keys if rows is None else np.flatnonzero(owner == i)
-        if keys.stop > keys.start and (rows is None or mine.size):
-            yield i, keys, mine
+        mine = slice(int(bounds[i]), int(bounds[i + 1]))
+        if mine.stop > mine.start:
+            yield i, slice(int(offsets[i]), int(offsets[i + 1])), mine
 
 
 def self_attention(x, wq, bq, wk, bk, wv, bv, offsets, heads: int, rows=None,
@@ -793,13 +792,13 @@ def self_attention(x, wq, bq, wk, bk, wv, bv, offsets, heads: int, rows=None,
     ``x`` is an ``(N, d)`` row block holding the pack's sequences back to
     back: sequence ``i`` owns rows ``offsets[i]:offsets[i + 1]``, and its
     queries attend only to its own keys, so no softmax crosses a sequence
-    boundary. ``rows`` (pack positions, None for every row) are the query
-    rows; the result has one context row per query row, in their order,
+    boundary. ``rows`` (strictly increasing pack positions, None for every
+    row) are the query rows; the result has one context row per query row,
     heads concatenated. ``keeps[i]``, a boolean ``(heads, m_i, n_i)``
     pattern or None, drops sequence ``i``'s attention probabilities
-    (inverted dropout), its ``m_i`` rows being that sequence's query rows
-    in their order: they are multiplied by the mask ``keeps[i] * scale``,
-    with ``scale`` a scalar in x's dtype.
+    (inverted dropout), its ``m_i`` rows being that sequence's query rows:
+    they are multiplied by the mask ``keeps[i] * scale``, with ``scale`` a
+    scalar in x's dtype.
 
     Per sequence the node keeps the dropout pattern and the row max and
     row sum of the scaled scores, each ``(heads, m_i, 1)``. Its backward

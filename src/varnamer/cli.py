@@ -86,12 +86,14 @@ def build_parser() -> _Parser:
         p.add_argument("--vocab", required=True)
         p.add_argument("--model", help="checkpoint to continue from (pretrain: optional)")
         if name == "pretrain":   # the one command that creates a model
-            p.add_argument("--layers", type=int, default=2)
-            p.add_argument("--hidden-dim", type=int, default=128)
-            p.add_argument("--heads", type=int, default=4)
-            p.add_argument("--ffn-dim", type=int, default=512)
-            p.add_argument("--max-seq-len", type=int, default=512)
-            p.add_argument("--dropout", type=float, default=0.1)
+            # A new model's settings, ModelConfig's defaults when omitted;
+            # a usage error beside --model.
+            p.add_argument("--layers", type=int)
+            p.add_argument("--hidden-dim", type=int)
+            p.add_argument("--heads", type=int)
+            p.add_argument("--ffn-dim", type=int)
+            p.add_argument("--max-seq-len", type=int)
+            p.add_argument("--dropout", type=float)
 
     p = sub.add_parser("evaluate", help="run all metrics over a dataset")
     common(p, "data", "model", "vocab", "out", "lmax")
@@ -222,18 +224,14 @@ def _load_model(model_path: str, vocab_path: str) -> tuple[model.ModelParams, bp
     return params, vocab
 
 
-def _init_model(args, vocab, config: training.TrainConfig) -> model.ModelParams:
-    model_config = model.ModelConfig(
-        vocab_size=vocab.size,
-        num_layers=args.layers,
-        hidden_dim=args.hidden_dim,
-        num_heads=args.heads,
-        ffn_dim=args.ffn_dim,
-        max_seq_len=args.max_seq_len,
-        max_name_tokens=config.max_name_tokens,
-        dropout=args.dropout,
-    )
-    return model.init_params(model_config, config.seed)
+def _model_flags(args) -> dict[str, tuple[str, object]]:
+    """``pretrain``'s model flags that were given: flag -> (ModelConfig
+    field, value)."""
+    flags = {"--layers": ("num_layers", args.layers), "--heads": ("num_heads", args.heads),
+             "--hidden-dim": ("hidden_dim", args.hidden_dim),
+             "--ffn-dim": ("ffn_dim", args.ffn_dim), "--dropout": ("dropout", args.dropout),
+             "--max-seq-len": ("max_seq_len", args.max_seq_len)}
+    return {flag: setting for flag, setting in flags.items() if setting[1] is not None}
 
 
 # --- subcommands -------------------------------------------------------------
@@ -267,6 +265,10 @@ def _cmd_train_tokenizer(args) -> int:
 
 
 def _cmd_train(args, stage: str) -> int:
+    given = _model_flags(args) if stage == "pretrain" else {}
+    if args.model and given:
+        raise UsageError(f"--model cannot be combined with {', '.join(given)}, "
+                         "which set up a new model")
     config = _train_config(args)
     if args.model:
         params, vocab = _load_model(args.model, args.vocab)
@@ -274,7 +276,10 @@ def _cmd_train(args, stage: str) -> int:
         raise UsageError(f"{stage} requires --model (a pretrained checkpoint)")
     else:
         vocab = bpe.load_vocab(args.vocab)
-        params = _init_model(args, vocab, config)
+        # a new model: the given model flags, and ModelConfig's defaults
+        params = model.init_params(model.ModelConfig(
+            vocab_size=vocab.size, max_name_tokens=config.max_name_tokens,
+            **dict(given.values())), config.seed)
     records = corpus.load_corpus(args.data)
     if args.lmax is not None:
         model.resize_length_head(params, args.lmax, config.seed)

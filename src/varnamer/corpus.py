@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 
 from . import javalex
 from .errors import (
+    InvalidConfig,
     InvariantViolation,
     MalformedCode,
     NoVariables,
@@ -169,18 +170,21 @@ def adapt_corpus(
     seed: int,
     validation_fraction: float = 0.1,
     test_fraction: float = 0.1,
-    apply_filters: bool = True,
 ) -> tuple[list[RefactoringRecord], dict[str, int]]:
     """Adapt a list of plain functions into refactoring records.
 
     The name pool is the set of picked ground-truth names over the whole
-    corpus (first-seen order, deduplicated). Functions without variables
-    are skipped and counted.
+    corpus (first-seen order, deduplicated). Functions that
+    ``filter_functions`` drops or that have no variables are skipped and
+    counted. Raises InvalidConfig unless both fractions lie in [0, 1] and
+    sum to at most 1.
     """
-    stats = {"too_short": 0, "duplicate": 0, "no_variables": 0}
-    if apply_filters:
-        functions, fstats = filter_functions(functions)
-        stats.update(fstats)
+    if not (0 <= validation_fraction <= 1 and 0 <= test_fraction <= 1
+            and validation_fraction + test_fraction <= 1):
+        raise InvalidConfig(f"validation_fraction {validation_fraction} and test_fraction "
+                            f"{test_fraction} must lie in [0, 1] and sum to at most 1")
+    functions, stats = filter_functions(functions)
+    stats["no_variables"] = 0
 
     base = SplitMix64(seed)
     record_seeds = [base.next() for _ in functions]

@@ -108,16 +108,15 @@ def bot_distribution(pred: MaskedPrediction) -> Tensor:
     return ad.ordered_sum_rows(ad.sigmoid(pred.probs))
 
 
-def bot_loss(z: Tensor, target_ids: list[int], dedupe: bool = False) -> Tensor:
+def bot_loss(z: Tensor, target_ids: list[int]) -> Tensor:
     """Bag-of-tokens loss: -sum_i log z[target_i], order-insensitive.
 
     Targets are sorted before gathering so any permutation produces a
     bit-identical value. Entries of z may exceed 1, so the loss can be
-    negative. ``dedupe`` counts each distinct target once.
+    negative.
     """
     z = ad.as_tensor(z)
-    ids = np.unique(target_ids) if dedupe else np.sort(np.asarray(target_ids))
-    picked = ad.take(z, ids)
+    picked = ad.take(z, np.sort(np.asarray(target_ids)))
     return ad.scale(ad.sum_all(_gather_log(picked, "bot_loss")), -1.0)
 
 

@@ -41,15 +41,16 @@ bit-identical to those.
 Every loss and decoder reads only a few output rows: [CLS] for length
 prediction, the masked or name positions for the token head and the
 pooled name vectors. ``forward(..., rows=R)`` returns just those rows,
-``R`` being positions in the pack. Its last layer computes keys and values
-at every position (every row of a sequence is attended to) but queries,
-attention output, FFN and layer norms only at ``R``, each row attending
-within its own sequence; this saves about 40% of a 2-layer encoder's
-multiply-adds. The result equals the full output's rows ``R`` up to
-rounding, with dropout too: the last layer's dropout patterns are the
-rows ``R`` of the full draws, bit for bit. They are drawn only over the
-runs of rows that ``R`` reads, and the generator's ``advance`` skips the
-rest (see ``_drawn_rows``).
+``R`` being strictly increasing positions in the pack. Its last layer
+computes keys and values at every position (every row of a sequence is
+attended to) but queries, attention output, FFN and layer norms only at
+``R``, each row attending within its own sequence; this saves about 40%
+of a 2-layer encoder's multiply-adds. The result equals the full output's
+rows ``R`` up to rounding, with dropout too: every layer draws its
+patterns through ``_drawn_rows`` at the rows it runs at, so the last
+layer's are the rows ``R`` of the full draws, bit for bit. They are drawn
+only over the runs of rows that ``R`` reads, and the generator's
+``advance`` skips the rest.
 """
 
 from __future__ import annotations
@@ -247,14 +248,11 @@ def forward(
     ``ModelConfig.dropout``, exactly when it has a seed: ``dropout_seed``
     is one seed for every sequence or one per sequence, and a ``None``
     seed (the default) runs its sequence deterministically, without
-    dropout. ``rows`` (pack positions in any order, repeats allowed)
-    returns only those rows, shape ``(len(rows), d)``:
-    the last layer attends from them alone, over keys and values at every
-    position of their sequence. ``None`` returns all rows. A repeated
-    row's gradient into the last layer's input adds up the residual's and
-    the queries' pieces of its repeats as two sums, so it can differ in the
-    last bits from adding the repeats one at a time.
-    Raises InvalidRows when ``rows`` is empty or out of range.
+    dropout. ``rows`` (strictly increasing pack positions) returns only
+    those rows, shape ``(len(rows), d)``: the last layer attends from them
+    alone, over keys and values at every position of their sequence.
+    ``None`` returns all rows. Raises InvalidRows when ``rows`` is empty,
+    out of range, unsorted or repeats a position.
     """
     config = params.config
     arr = np.asarray(ids, dtype=np.int64)
@@ -272,8 +270,10 @@ def forward(
     total = arr.size
     if rows is not None:
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 1 or rows.size == 0 or rows.min() < 0 or rows.max() >= total:
-            raise InvalidRows(f"rows must be a non-empty list of positions in [0, {total})")
+        if (rows.ndim != 1 or rows.size == 0 or rows[0] < 0 or rows[-1] >= total
+                or np.any(rows[1:] <= rows[:-1])):
+            raise InvalidRows(
+                f"rows must be a non-empty, strictly increasing list of positions in [0, {total})")
 
     heads = config.num_heads
     rate = config.dropout
@@ -284,65 +284,52 @@ def forward(
     rngs = [np.random.default_rng(s) if rate > 0 and s is not None else None for s in seeds]
     dropping = any(rng is not None for rng in rngs)
     dtype = params.dtype        # of the activations, and so of the scales
-    scale = row_scale = queries = spans = None
+    scale = seq_scales = None
     if dropping:
         scale = np.divide(1.0, 1.0 - rate, dtype=dtype)
-        row_scale = np.repeat(np.array([1 if rng is None else scale for rng in rngs], dtype),
-                              lengths)[:, None]
-        if rows is not None:
-            # Per sequence, the positions in ``rows`` of its rows, the
-            # distinct positions the last layer reads there, sorted, and
-            # where each of its query rows finds its own.
-            owner = np.searchsorted(offsets, rows, side="right") - 1
-            queries = [np.flatnonzero(owner == i) for i in range(lengths.size)]
-            spans = [np.unique(rows[mine] - start, return_inverse=True)
-                     for mine, start in zip(queries, offsets)]
+        seq_scales = np.array([1 if rng is None else scale for rng in rngs], dtype)
+    # Per sequence, the positions (0 at its [CLS]) at which a layer runs:
+    # all of them, and in the last layer given ``rows`` those in ``rows``.
+    every = last_rows = [np.arange(n) for n in lengths]
+    if rows is not None:
+        cuts = np.searchsorted(rows, offsets)
+        last_rows = [rows[a:b] - start for a, b, start in zip(cuts[:-1], cuts[1:], offsets)]
 
-    def drop(x: Tensor, last: bool) -> Tensor:
-        """Dropout on ``(rows, d)`` activations, each sequence's pattern
-        drawn from its own generator, as its own pass would draw it; in
-        the last layer, only the rows it reads."""
+    def drop(x: Tensor, local: list[np.ndarray]) -> Tensor:
+        """Dropout on the ``(rows, d)`` activations at each sequence's rows
+        ``local``, each sequence's pattern drawn from its own generator as
+        its own pass would draw it; a sequence without one keeps every
+        entry at scale 1."""
         if not dropping:
             return x
         width = x.shape[1]
-        if last:
-            keep = np.ones((rows.size, width), bool)
-            for rng, n, mine, (local, inverse) in zip(rngs, lengths, queries, spans):
-                if rng is not None:
-                    keep[mine] = _drawn_rows(rng, local, n, width, rate)[inverse]
-            return ad.dropout(x, keep, row_scale[rows])
         keep = np.concatenate([
-            rng.random((n, width)) >= rate if rng is not None else np.ones((n, width), bool)
-            for rng, n in zip(rngs, lengths)])
-        return ad.dropout(x, keep, row_scale)
+            np.ones((mine.size, width), bool) if rng is None
+            else _drawn_rows(rng, mine, n, width, rate)
+            for rng, n, mine in zip(rngs, lengths, local)])
+        return ad.dropout(x, keep, np.repeat(seq_scales, [mine.size for mine in local])[:, None])
 
-    def attention_keeps(last: bool):
+    def attention_keeps(local: list[np.ndarray]):
+        """Each sequence's ``(heads, m, n)`` attention pattern at its query
+        rows ``local``: rows of the ``heads * n`` rows of ``n`` it draws."""
         if not dropping:
             return None
-        keeps = []
-        for i, (rng, n) in enumerate(zip(rngs, lengths)):
-            if rng is None:
-                keeps.append(None)
-            elif last:
-                # the pattern's rows are heads * n rows of n; each head reads rows ``local``
-                local, inverse = spans[i]
-                wanted = (np.arange(heads)[:, None] * n + local).reshape(-1)
-                keep = _drawn_rows(rng, wanted, heads * n, n, rate)
-                keeps.append(keep.reshape(heads, local.size, n)[:, inverse])
-            else:
-                keeps.append(rng.random((heads, n, n)) >= rate)
-        return keeps
+        return [None if rng is None
+                else _drawn_rows(rng, (np.arange(heads)[:, None] * n + mine).reshape(-1),
+                                 heads * n, n, rate).reshape(heads, mine.size, n)
+                for rng, n, mine in zip(rngs, lengths, local)]
 
     positions = np.arange(total) - np.repeat(offsets[:-1], lengths)
     x = ad.add(ad.take(params["token_embedding"], arr),
                ad.take(params["position_embedding"], positions))
     x = ad.layer_norm(x, params["embedding_norm.scale"], params["embedding_norm.bias"])
-    x = drop(x, False)
+    x = drop(x, every)
 
     for i in range(config.num_layers):
         p = f"layer{i}"
         # Queries and everything after them run only at the output rows.
         last = rows is not None and i == config.num_layers - 1
+        local = last_rows if last else every
         # xq is the residual add's first operand, so a take's backward reaches
         # x before the attention node's: x's gradient sums the residual's,
         # then Q's, K's and V's pieces, as in the graph of three linears.
@@ -350,13 +337,13 @@ def forward(
         projections = [params[f"{p}.attention.{proj}.{part}"]
                        for proj in ("query", "key", "value") for part in ("weight", "bias")]
         context = ad.self_attention(x, *projections, offsets, heads, rows if last else None,
-                                    attention_keeps(last), scale)
-        attn_out = drop(_project(params, f"{p}.attention.output", context), last)
+                                    attention_keeps(local), scale)
+        attn_out = drop(_project(params, f"{p}.attention.output", context), local)
         x = ad.layer_norm(ad.add(xq, attn_out),
                           params[f"{p}.attention_norm.scale"],
                           params[f"{p}.attention_norm.bias"])
         ffn = drop(ad.ffn(x, params[f"{p}.ffn.in.weight"], params[f"{p}.ffn.in.bias"],
-                          params[f"{p}.ffn.out.weight"], params[f"{p}.ffn.out.bias"]), last)
+                          params[f"{p}.ffn.out.weight"], params[f"{p}.ffn.out.bias"]), local)
         x = ad.layer_norm(ad.add(x, ffn),
                           params[f"{p}.ffn_norm.scale"],
                           params[f"{p}.ffn_norm.bias"])
@@ -365,15 +352,19 @@ def forward(
 
 def _drawn_rows(rng: np.random.Generator, rows: np.ndarray, count: int, width: int,
                 rate: float) -> np.ndarray:
-    """``rng.random((count, width))[rows] >= rate`` for sorted distinct
+    """``rng.random((count, width))[rows] >= rate`` for strictly increasing
     ``rows``, drawing only runs of rows around them, and leaving ``rng``
-    where the full draw would.
+    where the full draw would. Every dropout pattern of ``forward`` comes
+    from here; a full layer's ``rows`` are all ``count`` rows, drawn and
+    compared in one go.
 
     The generator is a PCG64, which spends one 64-bit output per double,
     so ``advance`` skips the rows between runs exactly. Rows closer than
     ``_SKIP_MIN_DRAWS`` doubles share a run: drawing that gap costs less
     than one more call.
     """
+    if rows.size == count:
+        return rng.random((count, width)) >= rate
     keep = np.empty((rows.size, width), bool)
     generator = rng.bit_generator
     cuts = np.flatnonzero((np.diff(rows) - 1) * width >= _SKIP_MIN_DRAWS) + 1

@@ -91,7 +91,6 @@ class TrainConfig(model.TextConfig):
     max_name_tokens: int = 5
     max_seq_len: int = 512
     patience: int = 10
-    dedupe_bot: bool = False
 
     def validate(self) -> None:
         if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
@@ -133,7 +132,7 @@ def adam_update(
     grads: dict[str, np.ndarray],
     state: AdamState,
     config: TrainConfig,
-) -> tuple[ModelParams, AdamState]:
+) -> None:
     """One Adam step with bias correction, in float64.
 
     Each parameter's float64 master in ``state.master`` (made from the
@@ -181,7 +180,6 @@ def adam_update(
         term /= wide
         master -= term
         np.copyto(tensor.data, master)
-    return params, state
 
 
 # --- dataset builders --------------------------------------------------------
@@ -245,8 +243,8 @@ def build_tg_dataset(vocab: SubwordVocab, records: list[RefactoringRecord],
 
 def _encode_pack(params: ModelParams,
                  passes: list[tuple[list[int], list[int], int | None]]) -> tuple[Tensor, list[int]]:
-    """One encoder pass over a pack of sequences, given as (ids, rows,
-    dropout seed or None) each. Returns the requested rows of every
+    """One encoder pass over a pack of sequences, given as (ids, increasing
+    rows, dropout seed or None) each. Returns the requested rows of every
     sequence stacked in pass order, and where each sequence's rows start
     in that stack (with the total appended)."""
     ids: list[int] = []
@@ -318,8 +316,7 @@ def tg_batch_loss(params: ModelParams, examples: list[TgExample],
         for start, stop in zip(bounds[:n], bounds[1:n + 1]):
             one = L.MaskedPrediction(probs=ad.take(pred.probs, np.arange(start, stop)),
                                      target_ids=pred.target_ids[start:stop])
-            term = ad.add(term, L.bot_loss(L.bot_distribution(one), one.target_ids,
-                                           config.dedupe_bot))
+            term = ad.add(term, L.bot_loss(L.bot_distribution(one), one.target_ids))
         parts["bot"] = term.item()
         total = ad.add(total, ad.scale(term, config.lambda_bot))
     if config.lambda_cl != 0.0:
@@ -342,7 +339,6 @@ class TrainResult:
 
     params: ModelParams
     history: list[dict[str, float]]
-    best_checkpoint: str | None = None
 
 
 def _dropout_seed(seed: int, epoch: int, index: int) -> int:
@@ -386,7 +382,6 @@ def _stage(stage: str, build, batch_loss, config: TrainConfig, params: ModelPara
     history: list[dict[str, float]] = []
     best_val = float("inf")
     best_masters: dict[str, np.ndarray] | None = None
-    best_path = None
     patience_left = config.patience
     rng = np.random.default_rng(config.seed)
     # The parameters leave the stage as float64 masters: the best epoch's
@@ -439,8 +434,7 @@ def _stage(stage: str, build, batch_loss, config: TrainConfig, params: ModelPara
                     best_masters = {name: data.copy() for name, data in state.master.items()}
                     patience_left = config.patience
                     if out_dir:
-                        best_path = os.path.join(out_dir, f"{stage}-best.rfbt")
-                        model.save_checkpoint(params, best_path)
+                        model.save_checkpoint(params, os.path.join(out_dir, f"{stage}-best.rfbt"))
                 else:
                     patience_left -= 1
                     if patience_left <= 0:
@@ -453,7 +447,7 @@ def _stage(stage: str, build, batch_loss, config: TrainConfig, params: ModelPara
             params.tensors[name].data = data
     if out_dir:
         _write_log(os.path.join(out_dir, f"{stage}-log.csv"), history)
-    return TrainResult(params=params, history=history, best_checkpoint=best_path)
+    return TrainResult(params=params, history=history)
 
 
 def _write_log(path: str, history: list[dict[str, float]]) -> None:

@@ -175,6 +175,18 @@ class TestDataErrors:
         assert f"{field} must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("validation,test", [
+        ("0.6", "0.6"), ("-0.5", "0.1"), ("0.1", "1.5"), ("nan", "0.1")])
+    def test_split_fractions_that_cannot_be_met_exit_2(self, workspace, tmp_path, capsys,
+                                                       validation, test):
+        out = tmp_path / "built"
+        code = cli.run(["build-corpus", "--data", workspace["functions"], "--out", str(out),
+                        "--validation-fraction", validation, "--test-fraction", test])
+        assert code == 2
+        assert (f"validation_fraction {float(validation)} and test_fraction {float(test)} "
+                "must lie in [0, 1] and sum to at most 1") in capsys.readouterr().err
+        assert not (out / "corpus.jsonl").exists()
+
     @pytest.mark.parametrize("flags,message", [
         (["--smoothing", "0"], "smoothing_k 0.0 must be positive"),
         (["--ngram-n", "1"], "n-gram order 1 must be >= 2"),
@@ -430,6 +442,32 @@ class TestModelLimits:
                         "--hidden-dim", "64"])
         assert code == 1
         assert "--hidden-dim" in capsys.readouterr().err
+
+    def test_model_flags_beside_model_are_a_usage_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = cli.run(["pretrain", "--data", workspace["corpus"], "--vocab", workspace["vocab"],
+                        "--model", workspace["model"], "--out", str(out),
+                        "--hidden-dim", "64", "--layers", "3", "--dropout", "0.5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--hidden-dim" in err and "--model" in err
+        assert not out.exists()
+
+    def test_pretrain_without_model_flags_takes_the_model_config_defaults(
+            self, workspace, tmp_path, capsys):
+        config = tmp_path / "one.cfg"
+        config.write_text(training.TrainConfig(max_epochs=1, batch_size=8,
+                                               max_seq_len=128).to_text())
+        out = tmp_path / "run"
+        code = cli.run(["pretrain", "--data", workspace["corpus"], "--vocab", workspace["vocab"],
+                        "--out", str(out), "--config", str(config)])
+        assert code == 0, capsys.readouterr().err
+        checkpoint = json.loads(capsys.readouterr().out)["checkpoint"]
+        vocab_size = bpe.load_vocab(workspace["vocab"]).size
+        assert model.load_checkpoint(checkpoint).config == model.ModelConfig(
+            vocab_size=vocab_size, max_name_tokens=training.TrainConfig().max_name_tokens)
+        arguments = json.loads((out / "manifest.json").read_text())["arguments"]
+        assert arguments["hidden_dim"] is None and arguments["dropout"] is None
 
     def test_length_head_resized_only_by_lmax(self, workspace, tmp_path, capsys):
         def train(stage, *extra):

@@ -159,14 +159,6 @@ class TestBotLoss:
                 seen_negative = True
         assert seen_negative  # z entries above 1 make the loss negative
 
-    def test_dedupe_flag(self):
-        raw = np.full((2, 4), 0.25)
-        pred = L.MaskedPrediction(probs=raw, target_ids=[1, 1])
-        z = L.bot_distribution(pred)
-        dup = L.bot_loss(z, [1, 1]).item()
-        dedup = L.bot_loss(z, [1, 1], dedupe=True).item()
-        assert abs(dup - 2 * dedup) < 1e-12
-
 
 class TestClLoss:
     @pytest.mark.parametrize("tau", [0.02, 0.05, 0.25])

@@ -151,7 +151,7 @@ class TestForward:
                           lengths=lengths)
 
 
-ROW_SETS = [[0], [3, 1, 7], [9, 0, 4, 4], list(range(10))]
+ROW_SETS = [[0], [1, 3, 7], [0, 4, 9], list(range(10))]
 
 
 class TestForwardRows:
@@ -189,25 +189,31 @@ class TestForwardRows:
         with pytest.raises(InvalidRows):
             model.forward(params, wrap(range(10, 18)), rows=rows)
 
+    @pytest.mark.parametrize("rows", [[3, 1], [0, 5, 2], [4, 4], [0, 2, 2, 7]])
+    def test_unsorted_or_repeated_rows_rejected(self, rows):
+        params = model.init_params(small_config(), seed=0)
+        with pytest.raises(InvalidRows, match="strictly increasing"):
+            model.forward(params, wrap(range(10, 18)), 3, rows=rows)
+
 
 @st.composite
 def packs(draw):
-    """1-6 sequences of 3-40 tokens, each with 1-5 output rows (repeats
-    allowed) and a dropout seed or None, half the packs with no seed at
-    all; the pack's rows in a random order, or None for all rows."""
+    """1-6 sequences of 3-40 tokens, each with 1-5 distinct output rows
+    and a dropout seed or None, half the packs with no seed at all; the
+    pack's rows in increasing order, or None for all rows."""
     count = draw(st.integers(1, 6))
     seqs, local_rows, seeds = [], [], []
     for _ in range(count):
         n = draw(st.integers(3, 40))
         body = draw(st.lists(st.integers(6, 63), min_size=n - 2, max_size=n - 2))
         seqs.append(wrap(body))
-        local_rows.append(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5)))
+        local_rows.append(sorted(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5,
+                                               unique=True))))
         seeds.append(draw(st.none() | st.integers(0, 2**31 - 1)))
-    order = draw(st.permutations(range(sum(map(len, local_rows)))))
     num_layers = draw(st.sampled_from([1, 2]))
     if not draw(st.booleans()):
         seeds = [None] * count
-    return dict(seqs=seqs, local_rows=local_rows, seeds=seeds, order=list(order),
+    return dict(seqs=seqs, local_rows=local_rows, seeds=seeds,
                 num_layers=num_layers, all_rows=draw(st.booleans()))
 
 
@@ -261,24 +267,21 @@ class TestPackedForward:
         seqs, local_rows = case["seqs"], case["local_rows"]
         if case["all_rows"]:
             local_rows = [list(range(len(ids))) for ids in seqs]
-            order = list(range(sum(map(len, seqs))))
             rows = None
         else:
-            order = case["order"]
             starts = np.cumsum([0] + [len(ids) for ids in seqs])
-            flat = [start + r for start, rs in zip(starts, local_rows) for r in rs]
-            rows = [flat[j] for j in order]
+            rows = [start + r for start, rs in zip(starts, local_rows) for r in rs]
         blocks = np.cumsum([0] + [len(rs) for rs in local_rows])
-        weight = np.random.default_rng(len(order)).normal(size=(blocks[-1], 32))
+        weight = np.random.default_rng(blocks[-1]).normal(size=(blocks[-1], 32))
 
         pack, pack_masks, pack_grads = self._run(
             params, [t for ids in seqs for t in ids], case["seeds"], rows,
-            [len(ids) for ids in seqs], weight[order])
+            [len(ids) for ids in seqs], weight)
         singles = [self._run(params, ids, seed, None if rows is None else rs,
                              None, weight[blocks[i]:blocks[i + 1]])
                    for i, (ids, rs, seed) in enumerate(zip(seqs, local_rows, case["seeds"]))]
 
-        expected = np.concatenate([out for out, _, _ in singles])[order]
+        expected = np.concatenate([out for out, _, _ in singles])
         np.testing.assert_allclose(pack, expected, rtol=1e-12, atol=0)
 
         # Dropout masks: every sequence's rows masked exactly as in its own pass.
@@ -296,17 +299,13 @@ class TestPackedForward:
                     single[1]["dropout"][point] if drops
                     else np.ones((len(rs) if restricted else len(ids), 32))
                     for single, drops, ids, rs in zip(singles, dropping, seqs, local_rows)])
-                assert np.array_equal(mask, expected[order] if restricted else expected)
-            owner = np.searchsorted(blocks, order, side="right") - 1
+                assert np.array_equal(mask, expected)
             for layer, masks in enumerate(pack_masks["attention"]):
-                restricted = rows is not None and layer == layers - 1
                 for i, (single, drops) in enumerate(zip(singles, dropping)):
                     if not drops:
                         assert masks[i] is None
                         continue
                     (expected,) = single[1]["attention"][layer]
-                    if restricted:
-                        expected = expected[:, np.asarray(order)[owner == i] - blocks[i]]
                     assert np.array_equal(masks[i], expected)
 
         # Gradients: the pack's equal the sum of the single passes'. The key
@@ -364,8 +363,8 @@ class TestRowRestrictedLastLayer:
             for name, t in fresh.tensors.items()})
         lengths = [9, 30, 14, 6]
         ids = [t for n in lengths for t in wrap((7 * np.arange(n - 2) + n) % 50 + 10)]
-        # distinct, unsorted, in every sequence but the last
-        rows = [40, 0, 9, 25, 52, 10, 3]
+        # increasing, in every sequence but the last
+        rows = [0, 3, 9, 10, 25, 40, 52]
         weight = np.random.default_rng(6).normal(size=(len(rows), 32)).astype(dtype)
 
         def run(forward):
@@ -385,8 +384,9 @@ class TestRowRestrictedLastLayer:
 
 
 class TestSpanDrawnDropout:
-    """The last layer draws its dropout patterns only over the rows it
-    reads; they must equal those rows of the full draws, bit for bit."""
+    """Every layer draws its dropout patterns through ``_drawn_rows``, the
+    last layer only over the rows it reads; they must equal those rows of
+    the full draws, bit for bit."""
 
     # With 1024 doubles as the skip threshold:
     @pytest.mark.parametrize("count,width,rows", [
@@ -404,6 +404,15 @@ class TestSpanDrawnDropout:
         full = full_rng.random((count, width)) >= 0.1
         span = model._drawn_rows(span_rng, rows, count, width, 0.1)
         assert span.dtype == bool and np.array_equal(span, full[rows])
+        assert span_rng.bit_generator.state == full_rng.bit_generator.state
+
+    @pytest.mark.parametrize("count,width", [(1, 4), (300, 4), (10, 128), (40, 600)])
+    def test_every_row_is_the_full_draw(self, count, width):
+        # a full layer's pattern: one run over all rows
+        full_rng, span_rng = np.random.default_rng(23), np.random.default_rng(23)
+        full = full_rng.random((count, width)) >= 0.1
+        every = model._drawn_rows(span_rng, np.arange(count), count, width, 0.1)
+        assert every.dtype == bool and np.array_equal(every, full)
         assert span_rng.bit_generator.state == full_rng.bit_generator.state
 
     @staticmethod
@@ -425,12 +434,12 @@ class TestSpanDrawnDropout:
         lengths = [40, 12, 7, 20]
         seeds = [5, None, 6, 7]                 # the last sequence has no output row
         starts = np.cumsum([0] + lengths)
-        # Unsorted, repeated, in several sequences, the first and last
-        # positions; rows 2 and 39 of the first sequence are far enough
-        # apart in its attention pattern (36 * 40 doubles) to be skipped.
-        local = {0: [39, 0, 2, 2, 1], 1: [4], 2: [6, 0, 3, 3]}
+        # In several sequences, the first and last positions; rows 2 and 39
+        # of the first sequence are far enough apart in its attention
+        # pattern (36 * 40 doubles) to be skipped.
+        local = {0: [0, 1, 2, 39], 1: [4], 2: [0, 3, 6]}
         assert 36 * 40 >= model._SKIP_MIN_DRAWS
-        rows = [starts[i] + r for i, rs in local.items() for r in rs][::-1]
+        rows = [starts[i] + r for i, rs in local.items() for r in rs]
         ids = [t for n in lengths for t in wrap(range(10, 8 + n))]
 
         generators = []
@@ -681,13 +690,13 @@ class TestServingPrecision:
             stack.extend(node._parents)
         return nodes
 
-    @pytest.mark.parametrize("rows", [None, [0], [3, 1, 3]])
+    @pytest.mark.parametrize("rows", [None, [0], [1, 3]])
     def test_eval_forward_stays_float32(self, tmp_path, rows):
         self.check_float32(tmp_path, [CLS, 9, 10, 11, 12, SEP], rows)
 
     def test_eval_pack_stays_float32(self, tmp_path):
         self.check_float32(tmp_path, [CLS, 9, 10, 11, 12, SEP, CLS, 13, 14, SEP],
-                           [9, 0, 6, 3], lengths=[6, 4])
+                           [0, 3, 6, 9], lengths=[6, 4])
 
     def check_float32(self, tmp_path, ids, rows, lengths=None):
         path = str(tmp_path / "model.rfbt")

@@ -37,8 +37,7 @@ def tiny_train_config(**overrides):
 
 class TestTrainConfig:
     def test_text_roundtrip(self):
-        config = training.TrainConfig(learning_rate=0.01, lambda_bot=0.0,
-                                      dedupe_bot=True)
+        config = training.TrainConfig(learning_rate=0.01, lambda_bot=0.0, patience=3)
         parsed = training.TrainConfig.from_text(config.to_text())
         assert parsed == config
 
@@ -46,23 +45,14 @@ class TestTrainConfig:
         with pytest.raises(InvalidConfig):
             training.TrainConfig.from_text("momentum = 0.9\n")
 
+    def test_removed_dedupe_bot_key_names_line_and_key(self):
+        with pytest.raises(InvalidConfig, match="line 2: unknown key 'dedupe_bot'"):
+            training.TrainConfig.from_text("seed = 2\ndedupe_bot = False\n")
+
     def test_removed_freeze_key_names_line_and_key(self):
         with pytest.raises(InvalidConfig,
                            match="line 2: unknown key 'freeze_token_head_in_lp'"):
             training.TrainConfig.from_text("seed = 2\nfreeze_token_head_in_lp = True\n")
-
-    @pytest.mark.parametrize("raw,value", [
-        ("True", True), ("yes", True), ("1", True),
-        ("false", False), ("No", False), ("0", False),
-    ])
-    def test_boolean_words(self, raw, value):
-        config = training.TrainConfig.from_text(f"dedupe_bot = {raw}\n")
-        assert config.dedupe_bot is value
-
-    @pytest.mark.parametrize("raw", ["Ture", "", "off", "-1"])
-    def test_bad_boolean_names_line_and_key(self, raw):
-        with pytest.raises(InvalidConfig, match="line 3: dedupe_bot"):
-            training.TrainConfig.from_text(f"# comment\nseed = 2\ndedupe_bot = {raw}\n")
 
     def test_bad_number_is_invalid_config(self):
         with pytest.raises(InvalidConfig, match="line 1: batch_size"):
