@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -132,8 +133,21 @@ def _digest(path: str) -> str:
     return h.hexdigest()
 
 
+def _openblas_threads() -> int | None:
+    """The thread count numpy's bundled OpenBLAS runs, or None when numpy
+    does not bundle it."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
 def _numeric_environment() -> dict:
-    """The numpy version, its BLAS and the BLAS thread settings."""
+    """The numpy version, its BLAS, the BLAS thread settings and the
+    thread count OpenBLAS runs."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     except (KeyError, TypeError, ValueError):   # the build-info layout is not stable
@@ -143,12 +157,14 @@ def _numeric_environment() -> dict:
         "blas": blas,
         "threads": {var: os.environ.get(var)
                     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        "openblas_threads": _openblas_threads(),
     }
 
 
 # The arithmetic of a training run, as its manifest records it.
 TRAINING_PRECISION = {"compute": np.dtype(training.COMPUTE_DTYPE).name,
-                      "master": np.dtype(training.MASTER_DTYPE).name}
+                      "master": np.dtype(training.MASTER_DTYPE).name,
+                      "moments": np.dtype(training.COMPUTE_DTYPE).name}
 
 
 def _write_manifest(out_dir: str, command: str, args: argparse.Namespace,
@@ -371,21 +387,25 @@ def sweep(config_path: str | None, parameter: str, values: list[float],
     base_config = (training.TrainConfig.from_file(config_path)
                    if config_path else training.TrainConfig())
     base_config.seed = seed
+    configs = []
+    for value in values:    # every value is checked before any data is read
+        config = dataclasses.replace(base_config)
+        if parameter == "lmax":
+            config.max_name_tokens = int(value)
+        else:
+            setattr(config, parameter, value)
+        config.validate()
+        configs.append(config)
     records = corpus.load_corpus(data_path)
     eval_records = ([r for r in records if r.split == "validation"]
                     or [r for r in records if r.split == "test"]
                     or records)
     os.makedirs(out_dir, exist_ok=True)
     results = []
-    for value in values:
+    for value, config in zip(values, configs):
         params, vocab = _load_model(model_path, vocab_path)
-        config = dataclasses.replace(base_config)
         if parameter == "lmax":
-            config.max_name_tokens = int(value)
             model.resize_length_head(params, config.max_name_tokens, config.seed)
-        else:
-            setattr(config, parameter, value)
-        config.validate()
         result = training.finetune_tg(config, params, records, vocab)
         predictor = inference.ModelPredictor(result.params, vocab)
         report = metrics.evaluate_corpus(

@@ -64,6 +64,8 @@ def gradient_check(
     """
     if not 1e-6 <= epsilon <= 1e-3:
         raise InvalidConfig(f"epsilon {epsilon} must lie in [1e-6, 1e-3]")
+    if coords_per_tensor < 1:
+        raise InvalidConfig(f"coords_per_tensor {coords_per_tensor} must be >= 1")
 
     params.zero_grads()
     out = loss_fn(params)

@@ -18,11 +18,16 @@ example, on slices of those rows. Validation runs the same batch losses.
 
 Steps compute in float32: a stage keeps a float64 master copy of every
 parameter, the forward and backward run on the masters' float32
-rounding, and Adam widens each gradient and updates the master in
-float64 before rounding it back into the compute copy (the master-weight
-scheme of Micikevicius et al. 2018). A stage hands back the float64
-masters, so stages chain without re-rounding, and every checkpoint it
-writes holds the compute copy's float32 values.
+rounding, and Adam updates the master in float64 before rounding it back
+into the compute copy (the master-weight scheme of Micikevicius et al.
+2018). Only the masters are float64. Adam's moments are float32 and
+update from the float32 gradients: they steer the step's size and sign,
+not the accumulated weight, and need far less precision than it
+(Dettmers et al. 2022 train with 8-bit moments), so the optimizer state
+costs 16 bytes per parameter rather than 24. The step itself is taken in
+float64 from exact widenings of the moments. A stage hands back the
+float64 masters, so stages chain without re-rounding, and every
+checkpoint it writes holds the compute copy's float32 values.
 
 Dropout has one owner and one rule: the model's ``ModelConfig.dropout``
 is the rate, and a sequence drops out exactly when ``model.forward`` gets
@@ -38,8 +43,9 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -93,6 +99,13 @@ class TrainConfig(model.TextConfig):
     patience: int = 10
 
     def validate(self) -> None:
+        # NaN fails every comparison below, so non-finite values are caught first.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidConfig(f"{f.name} must be a finite number, got {value}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
             raise InvalidConfig("learning_rate, batch_size, max_epochs must be positive")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
@@ -118,8 +131,8 @@ class TrainConfig(model.TextConfig):
 
 @dataclass
 class AdamState:
-    """Adam's moments and step count, and the float64 master of each
-    parameter."""
+    """Adam's step count, its float32 moments ``m`` and ``v`` and the
+    float64 master of each parameter (see the module docstring)."""
 
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -133,14 +146,15 @@ def adam_update(
     state: AdamState,
     config: TrainConfig,
 ) -> None:
-    """One Adam step with bias correction, in float64.
+    """One Adam step with bias correction.
 
-    Each parameter's float64 master in ``state.master`` (made from the
-    parameter on its first step when absent) takes the step, and the
-    parameter's array then receives the master in place: its float32
-    rounding during training, an exact copy for a float64 parameter.
-    Gradients widen to float64 before any arithmetic, and the moments and
-    master update in place.
+    The moments update in float32 from the gradient in float32 (a float32
+    gradient is used as it is). Each parameter's float64 master in
+    ``state.master`` (made from the parameter on its first step when
+    absent) then takes the step, computed in float64 from exact widenings
+    of the moments, and the parameter's array receives the master in
+    place: its float32 rounding during training, an exact copy for a
+    float64 parameter. The moments and master update in place.
     """
     state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
@@ -156,29 +170,31 @@ def adam_update(
         if master is None:
             master = state.master[name] = tensor.data.astype(MASTER_DTYPE)
         if name not in state.m:
-            state.m[name], state.v[name] = np.zeros_like(master), np.zeros_like(master)
+            state.m[name] = np.zeros(master.shape, COMPUTE_DTYPE)
+            state.v[name] = np.zeros(master.shape, COMPUTE_DTYPE)
         m, v = state.m[name], state.v[name]
-        # In place through two scratch arrays, with the operations of
-        #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
-        #   master -= lr * (m/c1) / (sqrt(v/c2) + eps)
+        grad = np.asarray(grad, COMPUTE_DTYPE)
+        # In place through scratch arrays, with the operations of
+        #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g         (float32)
+        #   master -= lr * (m/c1) / (sqrt(v/c2) + eps)          (float64)
         # in the same order, so the results are bit-identical to it.
-        wide = np.empty_like(master)
-        term = np.empty_like(master)
-        np.copyto(wide, grad)                       # exact widening
+        term = np.empty_like(m)
         m *= b1
-        np.multiply(wide, 1.0 - b1, out=term)
+        np.multiply(grad, 1.0 - b1, out=term)
         m += term
         v *= b2
-        np.multiply(wide, 1.0 - b2, out=term)
-        term *= wide
+        np.multiply(grad, 1.0 - b2, out=term)
+        term *= grad
         v += term
-        np.divide(v, correction2, out=wide)
+        wide = v.astype(MASTER_DTYPE)               # exact widenings
+        update = m.astype(MASTER_DTYPE)
+        wide /= correction2
         np.sqrt(wide, out=wide)
         wide += config.adam_epsilon
-        np.divide(m, correction1, out=term)
-        term *= config.learning_rate
-        term /= wide
-        master -= term
+        update /= correction1
+        update *= config.learning_rate
+        update /= wide
+        master -= update
         np.copyto(tensor.data, master)
 
 

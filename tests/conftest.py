@@ -1,4 +1,3 @@
-import ctypes
 import os
 import sys
 from pathlib import Path
@@ -10,29 +9,20 @@ sys.path.insert(0, str(Path(__file__).parent))
 # The benchmark's modules, for the tests that pin what it relies on.
 sys.path.append(str(Path(__file__).parent.parent / "bench"))
 
-from varnamer import bpe, corpus  # noqa: E402
+from varnamer import bpe, cli, corpus  # noqa: E402
 
 import toycorpus  # noqa: E402
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _openblas_threads() -> str:
-    """The thread count numpy's bundled OpenBLAS uses, or ``unknown``."""
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get = lib.scipy_openblas_get_num_threads64_
-    except (AttributeError, OSError):
-        return "unknown"
-    get.argtypes, get.restype = [], ctypes.c_int
-    return str(get())
-
-
 def numeric_setting() -> str:
     """The numeric setting the bit-level and acceptance gates depend on
     (a GEMM's summation order follows the BLAS thread count)."""
     threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS)
-    return f"numpy {np.__version__}; {threads}; OpenBLAS threads {_openblas_threads()}"
+    openblas = cli._openblas_threads()
+    return (f"numpy {np.__version__}; {threads}; "
+            f"OpenBLAS threads {'unknown' if openblas is None else openblas}")
 
 
 def pytest_report_header(config):

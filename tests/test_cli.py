@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import inspect
 import json
 import os
@@ -187,6 +188,48 @@ class TestDataErrors:
                 "must lie in [0, 1] and sum to at most 1") in capsys.readouterr().err
         assert not (out / "corpus.jsonl").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(training.TrainConfig)
+                                       if f.type == "float"])
+    def test_non_finite_config_number_names_the_field(self, workspace, tmp_path, capsys,
+                                                      field, value):
+        # NaN passes every range check by comparison; training on it wrote NaN weights
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"max_epochs = 1\nbatch_size = 8\n{field} = {value}\n")
+        out = tmp_path / "run"
+        code = cli.run(["pretrain", "--data", workspace["corpus"], "--vocab", workspace["vocab"],
+                        "--out", str(out), "--config", str(config)] + _SMALL_MODEL)
+        assert code == 2
+        assert f"{field} must be a finite number, got {float(value)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_names_the_field(self, workspace, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = cli.run(["pretrain", "--data", workspace["corpus"], "--vocab", workspace["vocab"],
+                        "--out", str(out), "--config", _quick_config(tmp_path),
+                        "--seed", "-1"] + _SMALL_MODEL)
+        assert code == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_checks_every_value_before_training(self, workspace, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = cli.run(["sweep", "--param", "tau", "--values", "0.05,nan",
+                        "--config", _quick_config(tmp_path), "--data", workspace["corpus"],
+                        "--model", workspace["model"], "--vocab", workspace["vocab"],
+                        "--out", str(out)])
+        assert code == 2
+        assert "tau must be a finite number, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("coords", ["0", "-3"])
+    def test_gradcheck_without_coordinates_exits_2(self, capsys, coords):
+        # at 0 it compared nothing and reported a perfect score
+        assert cli.run(["gradcheck", "--coords", coords]) == 2
+        captured = capsys.readouterr()
+        assert f"coords_per_tensor {coords} must be >= 1" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flags,message", [
         (["--smoothing", "0"], "smoothing_k 0.0 must be positive"),
         (["--ngram-n", "1"], "n-gram order 1 must be >= 2"),
@@ -252,6 +295,9 @@ class TestHappyPaths:
         assert isinstance(numeric["blas"], str) and numeric["blas"]
         assert numeric["threads"] == {
             var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        # the count OpenBLAS runs, which the variables may leave unset
+        assert numeric["openblas_threads"] == cli._openblas_threads()
+        assert numeric["openblas_threads"] is None or numeric["openblas_threads"] >= 1
         assert "model_dtype" not in manifest
 
     def test_train_tokenizer(self, workspace, tmp_path, capsys):
@@ -377,7 +423,8 @@ class TestHappyPaths:
         assert code == 0, capsys.readouterr().err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == stage
-        assert manifest["training_precision"] == {"compute": "float32", "master": "float64"}
+        assert manifest["training_precision"] == {"compute": "float32", "master": "float64",
+                                                  "moments": "float32"}
         assert "model_dtype" not in manifest
 
     def test_finetune_requires_model(self, workspace, tmp_path):

@@ -101,16 +101,19 @@ class TestAdam:
         np.testing.assert_allclose(delta, -1e-3, rtol=1e-4)
 
     def test_two_steps_match_hand_rolled_oracle(self):
-        # independent scalar Adam, computed step by step
+        # independent scalar Adam, computed step by step: the moments in
+        # float32, the parameter step in float64
         config = tiny_train_config(learning_rate=0.01)
         lr, b1, b2, eps = 0.01, 0.9, 0.999, config.adam_epsilon
-        theta, m, v = 0.5, 0.0, 0.0
+        f32 = np.float32
+        theta, m, v = 0.5, f32(0.0), f32(0.0)
         grads_seq = [0.3, -0.2]
         for t, g in enumerate(grads_seq, start=1):
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** t)
-            v_hat = v / (1 - b2 ** t)
+            g = f32(g)
+            m = f32(b1) * m + f32(1 - b1) * g
+            v = f32(b2) * v + f32(1 - b2) * g * g
+            m_hat = float(m) / (1 - b1 ** t)
+            v_hat = float(v) / (1 - b2 ** t)
             theta -= lr * m_hat / (math.sqrt(v_hat) + eps)
 
         vocab = toycorpus.handmade_vocab(["int"])
@@ -122,18 +125,19 @@ class TestAdam:
         assert abs(params.tensors["probe"].data[0] - theta) < 1e-12
 
     @staticmethod
-    def plain_adam(data, m, v, grads, config):
-        """The float64 update, step by step, on copies."""
-        data, m, v = data.copy(), m.copy(), v.copy()
+    def plain_adam(data, grads, config):
+        """The update step by step from zero moments, on a copy of
+        ``data``: the moments in float32, the parameter step in float64."""
+        data = data.copy()
+        m = np.zeros(data.shape, np.float32)
+        v = np.zeros(data.shape, np.float32)
         b1, b2 = config.adam_beta1, config.adam_beta2
         for step, grad in enumerate(grads, start=1):
-            grad = grad.astype(np.float64)
-            m *= b1
-            m += (1.0 - b1) * grad
-            v *= b2
-            v += (1.0 - b2) * grad * grad
-            m_hat = m / (1.0 - b1 ** step)
-            v_hat = v / (1.0 - b2 ** step)
+            grad = grad.astype(np.float32)
+            m = np.float32(b1) * m + np.float32(1.0 - b1) * grad
+            v = np.float32(b2) * v + np.float32(1.0 - b2) * grad * grad
+            m_hat = m.astype(np.float64) / (1.0 - b1 ** step)
+            v_hat = v.astype(np.float64) / (1.0 - b2 ** step)
             data -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
         return data, m, v
 
@@ -154,10 +158,9 @@ class TestAdam:
         for grads in steps:
             training.adam_update(params, grads, state, config)
         for name in shapes:
-            zeros = np.zeros(shapes[name])
-            data, m, v = self.plain_adam(start[name], zeros, zeros,
-                                         [grads[name] for grads in steps], config)
+            data, m, v = self.plain_adam(start[name], [grads[name] for grads in steps], config)
             assert np.array_equal(state.master[name], data)
+            assert state.m[name].dtype == state.v[name].dtype == np.float32
             assert np.array_equal(state.m[name], m) and np.array_equal(state.v[name], v)
             assert params[name].data.dtype == dtype
             assert np.array_equal(params[name].data, data.astype(dtype))
@@ -178,10 +181,27 @@ class TestAdam:
             training.adam_update(params, {"w": grad}, state, config)
         assert all(a is b for a, b in zip(arrays, (state.master["w"], state.m["w"],
                                                    state.v["w"], params["w"].data)))
-        zeros = np.zeros(start.shape)
-        data, m, v = self.plain_adam(start, zeros, zeros, steps, config)
+        data, m, v = self.plain_adam(start, steps, config)
         assert np.array_equal(state.master["w"], data)
         assert np.array_equal(state.m["w"], m) and np.array_equal(state.v["w"], v)
+
+    def test_state_holds_float32_moments_beside_float64_masters(self):
+        vocab = toycorpus.handmade_vocab(["int"])
+        params = tiny_model(vocab)
+        rng = np.random.default_rng(5)
+        # every tensor but the length head's gets a gradient
+        grads = {name: rng.normal(size=t.data.shape).astype(np.float32)
+                 for name, t in params.tensors.items() if not name.startswith("length_head")}
+        state = training.AdamState()
+        training.adam_update(params, grads, state, tiny_train_config())
+        assert set(state.m) == set(state.v) == set(state.master) == set(grads)
+        for name in grads:
+            assert state.m[name].dtype == state.v[name].dtype == np.float32
+            assert state.master[name].dtype == np.float64
+            assert state.m[name].shape == state.v[name].shape == state.master[name].shape
+        state_bytes = sum(state.m[name].nbytes + state.v[name].nbytes + state.master[name].nbytes
+                          for name in grads)
+        assert state_bytes == 16 * sum(grad.size for grad in grads.values())
 
     def test_shape_mismatch(self):
         vocab = toycorpus.handmade_vocab(["int"])
