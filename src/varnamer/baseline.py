@@ -72,8 +72,8 @@ def train_ngram(records: list[RefactoringRecord], vocab: SubwordVocab,
     index each ground-truth name under its occurrence contexts."""
     if n < 2:
         raise InvalidConfig(f"n-gram order {n} must be >= 2")
-    if smoothing_k <= 0:
-        raise InvalidConfig(f"smoothing_k {smoothing_k} must be positive")
+    if not (math.isfinite(smoothing_k) and smoothing_k > 0):   # NaN fails no comparison
+        raise InvalidConfig(f"smoothing_k {smoothing_k} must be positive and finite")
     if not records:
         raise EmptyCorpus("no records to train on")
     ngram = NgramModel(n=n, vocab_size=len(vocab.token_to_id), smoothing_k=smoothing_k)

@@ -1,6 +1,10 @@
 """Command-line entry point: corpus building, tokenizer and model training,
 evaluation, baselines, one-shot suggestions, sweeps and gradient checks.
 
+The training commands and ``sweep`` read their settings from ``--config``
+(``TrainConfig``'s defaults without it); a flag overrides a config value
+only when given, and ``sweep`` then sets its parameter to each value.
+
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numeric
 failure. Machine-readable results go to stdout, diagnostics to stderr.
 Every artifact-producing run writes a manifest next to its outputs.
@@ -33,7 +37,12 @@ from .fileio import atomic_write
 logger = logging.getLogger(__name__)
 
 GRADCHECK_TOLERANCE = 1e-4
-SWEEP_PARAMETERS = ("lambda_cmlm", "lambda_bot", "lambda_cl", "tau", "lmax")
+# sweep's --param choices -> the TrainConfig field each sets
+SWEEP_PARAMETERS = {"lambda_cmlm": "lambda_cmlm", "lambda_bot": "lambda_bot",
+                    "lambda_cl": "lambda_cl", "tau": "tau", "lmax": "max_name_tokens"}
+# the training commands -> the stage each runs
+STAGES = {"pretrain": training.pretrain, "finetune-lp": training.finetune_lp,
+          "finetune-tg": training.finetune_tg}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,8 +59,8 @@ def build_parser() -> _Parser:
     def common(p, *names):
         if "config" in names:
             p.add_argument("--config", help="training config file (key = value)")
-        if "seed" in names:
-            p.add_argument("--seed", type=int, default=0)
+        if "seed" in names:   # beside --config, the config's seed when not given
+            p.add_argument("--seed", type=int, default=None if "config" in names else 0)
         if "data" in names:
             p.add_argument("--data", required=True, help="input JSONL path")
         if "model" in names:
@@ -78,7 +87,7 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab-size", type=int, default=4096)
     p.add_argument("--camel-split", action="store_true")
 
-    for name in ("pretrain", "finetune-lp", "finetune-tg"):
+    for name in STAGES:
         p = sub.add_parser(name, help=f"{name} on a rename corpus")
         common(p, "data", "seed", "out", "config", "lambdas")
         p.add_argument("--lmax", type=int,
@@ -188,16 +197,6 @@ def _write_manifest(out_dir: str, command: str, args: argparse.Namespace,
         json.dump(manifest, fh, indent=2, default=str)
 
 
-def _write_report(args, command: str, report: metrics.EvalReport, inputs: list[str],
-                  params: model.ModelParams) -> None:
-    """Write an evaluation's report.json, per_example.csv and manifest."""
-    os.makedirs(args.out, exist_ok=True)
-    with atomic_write(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-    report.write_csv(os.path.join(args.out, "per_example.csv"))
-    _write_manifest(args.out, command, args, inputs, model_dtype=str(params.dtype))
-
-
 def _resolve_vocab(args) -> str:
     if getattr(args, "vocab", None):
         return args.vocab
@@ -210,20 +209,23 @@ def _resolve_vocab(args) -> str:
     raise UsageError("--vocab not given and no sibling vocabulary file found")
 
 
-def _train_config(args) -> training.TrainConfig:
+def _train_config(args, value: str | None = None) -> training.TrainConfig:
+    """A training command's config: the --config file or the defaults, then
+    each flag that was given, then sweep's --param set to ``value``."""
     config = (training.TrainConfig.from_file(args.config)
-              if getattr(args, "config", None) else training.TrainConfig())
-    overrides = {
-        "seed": getattr(args, "seed", None),
+              if args.config else training.TrainConfig())
+    given = {
+        "seed": args.seed,
         "lambda_cmlm": getattr(args, "lambda_cmlm", None),
         "lambda_bot": getattr(args, "lambda_bot", None),
         "lambda_cl": getattr(args, "lambda_cl", None),
         "tau": getattr(args, "tau", None),
         "max_name_tokens": getattr(args, "lmax", None),
     }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(config, key, value)
+    if value is not None:
+        field = SWEEP_PARAMETERS[args.param]
+        given[field] = config.parse_value(field, value)
+    config = dataclasses.replace(config, **{k: v for k, v in given.items() if v is not None})
     config.validate()
     return config
 
@@ -248,6 +250,25 @@ def _model_flags(args) -> dict[str, tuple[str, object]]:
              "--ffn-dim": ("ffn_dim", args.ffn_dim), "--dropout": ("dropout", args.dropout),
              "--max-seq-len": ("max_seq_len", args.max_seq_len)}
     return {flag: setting for flag, setting in flags.items() if setting[1] is not None}
+
+
+def _evaluate(args, predictor, params: model.ModelParams,
+              vocab: bpe.SubwordVocab, inputs: list[str]) -> None:
+    """Evaluate ``predictor`` on --data, capped at --lmax (the checkpoint's
+    cap when not given); print the report, and with --out write its
+    report.json, per_example.csv and manifest."""
+    lmax = params.config.max_name_tokens if args.lmax is None else args.lmax
+    report = metrics.evaluate_corpus(predictor, corpus.load_corpus(args.data), vocab,
+                                     max_name_tokens=lmax,
+                                     dataset=os.path.basename(args.data))
+    print(report.to_json())
+    print(report.summary_table(), file=sys.stderr)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        with atomic_write(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
+            fh.write(report.to_json())
+        report.write_csv(os.path.join(args.out, "per_example.csv"))
+        _write_manifest(args.out, args.command, args, inputs, model_dtype=str(params.dtype))
 
 
 # --- subcommands -------------------------------------------------------------
@@ -280,7 +301,8 @@ def _cmd_train_tokenizer(args) -> int:
     return 0
 
 
-def _cmd_train(args, stage: str) -> int:
+def _cmd_train(args) -> int:
+    stage = args.command
     given = _model_flags(args) if stage == "pretrain" else {}
     if args.model and given:
         raise UsageError(f"--model cannot be combined with {', '.join(given)}, "
@@ -299,11 +321,8 @@ def _cmd_train(args, stage: str) -> int:
     records = corpus.load_corpus(args.data)
     if args.lmax is not None:
         model.resize_length_head(params, args.lmax, config.seed)
-    runner = {"pretrain": training.pretrain,
-              "finetune-lp": training.finetune_lp,
-              "finetune-tg": training.finetune_tg}[stage]
     out_dir = args.out or "."
-    result = runner(config, params, records, vocab, out_dir=out_dir)
+    result = STAGES[stage](config, params, records, vocab, out_dir=out_dir)
     final_path = os.path.join(out_dir, f"{stage}-final.rfbt")
     model.save_checkpoint(result.params, final_path)
     _write_manifest(out_dir, stage, args, [args.data, args.vocab],
@@ -319,16 +338,8 @@ def _cmd_train(args, stage: str) -> int:
 
 def _cmd_evaluate(args) -> int:
     params, vocab = _load_model(args.model, _resolve_vocab(args))
-    records = corpus.load_corpus(args.data)
-    lmax = params.config.max_name_tokens if args.lmax is None else args.lmax
-    predictor = inference.ModelPredictor(params, vocab)
-    report = metrics.evaluate_corpus(predictor, records, vocab,
-                                     max_name_tokens=lmax,
-                                     dataset=os.path.basename(args.data))
-    print(report.to_json())
-    print(report.summary_table(), file=sys.stderr)
-    if args.out:
-        _write_report(args, "evaluate", report, [args.data, args.model], params)
+    _evaluate(args, inference.ModelPredictor(params, vocab), params, vocab,
+              [args.data, args.model])
     return 0
 
 
@@ -343,23 +354,14 @@ def _cmd_suggest(args) -> int:
 
 def _cmd_baseline_eval(args) -> int:
     params, vocab = _load_model(args.model, _resolve_vocab(args))
-    train_records = corpus.load_corpus(args.train_data)
-    test_records = corpus.load_corpus(args.data)
-    lmax = params.config.max_name_tokens if args.lmax is None else args.lmax
-    ngram = baseline.train_ngram(train_records, vocab, n=args.ngram_n,
-                                 smoothing_k=args.smoothing)
+    ngram = baseline.train_ngram(corpus.load_corpus(args.train_data), vocab,
+                                 n=args.ngram_n, smoothing_k=args.smoothing)
     predictor = baseline.CompositePredictor(
         length_predictor=baseline.HeuristicLengthPredictor(params, vocab),
         name_predictor=baseline.NgramPredictor(ngram, vocab),
     )
-    report = metrics.evaluate_corpus(predictor, test_records, vocab,
-                                     max_name_tokens=lmax,
-                                     dataset=os.path.basename(args.data))
-    print(report.to_json())
-    print(report.summary_table(), file=sys.stderr)
+    _evaluate(args, predictor, params, vocab, [args.data, args.train_data, args.model])
     if args.out:
-        _write_report(args, "baseline-eval", report,
-                      [args.data, args.train_data, args.model], params)
         baseline.save_ngram(ngram, os.path.join(args.out, "ngram.txt"))
     return 0
 
@@ -377,65 +379,41 @@ def _cmd_gradcheck(args) -> int:
     return 0 if all(v < GRADCHECK_TOLERANCE for v in results.values()) else 3
 
 
-def sweep(config_path: str | None, parameter: str, values: list[float],
-          data_path: str, model_path: str, vocab_path: str,
-          out_dir: str, seed: int = 0) -> list[tuple[float, metrics.EvalReport]]:
-    """One finetune-tg + evaluate run per value, against a fixed seed and a
-    fixed base checkpoint; emits a CSV of parameter value vs accuracy."""
-    if parameter not in SWEEP_PARAMETERS:
-        raise UsageError(f"--param must be one of {SWEEP_PARAMETERS}")
-    base_config = (training.TrainConfig.from_file(config_path)
-                   if config_path else training.TrainConfig())
-    base_config.seed = seed
-    configs = []
-    for value in values:    # every value is checked before any data is read
-        config = dataclasses.replace(base_config)
-        if parameter == "lmax":
-            config.max_name_tokens = int(value)
-        else:
-            setattr(config, parameter, value)
-        config.validate()
-        configs.append(config)
-    records = corpus.load_corpus(data_path)
+def _cmd_sweep(args) -> int:
+    """One finetune-tg + evaluate run per value, from the same seed and base
+    checkpoint; writes a CSV of parameter value vs accuracy."""
+    values = [v.strip() for v in args.values.split(",") if v.strip()]
+    if not values:
+        raise UsageError("--values must name at least one value")
+    field = SWEEP_PARAMETERS[args.param]
+    # every value is checked before any data is read
+    configs = [_train_config(args, value) for value in values]
+    records = corpus.load_corpus(args.data)
     eval_records = ([r for r in records if r.split == "validation"]
                     or [r for r in records if r.split == "test"]
                     or records)
+    out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    results = []
-    for value, config in zip(values, configs):
-        params, vocab = _load_model(model_path, vocab_path)
-        if parameter == "lmax":
-            model.resize_length_head(params, config.max_name_tokens, config.seed)
+    rows = []
+    for config in configs:
+        value = getattr(config, field)
+        params, vocab = _load_model(args.model, args.vocab)
+        if field == "max_name_tokens":
+            model.resize_length_head(params, value, config.seed)
         result = training.finetune_tg(config, params, records, vocab)
-        predictor = inference.ModelPredictor(result.params, vocab)
         report = metrics.evaluate_corpus(
-            predictor, eval_records, vocab,
+            inference.ModelPredictor(result.params, vocab), eval_records, vocab,
             max_name_tokens=min(config.max_name_tokens, params.config.max_name_tokens),
-            dataset=f"{parameter}={value}")
-        results.append((value, report))
-    csv_path = os.path.join(out_dir, f"sweep_{parameter}.csv")
+            dataset=f"{args.param}={value}")
+        rows.append({"value": value, "accuracy": report.accuracy})
+    csv_path = os.path.join(out_dir, f"sweep_{args.param}.csv")
     with atomic_write(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["parameter", "value", "accuracy"])
-        for value, report in results:
-            writer.writerow([parameter, value, report.accuracy])
-    return results
-
-
-def _cmd_sweep(args) -> int:
-    values = [float(v) for v in args.values.split(",") if v.strip()]
-    if not values:
-        raise UsageError("--values must name at least one value")
-    out_dir = args.out or "."
-    results = sweep(args.config, args.param, values, args.data, args.model,
-                    args.vocab, out_dir, seed=args.seed)
+        writer.writerows([args.param, row["value"], row["accuracy"]] for row in rows)
     _write_manifest(out_dir, "sweep", args, [args.data, args.model, args.vocab],
                     training_precision=TRAINING_PRECISION)
-    print(json.dumps({
-        "parameter": args.param,
-        "rows": [{"value": v, "accuracy": r.accuracy} for v, r in results],
-        "csv": os.path.join(out_dir, f"sweep_{args.param}.csv"),
-    }))
+    print(json.dumps({"parameter": args.param, "rows": rows, "csv": csv_path}))
     return 0
 
 
@@ -464,9 +442,7 @@ def run(argv: list[str]) -> int:
         handler = {
             "build-corpus": _cmd_build_corpus,
             "train-tokenizer": _cmd_train_tokenizer,
-            "pretrain": lambda a: _cmd_train(a, "pretrain"),
-            "finetune-lp": lambda a: _cmd_train(a, "finetune-lp"),
-            "finetune-tg": lambda a: _cmd_train(a, "finetune-tg"),
+            **dict.fromkeys(STAGES, _cmd_train),
             "evaluate": _cmd_evaluate,
             "suggest": _cmd_suggest,
             "baseline-eval": _cmd_baseline_eval,

@@ -97,8 +97,21 @@ class TextConfig:
         ) + "\n"
 
     @classmethod
+    def parse_value(cls, key: str, raw: str):
+        """``raw`` read as field ``key``'s declared type; raises InvalidConfig
+        naming the key for an unknown key or a value of another type."""
+        kind = {f.name: f.type for f in fields(cls)}.get(key)   # a string: postponed annotations
+        if kind is None:
+            raise InvalidConfig(f"unknown key {key!r}")
+        try:
+            if kind == "bool":
+                return _BOOLEANS[raw.lower()]
+            return float(raw) if kind == "float" else int(raw)
+        except (KeyError, ValueError):
+            raise InvalidConfig(f"{key} = {raw!r} is not a valid {kind}") from None
+
+    @classmethod
     def from_text(cls, text: str):
-        types = {f.name: f.type for f in fields(cls)}   # strings: postponed annotations
         values: dict[str, object] = {}
         for line_no, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
@@ -106,22 +119,11 @@ class TextConfig:
                 continue
             if "=" not in line:
                 raise InvalidConfig(f"config line {line_no}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in types:
-                raise InvalidConfig(f"config line {line_no}: unknown key {key!r}")
-            kind = types[key]
+            key, raw = (part.strip() for part in line.split("=", 1))
             try:
-                if kind == "bool":
-                    values[key] = _BOOLEANS[raw.lower()]
-                elif kind == "float":
-                    values[key] = float(raw)
-                else:
-                    values[key] = int(raw)
-            except (KeyError, ValueError):
-                raise InvalidConfig(
-                    f"config line {line_no}: {key} = {raw!r} is not a valid {kind}"
-                ) from None
+                values[key] = cls.parse_value(key, raw)
+            except InvalidConfig as exc:
+                raise InvalidConfig(f"config line {line_no}: {exc}") from None
         config = cls(**values)  # type: ignore[arg-type]
         config.validate()
         return config
@@ -220,6 +222,8 @@ class ModelParams:
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """Weights ~ N(0, 0.02), biases and norm offsets zero, norm scales one."""
     config.validate()
+    if seed < 0:
+        raise InvalidConfig(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     tensors: dict[str, Tensor] = {}
     for name, shape in parameter_shapes(config).items():

@@ -230,9 +230,35 @@ class TestDataErrors:
         assert f"coords_per_tensor {coords} must be >= 1" in captured.err
         assert captured.out == ""
 
+    def test_gradcheck_negative_seed_names_the_field(self, capsys):
+        assert cli.run(["gradcheck", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "seed must be non-negative, got -1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("param,value,message", [
+        ("lmax", "2.5", "max_name_tokens = '2.5' is not a valid int"),
+        ("lmax", "nan", "max_name_tokens = 'nan' is not a valid int"),
+        ("lmax", "abc", "max_name_tokens = 'abc' is not a valid int"),
+        ("tau", "abc", "tau = 'abc' is not a valid float"),
+    ])
+    def test_sweep_value_of_the_wrong_type_names_the_field(self, workspace, tmp_path, capsys,
+                                                           param, value, message):
+        # lmax 2.5 trained at 2 while its CSV row read 2.5
+        out = tmp_path / "sweep"
+        code = cli.run(["sweep", "--param", param, "--values", value,
+                        "--config", _quick_config(tmp_path), "--data", workspace["corpus"],
+                        "--model", workspace["model"], "--vocab", workspace["vocab"],
+                        "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags,message", [
         (["--smoothing", "0"], "smoothing_k 0.0 must be positive"),
         (["--ngram-n", "1"], "n-gram order 1 must be >= 2"),
+        (["--smoothing", "nan"], "smoothing_k nan must be positive"),
+        (["--smoothing", "inf"], "smoothing_k inf must be positive"),
     ])
     def test_bad_ngram_settings_exit_2(self, workspace, capsys, flags, message):
         code = cli.run(["baseline-eval", "--data", workspace["corpus"],
@@ -275,6 +301,18 @@ class TestEveryFlagIsRead:
 
         Reads().visit(ast.parse(inspect.getsource(cli)))
         assert self._dests(cli.build_parser()) - reads == set()
+
+
+@pytest.mark.parametrize("param", list(cli.SWEEP_PARAMETERS))
+def test_sweep_value_sets_its_field_in_the_declared_type(param):
+    field = cli.SWEEP_PARAMETERS[param]
+    kind = {f.name: f.type for f in dataclasses.fields(training.TrainConfig)}[field]
+    raw = "3" if kind == "int" else "0.25"
+    args = cli.build_parser().parse_args(["sweep", "--param", param, "--values", raw,
+                                          "--data", "d", "--model", "m", "--vocab", "v"])
+    value = getattr(cli._train_config(args, raw), field)
+    assert value != getattr(training.TrainConfig(), field)
+    assert type(value).__name__ == kind and value == float(raw)
 
 
 class TestHappyPaths:
@@ -426,6 +464,26 @@ class TestHappyPaths:
         assert manifest["training_precision"] == {"compute": "float32", "master": "float64",
                                                   "moments": "float32"}
         assert "model_dtype" not in manifest
+
+    def test_config_seed_holds_without_the_seed_flag(self, workspace, tmp_path, capsys):
+        config = tmp_path / "seeded.cfg"
+        config.write_text(training.TrainConfig(max_epochs=1, batch_size=8, seed=7,
+                                               max_seq_len=128).to_text())
+
+        def pretrain(out, *extra):
+            code = cli.run(["pretrain", "--data", workspace["corpus"],
+                            "--vocab", workspace["vocab"], "--out", str(out),
+                            "--config", str(config)] + _SMALL_MODEL + list(extra))
+            assert code == 0, capsys.readouterr().err
+            return json.loads(capsys.readouterr().out)["checkpoint"]
+
+        from_config = pretrain(tmp_path / "config")
+        from_flag = pretrain(tmp_path / "flag", "--seed", "7")
+        manifest = json.loads((tmp_path / "config" / "manifest.json").read_text())
+        assert "seed = 7" in manifest["config"].splitlines()
+        assert manifest["arguments"]["seed"] is None
+        with open(from_config, "rb") as a, open(from_flag, "rb") as b:
+            assert a.read() == b.read()
 
     def test_finetune_requires_model(self, workspace, tmp_path):
         code = cli.run(["finetune-lp", "--data", workspace["corpus"],
@@ -593,4 +651,4 @@ class TestSweep:
                        "--out", str(out)])
         assert code == 0
         lines = (out / "sweep_lmax.csv").read_text().splitlines()
-        assert [line.split(",")[:2] for line in lines[1:]] == [["lmax", "2.0"], ["lmax", "4.0"]]
+        assert [line.split(",")[:2] for line in lines[1:]] == [["lmax", "2"], ["lmax", "4"]]
