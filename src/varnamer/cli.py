@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__, baseline, bpe, corpus, gradcheck, inference, metrics, model, training
 from .errors import (
+    EmptyCorpus,
     NonFiniteGradient,
     NonFiniteLoss,
     ShapeMismatch,
@@ -69,11 +70,6 @@ def build_parser() -> _Parser:
             p.add_argument("--vocab", help="vocabulary file (default: sibling of --model)")
         if "out" in names:
             p.add_argument("--out", help="output directory")
-        if "lambdas" in names:
-            p.add_argument("--lambda-cmlm", type=float, dest="lambda_cmlm")
-            p.add_argument("--lambda-bot", type=float, dest="lambda_bot")
-            p.add_argument("--lambda-cl", type=float, dest="lambda_cl")
-            p.add_argument("--tau", type=float)
         if "lmax" in names:
             p.add_argument("--lmax", type=int, help="maximum sub-tokens per name")
 
@@ -89,7 +85,7 @@ def build_parser() -> _Parser:
 
     for name in STAGES:
         p = sub.add_parser(name, help=f"{name} on a rename corpus")
-        common(p, "data", "seed", "out", "config", "lambdas")
+        common(p, "data", "seed", "out", "config")
         p.add_argument("--lmax", type=int,
                        help="maximum sub-tokens per name; resizes the checkpoint's "
                             "length head, which is kept as it is when not given")
@@ -104,6 +100,9 @@ def build_parser() -> _Parser:
             p.add_argument("--ffn-dim", type=int)
             p.add_argument("--max-seq-len", type=int)
             p.add_argument("--dropout", type=float)
+        if name == "finetune-tg":   # the one stage whose loss reads them
+            for flag in ("--lambda-cmlm", "--lambda-bot", "--lambda-cl", "--tau"):
+                p.add_argument(flag, type=float)
 
     p = sub.add_parser("evaluate", help="run all metrics over a dataset")
     common(p, "data", "model", "vocab", "out", "lmax")
@@ -253,10 +252,11 @@ def _model_flags(args) -> dict[str, tuple[str, object]]:
 
 
 def _evaluate(args, predictor, params: model.ModelParams,
-              vocab: bpe.SubwordVocab, inputs: list[str]) -> None:
+              vocab: bpe.SubwordVocab, inputs: tuple[str, ...] = ()) -> None:
     """Evaluate ``predictor`` on --data, capped at --lmax (the checkpoint's
     cap when not given); print the report, and with --out write its
-    report.json, per_example.csv and manifest."""
+    report.json, per_example.csv and a manifest of --data, --model, the
+    vocabulary and ``inputs``."""
     lmax = params.config.max_name_tokens if args.lmax is None else args.lmax
     report = metrics.evaluate_corpus(predictor, corpus.load_corpus(args.data), vocab,
                                      max_name_tokens=lmax,
@@ -268,7 +268,9 @@ def _evaluate(args, predictor, params: model.ModelParams,
         with atomic_write(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
         report.write_csv(os.path.join(args.out, "per_example.csv"))
-        _write_manifest(args.out, args.command, args, inputs, model_dtype=str(params.dtype))
+        _write_manifest(args.out, args.command, args,
+                        [args.data, args.model, _resolve_vocab(args), *inputs],
+                        model_dtype=str(params.dtype))
 
 
 # --- subcommands -------------------------------------------------------------
@@ -279,6 +281,9 @@ def _cmd_build_corpus(args) -> int:
         functions, args.seed,
         validation_fraction=args.validation_fraction,
         test_fraction=args.test_fraction)
+    if not records:
+        raise EmptyCorpus(f"no rename records from {args.data}: of {len(functions)} "
+                          f"functions, excluded {json.dumps(stats)}")
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, "corpus.jsonl")
@@ -325,7 +330,7 @@ def _cmd_train(args) -> int:
     result = STAGES[stage](config, params, records, vocab, out_dir=out_dir)
     final_path = os.path.join(out_dir, f"{stage}-final.rfbt")
     model.save_checkpoint(result.params, final_path)
-    _write_manifest(out_dir, stage, args, [args.data, args.vocab],
+    _write_manifest(out_dir, stage, args, [args.data, args.vocab, args.model],
                     config_text=config.to_text(), training_precision=TRAINING_PRECISION)
     print(json.dumps({
         "stage": stage,
@@ -338,8 +343,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     params, vocab = _load_model(args.model, _resolve_vocab(args))
-    _evaluate(args, inference.ModelPredictor(params, vocab), params, vocab,
-              [args.data, args.model])
+    _evaluate(args, inference.ModelPredictor(params, vocab), params, vocab)
     return 0
 
 
@@ -360,7 +364,7 @@ def _cmd_baseline_eval(args) -> int:
         length_predictor=baseline.HeuristicLengthPredictor(params, vocab),
         name_predictor=baseline.NgramPredictor(ngram, vocab),
     )
-    _evaluate(args, predictor, params, vocab, [args.data, args.train_data, args.model])
+    _evaluate(args, predictor, params, vocab, (args.train_data,))
     if args.out:
         baseline.save_ngram(ngram, os.path.join(args.out, "ngram.txt"))
     return 0

@@ -136,34 +136,18 @@ def toy_model(vocab_size: int = 64, hidden_dim: int = 32, num_layers: int = 2,
         input_ids=[CLS] + body + [SEP],
         mask_positions=[[4, 5]],
         target_ids=targets,
-        length_label=2,
         scheme=masking.SCHEME_CMLM,
     )
-    after_ids = [CLS] + context[:3] + targets + context[3:] + [SEP]
     before_ids = [CLS] + context[:3] + before + context[3:] + [SEP]
     example = TgExample(
         masked=masked,
-        after_ids=after_ids,
-        after_positions=[4, 5],
         before_ids=before_ids,
         before_positions=[4, 5],
     )
     return params, example
 
 
-def _shortened(example):
-    """The toy example without the last token before [SEP] in each of its
-    three sequences: a second example of another length (the name sits
-    earlier, so its positions stay)."""
-    def cut(ids):
-        return ids[:-2] + ids[-1:]
-
-    return dataclasses.replace(
-        example, masked=dataclasses.replace(example.masked, input_ids=cut(example.masked.input_ids)),
-        after_ids=cut(example.after_ids), before_ids=cut(example.before_ids))
-
-
-def loss_suite(params, example, tau: float = 0.05) -> dict[str, object]:
+def loss_suite(params, example) -> dict[str, object]:
     """Named scalar loss closures over the toy instance, for checking.
     ``batch`` is the stage-2 loss of a two-example batch of different
     lengths, which runs as one pack of six sequences."""
@@ -177,10 +161,18 @@ def loss_suite(params, example, tau: float = 0.05) -> dict[str, object]:
     num_example = dataclasses.replace(
         example.masked, input_ids=ids[:group[0]] + [NUM] + ids[group[-1] + 1:],
         mask_positions=[[group[0]]], scheme=masking.SCHEME_NUM)
-    batch = [example, _shortened(example)]
+
+    # A second example of another length: the toy without the last token
+    # before [SEP] (the name sits earlier, so its positions stay).
+    def cut(seq):
+        return seq[:-2] + seq[-1:]
+
+    batch = [example, dataclasses.replace(
+        example, masked=dataclasses.replace(example.masked, input_ids=cut(example.masked.input_ids)),
+        before_ids=cut(example.before_ids))]
 
     def tg_fn(**weights):
-        config = TrainConfig(tau=tau, **weights)
+        config = TrainConfig(**weights)
         return lambda p: tg_batch_loss(p, [example], [None], config)[0]
 
     def cmlm_fn(p):
@@ -190,7 +182,7 @@ def loss_suite(params, example, tau: float = 0.05) -> dict[str, object]:
         return lp_batch_loss(p, [num_example], [None])[0]
 
     def batch_fn(p):
-        return tg_batch_loss(p, batch, [None, None], TrainConfig(tau=tau))[0]
+        return tg_batch_loss(p, batch, [None, None], TrainConfig())[0]
 
     return {"cmlm": cmlm_fn, "lp": lp_fn,
             "bot": tg_fn(lambda_cmlm=0.0, lambda_bot=1.0, lambda_cl=0.0),

@@ -31,8 +31,11 @@ class MaskedExample:
     input_ids: list[int]
     mask_positions: list[list[int]]   # one group per surviving occurrence
     target_ids: list[int]
-    length_label: int
     scheme: str
+
+    @property
+    def length_label(self) -> int:
+        return len(self.target_ids)
 
     @property
     def flat_positions(self) -> list[int]:
@@ -139,7 +142,6 @@ def _apply_mask(
         input_ids=input_ids,
         mask_positions=groups,
         target_ids=target_ids,
-        length_label=g,
         scheme=scheme,
     )
 

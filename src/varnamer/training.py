@@ -11,10 +11,11 @@ length head has rows.
 
 A step encodes its whole minibatch as one pack (see ``model``): pretraining
 and stage 1 pack one sequence per example, stage 2 packs each example's
-masked pass and, for the contrastive term, its after and before passes.
-The token head and the masked-token gather then run once over all the
-pack's selected rows; the bag-of-tokens and contrastive terms stay per
-example, on slices of those rows. Validation runs the same batch losses.
+masked pass and, for the contrastive term, its after pass (the masked input
+with its targets restored) and its before pass. The token head and the
+masked-token gather then run once over all the pack's selected rows; the
+bag-of-tokens and contrastive terms stay per example, on slices of those
+rows. Validation runs the same batch losses.
 
 Steps compute in float32: a stage keeps a float64 master copy of every
 parameter, the forward and backward run on the masters' float32
@@ -120,6 +121,8 @@ class TrainConfig(model.TextConfig):
             raise InvalidConfig("max_name_tokens must be >= 1")
         if self.max_seq_len < 3:
             raise InvalidConfig("max_seq_len must be >= 3 (CLS + token + SEP)")
+        if self.patience < 1:
+            raise InvalidConfig("patience must be >= 1")
 
     @classmethod
     def from_file(cls, path: str) -> "TrainConfig":
@@ -202,11 +205,10 @@ def adam_update(
 
 @dataclass
 class TgExample:
-    """Stage-2 unit: the masked input plus both substituted variants."""
+    """Stage-2 unit: the masked input and the input before the rename. The
+    input after it is the masked input with its targets restored."""
 
     masked: masking.MaskedExample
-    after_ids: list[int]
-    after_positions: list[int]
     before_ids: list[int]
     before_positions: list[int]
 
@@ -243,13 +245,9 @@ def build_tg_dataset(vocab: SubwordVocab, records: list[RefactoringRecord],
     def make(record: RefactoringRecord) -> TgExample:
         masked = masking.apply_cmlm_mask(
             vocab, record, config.max_seq_len, config.max_name_tokens)
-        after_ids, after_groups = masking.encode_with_positions(
-            vocab, record.code_after, record.variable_after, config.max_seq_len)
         before_ids, before_groups = masking.encode_with_positions(
             vocab, record.code_before, record.variable_before, config.max_seq_len)
-        return TgExample(masked=masked, after_ids=after_ids,
-                         after_positions=[p for g in after_groups for p in g],
-                         before_ids=before_ids,
+        return TgExample(masked=masked, before_ids=before_ids,
                          before_positions=[p for g in before_groups for p in g])
 
     return _build(records, make)
@@ -315,7 +313,8 @@ def tg_batch_loss(params: ModelParams, examples: list[TgExample],
     passes = [(ex.masked.input_ids, ex.masked.flat_positions, seed)
               for ex, seed in zip(examples, dropout_seeds)]
     if config.lambda_cl != 0.0:
-        passes += [(ex.after_ids, ex.after_positions, None) for ex in examples]
+        passes += [(masking.restore_targets(ex.masked), ex.masked.flat_positions, None)
+                   for ex in examples]
         passes += [(ex.before_ids, ex.before_positions, None) for ex in examples]
     hidden, bounds = _encode_pack(params, passes)
     n = len(examples)

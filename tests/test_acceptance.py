@@ -181,6 +181,27 @@ def test_masking_contracts(masking_corpus):
     return f"{len(cmlm_examples)} kept, {over_limit} excluded"
 
 
+@pytest.mark.parametrize("max_seq_len", [512, 64, 24])
+@pytest.mark.parametrize("source", ["toy", "masking"])
+def test_stage2_after_input_is_the_restored_masked_input(
+        request, desk_vocab, toy_records, source, max_seq_len):
+    # Stage 2 packs restore_targets(masked) as the after-rename input; this
+    # checks it against the window run over code_after with the name itself.
+    records, vocab = (request.getfixturevalue("masking_corpus") if source == "masking"
+                      else (toy_records, desk_vocab))
+    config = training.TrainConfig(max_seq_len=max_seq_len)
+    kept = 0
+    for record in records:
+        examples, _ = training.build_tg_dataset(vocab, [record], config)
+        for example in examples:
+            ids, groups = masking.encode_with_positions(
+                vocab, record.code_after, record.variable_after, max_seq_len)
+            assert masking.restore_targets(example.masked) == ids
+            assert example.masked.mask_positions == groups
+            kept += 1
+    assert kept > 0
+
+
 # --- 6: overfit sanity --------------------------------------------------------
 
 def _overfit_pipeline():

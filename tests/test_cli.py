@@ -1,6 +1,7 @@
 import argparse
 import ast
 import dataclasses
+import hashlib
 import inspect
 import json
 import os
@@ -187,6 +188,22 @@ class TestDataErrors:
         assert (f"validation_fraction {float(validation)} and test_fraction {float(test)} "
                 "must lie in [0, 1] and sum to at most 1") in capsys.readouterr().err
         assert not (out / "corpus.jsonl").exists()
+
+    @pytest.mark.parametrize("functions", ["int f() { return 1; }\nint g() { return 2; }", ""],
+                             ids=["too_short", "empty"])
+    def test_build_corpus_without_records_exits_2(self, tmp_path, capsys, functions):
+        # it wrote an empty corpus; train-tokenizer was the first to fail
+        data = tmp_path / "functions.jsonl"
+        data.write_text("".join(json.dumps({"code": code}) + "\n"
+                                for code in functions.splitlines()))
+        out = tmp_path / "built"
+        code = cli.run(["build-corpus", "--data", str(data), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        count = len(functions.splitlines())
+        assert f"no rename records from {data}: of {count} functions, excluded" in err
+        assert f'"too_short": {count}' in err
+        assert not (out / "corpus.jsonl").exists() and not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(training.TrainConfig)
@@ -599,6 +616,65 @@ class TestModelLimits:
         lmax, weight, bias = head(train("finetune-tg", "--model", lp, "--lmax", "4"))
         assert lmax == 4 and weight.shape == (4, 32)
         assert np.array_equal(weight[:3], lp_weight) and np.array_equal(bias[:3], lp_bias)
+
+
+class TestLossFlags:
+    """The loss weights and tau are flags of finetune-tg, the one stage
+    whose loss reads them."""
+
+    @pytest.mark.parametrize("flag", ["--lambda-cmlm", "--lambda-bot", "--lambda-cl", "--tau"])
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune-lp"])
+    def test_stages_that_ignore_them_reject_them(self, workspace, tmp_path, capsys,
+                                                 stage, flag):
+        out = tmp_path / "run"
+        code = cli.run([stage, "--data", workspace["corpus"], "--vocab", workspace["vocab"],
+                        "--model", workspace["model"], "--out", str(out), flag, "7"])
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_finetune_tg_records_the_weight(self, workspace, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = cli.run(["finetune-tg", "--data", workspace["corpus"],
+                        "--vocab", workspace["vocab"], "--model", workspace["model"],
+                        "--out", str(out), "--config", _quick_config(tmp_path),
+                        "--lambda-bot", "0.5"])
+        assert code == 0, capsys.readouterr().err
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert "lambda_bot = 0.5" in config.splitlines()
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+class TestManifestInputs:
+    """A manifest names every file the run read, with its sha256."""
+
+    def test_finetune_records_its_checkpoint(self, workspace, tmp_path, capsys):
+        out = tmp_path / "lp"
+        code = cli.run(["finetune-lp", "--data", workspace["corpus"],
+                        "--vocab", workspace["vocab"], "--model", workspace["model"],
+                        "--out", str(out), "--config", _quick_config(tmp_path)])
+        assert code == 0, capsys.readouterr().err
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert inputs == {path: _sha256(path) for path in
+                          (workspace["corpus"], workspace["vocab"], workspace["model"])}
+
+    @pytest.mark.parametrize("command", ["evaluate", "baseline-eval"])
+    def test_evaluation_records_the_vocabulary_it_found(self, workspace, tmp_path, capsys,
+                                                        command):
+        # no --vocab: the model's sibling model.vocab is read
+        out = tmp_path / command
+        extra = (["--train-data", workspace["corpus"], "--ngram-n", "2"]
+                 if command == "baseline-eval" else [])
+        code = cli.run([command, "--model", workspace["model"],
+                        "--data", workspace["corpus"], "--out", str(out)] + extra)
+        assert code == 0, capsys.readouterr().err
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert inputs == {path: _sha256(path) for path in
+                          (workspace["corpus"], workspace["model"], workspace["vocab"])}
 
 
 def _quick_config(tmp_path) -> str:

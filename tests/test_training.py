@@ -63,6 +63,11 @@ class TestTrainConfig:
             training.TrainConfig(tau=0.0).validate()
         with pytest.raises(InvalidConfig):
             training.TrainConfig(lambda_bot=-0.1).validate()
+        for patience in (0, -3):
+            with pytest.raises(InvalidConfig, match="patience must be >= 1"):
+                training.TrainConfig(patience=patience).validate()
+        with pytest.raises(InvalidConfig, match="patience must be >= 1"):
+            training.TrainConfig.from_text("patience = -3\n")
 
     @pytest.mark.parametrize("overrides", [dict(max_name_tokens=0), dict(max_name_tokens=-2),
                                            dict(max_seq_len=2), dict(max_seq_len=0)])
@@ -226,7 +231,7 @@ class TestDatasets:
         config = tiny_train_config()
         examples, _ = training.build_tg_dataset(desk_vocab, toy_records[:10], config)
         for ex in examples:
-            assert ex.after_positions and ex.before_positions
+            assert ex.before_positions
             assert ex.masked.flat_positions
 
     @pytest.mark.parametrize("stage", ["pretrain", "finetune_lp", "finetune_tg"])
