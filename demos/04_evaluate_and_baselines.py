@@ -35,32 +35,26 @@ print(f"  token ED ['Img','Folder'] vs ['Image','Folder'] = "
 print(f"  CER('ImgFolder','ImageFolder') = {metrics.cer('ImgFolder', 'ImageFolder'):.2f}")
 
 
-class EchoPredictor:
-    def predict_length(self, record):
-        truth = len(bpe.encode(vocab, record.variable_after))
-        return [(g, float(g == truth)) for g in
-                sorted(range(1, 6), key=lambda g: g != truth)]
-
-    def predict_name(self, record):
-        return record.variable_after
+def echo_predictor(record):
+    """A predictor is one call: (ranked (length, score) pairs, name)."""
+    truth = len(bpe.encode(vocab, record.variable_after))
+    ranking = [(g, float(g == truth)) for g in sorted(range(1, 6), key=lambda g: g != truth)]
+    return ranking, record.variable_after
 
 
 print("\n=== echo predictor (upper bound) ===")
-report = metrics.evaluate_corpus(EchoPredictor(), records, vocab)
+report = metrics.evaluate_corpus(echo_predictor, records, vocab)
 print(report.summary_table())
 
 print("\n=== n-gram baseline (closed vocabulary) ===")
 ngram = baseline.train_ngram(records, vocab, n=3)
-composite = baseline.CompositePredictor(
-    name_predictor=baseline.NgramPredictor(ngram, vocab))
-report = metrics.evaluate_corpus(composite, records, vocab)
+report = metrics.evaluate_corpus(baseline.NgramPredictor(ngram, vocab), records, vocab)
 print(report.summary_table())
 
 print("\n=== length heuristic on an untrained model ===")
 config = model.ModelConfig(vocab_size=vocab.size, num_layers=1, hidden_dim=32,
                            num_heads=4, ffn_dim=64, max_seq_len=128, dropout=0.0)
 params = model.init_params(config, seed=0)
-heuristic = baseline.CompositePredictor(
-    length_predictor=baseline.HeuristicLengthPredictor(params, vocab))
-report = metrics.evaluate_corpus(heuristic, records, vocab)
+report = metrics.evaluate_corpus(baseline.HeuristicLengthPredictor(params, vocab),
+                                 records, vocab)
 print(report.summary_table())

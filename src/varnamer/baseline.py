@@ -158,34 +158,37 @@ def save_ngram(ngram: NgramModel, path: str) -> None:
 
 
 class NgramPredictor:
-    """Evaluation adapter for the n-gram suggester (generation only)."""
+    """Evaluation adapter for the n-gram suggester: ``(None, name)``, as it
+    predicts no length."""
 
     def __init__(self, ngram: NgramModel, vocab: SubwordVocab):
         self.ngram = ngram
         self.vocab = vocab
 
-    def predict_name(self, record: RefactoringRecord) -> str:
+    def __call__(self, record: RefactoringRecord) -> tuple[None, str]:
         ranked = ngram_suggest(self.ngram, self.vocab,
                                record.code_before, record.variable_before, top_k=1)
-        return ranked[0][0]
+        return None, ranked[0][0]
 
 
 class HeuristicLengthPredictor:
-    """Evaluation adapter for the length heuristic (length only)."""
+    """Evaluation adapter for the length heuristic: ``(ranked lengths,
+    None)``, as it predicts no name."""
 
     def __init__(self, params: ModelParams, vocab: SubwordVocab):
         self.params = params
         self.vocab = vocab
 
-    def predict_length(self, record: RefactoringRecord) -> list[tuple[int, float]]:
-        return heuristic_lp(self.params, self.vocab, record)
+    def __call__(self, record: RefactoringRecord) -> tuple[list[tuple[int, float]], None]:
+        return heuristic_lp(self.params, self.vocab, record), None
 
 
 class CompositePredictor:
-    """Combine independent length and name predictors into one adapter."""
+    """The lengths of one predictor beside the name of another."""
 
-    def __init__(self, length_predictor=None, name_predictor=None):
-        if length_predictor is not None:
-            self.predict_length = length_predictor.predict_length
-        if name_predictor is not None:
-            self.predict_name = name_predictor.predict_name
+    def __init__(self, length_predictor, name_predictor):
+        self.length_predictor = length_predictor
+        self.name_predictor = name_predictor
+
+    def __call__(self, record: RefactoringRecord):
+        return self.length_predictor(record)[0], self.name_predictor(record)[1]

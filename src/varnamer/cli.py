@@ -360,10 +360,8 @@ def _cmd_baseline_eval(args) -> int:
     params, vocab = _load_model(args.model, _resolve_vocab(args))
     ngram = baseline.train_ngram(corpus.load_corpus(args.train_data), vocab,
                                  n=args.ngram_n, smoothing_k=args.smoothing)
-    predictor = baseline.CompositePredictor(
-        length_predictor=baseline.HeuristicLengthPredictor(params, vocab),
-        name_predictor=baseline.NgramPredictor(ngram, vocab),
-    )
+    predictor = baseline.CompositePredictor(baseline.HeuristicLengthPredictor(params, vocab),
+                                            baseline.NgramPredictor(ngram, vocab))
     _evaluate(args, predictor, params, vocab, (args.train_data,))
     if args.out:
         baseline.save_ngram(ngram, os.path.join(args.out, "ngram.txt"))

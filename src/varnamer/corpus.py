@@ -73,6 +73,8 @@ def validate_record(record: RefactoringRecord) -> None:
     """Check the structural invariants of a record; raise InvariantViolation."""
     if record.split not in SPLITS:
         raise InvariantViolation(record.id, f"split must be one of {SPLITS}")
+    if record.refactoring_type != "RenameVariable":
+        raise InvariantViolation(record.id, "refactoring_type must be 'RenameVariable'")
     if record.variable_before == record.variable_after:
         raise InvariantViolation(record.id, "variable_before equals variable_after")
     try:

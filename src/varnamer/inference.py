@@ -137,27 +137,15 @@ def _suggest_with_length(params: ModelParams, vocab: SubwordVocab, code: str,
 
 
 class ModelPredictor:
-    """Adapter exposing the evaluation protocol over a trained model.
-
-    ``predict_name`` reuses the ranking of a ``predict_length`` call on the
-    same record, so a record evaluated for both costs two encoder passes.
-    """
+    """The evaluation protocol over a trained model: ``predictor(record)``
+    returns the ranked lengths and the name decoded at the top-ranked
+    length, two encoder passes per record."""
 
     def __init__(self, params: ModelParams, vocab: SubwordVocab):
         self.params = params
         self.vocab = vocab
-        self._ranked: tuple[RefactoringRecord, list[tuple[int, float]]] | None = None
 
-    def predict_length(self, record: RefactoringRecord) -> list[tuple[int, float]]:
+    def __call__(self, record: RefactoringRecord) -> tuple[list[tuple[int, float]], str]:
         ranked = predict_length(self.params, self.vocab, record)
-        self._ranked = (record, ranked)
-        return ranked
-
-    def predict_name(self, record: RefactoringRecord) -> str:
-        if self._ranked is None or self._ranked[0] is not record:
-            return suggest(self.params, self.vocab, record.code_before,
-                           record.variable_before).name
-        g = self._ranked[1][0][0]
-        self._ranked = None
-        return _suggest_with_length(self.params, self.vocab, record.code_before,
-                                    record.variable_before, g).name
+        return ranked, _suggest_with_length(self.params, self.vocab, record.code_before,
+                                            record.variable_before, ranked[0][0]).name

@@ -159,18 +159,16 @@ def evaluate_corpus(
 ) -> EvalReport:
     """Run length and generation metrics over a corpus.
 
-    The predictor may implement ``predict_length(record)`` (ranked
-    (length, score) pairs), ``predict_name(record)`` (a name string), or
-    both; missing capabilities leave that metric family as None. Records
-    whose true name exceeds ``max_name_tokens`` sub-tokens, and records on
-    which the predictor raises a ``VarnamerError``, are excluded and
-    counted by reason. Predicted and true names are tokenized with the same
-    vocabulary so comparisons are like for like.
+    ``predictor(record)`` returns a pair: the ranked (length, score) pairs
+    and the predicted name. Either half may be None, which leaves that
+    metric family None for the record. Records whose true name exceeds
+    ``max_name_tokens`` sub-tokens, and records on which the predictor
+    raises a ``VarnamerError``, are excluded and counted by reason.
+    Predicted and true names are tokenized with the same vocabulary so
+    comparisons are like for like.
     """
     if max_name_tokens < 1:
         raise InvalidConfig(f"max_name_tokens must be >= 1, got {max_name_tokens}")
-    has_length = hasattr(predictor, "predict_length")
-    has_name = hasattr(predictor, "predict_name")
     rows: list[ExampleResult] = []
     reasons: Counter[str] = Counter()
     for record in records:
@@ -179,8 +177,7 @@ def evaluate_corpus(
             reasons["too_long"] += 1
             continue
         try:
-            ranking = predictor.predict_length(record) if has_length else None
-            pred_name = predictor.predict_name(record) if has_name else None
+            ranking, pred_name = predictor(record)
         except VarnamerError as exc:
             reasons[type(exc).__name__] += 1
             continue
@@ -190,7 +187,7 @@ def evaluate_corpus(
             hit1 = hit_at_k(ranked, len(truth_tokens), 1)
             hit3 = hit_at_k(ranked, len(truth_tokens), 3)
         acc = em = ed = cer_value = None
-        if has_name:
+        if pred_name is not None:
             pred_tokens = bpe.tokenize_variable(vocab, pred_name) if pred_name else []
             acc = accuracy(pred_tokens, truth_tokens)
             em = exact_match(pred_name, record.variable_after)

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -112,7 +112,10 @@ class TextConfig:
 
     @classmethod
     def from_text(cls, text: str):
+        """Raises InvalidConfig for a malformed line, a repeated key or a
+        key without a default that the text does not set."""
         values: dict[str, object] = {}
+        key_lines: dict[str, int] = {}
         for line_no, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -120,10 +123,17 @@ class TextConfig:
             if "=" not in line:
                 raise InvalidConfig(f"config line {line_no}: expected 'key = value'")
             key, raw = (part.strip() for part in line.split("=", 1))
+            if key in key_lines:
+                raise InvalidConfig(
+                    f"config line {line_no}: key {key!r} repeats line {key_lines[key]}")
+            key_lines[key] = line_no
             try:
                 values[key] = cls.parse_value(key, raw)
             except InvalidConfig as exc:
                 raise InvalidConfig(f"config line {line_no}: {exc}") from None
+        for f in fields(cls):
+            if f.name not in values and f.default is MISSING:
+                raise InvalidConfig(f"missing key {f.name!r}")
         config = cls(**values)  # type: ignore[arg-type]
         config.validate()
         return config

@@ -105,7 +105,7 @@ class TestNgramSuggest:
         code = "int f() {\n  int zzUnseen = 1;\n  return zzUnseen;\n}"
         record = toycorpus.make_record("r", code, "zzUnseen", "tmp")
         predictor = baseline.NgramPredictor(ngram, desk_vocab)
-        assert predictor.predict_name(record) != "zzUnseen"
+        assert predictor(record)[1] != "zzUnseen"
 
     def test_no_candidates_on_missing_variable(self, desk_vocab, ngram):
         with pytest.raises(NoCandidates):
@@ -179,8 +179,17 @@ class TestHeuristicLength:
 
 class TestCompositePredictor:
     def test_capabilities_forwarded(self, desk_vocab, toy_records, ngram):
-        composite = baseline.CompositePredictor(
-            name_predictor=baseline.NgramPredictor(ngram, desk_vocab))
-        report = metrics.evaluate_corpus(composite, toy_records[:5], desk_vocab)
+        config = model.ModelConfig(vocab_size=desk_vocab.size, num_layers=1,
+                                   hidden_dim=32, num_heads=4, ffn_dim=64,
+                                   max_seq_len=128, dropout=0.0)
+        lengths = baseline.HeuristicLengthPredictor(model.init_params(config, 3), desk_vocab)
+        names = baseline.NgramPredictor(ngram, desk_vocab)
+        composite = baseline.CompositePredictor(lengths, names)
+        for record in toy_records[:3]:
+            assert composite(record) == (lengths(record)[0], names(record)[1])
+
+    def test_ngram_predictor_alone_predicts_no_length(self, desk_vocab, toy_records, ngram):
+        report = metrics.evaluate_corpus(
+            baseline.NgramPredictor(ngram, desk_vocab), toy_records[:5], desk_vocab)
         assert report.hit_at_1 is None
         assert report.exact_match is not None

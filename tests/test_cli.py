@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -164,6 +165,52 @@ class TestDataErrors:
                         "--out", str(tmp_path / "run"), "--config", str(config)])
         assert code == 2
         assert "line 2: unknown key 'dropout'" in capsys.readouterr().err
+
+    def test_config_with_a_repeated_key_names_both_lines(self, workspace, tmp_path, capsys):
+        # the last value won silently
+        config = tmp_path / "twice.cfg"
+        config.write_text("max_epochs = 1\nlambda_bot = 0.1\nlambda_bot = 0.5\n")
+        out = tmp_path / "run"
+        code = cli.run(["pretrain", "--data", workspace["corpus"], "--vocab", workspace["vocab"],
+                        "--out", str(out), "--config", str(config)] + _SMALL_MODEL)
+        assert code == 2
+        assert "config line 3: key 'lambda_bot' repeats line 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_config_without_vocab_size_exits_2(self, workspace, tmp_path, capsys):
+        # ModelConfig(**values) raised TypeError, a traceback and exit 1
+        blob = open(workspace["model"], "rb").read()
+        head = len(model.CHECKPOINT_MAGIC) + 4
+        (config_len,) = struct.unpack("<I", blob[head:head + 4])
+        text = blob[head + 4:head + 4 + config_len].decode("utf-8")
+        kept = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.startswith("vocab_size"))
+        bad = tmp_path / "bad.rfbt"
+        bad.write_bytes(blob[:head] + struct.pack("<I", len(kept.encode("utf-8")))
+                        + kept.encode("utf-8") + blob[head + 4 + config_len:])
+        record = workspace["records"][0]
+        source = tmp_path / "f.java"
+        source.write_text(record.code_before)
+        code = cli.run(["suggest", "--model", str(bad), "--vocab", workspace["vocab"],
+                        "--code", str(source), "--var", record.variable_before])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert f"{bad}: config at offset {head + 4}: missing key 'vocab_size'" in captured.err
+
+    def test_record_of_another_refactoring_type_exits_2(self, workspace, tmp_path, capsys):
+        # it was evaluated (and trained on) as a rename
+        row = dataclasses.asdict(workspace["records"][0])
+        row["refactoring_type"] = "ExtractMethod"
+        data = tmp_path / "extract.jsonl"
+        data.write_text(json.dumps(row) + "\n")
+        code = cli.run(["evaluate", "--model", workspace["model"], "--vocab", workspace["vocab"],
+                        "--data", str(data)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert row["id"] in captured.err
+        assert "refactoring_type must be 'RenameVariable'" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flag,field", [("--heads=0", "num_heads"),
                                             ("--heads=-2", "num_heads"),

@@ -115,6 +115,16 @@ class TestCorpusIo:
         with pytest.raises(SchemaViolation):
             corpus.load_corpus(str(path))
 
+    def test_other_refactoring_type_rejected_naming_the_record(self, tmp_path, toy_records):
+        obj = dict(toy_records[0].__dict__)
+        obj["refactoring_type"] = "ExtractMethod"
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(InvariantViolation) as excinfo:
+            corpus.load_corpus(str(path))
+        assert excinfo.value.record_id == obj["id"]
+        assert excinfo.value.reason == "refactoring_type must be 'RenameVariable'"
+
     def test_broken_substitution_rejected(self, tmp_path, toy_records):
         obj = dict(toy_records[0].__dict__)
         obj["code_before"] = obj["code_before"] + " "

@@ -210,14 +210,14 @@ class TestModelPredictor:
         assert len(calls) == 2 * len(records)
         assert [row.prediction for row in report.rows] == direct
 
-    def test_predict_name_alone_equals_suggest(self, desk_vocab, overfit_setup):
+    def test_answer_does_not_depend_on_earlier_records(self, desk_vocab, overfit_setup):
         params, records = overfit_setup
         predictor = inference.ModelPredictor(params, desk_vocab)
-        predictor.predict_length(records[0])
-        for record in (records[1], records[0]):
-            expected = inference.suggest(params, desk_vocab, record.code_before,
-                                         record.variable_before)
-            assert predictor.predict_name(record) == expected.name
+        for record in (records[1], records[0], records[0], records[2], records[1]):
+            expected = (inference.predict_length(params, desk_vocab, record),
+                        inference.suggest(params, desk_vocab, record.code_before,
+                                          record.variable_before).name)
+            assert predictor(record) == expected
 
 
 class TestServingRecordsNoTape:
@@ -244,7 +244,7 @@ class TestServingRecordsNoTape:
         def serve():
             predictor = inference.ModelPredictor(params, desk_vocab)
             return [(inference.suggest(params, desk_vocab, r.code_before, r.variable_before),
-                     predictor.predict_length(r), predictor.predict_name(r),
+                     predictor(r),
                      baseline.heuristic_lp(params, desk_vocab, r))
                     for r in records]
 

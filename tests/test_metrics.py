@@ -133,18 +133,15 @@ class EchoPredictor:
     def __init__(self, vocab):
         self.vocab = vocab
 
-    def predict_length(self, record):
+    def __call__(self, record):
         truth = len(bpe.encode(self.vocab, record.variable_after))
-        return [(g, 1.0 if g == truth else 0.0) for g in
-                sorted(range(1, 6), key=lambda g: g != truth)]
-
-    def predict_name(self, record):
-        return record.variable_after
+        ranking = [(g, 1.0 if g == truth else 0.0) for g in
+                   sorted(range(1, 6), key=lambda g: g != truth)]
+        return ranking, record.variable_after
 
 
-class ConstantPredictor:
-    def predict_name(self, record):
-        return "zzz"
+def constant_predictor(record):
+    return None, "zzz"
 
 
 class TestEvaluateCorpus:
@@ -159,9 +156,18 @@ class TestEvaluateCorpus:
 
     def test_constant_wrong_predictor(self, desk_vocab, toy_records):
         report = metrics.evaluate_corpus(
-            ConstantPredictor(), toy_records, desk_vocab)
+            constant_predictor, toy_records, desk_vocab)
         assert report.exact_match == 0.0
         assert report.hit_at_1 is None  # no length capability
+
+    def test_predictor_answering_nothing_leaves_every_family_none(self, desk_vocab,
+                                                                   toy_records):
+        report = metrics.evaluate_corpus(
+            lambda record: (None, None), toy_records, desk_vocab)
+        assert report.evaluated > 0
+        assert (report.hit_at_1, report.hit_at_3, report.accuracy, report.exact_match,
+                report.mean_token_ed, report.mean_cer) == (None,) * 6
+        assert all(row.prediction is None for row in report.rows)
 
     def test_aggregates_equal_row_means(self, desk_vocab, toy_records):
         report = metrics.evaluate_corpus(

@@ -61,6 +61,11 @@ class TestConfig:
         with pytest.raises(InvalidConfig, match="line 2: tie_token_head"):
             model.ModelConfig.from_text(f"vocab_size = 64\ntie_token_head = {raw}\n")
 
+    def test_missing_required_key_is_invalid_config(self):
+        # ModelConfig(**values) raised TypeError
+        with pytest.raises(InvalidConfig, match="^missing key 'vocab_size'$"):
+            model.ModelConfig.from_text("num_layers = 2\n")
+
     def test_bad_number_is_invalid_config(self):
         with pytest.raises(InvalidConfig, match="line 1: vocab_size"):
             model.ModelConfig.from_text("vocab_size = 6.4\n")

@@ -54,6 +54,12 @@ class TestTrainConfig:
                            match="line 2: unknown key 'freeze_token_head_in_lp'"):
             training.TrainConfig.from_text("seed = 2\nfreeze_token_head_in_lp = True\n")
 
+    def test_repeated_key_names_both_lines(self):
+        # the last value won silently
+        with pytest.raises(InvalidConfig,
+                           match="^config line 2: key 'lambda_bot' repeats line 1$"):
+            training.TrainConfig.from_text("lambda_bot = 0.1\nlambda_bot = 0.5\n")
+
     def test_bad_number_is_invalid_config(self):
         with pytest.raises(InvalidConfig, match="line 1: batch_size"):
             training.TrainConfig.from_text("batch_size = many\n")

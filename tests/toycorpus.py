@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from varnamer import bpe, javalex
-from varnamer.bpe import SPECIAL_TOKENS, SubwordVocab
+from varnamer.bpe import SubwordVocab
 from varnamer.corpus import RefactoringRecord
 
 TOKEN_BANK = [
@@ -51,30 +51,9 @@ def generate_functions(seed: int, count: int,
 def handmade_vocab(words: list[str]) -> SubwordVocab:
     """A vocabulary whose merges build exactly the given words, one merge
     chain per word, so tokenization boundaries are fully controlled."""
-    merges: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    tokens: list[str] = list(SPECIAL_TOKENS)
-    tokens.extend(bpe._BYTE_TO_CHAR[b] for b in range(256))
-    token_set = set(tokens)
-    for word in words:
-        prefix = word[0]
-        for ch in word[1:]:
-            pair = (prefix, ch)
-            prefix = prefix + ch
-            if pair in seen:
-                continue
-            seen.add(pair)
-            merges.append(pair)
-            if prefix not in token_set:
-                token_set.add(prefix)
-                tokens.append(prefix)
-    token_to_id = {tok: i for i, tok in enumerate(tokens)}
-    return SubwordVocab(
-        merges=merges,
-        token_to_id=token_to_id,
-        id_to_token={i: t for t, i in token_to_id.items()},
-        special_ids=dict(zip(SPECIAL_TOKENS, range(len(SPECIAL_TOKENS)))),
-    )
+    merges = dict.fromkeys((word[:i], word[i]) for word in words
+                           for i in range(1, len(word)))
+    return bpe._vocab(list(merges))
 
 
 def make_record(record_id: str, code: str, name: str, decoy: str,
