@@ -19,8 +19,11 @@ The tape is made of edges, not tensors. A leaf (a parameter, a constant,
 any result not recorded) is its own tape node and keeps its ``.grad``.
 An op's recorded result is a ``Tensor`` whose ``_edge`` holds what
 backward needs: the gradient slot, the parents' nodes (an edge or a leaf
-each) and the backward closure. ``Tensor.grad``, ``_parents`` and ``_backward`` read
-through to the edge, and ``_backward`` may be replaced there.
+each) and the backward closure. An op hands each parent's gradient to
+the node ``_split`` gives it, so only a leaf's ``.grad`` is ever set or
+read; a recorded result's own ``.grad`` stays None. ``Tensor._parents``
+and ``_backward`` read through to the edge, and ``_backward`` may be
+replaced there.
 
 What an op keeps for its backward: its parents' nodes, and in its
 closure only the arrays its backward reads, never a parent ``Tensor``.
@@ -149,13 +152,13 @@ class Tensor:
     """A float32 or float64 ndarray; an op's recorded result also has the
     edge its gradient flows through (see the module docstring)."""
 
-    __slots__ = ("data", "requires_grad", "_grad", "_edge", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_edge", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         dtype = np.float32 if getattr(data, "dtype", None) == np.float32 else np.float64
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = requires_grad
-        self._grad: np.ndarray | None = None
+        self.grad: np.ndarray | None = None
         self._edge: _Edge | None = None
 
     @property
@@ -165,17 +168,6 @@ class Tensor:
     @property
     def dtype(self) -> np.dtype:
         return self.data.dtype
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        return self._grad if self._edge is None else self._edge.grad
-
-    @grad.setter
-    def grad(self, value: np.ndarray | None) -> None:
-        if self._edge is None:
-            self._grad = value
-        else:
-            self._edge.grad = value
 
     @property
     def _parents(self) -> tuple:
@@ -193,13 +185,10 @@ class Tensor:
         return float(self.data)
 
     def accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
-        """Add ``grad`` into ``.grad``. ``owned`` says the caller allocated
-        ``grad`` for this node alone, so a first gradient of the node's
-        dtype is adopted rather than copied."""
-        if self._edge is not None:
-            self._edge.accumulate(grad, owned)
-        else:
-            self._grad = _accumulated(self._grad, grad, self.dtype, owned)
+        """Add ``grad`` into a leaf's ``.grad``. ``owned`` says the caller
+        allocated ``grad`` for this node alone, so a first gradient of the
+        node's dtype is adopted rather than copied."""
+        self.grad = _accumulated(self.grad, grad, self.dtype, owned)
 
     def zero_grad(self) -> None:
         self.grad = None

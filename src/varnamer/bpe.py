@@ -5,6 +5,9 @@ characters so the vocabulary file stays line-oriented), which makes
 encoding total: any UTF-8 text round-trips exactly. Text is pre-split at
 whitespace/punctuation boundaries so merges never cross token boundaries
 of the underlying language.
+
+A vocabulary is its ordered merge list, as in subword-nmt; its file holds
+the merges and the special tokens' fixed ids.
 """
 
 from __future__ import annotations
@@ -54,19 +57,24 @@ MIN_PAIR_FREQUENCY = 2
 
 @dataclass
 class SubwordVocab:
-    """Learned merges plus the token <-> id tables and special-token ids."""
+    """A vocabulary is its ordered merges; the token <-> id tables and the
+    merge ranks follow from them. Ids run over the specials, the 256 byte
+    symbols, then each merge's string where it first appears; a merge
+    whose string is already a token adds none."""
 
     merges: list[tuple[str, str]]
-    token_to_id: dict[str, int]
-    id_to_token: dict[int, str]
-    special_ids: dict[str, int]
-    _ranks: dict[tuple[str, str], int] = field(default_factory=dict, repr=False)
+    token_to_id: dict[str, int] = field(init=False, compare=False, repr=False)
+    id_to_token: dict[int, str] = field(init=False, compare=False, repr=False)
+    _ranks: dict[tuple[str, str], int] = field(init=False, compare=False, repr=False)
     _chunk_ids: dict[str, tuple[int, ...]] = field(
-        default_factory=dict, compare=False, repr=False)
+        init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self._ranks:
-            self._ranks = {pair: i for i, pair in enumerate(self.merges)}
+        tokens = dict.fromkeys([*SPECIAL_TOKENS, *(_BYTE_TO_CHAR[b] for b in range(256)),
+                                *(left + right for left, right in self.merges)])
+        self.token_to_id = {tok: i for i, tok in enumerate(tokens)}
+        self.id_to_token = dict(enumerate(tokens))
+        self._ranks = {pair: i for i, pair in enumerate(self.merges)}
 
     @property
     def size(self) -> int:
@@ -140,22 +148,7 @@ def train_bpe(
             _merge_symbols(symbols, best, merged): count
             for symbols, count in current.items()
         }
-    return _vocab(merges)
-
-
-def _vocab(merges: list[tuple[str, str]]) -> SubwordVocab:
-    """The vocabulary that ``merges`` define. Ids run over the specials, the
-    256 byte symbols, then each merge's string where it first appears; a
-    merge whose string is already a token adds none."""
-    tokens = dict.fromkeys([*SPECIAL_TOKENS, *(_BYTE_TO_CHAR[b] for b in range(256)),
-                            *(left + right for left, right in merges)])
-    token_to_id = {tok: i for i, tok in enumerate(tokens)}
-    return SubwordVocab(
-        merges=merges,
-        token_to_id=token_to_id,
-        id_to_token={i: tok for tok, i in token_to_id.items()},
-        special_ids=dict(zip(SPECIAL_TOKENS, range(len(SPECIAL_TOKENS)))),
-    )
+    return SubwordVocab(merges)
 
 
 def _merge_symbols(symbols: tuple[str, ...], pair: tuple[str, str], merged: str) -> tuple[str, ...]:
@@ -257,7 +250,7 @@ def save_vocab(vocab: SubwordVocab, path: str) -> None:
         for left, right in vocab.merges:
             fh.write(f"{left} {right}\n")
         fh.write("#SPECIALS\n")
-        for name, token_id in vocab.special_ids.items():
+        for token_id, name in enumerate(SPECIAL_TOKENS):
             fh.write(f"{name} {token_id}\n")
 
 
@@ -313,7 +306,7 @@ def load_vocab(path: str) -> SubwordVocab:
                                f"merge {line!r} has a symbol outside the byte alphabet")
         else:
             merges.append((left, right))
-    vocab = _vocab(merges)
+    vocab = SubwordVocab(merges)
     if vocab.size != declared_size:
         raise CorruptVocab(
             path, 1, f"header declares {declared_size} tokens, merges rebuild {vocab.size}")

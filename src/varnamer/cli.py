@@ -335,7 +335,7 @@ def _cmd_train(args) -> int:
     print(json.dumps({
         "stage": stage,
         "epochs": len(result.history),
-        "final_loss": result.history[-1]["loss"] if result.history else None,
+        "final_loss": result.history[-1]["loss"],
         "checkpoint": final_path,
     }))
     return 0
@@ -358,7 +358,11 @@ def _cmd_suggest(args) -> int:
 
 def _cmd_baseline_eval(args) -> int:
     params, vocab = _load_model(args.model, _resolve_vocab(args))
-    ngram = baseline.train_ngram(corpus.load_corpus(args.train_data), vocab,
+    # the n-gram model sees the names the stages train on, no others
+    train_records = [r for r in corpus.load_corpus(args.train_data) if r.split == "train"]
+    if not train_records:
+        raise EmptyCorpus(f"no train record in {args.train_data} to fit the n-gram model on")
+    ngram = baseline.train_ngram(train_records, vocab,
                                  n=args.ngram_n, smoothing_k=args.smoothing)
     predictor = baseline.CompositePredictor(baseline.HeuristicLengthPredictor(params, vocab),
                                             baseline.NgramPredictor(ngram, vocab))
@@ -383,7 +387,8 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_sweep(args) -> int:
     """One finetune-tg + evaluate run per value, from the same seed and base
-    checkpoint; writes a CSV of parameter value vs accuracy."""
+    checkpoint; writes a CSV of parameter value vs accuracy and the number
+    of records evaluated, which is 0 where the accuracy is null."""
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise UsageError("--values must name at least one value")
@@ -407,12 +412,15 @@ def _cmd_sweep(args) -> int:
             inference.ModelPredictor(result.params, vocab), eval_records, vocab,
             max_name_tokens=min(config.max_name_tokens, params.config.max_name_tokens),
             dataset=f"{args.param}={value}")
-        rows.append({"value": value, "accuracy": report.accuracy})
+        rows.append({"value": value, "accuracy": report.accuracy,
+                     "evaluated": report.evaluated,
+                     "excluded_reasons": dict(sorted(report.excluded_reasons.items()))})
     csv_path = os.path.join(out_dir, f"sweep_{args.param}.csv")
     with atomic_write(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["parameter", "value", "accuracy"])
-        writer.writerows([args.param, row["value"], row["accuracy"]] for row in rows)
+        writer.writerow(["parameter", "value", "accuracy", "evaluated"])
+        writer.writerows([args.param, row["value"], row["accuracy"], row["evaluated"]]
+                         for row in rows)
     _write_manifest(out_dir, "sweep", args, [args.data, args.model, args.vocab],
                     training_precision=TRAINING_PRECISION)
     print(json.dumps({"parameter": args.param, "rows": rows, "csv": csv_path}))

@@ -136,7 +136,6 @@ def toy_model(vocab_size: int = 64, hidden_dim: int = 32, num_layers: int = 2,
         input_ids=[CLS] + body + [SEP],
         mask_positions=[[4, 5]],
         target_ids=targets,
-        scheme=masking.SCHEME_CMLM,
     )
     before_ids = [CLS] + context[:3] + before + context[3:] + [SEP]
     example = TgExample(
@@ -151,7 +150,6 @@ def loss_suite(params, example) -> dict[str, object]:
     """Named scalar loss closures over the toy instance, for checking.
     ``batch`` is the stage-2 loss of a two-example batch of different
     lengths, which runs as one pack of six sequences."""
-    from . import masking
     from .bpe import NUM
     from .training import TrainConfig, cmlm_batch_loss, lp_batch_loss, tg_batch_loss
 
@@ -160,7 +158,7 @@ def loss_suite(params, example) -> dict[str, object]:
     ids = example.masked.input_ids
     num_example = dataclasses.replace(
         example.masked, input_ids=ids[:group[0]] + [NUM] + ids[group[-1] + 1:],
-        mask_positions=[[group[0]]], scheme=masking.SCHEME_NUM)
+        mask_positions=[[group[0]]])
 
     # A second example of another length: the toy without the last token
     # before [SEP] (the name sits earlier, so its positions stay).

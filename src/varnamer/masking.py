@@ -8,6 +8,9 @@ the slot count would leak the answer) and the name's own sub-tokens (the
 unmasked sequences the contrastive loss and the n-gram baseline read).
 The pre-splitting tokenizer guarantees the concatenated segments equal
 encoding the whole text.
+
+A ``MaskedExample`` does not name its fill; its groups show it, with one
+slot per target under [MASK] and one slot under [NUM].
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ class MaskedExample:
     input_ids: list[int]
     mask_positions: list[list[int]]   # one group per surviving occurrence
     target_ids: list[int]
-    scheme: str
 
     @property
     def length_label(self) -> int:
@@ -142,7 +144,6 @@ def _apply_mask(
         input_ids=input_ids,
         mask_positions=groups,
         target_ids=target_ids,
-        scheme=scheme,
     )
 
 
@@ -168,9 +169,11 @@ def apply_num_mask(
 
 
 def restore_targets(example: MaskedExample) -> list[int]:
-    """Write the target ids back into the mask slots (generation scheme only)."""
-    if example.scheme != SCHEME_CMLM:
-        raise ValueError("only generation-scheme examples can be restored")
+    """Write the target ids back into the mask slots, one per target in
+    every group (a [NUM] group of a longer name is rejected)."""
+    g = len(example.target_ids)
+    if any(len(group) != g for group in example.mask_positions):
+        raise ValueError(f"every mask group must hold one slot per target ({g})")
     ids = list(example.input_ids)
     for group in example.mask_positions:
         for position, target in zip(group, example.target_ids):

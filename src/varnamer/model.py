@@ -424,17 +424,14 @@ def length_probs(params: ModelParams, cls_vector) -> Tensor:
     return ad.softmax(length_logits(params, cls_vector))
 
 
-def pool_name_representation(hidden_states, positions: list[int] | None = None) -> Tensor:
-    """Mean of the selected rows (all rows when ``positions`` is None),
-    L2-normalized to a unit vector."""
+def pool_name_representation(hidden_states, positions: list[int]) -> Tensor:
+    """Mean of the rows at ``positions``, L2-normalized to a unit vector."""
     h = ad.as_tensor(hidden_states)
-    if positions is not None:
-        if len(positions) == 0:
-            raise EmptyPositions("positions must be non-empty")
-        if max(positions) >= h.data.shape[0] or min(positions) < 0:
-            raise IndexError("pooling position out of range")
-        h = ad.take(h, list(positions))
-    pooled = ad.mean_axis(h, axis=0)
+    if len(positions) == 0:
+        raise EmptyPositions("positions must be non-empty")
+    if max(positions) >= h.data.shape[0] or min(positions) < 0:
+        raise IndexError("pooling position out of range")
+    pooled = ad.mean_axis(ad.take(h, list(positions)), axis=0)
     if not np.any(pooled.data):
         raise ZeroVector("pooled representation is exactly zero")
     return ad.l2_normalize(pooled)

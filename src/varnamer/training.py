@@ -466,8 +466,6 @@ def _stage(stage: str, build, batch_loss, config: TrainConfig, params: ModelPara
 
 
 def _write_log(path: str, history: list[dict[str, float]]) -> None:
-    if not history:
-        return
     columns = ["epoch", "step", "loss"]
     for row in history:
         for key in row:

@@ -332,7 +332,7 @@ def test_ablation_reachability(desk_vocab, toy_records, tmp_path):
                         "--out", str(out_dir)])
         assert code == 0
         lines = (out_dir / f"sweep_{param}.csv").read_text().splitlines()
-        assert lines[0] == "parameter,value,accuracy"
+        assert lines[0] == "parameter,value,accuracy,evaluated"
         assert len(lines) == rows + 1
         listed = [line.split(",")[1] for line in lines[1:]]
         assert listed == [str(float(v)) for v in values.split(",")]

@@ -1,4 +1,5 @@
 import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -46,7 +47,7 @@ class TestTraining:
             assert desk_vocab.id_to_token[token_id] == token
 
     def test_specials_distinct_and_first(self, desk_vocab):
-        ids = [desk_vocab.special_ids[t] for t in bpe.SPECIAL_TOKENS]
+        ids = [desk_vocab.token_to_id[t] for t in bpe.SPECIAL_TOKENS]
         assert ids == [0, 1, 2, 3, 4, 5]
 
     def test_more_merges_never_split_finer(self, toy_functions):
@@ -161,7 +162,7 @@ class TestVocabFile:
         loaded = bpe.load_vocab(str(path))
         assert loaded.merges == desk_vocab.merges
         assert loaded.token_to_id == desk_vocab.token_to_id
-        assert loaded.special_ids == desk_vocab.special_ids
+        assert [loaded.token_to_id[t] for t in bpe.SPECIAL_TOKENS] == list(range(6))
         code = toy_functions[0]
         assert bpe.encode(loaded, code) == bpe.encode(desk_vocab, code)
         assert loaded == desk_vocab     # the chunk memo takes no part in equality
@@ -239,6 +240,36 @@ def test_a_merge_string_already_a_token_adds_no_id(tmp_path):
     assert bpe.load_vocab(str(path)) == vocab
 
 
+def reference_tables(merges):
+    """The reference for the tables ``SubwordVocab`` derives from ``merges``:
+    token_to_id, id_to_token and the merge ranks, built separately."""
+    tokens = dict.fromkeys([*bpe.SPECIAL_TOKENS,
+                            *(bpe._BYTE_TO_CHAR[b] for b in range(256)),
+                            *(left + right for left, right in merges)])
+    token_to_id = {tok: i for i, tok in enumerate(tokens)}
+    return (token_to_id, {i: tok for tok, i in token_to_id.items()},
+            {pair: i for i, pair in enumerate(merges)})
+
+
+# a small alphabet, so merge strings repeat and can spell "[CLS]"
+MERGE_SYMBOL = st.text(alphabet="ab[CLS]", min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(MERGE_SYMBOL, MERGE_SYMBOL), max_size=12))
+def test_vocab_from_merges_matches_the_reference_and_round_trips(merges):
+    vocab = bpe.SubwordVocab(merges)
+    tables = (vocab.token_to_id, vocab.id_to_token, vocab._ranks)
+    reference = reference_tables(merges)
+    assert tables == reference
+    assert [list(t) for t in tables] == [list(t) for t in reference]    # in the same order
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "vocab.txt")
+        bpe.save_vocab(vocab, path)
+        loaded = bpe.load_vocab(path)
+    assert loaded == vocab and loaded.token_to_id == vocab.token_to_id
+
+
 def test_no_texts_is_an_empty_corpus():
     with pytest.raises(EmptyCorpus, match="no texts"):
         bpe.train_bpe([], bpe.MIN_VOCAB_SIZE)
@@ -248,5 +279,5 @@ def test_minimal_vocab_file_loads(tmp_path):
     path = tmp_path / "min.vocab"
     path.write_text(VALID_HEADER + SPECIALS)
     vocab = bpe.load_vocab(str(path))
-    assert vocab.special_ids == dict(zip(bpe.SPECIAL_TOKENS, range(len(bpe.SPECIAL_TOKENS))))
+    assert [vocab.token_to_id[t] for t in bpe.SPECIAL_TOKENS] == list(range(len(bpe.SPECIAL_TOKENS)))
     assert vocab.size == bpe.MIN_VOCAB_SIZE and vocab.merges == []

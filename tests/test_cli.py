@@ -563,6 +563,34 @@ class TestHappyPaths:
         assert report["hit_at_1"] is not None
         assert report["exact_match"] is not None
 
+    def test_baseline_eval_fits_the_ngram_on_train_records_only(self, workspace, tmp_path,
+                                                                capsys):
+        splits = ["train", "validation", "test"]
+        records = [dataclasses.replace(r, split=splits[i % 3])
+                   for i, r in enumerate(workspace["records"])]
+        data = tmp_path / "split.jsonl"
+        corpus.save_corpus(records, str(data))
+        out = tmp_path / "baseline"
+        code = cli.run(["baseline-eval", "--data", str(data), "--train-data", str(data),
+                        "--model", workspace["model"], "--ngram-n", "2", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        lines = (out / "ngram.txt").read_text().splitlines()
+        candidates = {line.split("\t")[1] for line in lines[lines.index("#CANDIDATES") + 1:]}
+        train_names = {r.variable_after for r in records if r.split == "train"}
+        held_out = {r.variable_after for r in records if r.split != "train"} - train_names
+        assert held_out and candidates and candidates <= train_names
+
+    def test_baseline_eval_without_train_records_exits_2(self, workspace, tmp_path, capsys):
+        data = tmp_path / "held_out.jsonl"
+        corpus.save_corpus([dataclasses.replace(r, split="validation")
+                            for r in workspace["records"]], str(data))
+        code = cli.run(["baseline-eval", "--data", workspace["corpus"],
+                        "--train-data", str(data), "--model", workspace["model"]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no train record in" in err and "held_out.jsonl" in err
+        assert "Traceback" not in err
+
     def test_gradcheck_passes(self, capsys):
         code = cli.run(["gradcheck", "--seed", "0", "--coords", "3"])
         assert code == 0
@@ -747,7 +775,7 @@ class TestSweep:
                        "--out", str(out)])
         assert code == 0
         lines = (out / "sweep_tau.csv").read_text().splitlines()
-        assert lines[0] == "parameter,value,accuracy"
+        assert lines[0] == "parameter,value,accuracy,evaluated"
         assert len(lines) == 4
         values = [line.split(",")[1] for line in lines[1:]]
         assert values == ["0.02", "0.05", "0.1"]
@@ -775,3 +803,30 @@ class TestSweep:
         assert code == 0
         lines = (out / "sweep_lmax.csv").read_text().splitlines()
         assert [line.split(",")[:2] for line in lines[1:]] == [["lmax", "2"], ["lmax", "4"]]
+
+    def test_null_accuracy_comes_with_its_exclusions(self, workspace, desk_vocab, tmp_path,
+                                                    capsys):
+        # every validation name has 3 sub-tokens: at lmax 2 none is evaluated
+        def length(r):
+            return len(bpe.encode(desk_vocab, r.variable_after))
+
+        records = [dataclasses.replace(r, split="validation" if length(r) == 3 else "train")
+                   for r in workspace["records"]]
+        held_out = sum(r.split == "validation" for r in records)
+        assert 0 < held_out < len(records)
+        data = tmp_path / "split.jsonl"
+        corpus.save_corpus(records, str(data))
+        out = tmp_path / "sweep_null"
+        code = cli.run(["sweep", "--param", "lmax", "--values", "2,3",
+                        "--config", _quick_config(tmp_path), "--data", str(data),
+                        "--model", workspace["model"], "--vocab", workspace["vocab"],
+                        "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        short, full = json.loads(capsys.readouterr().out)["rows"]
+        assert short == {"value": 2, "accuracy": None, "evaluated": 0,
+                         "excluded_reasons": {"too_long": held_out}}
+        assert full["accuracy"] is not None and full["evaluated"] == held_out
+        assert full["excluded_reasons"] == {}
+        lines = (out / "sweep_lmax.csv").read_text().splitlines()
+        assert [line.split(",") for line in lines[1:]] == [
+            ["lmax", "2", "", "0"], ["lmax", "3", str(full["accuracy"]), str(held_out)]]

@@ -18,7 +18,7 @@ class TestCmlmMask:
         record = toycorpus.make_record("r", code, "zqxFoo", "tmp")
         g = len(bpe.encode(desk_vocab, "zqxFoo"))
         example = masking.apply_cmlm_mask(desk_vocab, record, max_name_tokens=g)
-        assert example.scheme == masking.SCHEME_CMLM
+        assert all(example.input_ids[p] == MASK for p in example.flat_positions)
         assert example.length_label == g
         assert len(example.mask_positions) == 3
         assert all(len(group) == g for group in example.mask_positions)
@@ -59,6 +59,16 @@ class TestCmlmMask:
         record = toycorpus.make_record("r", code, "pick", "tmp")
         with pytest.raises(NameTruncated):
             masking.apply_cmlm_mask(desk_vocab, record, max_seq_len=64)
+
+    def test_restore_rejects_a_num_example_of_a_longer_name(self, desk_vocab):
+        # [NUM] leaves one slot per occurrence, which cannot hold g > 1 targets
+        code = "int f() {\n  int zqxFoo = 1;\n  return zqxFoo;\n}"
+        record = toycorpus.make_record("r", code, "zqxFoo", "tmp")
+        g = len(bpe.encode(desk_vocab, "zqxFoo"))
+        assert g > 1
+        example = masking.apply_num_mask(desk_vocab, record, max_name_tokens=g)
+        with pytest.raises(ValueError, match="one slot per target"):
+            masking.restore_targets(example)
 
 
 class TestNumMask:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from varnamer import bpe, javalex
+from varnamer import javalex
 from varnamer.bpe import SubwordVocab
 from varnamer.corpus import RefactoringRecord
 
@@ -53,7 +53,7 @@ def handmade_vocab(words: list[str]) -> SubwordVocab:
     chain per word, so tokenization boundaries are fully controlled."""
     merges = dict.fromkeys((word[:i], word[i]) for word in words
                            for i in range(1, len(word)))
-    return bpe._vocab(list(merges))
+    return SubwordVocab(list(merges))
 
 
 def make_record(record_id: str, code: str, name: str, decoy: str,
