@@ -13,29 +13,27 @@ from varnamer import gradcheck
 from varnamer import losses as L
 
 print("=== closed-form checks ===")
-uniform = L.MaskedPrediction(probs=np.full((1, 4), 0.25), target_ids=[1])
-print(f"  masked CE, uniform over 4 tokens: {L.cmlm_loss(uniform).item():.6f}"
+uniform = np.full((1, 4), 0.25)
+print(f"  masked CE, uniform over 4 tokens: {L.cmlm_loss(uniform, [1]).item():.6f}"
       f"  (ln 4 = {math.log(4):.6f})")
 
-q = np.full(5, 0.2)
-print(f"  length CE, uniform over 5 lengths: {L.lp_loss(q, 2).item():.6f}"
+q = np.full((1, 5), 0.2)
+print(f"  length CE, uniform over 5 lengths: {L.lp_loss(q, [2]).item():.6f}"
       f"  (ln 5 = {math.log(5):.6f})")
 
 gen = np.array([1.0, 0.0])
 side = np.array([0.6, 0.8])
-equal = L.NameTriple(gen=gen, after=side, before=side)
-print(f"  contrastive at cosine equality: {L.cl_loss([equal], 0.05).item():.6f}"
+print(f"  contrastive at cosine equality: {L.cl_loss([gen], [side], [side], 0.05).item():.6f}"
       f"  (ln 2 = {math.log(2):.6f})")
 
 print("\n=== order insensitivity ===")
 rng = np.random.default_rng(0)
 probs = rng.dirichlet(np.ones(8), size=2)
-pred = L.MaskedPrediction(probs=probs, target_ids=[3, 5])
-z = L.bot_distribution(pred)
+z = L.bot_distribution(probs)
 print(f"  bot_loss [3, 5]: {L.bot_loss(z, [3, 5]).item():.10f}")
 print(f"  bot_loss [5, 3]: {L.bot_loss(z, [5, 3]).item():.10f}  (bit-identical)")
-a = L.cmlm_loss(L.MaskedPrediction(probs=probs, target_ids=[3, 5])).item()
-b = L.cmlm_loss(L.MaskedPrediction(probs=probs, target_ids=[5, 3])).item()
+a = L.cmlm_loss(probs, [3, 5]).item()
+b = L.cmlm_loss(probs, [5, 3]).item()
 print(f"  cmlm_loss changes under the same swap: {a:.4f} vs {b:.4f}")
 
 print("\n=== gradient fidelity (toy model, 64-bit) ===")

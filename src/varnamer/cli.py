@@ -388,7 +388,9 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_sweep(args) -> int:
     """One finetune-tg + evaluate run per value, from the same seed and base
     checkpoint; writes a CSV of parameter value vs accuracy and the number
-    of records evaluated, which is 0 where the accuracy is null."""
+    of records evaluated, which is 0 where the accuracy is null. It scores
+    the validation records, else the test records, else the training
+    records, and names that split in its JSON as ``scored_split``."""
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise UsageError("--values must name at least one value")
@@ -396,9 +398,12 @@ def _cmd_sweep(args) -> int:
     # every value is checked before any data is read
     configs = [_train_config(args, value) for value in values]
     records = corpus.load_corpus(args.data)
-    eval_records = ([r for r in records if r.split == "validation"]
-                    or [r for r in records if r.split == "test"]
-                    or records)
+    scored_split = next((split for split in ("validation", "test")
+                         if any(r.split == split for r in records)), "train")
+    eval_records = [r for r in records if r.split == scored_split]
+    if scored_split == "train":
+        print("warning: no validation or test records; the accuracies are on the "
+              "training records each run fine-tunes on", file=sys.stderr)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     rows = []
@@ -423,7 +428,8 @@ def _cmd_sweep(args) -> int:
                          for row in rows)
     _write_manifest(out_dir, "sweep", args, [args.data, args.model, args.vocab],
                     training_precision=TRAINING_PRECISION)
-    print(json.dumps({"parameter": args.param, "rows": rows, "csv": csv_path}))
+    print(json.dumps({"parameter": args.param, "scored_split": scored_split,
+                      "rows": rows, "csv": csv_path}))
     return 0
 
 

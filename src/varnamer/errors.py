@@ -92,7 +92,13 @@ class GraphReleased(VarnamerError):
 
 
 class ShapeMismatch(VarnamerError):
-    """Tensor shapes disagree between parameters, gradients, or checkpoints."""
+    """Shapes or counts disagree: of parameters, gradients or checkpoints,
+    of targets and distribution rows, or of a pack's lengths, dropout
+    seeds or mask slots and what they describe."""
+
+
+class UnframedSequence(VarnamerError):
+    """A packed sequence does not start with [CLS] and end with [SEP]."""
 
 
 class CorruptCheckpoint(VarnamerError):

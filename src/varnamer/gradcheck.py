@@ -12,7 +12,6 @@ import logging
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import InvalidConfig, NonFiniteGradient
 from .model import ModelParams
 
@@ -96,17 +95,6 @@ def gradient_check(
     if where is not None:
         logger.info("worst coordinate %s[%d]: analytic %.6e, numeric %.6e", *where)
     return worst
-
-
-def quadratic_probe(params: ModelParams) -> Tensor:
-    """0.5 * sum of squares over all parameters; gradient is the parameters."""
-    from . import autodiff as ad
-
-    total = None
-    for tensor in params.tensors.values():
-        term = ad.scale(ad.sum_all(ad.power(tensor, 2.0)), 0.5)
-        total = term if total is None else ad.add(total, term)
-    return total
 
 
 # --- toy instances for checking every exposed loss ---------------------------

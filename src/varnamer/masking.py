@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import bpe, javalex
 from .bpe import CLS, MASK, NUM, SEP, SubwordVocab
 from .corpus import RefactoringRecord
-from .errors import NameTooLong, NameTruncated, VariableNotFound
+from .errors import NameTooLong, NameTruncated, ShapeMismatch, VariableNotFound
 
 SCHEME_CMLM = "cmlm"
 SCHEME_NUM = "num"
@@ -173,7 +173,7 @@ def restore_targets(example: MaskedExample) -> list[int]:
     every group (a [NUM] group of a longer name is rejected)."""
     g = len(example.target_ids)
     if any(len(group) != g for group in example.mask_positions):
-        raise ValueError(f"every mask group must hold one slot per target ({g})")
+        raise ShapeMismatch(f"every mask group must hold one slot per target ({g})")
     ids = list(example.input_ids)
     for group in example.mask_positions:
         for position, target in zip(group, example.target_ids):

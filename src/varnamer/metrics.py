@@ -16,11 +16,10 @@ from .fileio import atomic_write
 
 
 def hit_at_k(ranked: list[int], truth: int, k: int) -> int:
-    """1 if the true value appears among the first k ranked entries."""
-    if not ranked:
-        raise ValueError("ranked list must be non-empty")
+    """1 if the true value appears among the first k ranked entries; an
+    empty ranking names no candidate, so it misses."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidConfig(f"k must be >= 1, got {k}")
     return 1 if truth in ranked[:k] else 0
 
 

@@ -71,6 +71,7 @@ from .errors import (
     InvalidRows,
     SequenceTooLong,
     ShapeMismatch,
+    UnframedSequence,
     UnknownTokenId,
     ZeroVector,
 )
@@ -208,16 +209,6 @@ class ModelParams:
         for t in self.tensors.values():
             t.zero_grad()
 
-    def clone(self) -> "ModelParams":
-        """Deep copy (fresh tensors, same values); used to branch trainings."""
-        import copy
-
-        return ModelParams(
-            config=copy.deepcopy(self.config),
-            tensors={name: Tensor(t.data.copy(), requires_grad=True)
-                     for name, t in self.tensors.items()},
-        )
-
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
@@ -277,10 +268,10 @@ def forward(
         raise UnknownTokenId("token ids must lie in [0, vocab_size)")
     if (lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1
             or lengths.sum() != arr.size):
-        raise ValueError(f"lengths must be positive and sum to the {arr.size} ids")
+        raise ShapeMismatch(f"lengths must be positive and sum to the {arr.size} ids")
     offsets = np.concatenate(([0], np.cumsum(lengths)))
     if np.any(arr[offsets[:-1]] != CLS) or np.any(arr[offsets[1:] - 1] != SEP):
-        raise ValueError("each sequence must start with [CLS] and end with [SEP]")
+        raise UnframedSequence("each sequence must start with [CLS] and end with [SEP]")
     total = arr.size
     if rows is not None:
         rows = np.asarray(rows, dtype=np.int64)
@@ -294,7 +285,7 @@ def forward(
     seeds = ([dropout_seed] * lengths.size if np.ndim(dropout_seed) == 0
              else list(dropout_seed))
     if len(seeds) != lengths.size:
-        raise ValueError(f"{len(seeds)} dropout seeds for {lengths.size} sequences")
+        raise ShapeMismatch(f"{len(seeds)} dropout seeds for {lengths.size} sequences")
     rngs = [np.random.default_rng(s) if rate > 0 and s is not None else None for s in seeds]
     dropping = any(rng is not None for rng in rngs)
     dtype = params.dtype        # of the activations, and so of the scales
@@ -430,7 +421,7 @@ def pool_name_representation(hidden_states, positions: list[int]) -> Tensor:
     if len(positions) == 0:
         raise EmptyPositions("positions must be non-empty")
     if max(positions) >= h.data.shape[0] or min(positions) < 0:
-        raise IndexError("pooling position out of range")
+        raise InvalidRows("pooling position out of range")
     pooled = ad.mean_axis(ad.take(h, list(positions)), axis=0)
     if not np.any(pooled.data):
         raise ZeroVector("pooled representation is exactly zero")

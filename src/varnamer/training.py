@@ -273,12 +273,9 @@ def _encode_pack(params: ModelParams,
     return hidden, bounds
 
 
-def _masked_prediction(params: ModelParams, hidden: Tensor,
-                       examples: list[masking.MaskedExample]) -> L.MaskedPrediction:
-    """Token distributions at the encoded mask rows of ``examples``, one
-    target per row."""
-    targets = [t for ex in examples for t in ex.target_ids * len(ex.mask_positions)]
-    return L.MaskedPrediction(probs=model.token_probs(params, hidden), target_ids=targets)
+def _row_targets(examples: list[masking.MaskedExample]) -> list[int]:
+    """The target id of every encoded mask row of ``examples``, in pack order."""
+    return [t for ex in examples for t in ex.target_ids * len(ex.mask_positions)]
 
 
 # A batch loss maps (params, examples, one dropout seed or None per example)
@@ -289,7 +286,7 @@ def cmlm_batch_loss(params: ModelParams, examples: list[masking.MaskedExample],
     """Masked-token cross entropy summed over a batch, from one pack."""
     hidden, _ = _encode_pack(params, [(ex.input_ids, ex.flat_positions, seed)
                                       for ex, seed in zip(examples, dropout_seeds)])
-    return L.cmlm_loss(_masked_prediction(params, hidden, examples)), {}
+    return L.cmlm_loss(model.token_probs(params, hidden), _row_targets(examples)), {}
 
 
 def lp_batch_loss(params: ModelParams, examples: list[masking.MaskedExample],
@@ -319,27 +316,25 @@ def tg_batch_loss(params: ModelParams, examples: list[TgExample],
     hidden, bounds = _encode_pack(params, passes)
     n = len(examples)
     masked_rows = hidden if bounds[n] == bounds[-1] else ad.take(hidden, np.arange(bounds[n]))
-    pred = _masked_prediction(params, masked_rows, [ex.masked for ex in examples])
+    probs = model.token_probs(params, masked_rows)
+    targets = _row_targets([ex.masked for ex in examples])
     parts: dict[str, float] = {}
     total = Tensor(0.0)
     if config.lambda_cmlm != 0.0:
-        term = L.cmlm_loss(pred)
+        term = L.cmlm_loss(probs, targets)
         parts["cmlm"] = term.item()
         total = ad.add(total, ad.scale(term, config.lambda_cmlm))
     if config.lambda_bot != 0.0:
         term = Tensor(0.0)
         for start, stop in zip(bounds[:n], bounds[1:n + 1]):
-            one = L.MaskedPrediction(probs=ad.take(pred.probs, np.arange(start, stop)),
-                                     target_ids=pred.target_ids[start:stop])
-            term = ad.add(term, L.bot_loss(L.bot_distribution(one), one.target_ids))
+            z = L.bot_distribution(ad.take(probs, np.arange(start, stop)))
+            term = ad.add(term, L.bot_loss(z, targets[start:stop]))
         parts["bot"] = term.item()
         total = ad.add(total, ad.scale(term, config.lambda_bot))
     if config.lambda_cl != 0.0:
-        def pooled(j):
-            return model.pool_name_representation(hidden, list(range(bounds[j], bounds[j + 1])))
-
-        term = L.cl_loss([L.NameTriple(gen=pooled(i), after=pooled(n + i),
-                                       before=pooled(2 * n + i)) for i in range(n)], config.tau)
+        names = [model.pool_name_representation(hidden, list(range(bounds[j], bounds[j + 1])))
+                 for j in range(3 * n)]                 # generated, after, before
+        term = L.cl_loss(names[:n], names[n:2 * n], names[2 * n:], config.tau)
         parts["cl"] = term.item()
         total = ad.add(total, ad.scale(term, config.lambda_cl))
     return total, parts

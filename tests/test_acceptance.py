@@ -5,6 +5,7 @@ as they complete. The heavyweight criteria (6, 8, 9) train real models and
 dominate the runtime.
 """
 
+import copy
 import functools
 import itertools
 import json
@@ -49,21 +50,20 @@ def criterion(number, name):
 
 @criterion(1, "loss-analytics")
 def test_loss_analytics():
-    uniform4 = L.MaskedPrediction(probs=np.full((1, 4), 0.25), target_ids=[2])
-    assert abs(L.cmlm_loss(uniform4).item() - math.log(4)) <= 1e-9
+    assert abs(L.cmlm_loss(np.full((1, 4), 0.25), [2]).item() - math.log(4)) <= 1e-9
 
-    assert abs(L.lp_loss(np.full(5, 0.2), 3).item() - math.log(5)) <= 1e-9
+    assert abs(L.lp_loss(np.full((1, 5), 0.2), [3]).item() - math.log(5)) <= 1e-9
 
     def unit_pair(cos_after, cos_before):
         gen = np.array([1.0, 0.0])
         mk = lambda c: np.array([c, math.sqrt(max(0.0, 1 - c * c))])
-        return L.NameTriple(gen=gen, after=mk(cos_after), before=mk(cos_before))
+        return [gen], [mk(cos_after)], [mk(cos_before)]
 
     for tau in (0.02, 0.05, 0.25):
         equal = unit_pair(0.4, 0.4)
-        assert abs(L.cl_loss([equal], tau).item() - math.log(2)) <= 1e-9
+        assert abs(L.cl_loss(*equal, tau).item() - math.log(2)) <= 1e-9
     separated = unit_pair(1.0, -1.0)
-    assert L.cl_loss([separated], 0.05).item() < 1e-12
+    assert L.cl_loss(*separated, 0.05).item() < 1e-12
 
 
 # --- 2: gradient fidelity -----------------------------------------------------
@@ -92,15 +92,14 @@ def test_bot_order_invariance():
         vocab_size = int(rng.integers(8, 33))
         probs = rng.dirichlet(np.ones(vocab_size), size=g)
         targets = rng.integers(0, vocab_size, size=g).tolist()
-        pred = L.MaskedPrediction(probs=probs, target_ids=targets)
-        z = L.bot_distribution(pred)
+        z = L.bot_distribution(probs)
         reference = L.bot_loss(z, targets).item()
         permuted = [targets[i] for i in rng.permutation(g)]
         assert L.bot_loss(z, permuted).item() == reference
 
     probs = np.array([[0.7, 0.1, 0.1, 0.1], [0.1, 0.7, 0.1, 0.1]])
-    straight = L.cmlm_loss(L.MaskedPrediction(probs=probs, target_ids=[0, 1])).item()
-    crossed = L.cmlm_loss(L.MaskedPrediction(probs=probs, target_ids=[1, 0])).item()
+    straight = L.cmlm_loss(probs, [0, 1]).item()
+    crossed = L.cmlm_loss(probs, [1, 0]).item()
     assert straight != crossed
 
 
@@ -361,7 +360,7 @@ def test_directional_bot_effect():
 
     accuracy = {}
     for label, lambda_bot in (("default", 0.1), ("no_bot", 0.0)):
-        params = base.clone()
+        params = copy.deepcopy(base)
         tg_cfg = training.TrainConfig(max_epochs=40, batch_size=8, seed=0,
                                       max_seq_len=150, learning_rate=1e-3, lambda_bot=lambda_bot)
         training.finetune_tg(tg_cfg, params, records, vocab)

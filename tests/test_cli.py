@@ -780,6 +780,20 @@ class TestSweep:
         values = [line.split(",")[1] for line in lines[1:]]
         assert values == ["0.02", "0.05", "0.1"]
 
+    def test_all_train_corpus_is_scored_on_its_training_records(self, workspace, tmp_path,
+                                                               capsys):
+        assert {r.split for r in workspace["records"]} == {"train"}
+        code = cli.run(["sweep", "--param", "tau", "--values", "0.05",
+                        "--config", _quick_config(tmp_path), "--data", workspace["corpus"],
+                        "--model", workspace["model"], "--vocab", workspace["vocab"],
+                        "--out", str(tmp_path / "sweep")])
+        assert code == 0
+        captured = capsys.readouterr()
+        result = json.loads(captured.out)
+        assert result["scored_split"] == "train"
+        assert result["rows"][0]["evaluated"] == len(workspace["records"])
+        assert "warning: no validation or test records" in captured.err
+
     def test_single_value_sweep(self, workspace, tmp_path, capsys):
         out = tmp_path / "sweep1"
         code = cli.run(["sweep", "--param", "lambda_bot", "--values", "0.1",
@@ -822,7 +836,11 @@ class TestSweep:
                         "--model", workspace["model"], "--vocab", workspace["vocab"],
                         "--out", str(out)])
         assert code == 0, capsys.readouterr().err
-        short, full = json.loads(capsys.readouterr().out)["rows"]
+        captured = capsys.readouterr()
+        result = json.loads(captured.out)
+        assert result["scored_split"] == "validation"
+        assert "no validation or test records" not in captured.err
+        short, full = result["rows"]
         assert short == {"value": 2, "accuracy": None, "evaluated": 0,
                          "excluded_reasons": {"too_long": held_out}}
         assert full["accuracy"] is not None and full["evaluated"] == held_out

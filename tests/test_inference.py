@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import itertools
 
 import numpy as np
@@ -255,7 +256,7 @@ class TestServingRecordsNoTape:
 
 def as_float64(params):
     """The same weights as an in-memory float64 model."""
-    wide = params.clone()
+    wide = copy.deepcopy(params)
     for tensor in wide.tensors.values():
         tensor.data = tensor.data.astype(np.float64)
     return wide

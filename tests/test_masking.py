@@ -2,7 +2,7 @@ import pytest
 
 from varnamer import bpe, javalex, masking
 from varnamer.bpe import CLS, MASK, NUM, SEP
-from varnamer.errors import NameTooLong, NameTruncated
+from varnamer.errors import NameTooLong, NameTruncated, ShapeMismatch
 
 import toycorpus
 
@@ -67,7 +67,7 @@ class TestCmlmMask:
         g = len(bpe.encode(desk_vocab, "zqxFoo"))
         assert g > 1
         example = masking.apply_num_mask(desk_vocab, record, max_name_tokens=g)
-        with pytest.raises(ValueError, match="one slot per target"):
+        with pytest.raises(ShapeMismatch, match="one slot per target"):
             masking.restore_targets(example)
 
 

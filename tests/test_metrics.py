@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varnamer import bpe, inference, metrics, model
-from varnamer.errors import EmptyTruth
+from varnamer.errors import EmptyTruth, InvalidConfig
 
 import toycorpus
 
@@ -45,6 +45,14 @@ class TestHitAtK:
         for truth in range(1, 6):
             values = [metrics.hit_at_k(ranked, truth, k) for k in range(1, 6)]
             assert values == sorted(values)
+
+    def test_empty_ranking_misses(self):
+        assert metrics.hit_at_k([], 1, 1) == 0
+        assert metrics.hit_at_k([], 1, 3) == 0
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(InvalidConfig, match="k must be >= 1, got 0"):
+            metrics.hit_at_k([1, 2], 1, 0)
 
 
 class TestAccuracy:
@@ -168,6 +176,15 @@ class TestEvaluateCorpus:
         assert (report.hit_at_1, report.hit_at_3, report.accuracy, report.exact_match,
                 report.mean_token_ed, report.mean_cer) == (None,) * 6
         assert all(row.prediction is None for row in report.rows)
+
+    def test_empty_ranking_scores_a_length_miss(self, desk_vocab, toy_records):
+        # it used to raise ValueError, which aborted the whole corpus run
+        report = metrics.evaluate_corpus(
+            lambda record: ([], record.variable_after), toy_records, desk_vocab)
+        assert report.evaluated == len(toy_records)
+        assert report.excluded == 0
+        assert (report.hit_at_1, report.hit_at_3) == (0.0, 0.0)
+        assert report.exact_match == 1.0
 
     def test_aggregates_equal_row_means(self, desk_vocab, toy_records):
         report = metrics.evaluate_corpus(

@@ -16,6 +16,7 @@ from varnamer.errors import (
     InvalidRows,
     SequenceTooLong,
     ShapeMismatch,
+    UnframedSequence,
     UnknownTokenId,
     VarnamerError,
 )
@@ -151,7 +152,9 @@ class TestForward:
     ])
     def test_bad_pack_layout_rejected(self, lengths, seed, match):
         params = model.init_params(small_config(), seed=0)
-        with pytest.raises(ValueError, match=match):
+        # the one layout fault that is not a count disagreeing with the ids
+        error = UnframedSequence if "CLS" in match else ShapeMismatch
+        with pytest.raises(error, match=match):
             model.forward(params, wrap([10, 11, 12]) + wrap([13, 14]), seed,
                           lengths=lengths)
 
@@ -578,6 +581,11 @@ class TestPooling:
         with pytest.raises(EmptyPositions):
             model.pool_name_representation(np.ones((3, 3)), [])
 
+    @pytest.mark.parametrize("positions", [[0, 3], [-1]])
+    def test_position_out_of_range(self, positions):
+        with pytest.raises(InvalidRows, match="out of range"):
+            model.pool_name_representation(np.ones((3, 3)), positions)
+
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
@@ -724,6 +732,15 @@ class TestServingPrecision:
         assert model.init_params(small_config(), seed=7).dtype == np.float64
 
 
+def quadratic_probe(params):
+    """0.5 * sum of squares over all parameters; gradient is the parameters."""
+    total = None
+    for tensor in params.tensors.values():
+        term = ad.scale(ad.sum_all(ad.power(tensor, 2.0)), 0.5)
+        total = term if total is None else ad.add(total, term)
+    return total
+
+
 class TestGradientCheckContract:
     def test_toy_model_is_float64(self):
         params, _ = gradcheck.toy_model()
@@ -737,7 +754,7 @@ class TestGradientCheckContract:
                                    num_heads=2, ffn_dim=8, max_seq_len=8)
         params = model.init_params(config, seed=8)
         err = gradcheck.gradient_check(
-            gradcheck.quadratic_probe, params, epsilon=1e-3,
+            quadratic_probe, params, epsilon=1e-3,
             coords_per_tensor=200, seed=0)
         assert err < 1e-7
 
@@ -777,7 +794,7 @@ class TestGradientCheckContract:
     def test_epsilon_range_enforced(self):
         params = model.init_params(small_config(num_layers=1), seed=8)
         with pytest.raises(InvalidConfig, match="epsilon 0.5"):
-            gradcheck.gradient_check(gradcheck.quadratic_probe, params, epsilon=0.5)
+            gradcheck.gradient_check(quadratic_probe, params, epsilon=0.5)
 
     @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_nonfinite_gradient_detected(self):
