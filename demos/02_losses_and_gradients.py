@@ -38,6 +38,6 @@ print(f"  cmlm_loss changes under the same swap: {a:.4f} vs {b:.4f}")
 
 print("\n=== gradient fidelity (toy model, 64-bit) ===")
 params, example = gradcheck.toy_model(seed=0)
-for name, fn in gradcheck.loss_suite(params, example).items():
+for name, fn in gradcheck.loss_suite(example).items():
     err = gradcheck.gradient_check(fn, params, coords_per_tensor=4, seed=1)
     print(f"  {name:>8}: max relative error {err:.2e}")

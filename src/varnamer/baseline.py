@@ -32,7 +32,7 @@ def heuristic_lp(params: ModelParams, vocab: SubwordVocab,
     """
     scores: list[tuple[int, float]] = []
     for g in range(1, params.config.max_name_tokens + 1):
-        slot_probs = inference._slot_distributions(
+        slot_probs = inference.slot_distributions(
             params, vocab, record.code_before, record.variable_before, g)
         scores.append((g, float(np.mean(np.log(slot_probs.max(axis=1))))))
     return sorted(scores, key=lambda gs: (-gs[1], gs[0]))
@@ -114,7 +114,7 @@ def ngram_suggest(ngram: NgramModel, vocab: SubwordVocab, code: str,
     except VariableNotFound:
         raise NoCandidates(f"{variable_before!r} does not occur in the code") from None
     # The memoised segments of the call above: the code is lexed once.
-    segments = masking._segments(code, variable_before)
+    segments = masking.segments(code, variable_before)
     stream = ids[1:-1]
     candidates: set[str] = set()
     for group in groups:

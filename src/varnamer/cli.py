@@ -374,7 +374,7 @@ def _cmd_baseline_eval(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     params, example = gradcheck.toy_model(seed=args.seed)
-    suite = gradcheck.loss_suite(params, example)
+    suite = gradcheck.loss_suite(example)
     results = {}
     for name, fn in suite.items():
         results[name] = gradcheck.gradient_check(

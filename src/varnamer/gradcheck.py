@@ -12,8 +12,11 @@ import logging
 
 import numpy as np
 
+from . import masking, model
+from .bpe import CLS, MASK, NUM, SEP
 from .errors import InvalidConfig, NonFiniteGradient
 from .model import ModelParams
+from .training import TgExample, TrainConfig, cmlm_batch_loss, lp_batch_loss, tg_batch_loss
 
 logger = logging.getLogger(__name__)
 
@@ -102,10 +105,6 @@ def gradient_check(
 def toy_model(vocab_size: int = 64, hidden_dim: int = 32, num_layers: int = 2,
               seed: int = 0):
     """A tiny model plus a hand-built generation example for loss probes."""
-    from . import masking, model
-    from .bpe import CLS, MASK, SEP
-    from .training import TgExample
-
     config = model.ModelConfig(
         vocab_size=vocab_size, num_layers=num_layers, hidden_dim=hidden_dim,
         num_heads=4, ffn_dim=hidden_dim * 4, max_seq_len=32,
@@ -134,13 +133,10 @@ def toy_model(vocab_size: int = 64, hidden_dim: int = 32, num_layers: int = 2,
     return params, example
 
 
-def loss_suite(params, example) -> dict[str, object]:
+def loss_suite(example) -> dict[str, object]:
     """Named scalar loss closures over the toy instance, for checking.
     ``batch`` is the stage-2 loss of a two-example batch of different
     lengths, which runs as one pack of six sequences."""
-    from .bpe import NUM
-    from .training import TrainConfig, cmlm_batch_loss, lp_batch_loss, tg_batch_loss
-
     # The [NUM] scheme puts one placeholder where the toy's single mask group is.
     (group,) = example.masked.mask_positions
     ids = example.masked.input_ids

@@ -41,23 +41,24 @@ class Suggestion:
         }
 
 
-def _ranked_lengths(params: ModelParams, vocab: SubwordVocab,
-                    code: str, name: str) -> list[tuple[int, float]]:
+def predict_length(params: ModelParams, vocab: SubwordVocab,
+                   code: str, name: str) -> list[tuple[int, float]]:
+    """Stage 1: (length, probability) pairs for ``name`` in ``code``, most
+    probable first, ties toward the shorter length."""
     config = params.config
     input_ids, _ = masking.masked_sequence(
         vocab, code, name, masking.SCHEME_NUM, 1, config.max_seq_len)
     with ad.no_grad():
         cls = model.forward(params, input_ids, rows=[0])
         probs = model.length_probs(params, cls.data[0]).data
-    ranked = sorted(
+    return sorted(
         ((length, float(probs[length - 1])) for length in range(1, config.max_name_tokens + 1)),
         key=lambda lp: (-lp[1], lp[0]),
     )
-    return ranked
 
 
-def _slot_distributions(params: ModelParams, vocab: SubwordVocab,
-                        code: str, name: str, slots: int) -> np.ndarray:
+def slot_distributions(params: ModelParams, vocab: SubwordVocab,
+                       code: str, name: str, slots: int) -> np.ndarray:
     """Per-slot vocabulary distributions, averaged across occurrences."""
     config = params.config
     input_ids, groups = masking.masked_sequence(
@@ -70,7 +71,7 @@ def _slot_distributions(params: ModelParams, vocab: SubwordVocab,
     return per_occurrence.mean(axis=0)
 
 
-def decode_unique(slot_probs: np.ndarray, vocab: SubwordVocab) -> list[int]:
+def decode_unique(slot_probs: np.ndarray) -> list[int]:
     """Pick one token id per slot such that no token repeats: slots decode
     in order, each taking its argmax among tokens not yet chosen."""
     slots, vocab_size = slot_probs.shape
@@ -89,37 +90,13 @@ def decode_unique(slot_probs: np.ndarray, vocab: SubwordVocab) -> list[int]:
     return chosen
 
 
-def predict_length(params: ModelParams, vocab: SubwordVocab,
-                   record: RefactoringRecord) -> list[tuple[int, float]]:
-    """Ranked (length, probability) pairs for the record's target variable,
-    computed from the pre-refactoring side the model would see in use."""
-    return _ranked_lengths(params, vocab, record.code_before, record.variable_before)
-
-
-def generate_tokens(params: ModelParams, vocab: SubwordVocab,
-                    record: RefactoringRecord, g: int) -> list[str]:
-    """Decode g pairwise-distinct sub-token strings for the record."""
+def generate(params: ModelParams, vocab: SubwordVocab, code: str, name: str,
+             g: int) -> Suggestion:
+    """Stage 2: decode ``g`` pairwise-distinct sub-tokens for ``name``."""
     if not 1 <= g <= params.config.max_name_tokens:
         raise LengthOutOfRange(f"g must lie in 1..{params.config.max_name_tokens}")
-    return _suggest_with_length(params, vocab, record.code_before,
-                                record.variable_before, g).sub_tokens
-
-
-def suggest(params: ModelParams, vocab: SubwordVocab,
-            code: str, variable_before: str) -> Suggestion:
-    """End-to-end suggestion: top-1 predicted length, then unique decoding.
-
-    Raises VariableNotFound when the variable does not occur in ``code``.
-    """
-    ranked = _ranked_lengths(params, vocab, code, variable_before)
-    return _suggest_with_length(params, vocab, code, variable_before, ranked[0][0])
-
-
-def _suggest_with_length(params: ModelParams, vocab: SubwordVocab, code: str,
-                         variable_before: str, g: int) -> Suggestion:
-    """Decode ``g`` unique sub-tokens: the part of ``suggest`` after ranking."""
-    slot_probs = _slot_distributions(params, vocab, code, variable_before, g)
-    ids = decode_unique(slot_probs, vocab)
+    slot_probs = slot_distributions(params, vocab, code, name, g)
+    ids = decode_unique(slot_probs)
     sub_tokens = [bpe.token_string(vocab, i) for i in ids]
     candidates = []
     for slot in range(g):
@@ -136,6 +113,16 @@ def _suggest_with_length(params: ModelParams, vocab: SubwordVocab, code: str,
     )
 
 
+def suggest(params: ModelParams, vocab: SubwordVocab,
+            code: str, variable_before: str) -> Suggestion:
+    """End-to-end suggestion: the name generated at the top-ranked length.
+
+    Raises VariableNotFound when the variable does not occur in ``code``.
+    """
+    g = predict_length(params, vocab, code, variable_before)[0][0]
+    return generate(params, vocab, code, variable_before, g)
+
+
 class ModelPredictor:
     """The evaluation protocol over a trained model: ``predictor(record)``
     returns the ranked lengths and the name decoded at the top-ranked
@@ -146,6 +133,6 @@ class ModelPredictor:
         self.vocab = vocab
 
     def __call__(self, record: RefactoringRecord) -> tuple[list[tuple[int, float]], str]:
-        ranked = predict_length(self.params, self.vocab, record)
-        return ranked, _suggest_with_length(self.params, self.vocab, record.code_before,
-                                            record.variable_before, ranked[0][0]).name
+        code, name = record.code_before, record.variable_before
+        ranked = predict_length(self.params, self.vocab, code, name)
+        return ranked, generate(self.params, self.vocab, code, name, ranked[0][0]).name

@@ -52,7 +52,7 @@ SEGMENT_CACHE_LIMIT = 8
 
 
 @functools.lru_cache(maxsize=SEGMENT_CACHE_LIMIT)
-def _segments(code: str, name: str) -> tuple[tuple[str, bool], ...]:
+def segments(code: str, name: str) -> tuple[tuple[str, bool], ...]:
     """Split code into (text, is_occurrence) pieces around the name."""
     spans = javalex.find_identifier_occurrences(code, name)
     if not spans:
@@ -86,7 +86,7 @@ def _window(
     body: list[int] = []
     groups: list[list[int]] = []
     budget = max_seq_len - 2
-    for text, is_occurrence in _segments(code, name):
+    for text, is_occurrence in segments(code, name):
         ids = fill if is_occurrence else bpe.encode(vocab, text)
         if len(body) + len(ids) > budget:
             if not is_occurrence:
@@ -137,9 +137,9 @@ def _apply_mask(
     if g > max_name_tokens:
         raise NameTooLong(
             f"record {record.id}: name has {g} sub-tokens > {max_name_tokens}")
-    slots = g if scheme == SCHEME_CMLM else 1
-    input_ids, groups = masked_sequence(
-        vocab, record.code_after, record.variable_after, scheme, slots, max_seq_len)
+    fill = [MASK] * g if scheme == SCHEME_CMLM else [NUM]
+    input_ids, groups = _window(vocab, record.code_after, record.variable_after,
+                                fill, max_seq_len)
     return MaskedExample(
         input_ids=input_ids,
         mask_positions=groups,

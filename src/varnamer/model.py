@@ -55,7 +55,6 @@ only over the runs of rows that ``R`` reads, and the generator's
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import MISSING, dataclass, fields
 
@@ -343,7 +342,8 @@ def forward(
                        for proj in ("query", "key", "value") for part in ("weight", "bias")]
         context = ad.self_attention(x, *projections, offsets, heads, rows if last else None,
                                     attention_keeps(local), scale)
-        attn_out = drop(_project(params, f"{p}.attention.output", context), local)
+        attn_out = drop(ad.linear(context, params[f"{p}.attention.output.weight"],
+                                  params[f"{p}.attention.output.bias"]), local)
         x = ad.layer_norm(ad.add(xq, attn_out),
                           params[f"{p}.attention_norm.scale"],
                           params[f"{p}.attention_norm.bias"])
@@ -384,35 +384,23 @@ def _drawn_rows(rng: np.random.Generator, rows: np.ndarray, count: int, width: i
     return keep
 
 
-def _project(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
-    return ad.linear(x, params[f"{prefix}.weight"], params[f"{prefix}.bias"])
-
-
-def token_logits(params: ModelParams, hidden_state) -> Tensor:
-    """Project hidden vectors (1-D or row-stacked 2-D) to vocabulary logits."""
+def token_probs(params: ModelParams, hidden_state) -> Tensor:
+    """Vocabulary distributions of hidden vectors (1-D or row-stacked 2-D)."""
     h = ad.as_tensor(hidden_state)
     if params.config.tie_token_head:
         weight = ad.transpose(params["token_embedding"], (1, 0))
     else:
         weight = params["token_head.weight"]
-    return ad.add(ad.matmul(h, weight), params["token_head.bias"])
-
-
-def token_probs(params: ModelParams, hidden_state) -> Tensor:
-    return ad.softmax(token_logits(params, hidden_state))
-
-
-def length_logits(params: ModelParams, cls_vector) -> Tensor:
-    """Scores over 1..max_name_tokens from the [CLS] representation."""
-    h = ad.as_tensor(cls_vector)
-    return ad.add(
-        ad.matmul(h, ad.transpose(params["length_head.weight"], (1, 0))),
-        params["length_head.bias"],
-    )
+    return ad.softmax(ad.add(ad.matmul(h, weight), params["token_head.bias"]))
 
 
 def length_probs(params: ModelParams, cls_vector) -> Tensor:
-    return ad.softmax(length_logits(params, cls_vector))
+    """Distribution over 1..max_name_tokens from the [CLS] representation."""
+    h = ad.as_tensor(cls_vector)
+    return ad.softmax(ad.add(
+        ad.matmul(h, ad.transpose(params["length_head.weight"], (1, 0))),
+        params["length_head.bias"],
+    ))
 
 
 def pool_name_representation(hidden_states, positions: list[int]) -> Tensor:

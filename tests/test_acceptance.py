@@ -72,7 +72,7 @@ def test_loss_analytics():
 def test_gradient_fidelity():
     params, example = gradcheck.toy_model(vocab_size=64, hidden_dim=32,
                                           num_layers=2, seed=0)
-    suite = gradcheck.loss_suite(params, example)
+    suite = gradcheck.loss_suite(example)
     worst = {}
     for name, fn in suite.items():
         # 6 coordinates across each of the 40 tensors: 240 sampled per loss,
@@ -261,7 +261,8 @@ def test_uniqueness_decoding(desk_vocab, toy_records):
         for i in range(100):
             record = toy_records[i % len(toy_records)]
             g = (i % 5) + 1
-            tokens = inference.generate_tokens(params, desk_vocab, record, g)
+            tokens = inference.generate(params, desk_vocab, record.code_before,
+                                        record.variable_before, g).sub_tokens
             assert len(tokens) == g
             assert len(set(tokens)) == g
             count += 1
@@ -278,7 +279,7 @@ def test_uniqueness_decoding(desk_vocab, toy_records):
     table[1, value] = 0.3
     table[2, value] = 0.8
     table[2, pattern] = 0.1
-    ids = inference.decode_unique(table, desk_vocab)
+    ids = inference.decode_unique(table)
     assert ids[0] == field
     assert len(set(ids)) == 3
     assert ids.count(field) == 1

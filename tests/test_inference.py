@@ -37,7 +37,7 @@ class TestDecodeUnique:
         allowed = np.array([False] * specials + [True] * 3)
         for _ in range(300):
             table = rng.dirichlet(np.ones(vocab_size), size=2)
-            got = inference.decode_unique(table, desk_vocab)
+            got = inference.decode_unique(table)
             assert got == brute_force_greedy(table, allowed)
 
     def test_never_repeats(self, desk_vocab):
@@ -45,7 +45,7 @@ class TestDecodeUnique:
         for _ in range(200):
             g = int(rng.integers(1, 6))
             table = rng.dirichlet(np.ones(40), size=g)
-            ids = inference.decode_unique(table, desk_vocab)
+            ids = inference.decode_unique(table)
             assert len(set(ids)) == g
 
     def test_shared_argmax_takes_second_best(self, desk_vocab):
@@ -58,7 +58,7 @@ class TestDecodeUnique:
         table[0, pattern] = 0.05
         table[1, field] = 0.6
         table[1, value] = 0.4
-        ids = inference.decode_unique(table, desk_vocab)
+        ids = inference.decode_unique(table)
         assert ids == [field, value]
 
     def test_specials_never_emitted(self, desk_vocab):
@@ -66,13 +66,13 @@ class TestDecodeUnique:
         table[:, :6] = 0.9  # heavy mass on specials
         table[0, 7] = 0.1
         table[1, 8] = 0.1
-        ids = inference.decode_unique(table, desk_vocab)
+        ids = inference.decode_unique(table)
         assert all(i >= 6 for i in ids)
 
     def test_vocab_exhausted(self, desk_vocab):
         table = np.full((5, 9), 1.0 / 9)  # only 3 non-special candidates
         with pytest.raises(VocabExhausted):
-            inference.decode_unique(table, desk_vocab)
+            inference.decode_unique(table)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +97,8 @@ def overfit_setup(desk_vocab, toy_records):
 class TestPredictLength:
     def test_ranked_shape_and_order(self, desk_vocab, overfit_setup):
         params, records = overfit_setup
-        ranked = inference.predict_length(params, desk_vocab, records[0])
+        ranked = inference.predict_length(params, desk_vocab, records[0].code_before,
+                                          records[0].variable_before)
         lengths = [g for g, _ in ranked]
         probs = [p for _, p in ranked]
         assert sorted(lengths) == [1, 2, 3, 4, 5]
@@ -110,7 +111,8 @@ class TestPredictLength:
         params, records = overfit_setup
         for record in records:
             truth = len(bpe.encode(desk_vocab, record.variable_after))
-            ranked = [g for g, _ in inference.predict_length(params, desk_vocab, record)]
+            ranked = [g for g, _ in inference.predict_length(
+                params, desk_vocab, record.code_before, record.variable_before)]
             assert hit_at_k(ranked, truth, 3) >= hit_at_k(ranked, truth, 1)
 
 
@@ -127,7 +129,8 @@ class TestSuggest:
     def test_pipeline_contracts(self, desk_vocab, overfit_setup):
         params, records = overfit_setup
         record = records[0]
-        ranked = inference.predict_length(params, desk_vocab, record)
+        ranked = inference.predict_length(params, desk_vocab, record.code_before,
+                                          record.variable_before)
         suggestion = inference.suggest(
             params, desk_vocab, record.code_before, record.variable_before)
         assert suggestion.length_used == ranked[0][0]
@@ -148,21 +151,22 @@ class TestSuggest:
                               record.variable_before)
         assert a == b
 
-    def test_generate_tokens_equals_suggest(self, desk_vocab, overfit_setup):
+    def test_generate_equals_suggest(self, desk_vocab, overfit_setup):
         params, records = overfit_setup
         for record in records:
             suggestion = inference.suggest(params, desk_vocab, record.code_before,
                                            record.variable_before)
-            tokens = inference.generate_tokens(params, desk_vocab, record,
-                                               suggestion.length_used)
+            tokens = inference.generate(params, desk_vocab, record.code_before,
+                                        record.variable_before,
+                                        suggestion.length_used).sub_tokens
             assert tokens == suggestion.sub_tokens
 
-    def test_generate_tokens_rejects_a_length_outside_the_head(self, desk_vocab,
-                                                               overfit_setup):
+    def test_generate_rejects_a_length_outside_the_head(self, desk_vocab, overfit_setup):
         params, records = overfit_setup
         for g in (0, params.config.max_name_tokens + 1):
             with pytest.raises(LengthOutOfRange, match=r"g must lie in 1\.\."):
-                inference.generate_tokens(params, desk_vocab, records[0], g)
+                inference.generate(params, desk_vocab, records[0].code_before,
+                                   records[0].variable_before, g)
 
     def test_variable_not_found(self, desk_vocab, overfit_setup):
         params, _ = overfit_setup
@@ -215,7 +219,8 @@ class TestModelPredictor:
         params, records = overfit_setup
         predictor = inference.ModelPredictor(params, desk_vocab)
         for record in (records[1], records[0], records[0], records[2], records[1]):
-            expected = (inference.predict_length(params, desk_vocab, record),
+            expected = (inference.predict_length(params, desk_vocab, record.code_before,
+                                                 record.variable_before),
                         inference.suggest(params, desk_vocab, record.code_before,
                                           record.variable_before).name)
             assert predictor(record) == expected
@@ -272,17 +277,19 @@ class TestServingPrecision:
         wide = as_float64(served)
         assert (served.dtype, wide.dtype) == (np.float32, np.float64)
         for record in records:
-            ranked32 = inference.predict_length(served, desk_vocab, record)
-            ranked64 = inference.predict_length(wide, desk_vocab, record)
+            ranked32 = inference.predict_length(served, desk_vocab, record.code_before,
+                                                record.variable_before)
+            ranked64 = inference.predict_length(wide, desk_vocab, record.code_before,
+                                                record.variable_before)
             assert [g for g, _ in ranked32] == [g for g, _ in ranked64]
             a = inference.suggest(served, desk_vocab, record.code_before,
                                   record.variable_before)
             b = inference.suggest(wide, desk_vocab, record.code_before,
                                   record.variable_before)
             assert (a.name, a.length_used) == (b.name, b.length_used)
-            slots32 = inference._slot_distributions(
+            slots32 = inference.slot_distributions(
                 served, desk_vocab, record.code_before, record.variable_before, a.length_used)
-            slots64 = inference._slot_distributions(
+            slots64 = inference.slot_distributions(
                 wide, desk_vocab, record.code_before, record.variable_before, a.length_used)
             assert slots32.dtype == np.float32
             np.testing.assert_allclose(slots32, slots64, rtol=1e-5)
@@ -293,7 +300,7 @@ class TestLexOnce:
     def lex_calls(self, monkeypatch):
         from varnamer import javalex, masking
 
-        masking._segments.cache_clear()
+        masking.segments.cache_clear()
         calls = []
         lex = javalex.find_identifier_occurrences
 

@@ -128,9 +128,9 @@ class TestEncodeWithPositions:
 
 class TestSegmentMemo:
     def test_memoised_segments_equal_a_fresh_split(self, desk_vocab, toy_records):
-        masking._segments.cache_clear()
+        masking.segments.cache_clear()
         for record in toy_records[:12] + toy_records[:12]:   # second round hits
-            pieces = masking._segments(record.code_after, record.variable_after)
+            pieces = masking.segments(record.code_after, record.variable_after)
             assert isinstance(pieces, tuple)
             assert "".join(text for text, _ in pieces) == record.code_after
             spans = javalex.find_identifier_occurrences(
@@ -139,12 +139,12 @@ class TestSegmentMemo:
                 [record.code_after[a:b] for a, b in spans])
 
     def test_memo_is_bounded(self, toy_records):
-        masking._segments.cache_clear()
+        masking.segments.cache_clear()
         for record in toy_records[:3 * masking.SEGMENT_CACHE_LIMIT]:
-            masking._segments(record.code_after, record.variable_after)
-        assert masking._segments.cache_info().currsize == masking.SEGMENT_CACHE_LIMIT
+            masking.segments(record.code_after, record.variable_after)
+        assert masking.segments.cache_info().currsize == masking.SEGMENT_CACHE_LIMIT
 
     def test_missing_name_raises_every_time(self):
         for _ in range(2):
             with pytest.raises(masking.VariableNotFound):
-                masking._segments("int a = 1;", "missing")
+                masking.segments("int a = 1;", "missing")

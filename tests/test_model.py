@@ -528,9 +528,10 @@ class TestHeads:
         params = model.init_params(config, seed=6)
         assert "token_head.weight" not in params.tensors
         h = np.random.default_rng(2).normal(size=32)
-        logits = model.token_logits(params, h).data
-        expected = h @ params["token_embedding"].data.T + params["token_head.bias"].data
-        np.testing.assert_allclose(logits, expected, atol=1e-12)
+        probs = model.token_probs(params, h).data
+        logits = h @ params["token_embedding"].data.T + params["token_head.bias"].data
+        expected = np.exp(logits - logits.max()) / np.exp(logits - logits.max()).sum()
+        np.testing.assert_allclose(probs, expected, atol=1e-12)
 
     @pytest.mark.parametrize("size", [2, 5, 7])
     def test_resize_length_head_keeps_the_old_rows(self, size):
@@ -763,7 +764,7 @@ class TestGradientCheckContract:
         # sampling) with the smallest analytic gradient: central differences
         # at a 3e-4 step were off by 3.6e-4 relative there, from rounding.
         params, example = gradcheck.toy_model(seed=0)
-        cmlm = gradcheck.loss_suite(params, example)["cmlm"]
+        cmlm = gradcheck.loss_suite(example)["cmlm"]
         cmlm(params).backward()
         name, index = "layer1.attention.query.weight", 834
         analytic = params[name].grad.reshape(-1)[index]
@@ -776,7 +777,7 @@ class TestGradientCheckContract:
         from varnamer import autodiff as ad
 
         params, example = gradcheck.toy_model(seed=0)
-        cmlm = gradcheck.loss_suite(params, example)["cmlm"]
+        cmlm = gradcheck.loss_suite(example)["cmlm"]
         linear = ad.linear
 
         def corrupted_linear(x, w, b):
