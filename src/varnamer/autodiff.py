@@ -39,9 +39,9 @@ rebuilds GELU's input and output from them; ``self_attention`` keeps its
 input and each softmax row's max and sum, not the probabilities, and
 rebuilds the queries, keys and values, then the probabilities with one
 more matrix product, their dropout mask and masked copy. A rebuilt
-array repeats the forward's operations, so it is bit-identical. So are the rows of a
-matrix product rebuilt from those rows of its input (see ``_affine``),
-which lets a backward rebuild block by block and hold one block at a time.
+array repeats the forward's operations, so it is bit-identical. So are, at the
+encoder's default width, the rows of a matrix product rebuilt from those rows of
+its input (see ``_affine``), which lets a backward rebuild block by block.
 
 No reference cycles: an edge never refers to its own ``Tensor`` or to
 itself, and a closure captures only parent nodes and arrays, so the tape
@@ -305,12 +305,17 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, rows: slice | None = No
     """``x @ w + b`` in a new array, or only its ``rows``, computed from
     those rows of ``x``.
 
-    The BLAS sums each entry of a product over the inner axis in one order
-    whatever the number of rows, so a block of rows equals those rows of
-    the full product bit for bit (the tests check it for the encoder's
-    shapes), except a one-row block: numpy runs that as a matrix-vector
-    product, which sums in another order. So a lone row is computed
-    beside a neighbour and taken out of the two-row product.
+    At inner size 128, that of both row-block callers at the default
+    ``hidden_dim`` (``ffn``'s backward rebuilding GELU's input,
+    ``self_attention`` rebuilding Q, K and V per sequence), the BLAS sums
+    each entry over the inner axis in one order whatever the number of
+    rows, so a block of rows equals those rows of the full product bit for
+    bit, except a one-row block: numpy runs that as a matrix-vector
+    product, which sums in another order, so a lone row is computed beside
+    a neighbour and taken out of the two-row product. At inner size 512
+    OpenBLAS breaks this even so (blocks of 1-15 rows at output width 128,
+    of 1-3 rows at 512): at ``hidden_dim`` 512 those rebuilds may differ
+    from the forward pass in the last bits.
     """
     if rows is not None:
         start, stop, _ = rows.indices(len(x))

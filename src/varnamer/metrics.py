@@ -84,7 +84,7 @@ class EvalReport:
 
     ``excluded_reasons`` counts the excluded records by reason and sums to
     ``excluded``: ``too_long`` for a true name over the sub-token limit,
-    otherwise the class name of the error the predictor raised.
+    otherwise the class name of the error the record raised.
     """
 
     dataset: str
@@ -160,9 +160,10 @@ def evaluate_corpus(
 
     ``predictor(record)`` returns a pair: the ranked (length, score) pairs
     and the predicted name. Either half may be None, which leaves that
-    metric family None for the record. Records whose true name exceeds
-    ``max_name_tokens`` sub-tokens, and records on which the predictor
-    raises a ``VarnamerError``, are excluded and counted by reason.
+    metric family None for the record. A record is excluded, and counted
+    by reason, when its true name exceeds ``max_name_tokens`` sub-tokens
+    (``too_long``) or when scoring it raises a ``VarnamerError`` (the
+    error's class name), such as an empty true name or a predictor error.
     Predicted and true names are tokenized with the same vocabulary so
     comparisons are like for like.
     """
@@ -171,38 +172,37 @@ def evaluate_corpus(
     rows: list[ExampleResult] = []
     reasons: Counter[str] = Counter()
     for record in records:
-        truth_tokens = bpe.tokenize_variable(vocab, record.variable_after)
-        if len(truth_tokens) > max_name_tokens:
-            reasons["too_long"] += 1
-            continue
         try:
+            truth_tokens = bpe.tokenize_variable(vocab, record.variable_after)
+            if len(truth_tokens) > max_name_tokens:
+                reasons["too_long"] += 1
+                continue
             ranking, pred_name = predictor(record)
+            hit1 = hit3 = None
+            if ranking is not None:
+                ranked = [length for length, _ in ranking]
+                hit1 = hit_at_k(ranked, len(truth_tokens), 1)
+                hit3 = hit_at_k(ranked, len(truth_tokens), 3)
+            acc = em = ed = cer_value = None
+            if pred_name is not None:
+                pred_tokens = bpe.tokenize_variable(vocab, pred_name) if pred_name else []
+                acc = accuracy(pred_tokens, truth_tokens)
+                em = exact_match(pred_name, record.variable_after)
+                ed = token_edit_distance(pred_tokens, truth_tokens)
+                cer_value = cer(pred_name, record.variable_after)
+            rows.append(ExampleResult(
+                record_id=record.id,
+                prediction=pred_name,
+                truth=record.variable_after,
+                hit1=hit1,
+                hit3=hit3,
+                accuracy=acc,
+                exact_match=em,
+                token_ed=ed,
+                cer=cer_value,
+            ))
         except VarnamerError as exc:
             reasons[type(exc).__name__] += 1
-            continue
-        hit1 = hit3 = None
-        if ranking is not None:
-            ranked = [length for length, _ in ranking]
-            hit1 = hit_at_k(ranked, len(truth_tokens), 1)
-            hit3 = hit_at_k(ranked, len(truth_tokens), 3)
-        acc = em = ed = cer_value = None
-        if pred_name is not None:
-            pred_tokens = bpe.tokenize_variable(vocab, pred_name) if pred_name else []
-            acc = accuracy(pred_tokens, truth_tokens)
-            em = exact_match(pred_name, record.variable_after)
-            ed = token_edit_distance(pred_tokens, truth_tokens)
-            cer_value = cer(pred_name, record.variable_after)
-        rows.append(ExampleResult(
-            record_id=record.id,
-            prediction=pred_name,
-            truth=record.variable_after,
-            hit1=hit1,
-            hit3=hit3,
-            accuracy=acc,
-            exact_match=em,
-            token_ed=ed,
-            cer=cer_value,
-        ))
     return EvalReport(
         dataset=dataset,
         evaluated=len(rows),

@@ -83,13 +83,10 @@ CHECKPOINT_VERSION = 1
 # from this many doubles on, and drawn below it.
 _SKIP_MIN_DRAWS = 1024
 
-_BOOLEANS = {"true": True, "yes": True, "1": True,
-             "false": False, "no": False, "0": False}
-
-
 class TextConfig:
     """The ``key = value`` text form shared by the model and training
-    configurations; blank lines and ``#`` comments are skipped."""
+    configurations, whose values are ints and floats; blank lines and
+    ``#`` comments are skipped."""
 
     def to_text(self) -> str:
         return "\n".join(
@@ -98,16 +95,14 @@ class TextConfig:
 
     @classmethod
     def parse_value(cls, key: str, raw: str):
-        """``raw`` read as field ``key``'s declared type; raises InvalidConfig
+        """``raw`` read as field ``key``'s declared int or float; raises InvalidConfig
         naming the key for an unknown key or a value of another type."""
         kind = {f.name: f.type for f in fields(cls)}.get(key)   # a string: postponed annotations
         if kind is None:
             raise InvalidConfig(f"unknown key {key!r}")
         try:
-            if kind == "bool":
-                return _BOOLEANS[raw.lower()]
             return float(raw) if kind == "float" else int(raw)
-        except (KeyError, ValueError):
+        except ValueError:
             raise InvalidConfig(f"{key} = {raw!r} is not a valid {kind}") from None
 
     @classmethod
@@ -149,7 +144,6 @@ class ModelConfig(TextConfig):
     max_seq_len: int = 512
     max_name_tokens: int = 5
     dropout: float = 0.1
-    tie_token_head: bool = False
 
     def validate(self) -> None:
         for name in ("num_layers", "hidden_dim", "num_heads", "ffn_dim"):
@@ -189,8 +183,7 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"{p}.ffn.out.bias"] = (d,)
         shapes[f"{p}.ffn_norm.scale"] = (d,)
         shapes[f"{p}.ffn_norm.bias"] = (d,)
-    if not config.tie_token_head:
-        shapes["token_head.weight"] = (d, v)
+    shapes["token_head.weight"] = (d, v)
     shapes["token_head.bias"] = (v,)
     shapes["length_head.weight"] = (config.max_name_tokens, d)
     shapes["length_head.bias"] = (config.max_name_tokens,)
@@ -387,11 +380,7 @@ def _drawn_rows(rng: np.random.Generator, rows: np.ndarray, count: int, width: i
 def token_probs(params: ModelParams, hidden_state) -> Tensor:
     """Vocabulary distributions of hidden vectors (1-D or row-stacked 2-D)."""
     h = ad.as_tensor(hidden_state)
-    if params.config.tie_token_head:
-        weight = ad.transpose(params["token_embedding"], (1, 0))
-    else:
-        weight = params["token_head.weight"]
-    return ad.softmax(ad.add(ad.matmul(h, weight), params["token_head.bias"]))
+    return ad.softmax(ad.add(ad.matmul(h, params["token_head.weight"]), params["token_head.bias"]))
 
 
 def length_probs(params: ModelParams, cls_vector) -> Tensor:
@@ -465,7 +454,10 @@ def load_checkpoint(path: str) -> ModelParams:
     """Read a checkpoint, validating tensor shapes against its config.
 
     Tensors come back as float32, as stored (writable copies); training
-    widens them exactly into its float64 master weights.
+    widens them exactly into its float64 master weights. A config text
+    that ends in the line ``tie_token_head = False``, as every checkpoint
+    written while ``ModelConfig`` had that last field does, reads as if it
+    lacked the line; any other use of that key is an unknown key.
 
     A truncated or undecodable file, or one that stores a tensor twice,
     raises CorruptCheckpoint naming the path and the byte offset where
@@ -503,7 +495,8 @@ def load_checkpoint(path: str) -> ModelParams:
     (config_len,) = unpack("<I", "config length")
     config_off = off
     try:
-        config = ModelConfig.from_text(text(config_len, "config"))
+        config_text = text(config_len, "config").removesuffix("tie_token_head = False\n")
+        config = ModelConfig.from_text(config_text)
     except InvalidConfig as exc:
         raise CorruptCheckpoint(f"{path}: config at offset {config_off}: {exc}") from None
 

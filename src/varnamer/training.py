@@ -365,7 +365,10 @@ def _stage(stage: str, build, batch_loss, config: TrainConfig, params: ModelPara
     """Run one training stage: ``build`` makes examples of the training
     and the validation records, within the model's limits (see the module
     docstring), and ``params`` train on ``batch_loss``. ``stage`` names the
-    stage in logs, errors, checkpoints and the log file."""
+    stage in logs, errors, checkpoints and the log file. An epoch's row
+    logs ``loss`` and each term as means over its batches of per-example
+    means, so the λ-weighted terms add up to ``loss``; ``val_loss`` is a
+    per-example mean."""
     config.validate()
     limits = replace(
         config,
@@ -400,14 +403,13 @@ def _stage(stage: str, build, batch_loss, config: TrainConfig, params: ModelPara
     try:
         for epoch in range(config.max_epochs):
             order = rng.permutation(len(examples))
-            epoch_losses: list[float] = []
-            component_sums: dict[str, float] = {}
+            batch_means: dict[str, list[float]] = {"loss": []}
             for batch in _batches(order, config.batch_size):
                 params.zero_grads()
                 seeds = [_dropout_seed(config.seed, epoch, int(i)) for i in batch]
                 total, parts = batch_loss(params, [examples[i] for i in batch], seeds)
                 for key, part in parts.items():
-                    component_sums[key] = component_sums.get(key, 0.0) + part
+                    batch_means.setdefault(key, []).append(part / len(batch))
                 total = ad.scale(total, 1.0 / len(batch))
                 loss_value = total.item()
                 if not np.isfinite(loss_value):
@@ -419,14 +421,9 @@ def _stage(stage: str, build, batch_loss, config: TrainConfig, params: ModelPara
                          if t.grad is not None}
                 adam_update(params, grads, state, config)
                 del grads       # so the next zero_grads frees these gradients
-                epoch_losses.append(loss_value)
-            row: dict[str, float] = {
-                "epoch": float(epoch),
-                "step": float(state.step),
-                "loss": float(np.mean(epoch_losses)),
-            }
-            for key, total_part in component_sums.items():
-                row[key] = total_part / len(examples)
+                batch_means["loss"].append(loss_value)
+            row = {"epoch": float(epoch), "step": float(state.step)}
+            row.update((key, float(np.mean(means))) for key, means in batch_means.items())
             if val_examples:
                 with ad.no_grad():
                     val_total = sum(

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -227,6 +228,18 @@ class TestEvaluateCorpus:
         assert [row.record_id for row in report.rows] == [good[0].id, good[1].id]
         assert report.evaluated == 2 and report.excluded == 1
         assert report.excluded_reasons == {"NameTruncated": 1}
+
+    def test_record_with_an_empty_true_name_is_excluded(self, desk_vocab, toy_records):
+        # tokenizing its true name raised EmptyName outside the per-record
+        # guard, which aborted the run and lost both good rows
+        good = [r for r in toy_records
+                if len(bpe.encode(desk_vocab, r.variable_after)) <= 5][:2]
+        empty = dataclasses.replace(good[0], id="empty", variable_after="")
+        report = metrics.evaluate_corpus(
+            EchoPredictor(desk_vocab), [good[0], empty, good[1]], desk_vocab)
+        assert [row.record_id for row in report.rows] == [good[0].id, good[1].id]
+        assert report.evaluated == 2 and report.excluded == 1
+        assert report.excluded_reasons == {"EmptyName": 1}
 
     def test_em_implies_zero_distances(self, desk_vocab, toy_records):
         report = metrics.evaluate_corpus(

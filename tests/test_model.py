@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varnamer import autodiff as ad
-from varnamer import gradcheck, model
+from varnamer import gradcheck, inference, model
 from varnamer.bpe import CLS, SEP
 from varnamer.errors import (
     CorruptCheckpoint,
@@ -35,32 +35,28 @@ def wrap(ids):
     return [CLS] + list(ids) + [SEP]
 
 
+def with_config_line(blob: bytes, line: str) -> bytes:
+    """A checkpoint's bytes with ``line`` appended to its config text. With
+    ``tie_token_head = False`` these are the bytes a writer whose
+    ``ModelConfig`` still had that last field wrote for the same model."""
+    (size,) = struct.unpack("<I", blob[8:12])
+    text = blob[12:12 + size] + line.encode("utf-8") + b"\n"
+    return blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + size:]
+
+
 class TestConfig:
     def test_head_divisibility(self):
         with pytest.raises(InvalidConfig):
             small_config(hidden_dim=30).validate()
 
     def test_text_roundtrip(self):
-        config = small_config(tie_token_head=True)
+        config = small_config(dropout=0.25)
         parsed = model.ModelConfig.from_text(config.to_text())
         assert parsed == config
 
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidConfig):
             model.ModelConfig.from_text("vocab_size = 64\nwidth = 2\n")
-
-    @pytest.mark.parametrize("raw,value", [
-        ("true", True), ("TRUE", True), ("Yes", True), ("1", True),
-        ("false", False), ("False", False), ("NO", False), ("0", False),
-    ])
-    def test_boolean_words(self, raw, value):
-        config = model.ModelConfig.from_text(f"vocab_size = 64\ntie_token_head = {raw}\n")
-        assert config.tie_token_head is value
-
-    @pytest.mark.parametrize("raw", ["Ture", "", "2", "on", "tru e"])
-    def test_bad_boolean_names_line_and_key(self, raw):
-        with pytest.raises(InvalidConfig, match="line 2: tie_token_head"):
-            model.ModelConfig.from_text(f"vocab_size = 64\ntie_token_head = {raw}\n")
 
     def test_missing_required_key_is_invalid_config(self):
         # ModelConfig(**values) raised TypeError
@@ -523,16 +519,6 @@ class TestHeads:
         assert probs.shape == (5,)
         np.testing.assert_allclose(probs, 0.2, atol=1e-12)
 
-    def test_tied_head_uses_embeddings(self):
-        config = small_config(tie_token_head=True)
-        params = model.init_params(config, seed=6)
-        assert "token_head.weight" not in params.tensors
-        h = np.random.default_rng(2).normal(size=32)
-        probs = model.token_probs(params, h).data
-        logits = h @ params["token_embedding"].data.T + params["token_head.bias"].data
-        expected = np.exp(logits - logits.max()) / np.exp(logits - logits.max()).sum()
-        np.testing.assert_allclose(probs, expected, atol=1e-12)
-
     @pytest.mark.parametrize("size", [2, 5, 7])
     def test_resize_length_head_keeps_the_old_rows(self, size):
         params = model.init_params(small_config(), seed=5)
@@ -655,6 +641,32 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpoint,
                            match=rf"model\.rfbt: tensor 'token_head\.bias' stored a second "
                                  rf"time at offset {len(blob)}$"):
+            model.load_checkpoint(str(path))
+
+    def test_untied_head_line_loads_and_serves_the_same(self, tmp_path, desk_vocab,
+                                                        toy_records):
+        params = model.init_params(small_config(vocab_size=desk_vocab.size, max_seq_len=128),
+                                   seed=7)
+        path = tmp_path / "model.rfbt"
+        model.save_checkpoint(params, str(path))
+        older = tmp_path / "older.rfbt"
+        older.write_bytes(with_config_line(path.read_bytes(), "tie_token_head = False"))
+        new, old = model.load_checkpoint(str(path)), model.load_checkpoint(str(older))
+        assert old.config == new.config
+        assert list(old.tensors) == list(new.tensors)
+        for name, tensor in new.tensors.items():
+            assert np.array_equal(old[name].data, tensor.data), name
+        record = toy_records[0]
+        suggested = [inference.suggest(p, desk_vocab, record.code_before, record.variable_before)
+                     for p in (new, old)]
+        assert suggested[0] == suggested[1]
+
+    @pytest.mark.parametrize("value", ["True", "no", "false"])
+    def test_other_tie_token_head_values_are_corrupt(self, tmp_path, value):
+        path = tmp_path / "model.rfbt"
+        model.save_checkpoint(model.init_params(small_config(), seed=7), str(path))
+        path.write_bytes(with_config_line(path.read_bytes(), f"tie_token_head = {value}"))
+        with pytest.raises(CorruptCheckpoint, match="unknown key 'tie_token_head'"):
             model.load_checkpoint(str(path))
 
     def test_shape_mismatch_rejected(self, tmp_path):
