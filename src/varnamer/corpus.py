@@ -231,16 +231,18 @@ def adapt_corpus(
 def _objects(path: str, fields: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
     """Yield ``(line_no, obj)`` for each non-blank line of a JSONL file.
 
-    ``line_no`` is 1-based. A line that is not JSON, not a JSON object, or
-    that has a field outside ``fields`` raises SchemaViolation.
+    ``line_no`` is 1-based, lines ending as in text mode. A line that is not
+    UTF-8 JSON, not a JSON object, or has a field outside ``fields`` raises SchemaViolation.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
+    with open(path, "rb") as fh:
+        lines = (line for chunk in fh for line in chunk.splitlines(keepends=True))
+        for line_no, raw in enumerate(lines, start=1):
+            try:    # each line decodes alone, so a bad byte names its line
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise SchemaViolation(line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise SchemaViolation(line_no, "line is not a JSON object")

@@ -102,7 +102,7 @@ class UnframedSequence(VarnamerError):
 
 
 class CorruptCheckpoint(VarnamerError):
-    """A checkpoint file is truncated or its bytes cannot be decoded."""
+    """A file is no checkpoint of this version, or is truncated or undecodable."""
 
 
 # --- losses -----------------------------------------------------------------

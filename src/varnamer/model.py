@@ -459,9 +459,9 @@ def load_checkpoint(path: str) -> ModelParams:
     written while ``ModelConfig`` had that last field does, reads as if it
     lacked the line; any other use of that key is an unknown key.
 
-    A truncated or undecodable file, or one that stores a tensor twice,
-    raises CorruptCheckpoint naming the path and the byte offset where
-    reading failed or the second copy starts.
+    A file that is no checkpoint of this version, is truncated or
+    undecodable, or stores a tensor twice raises CorruptCheckpoint naming
+    the path and the byte offset where reading failed or the second copy starts.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -487,11 +487,11 @@ def load_checkpoint(path: str) -> ModelParams:
             raise CorruptCheckpoint(f"{path}: {what} at offset {start} is not UTF-8") from None
 
     if blob[:4] != CHECKPOINT_MAGIC:
-        raise InvalidConfig(f"{path}: bad magic at offset 0, not a checkpoint")
+        raise CorruptCheckpoint(f"{path}: bad magic at offset 0, not a checkpoint")
     off = 4
     (version,) = unpack("<I", "version")
     if version != CHECKPOINT_VERSION:
-        raise InvalidConfig(f"{path}: unsupported version {version}")
+        raise CorruptCheckpoint(f"{path}: unsupported version {version} at offset 4")
     (config_len,) = unpack("<I", "config length")
     config_off = off
     try:

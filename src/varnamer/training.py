@@ -74,6 +74,11 @@ logger = logging.getLogger(__name__)
 COMPUTE_DTYPE = np.float32
 MASTER_DTYPE = np.float64
 
+# BERT's Adam settings (Devlin et al. 2019); an epsilon of 1e-8 sits in float32 gradient noise.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-6
+
 
 @dataclass
 class TrainConfig(model.TextConfig):
@@ -85,9 +90,6 @@ class TrainConfig(model.TextConfig):
     """
 
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-6          # BERT's; 1e-8 sits in float32 gradient noise
     batch_size: int = 16
     max_epochs: int = 50
     seed: int = 0
@@ -109,10 +111,6 @@ class TrainConfig(model.TextConfig):
             raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
             raise InvalidConfig("learning_rate, batch_size, max_epochs must be positive")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise InvalidConfig("adam betas must lie in (0, 1)")
-        if self.adam_epsilon <= 0:
-            raise InvalidConfig("adam_epsilon must be positive")
         if self.tau <= 0:
             raise InvalidConfig("tau must be positive")
         if min(self.lambda_cmlm, self.lambda_bot, self.lambda_cl) < 0:
@@ -147,9 +145,9 @@ def adam_update(
     params: ModelParams,
     grads: dict[str, np.ndarray],
     state: AdamState,
-    config: TrainConfig,
+    learning_rate: float,
 ) -> None:
-    """One Adam step with bias correction.
+    """One Adam step with bias correction at the ``ADAM_*`` settings.
 
     The moments update in float32 from the gradient in float32 (a float32
     gradient is used as it is). Each parameter's float64 master in
@@ -160,9 +158,8 @@ def adam_update(
     float64 parameter. The moments and master update in place.
     """
     state.step += 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
-    correction1 = 1.0 - b1 ** state.step
-    correction2 = 1.0 - b2 ** state.step
+    correction1 = 1.0 - ADAM_BETA1 ** state.step
+    correction2 = 1.0 - ADAM_BETA2 ** state.step
     for name, grad in grads.items():
         tensor = params.tensors[name]
         if grad.shape != tensor.data.shape:
@@ -182,20 +179,20 @@ def adam_update(
         #   master -= lr * (m/c1) / (sqrt(v/c2) + eps)          (float64)
         # in the same order, so the results are bit-identical to it.
         term = np.empty_like(m)
-        m *= b1
-        np.multiply(grad, 1.0 - b1, out=term)
+        m *= ADAM_BETA1
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=term)
         m += term
-        v *= b2
-        np.multiply(grad, 1.0 - b2, out=term)
+        v *= ADAM_BETA2
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=term)
         term *= grad
         v += term
         wide = v.astype(MASTER_DTYPE)               # exact widenings
         update = m.astype(MASTER_DTYPE)
         wide /= correction2
         np.sqrt(wide, out=wide)
-        wide += config.adam_epsilon
+        wide += ADAM_EPSILON
         update /= correction1
-        update *= config.learning_rate
+        update *= learning_rate
         update /= wide
         master -= update
         np.copyto(tensor.data, master)
@@ -419,7 +416,7 @@ def _stage(stage: str, build, batch_loss, config: TrainConfig, params: ModelPara
                 # A tensor the loss does not reach has no gradient and no update.
                 grads = {name: t.grad for name, t in params.tensors.items()
                          if t.grad is not None}
-                adam_update(params, grads, state, config)
+                adam_update(params, grads, state, config.learning_rate)
                 del grads       # so the next zero_grads frees these gradients
                 batch_means["loss"].append(loss_value)
             row = {"epoch": float(epoch), "step": float(state.step)}

@@ -71,11 +71,17 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert cli.run(["--help"]) == 0
 
-    def test_print_config(self, capsys):
+    def test_print_config(self, capsys, tmp_path):
         assert cli.run(["--print-config"]) == 0
         out = capsys.readouterr().out
+        assert len(out.splitlines()) == len(dataclasses.fields(training.TrainConfig)) == 11
         parsed = training.TrainConfig.from_text(out)
         assert parsed == training.TrainConfig()
+        saved = tmp_path / "printed.cfg"
+        saved.write_text(out)
+        args = cli.build_parser().parse_args(["pretrain", "--data", "d.jsonl", "--vocab", "v",
+                                              "--config", str(saved)])
+        assert cli._train_config(args) == training.TrainConfig()
 
     def test_package_runs_as_a_module(self):
         import subprocess
@@ -251,6 +257,41 @@ class TestDataErrors:
         assert f"no rename records from {data}: of {count} functions, excluded" in err
         assert f'"too_short": {count}' in err
         assert not (out / "corpus.jsonl").exists() and not (out / "manifest.json").exists()
+
+    def test_build_corpus_on_a_line_nested_too_deeply_exits_2(self, tmp_path):
+        # json.loads raised RecursionError: a traceback and exit 1
+        import subprocess
+        import sys
+
+        import varnamer
+
+        data = tmp_path / "functions.jsonl"
+        data.write_text(json.dumps({"code": "int f() {\n  int a;\n  return a;\n}"}) + "\n"
+                        + "[" * 100_000 + "\n")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(varnamer.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "varnamer", "build-corpus", "--data", str(data),
+             "--out", str(tmp_path / "built")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: line 2: invalid JSON: maximum recursion depth exceeded")
+        assert not (tmp_path / "built").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("field", ["adam_beta1", "adam_beta2", "adam_epsilon"])
+    def test_config_setting_a_removed_adam_key_names_the_key(self, workspace, tmp_path, capsys,
+                                                             field, value):
+        # Adam runs at training's ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON
+        config = tmp_path / "old.cfg"
+        config.write_text(f"max_epochs = 1\nbatch_size = 8\n{field} = {value}\n")
+        out = tmp_path / "run"
+        code = cli.run(["pretrain", "--data", workspace["corpus"], "--vocab", workspace["vocab"],
+                        "--out", str(out), "--config", str(config)] + _SMALL_MODEL)
+        assert code == 2
+        assert f"config line 3: unknown key '{field}'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(training.TrainConfig)

@@ -189,6 +189,40 @@ class TestOneReader:
             corpus.load_texts(str(path))
         assert excinfo.value.line_no == 2
 
+    @pytest.mark.parametrize("kind", ["functions", "records"])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, toy_records, kind):
+        # the whole-file decode named only a buffer offset
+        good = FUNCTION_LINE if kind == "functions" else _record_line(toy_records[0])
+        loader = corpus.load_functions if kind == "functions" else corpus.load_corpus
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(good.encode("utf-8") + b'\n{"code": "int \xff;"}\n'
+                         + good.encode("utf-8") + b"\n")
+        for load in (loader, corpus.load_texts):
+            with pytest.raises(SchemaViolation) as excinfo:
+                load(str(path))
+            assert excinfo.value.line_no == 2
+            assert excinfo.value.reason.startswith(
+                "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 14")
+
+    def test_a_line_nested_too_deeply_names_its_line(self, tmp_path):
+        # json.loads raised RecursionError
+        path = tmp_path / "deep.jsonl"
+        path.write_text(f"{FUNCTION_LINE}\n{'[' * 100_000}\n")
+        with pytest.raises(SchemaViolation) as excinfo:
+            corpus.load_functions(str(path))
+        assert excinfo.value.line_no == 2
+        assert excinfo.value.reason.startswith("invalid JSON: maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_lines_are_numbered_as_in_text_mode(self, tmp_path, newline):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(newline.join(["", "  ", FUNCTION_LINE, "", "[1, 2]", ""]).encode())
+        with pytest.raises(SchemaViolation) as excinfo:
+            corpus.load_functions(str(path))
+        assert excinfo.value.line_no == 5
+        path.write_bytes(newline.join([FUNCTION_LINE] * 3).encode())
+        assert corpus.load_functions(str(path)) == [CODE] * 3
+
     def test_load_texts_reads_either_format(self, tmp_path, toy_functions, toy_records):
         functions = tmp_path / "functions.jsonl"
         functions.write_text("\n" + "".join(json.dumps({"code": code}) + "\n"

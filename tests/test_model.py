@@ -603,7 +603,18 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.rfbt"
         path.write_bytes(b"XXXX" + b"\0" * 16)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(CorruptCheckpoint,
+                           match=r"bad\.rfbt: bad magic at offset 0, not a checkpoint$"):
+            model.load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("version", [0, 2])
+    def test_unsupported_version_is_corrupt(self, tmp_path, version):
+        path = tmp_path / "model.rfbt"
+        model.save_checkpoint(model.init_params(small_config(), seed=7), str(path))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+        with pytest.raises(CorruptCheckpoint,
+                           match=rf"model\.rfbt: unsupported version {version} at offset 4$"):
             model.load_checkpoint(str(path))
 
     def test_truncated_checkpoint_raises_typed_error(self, tmp_path):
