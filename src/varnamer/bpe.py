@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import CorruptVocab, EmptyCorpus, EmptyName, VocabTooSmall
-from .fileio import atomic_write
+from .fileio import atomic_write, read_text
 
 SPECIAL_TOKENS = ("[CLS]", "[SEP]", "[MASK]", "[NUM]", "[PAD]", "[UNK]")
 CLS, SEP, MASK, NUM, PAD, UNK = range(6)
@@ -259,13 +259,7 @@ def load_vocab(path: str) -> SubwordVocab:
     the path and the 1-based line. The ``#SPECIALS`` section lists every
     special token with its id, in the order of ``SPECIAL_TOKENS``, which
     fixes the ids."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        lines = blob.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise CorruptVocab(path, blob[:exc.start].count(b"\n") + 1,
-                           "not UTF-8") from None
+    lines = read_text(path, lambda line_no: CorruptVocab(path, line_no, "not UTF-8")).splitlines()
     header = lines[0].split() if lines else []
     if len(header) != 3 or header[:2] != ["BPE", "v1"]:
         raise CorruptVocab(path, 1, "not a vocabulary file (expected 'BPE v1 <size>')")

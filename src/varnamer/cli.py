@@ -13,7 +13,6 @@ Every artifact-producing run writes a manifest next to its outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import dataclasses
 import hashlib
@@ -27,13 +26,14 @@ import numpy as np
 from . import __version__, baseline, bpe, corpus, gradcheck, inference, metrics, model, training
 from .errors import (
     EmptyCorpus,
+    MalformedCode,
     NonFiniteGradient,
     NonFiniteLoss,
     ShapeMismatch,
     UsageError,
     VarnamerError,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, read_text, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -255,7 +255,8 @@ def _evaluate(args, predictor, params: model.ModelParams,
               vocab: bpe.SubwordVocab, inputs: tuple[str, ...] = ()) -> None:
     """Evaluate ``predictor`` on --data, capped at --lmax (the checkpoint's
     cap when not given); print the report, and with --out write its
-    report.json, per_example.csv and a manifest of --data, --model, the
+    report.json, per_example.jsonl (one line of ``metrics.ExampleResult``
+    fields per evaluated record) and a manifest of --data, --model, the
     vocabulary and ``inputs``."""
     lmax = params.config.max_name_tokens if args.lmax is None else args.lmax
     report = metrics.evaluate_corpus(predictor, corpus.load_corpus(args.data), vocab,
@@ -267,7 +268,8 @@ def _evaluate(args, predictor, params: model.ModelParams,
         os.makedirs(args.out, exist_ok=True)
         with atomic_write(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
-        report.write_csv(os.path.join(args.out, "per_example.csv"))
+        write_jsonl(os.path.join(args.out, "per_example.jsonl"),
+                    (dataclasses.asdict(row) for row in report.rows))
         _write_manifest(args.out, args.command, args,
                         [args.data, args.model, _resolve_vocab(args), *inputs],
                         model_dtype=str(params.dtype))
@@ -349,8 +351,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_suggest(args) -> int:
     params, vocab = _load_model(args.model, _resolve_vocab(args))
-    with open(args.code, "r", encoding="utf-8") as fh:
-        code = fh.read()
+    code = read_text(args.code, lambda line_no: MalformedCode(
+        f"{args.code}: line {line_no}: not UTF-8"))
     suggestion = inference.suggest(params, vocab, code, args.var)
     print(json.dumps(suggestion.to_json_dict(record_id=args.code)))
     return 0
@@ -387,8 +389,9 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_sweep(args) -> int:
     """One finetune-tg + evaluate run per value, from the same seed and base
-    checkpoint; writes a CSV of parameter value vs accuracy and the number
-    of records evaluated, which is 0 where the accuracy is null. It scores
+    checkpoint; writes sweep_<param>.jsonl, one line per value with its
+    accuracy, the number of records evaluated (0 where the accuracy is
+    null) and the exclusions, the rows it prints under ``rows``. It scores
     the validation records, else the test records, else the training
     records, and names that split in its JSON as ``scored_split``."""
     values = [v.strip() for v in args.values.split(",") if v.strip()]
@@ -420,16 +423,12 @@ def _cmd_sweep(args) -> int:
         rows.append({"value": value, "accuracy": report.accuracy,
                      "evaluated": report.evaluated,
                      "excluded_reasons": dict(sorted(report.excluded_reasons.items()))})
-    csv_path = os.path.join(out_dir, f"sweep_{args.param}.csv")
-    with atomic_write(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "value", "accuracy", "evaluated"])
-        writer.writerows([args.param, row["value"], row["accuracy"], row["evaluated"]]
-                         for row in rows)
+    path = os.path.join(out_dir, f"sweep_{args.param}.jsonl")
+    write_jsonl(path, rows)
     _write_manifest(out_dir, "sweep", args, [args.data, args.model, args.vocab],
                     training_precision=TRAINING_PRECISION)
     print(json.dumps({"parameter": args.param, "scored_split": scored_split,
-                      "rows": rows, "csv": csv_path}))
+                      "rows": rows, "path": path}))
     return 0
 
 

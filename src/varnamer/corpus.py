@@ -26,7 +26,7 @@ from .errors import (
     PoolExhausted,
     SchemaViolation,
 )
-from .fileio import atomic_write
+from .fileio import write_jsonl
 
 SPLITS = ("train", "validation", "test")
 
@@ -299,6 +299,4 @@ def load_texts(path: str) -> list[str]:
 
 
 def save_corpus(records: list[RefactoringRecord], path: str) -> None:
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(asdict(record), ensure_ascii=False) + "\n")
+    write_jsonl(path, (asdict(record) for record in records))

@@ -8,7 +8,7 @@ class VarnamerError(Exception):
 # --- corpus -----------------------------------------------------------------
 
 class MalformedCode(VarnamerError):
-    """Input is empty or has unbalanced braces."""
+    """Input is empty, not UTF-8, or has unbalanced braces."""
 
 
 class NoVariables(VarnamerError):

@@ -3,7 +3,6 @@ token-level edit distance, character error rate, and corpus aggregation."""
 
 from __future__ import annotations
 
-import csv
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -12,7 +11,6 @@ from . import bpe
 from .bpe import SubwordVocab
 from .corpus import RefactoringRecord
 from .errors import EmptyTruth, InvalidConfig, VarnamerError
-from .fileio import atomic_write
 
 
 def hit_at_k(ranked: list[int], truth: int, k: int) -> int:
@@ -115,18 +113,6 @@ class EvalReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
-
-    def write_csv(self, path: str) -> None:
-        with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "prediction", "truth", "hit1", "hit3",
-                             "accuracy", "exact_match", "token_ed", "cer"])
-            for row in self.rows:
-                writer.writerow([
-                    row.record_id, row.prediction, row.truth, row.hit1,
-                    row.hit3, row.accuracy, row.exact_match, row.token_ed,
-                    row.cer,
-                ])
 
     def summary_table(self) -> str:
         def fmt(value, digits=3):

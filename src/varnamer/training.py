@@ -42,7 +42,6 @@ reproduces the same checkpoints bit for bit under one BLAS setting.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import os
@@ -64,7 +63,7 @@ from .errors import (
     NoTrainingExamples,
     ShapeMismatch,
 )
-from .fileio import atomic_write
+from .fileio import read_text, write_jsonl
 from .model import ModelParams
 
 logger = logging.getLogger(__name__)
@@ -124,8 +123,8 @@ class TrainConfig(model.TextConfig):
 
     @classmethod
     def from_file(cls, path: str) -> "TrainConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        return cls.from_text(read_text(
+            path, lambda line_no: InvalidConfig(f"config line {line_no}: not UTF-8")))
 
 
 # --- optimizer ---------------------------------------------------------------
@@ -202,12 +201,14 @@ def adam_update(
 
 @dataclass
 class TgExample:
-    """Stage-2 unit: the masked input and the input before the rename. The
-    input after it is the masked input with its targets restored."""
+    """Stage-2 unit: the masked input and the input before the rename, which
+    is ``None`` when ``lambda_cl`` is 0, since only the contrastive term
+    reads it. The input after it is the masked input with its targets
+    restored."""
 
     masked: masking.MaskedExample
-    before_ids: list[int]
-    before_positions: list[int]
+    before_ids: list[int] | None
+    before_positions: list[int] | None
 
 
 def _build(records: list[RefactoringRecord], make) -> tuple[list, dict[str, int]]:
@@ -242,6 +243,8 @@ def build_tg_dataset(vocab: SubwordVocab, records: list[RefactoringRecord],
     def make(record: RefactoringRecord) -> TgExample:
         masked = masking.apply_cmlm_mask(
             vocab, record, config.max_seq_len, config.max_name_tokens)
+        if config.lambda_cl == 0.0:
+            return TgExample(masked=masked, before_ids=None, before_positions=None)
         before_ids, before_groups = masking.encode_with_positions(
             vocab, record.code_before, record.variable_before, config.max_seq_len)
         return TgExample(masked=masked, before_ids=before_ids,
@@ -362,10 +365,12 @@ def _stage(stage: str, build, batch_loss, config: TrainConfig, params: ModelPara
     """Run one training stage: ``build`` makes examples of the training
     and the validation records, within the model's limits (see the module
     docstring), and ``params`` train on ``batch_loss``. ``stage`` names the
-    stage in logs, errors, checkpoints and the log file. An epoch's row
-    logs ``loss`` and each term as means over its batches of per-example
-    means, so the λ-weighted terms add up to ``loss``; ``val_loss`` is a
-    per-example mean."""
+    stage in logs, errors, checkpoints and ``<stage>-log.jsonl``. That log
+    is rewritten after each epoch's checkpoint with the rows of ``history``
+    so far, so a stage that stops keeps the log of the epochs it finished.
+    An epoch's row logs ``loss`` and each term as means over its batches of
+    per-example means, so the λ-weighted terms add up to ``loss``;
+    ``val_loss`` is a per-example mean."""
     config.validate()
     limits = replace(
         config,
@@ -432,6 +437,7 @@ def _stage(stage: str, build, batch_loss, config: TrainConfig, params: ModelPara
                         " ".join(f"{k}={v:.4f}" for k, v in row.items() if k != "epoch"))
             if out_dir:
                 model.save_checkpoint(params, os.path.join(out_dir, f"{stage}-epoch{epoch}.rfbt"))
+                write_jsonl(os.path.join(out_dir, f"{stage}-log.jsonl"), history)
             if val_examples:
                 if row["val_loss"] < best_val - 1e-12:
                     best_val = row["val_loss"]
@@ -449,21 +455,7 @@ def _stage(stage: str, build, batch_loss, config: TrainConfig, params: ModelPara
     finally:
         for name, data in final.items():
             params.tensors[name].data = data
-    if out_dir:
-        _write_log(os.path.join(out_dir, f"{stage}-log.csv"), history)
     return TrainResult(params=params, history=history)
-
-
-def _write_log(path: str, history: list[dict[str, float]]) -> None:
-    columns = ["epoch", "step", "loss"]
-    for row in history:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        writer.writerows(history)
 
 
 # --- stages ------------------------------------------------------------------

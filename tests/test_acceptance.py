@@ -308,7 +308,7 @@ def test_ablation_reachability(desk_vocab, toy_records, tmp_path):
         assert len(result.history) == 2
         assert all(np.isfinite(row["loss"]) for row in result.history)
 
-    # sweep subcommand emits the parameter-vs-accuracy CSV
+    # sweep subcommand emits the parameter-vs-accuracy rows as JSON lines
     corpus_path = tmp_path / "corpus.jsonl"
     corpus.save_corpus(records, str(corpus_path))
     vocab_path = tmp_path / "vocab.txt"
@@ -331,12 +331,13 @@ def test_ablation_reachability(desk_vocab, toy_records, tmp_path):
                         "--vocab", str(vocab_path),
                         "--out", str(out_dir)])
         assert code == 0
-        lines = (out_dir / f"sweep_{param}.csv").read_text().splitlines()
-        assert lines[0] == "parameter,value,accuracy,evaluated"
-        assert len(lines) == rows + 1
-        listed = [line.split(",")[1] for line in lines[1:]]
+        parsed = [json.loads(line)
+                  for line in (out_dir / f"sweep_{param}.jsonl").read_text().splitlines()]
+        assert all({"value", "accuracy", "evaluated"} <= set(row) for row in parsed)
+        assert len(parsed) == rows
+        listed = [str(row["value"]) for row in parsed]
         assert listed == [str(float(v)) for v in values.split(",")]
-    return "4 loss variants trained; tau and lambda sweeps emitted CSVs"
+    return "4 loss variants trained; tau and lambda sweeps emitted JSON lines"
 
 
 # --- 9: directional bag-of-tokens effect --------------------------------------

@@ -10,7 +10,7 @@ import struct
 import numpy as np
 import pytest
 
-from varnamer import bpe, cli, corpus, model, training
+from varnamer import bpe, cli, corpus, fileio, inference, metrics, model, training
 
 import toycorpus
 
@@ -171,6 +171,31 @@ class TestDataErrors:
                         "--out", str(tmp_path / "run"), "--config", str(config)])
         assert code == 2
         assert "line 2: unknown key 'dropout'" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_names_its_line(self, workspace, tmp_path, capsys):
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes(b"max_epochs = 1\n# caf\xff\nseed = 2\n")
+        code = cli.run(["pretrain", "--data", workspace["corpus"], "--vocab", workspace["vocab"],
+                        "--out", str(tmp_path / "run"), "--config", str(config)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: config line 2: not UTF-8\n"
+
+    def test_code_that_is_not_utf8_names_the_file_and_its_line(self, workspace, tmp_path,
+                                                               capsys):
+        source = tmp_path / "latin1.java"
+        source.write_bytes(b"int f() {\n  int caf\xe9 = 1;\n  return 0;\n}")
+        code = cli.run(["suggest", "--model", workspace["model"],
+                        "--code", str(source), "--var", "x"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {source}: line 2: not UTF-8\n"
+
+    @pytest.mark.parametrize("text", ["a\r\nb\n", "a\rb\r\n\rc\n\n", "café\r\n",
+                                      "\r", "x\u2028y\x0bz\x85", "no newline"])
+    def test_text_is_read_as_text_mode_reads_it(self, tmp_path, text):
+        path = tmp_path / "code.java"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            assert fileio.read_text(str(path), AssertionError) == fh.read()
 
     def test_config_with_a_repeated_key_names_both_lines(self, workspace, tmp_path, capsys):
         # the last value won silently
@@ -495,7 +520,22 @@ class TestHappyPaths:
         assert manifest["model_dtype"] == "float32"
         assert manifest["numeric_environment"]["numpy"] == np.__version__
         assert json.loads((out / "report.json").read_text())["evaluated"] > 0
-        assert (out / "per_example.csv").exists()
+        assert (out / "per_example.jsonl").exists()
+
+    def test_per_example_lines_are_the_report_rows(self, workspace, tmp_path, capsys):
+        out = tmp_path / "report"
+        code = cli.run(["evaluate", "--model", workspace["model"],
+                        "--data", workspace["corpus"], "--out", str(out)])
+        assert code == 0
+        params = model.load_checkpoint(workspace["model"])
+        vocab = bpe.load_vocab(workspace["vocab"])
+        report = metrics.evaluate_corpus(
+            inference.ModelPredictor(params, vocab), workspace["records"], vocab,
+            max_name_tokens=params.config.max_name_tokens)
+        lines = (out / "per_example.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in lines] == [
+            dataclasses.asdict(row) for row in report.rows]
+        assert len(lines) == report.evaluated > 0
 
     def test_evaluate_excludes_a_record_past_the_window(self, workspace, tmp_path, capsys):
         # The checkpoint reads 128 tokens; ``late`` names its variable only after them.
@@ -545,7 +585,7 @@ class TestHappyPaths:
         result = json.loads(capsys.readouterr().out)
         assert os.path.exists(result["checkpoint"])
         assert (out / "manifest.json").exists()
-        assert (out / "pretrain-log.csv").exists()
+        assert (out / "pretrain-log.jsonl").exists()
 
     def test_pretrain_dropout_sets_the_model_rate(self, workspace, tmp_path, capsys):
         code = cli.run(["pretrain", "--data", workspace["corpus"], "--vocab", workspace["vocab"],
@@ -802,7 +842,7 @@ def _quick_config(tmp_path) -> str:
 
 
 class TestSweep:
-    def test_tau_sweep_csv_shape(self, workspace, tmp_path, capsys):
+    def test_tau_sweep_rows(self, workspace, tmp_path, capsys):
         out = tmp_path / "sweep"
         config = tmp_path / "sweep.cfg"
         config.write_text(training.TrainConfig(
@@ -815,11 +855,11 @@ class TestSweep:
                        "--vocab", workspace["vocab"],
                        "--out", str(out)])
         assert code == 0
-        lines = (out / "sweep_tau.csv").read_text().splitlines()
-        assert lines[0] == "parameter,value,accuracy,evaluated"
-        assert len(lines) == 4
-        values = [line.split(",")[1] for line in lines[1:]]
-        assert values == ["0.02", "0.05", "0.1"]
+        result = json.loads(capsys.readouterr().out)
+        assert result["path"] == str(out / "sweep_tau.jsonl")
+        rows = [json.loads(line) for line in (out / "sweep_tau.jsonl").read_text().splitlines()]
+        assert rows == result["rows"]
+        assert [row["value"] for row in rows] == [0.02, 0.05, 0.1]
 
     def test_all_train_corpus_is_scored_on_its_training_records(self, workspace, tmp_path,
                                                                capsys):
@@ -844,8 +884,8 @@ class TestSweep:
                        "--vocab", workspace["vocab"],
                        "--out", str(out)])
         assert code == 0
-        lines = (out / "sweep_lambda_bot.csv").read_text().splitlines()
-        assert len(lines) == 2
+        lines = (out / "sweep_lambda_bot.jsonl").read_text().splitlines()
+        assert len(lines) == 1
 
     def test_lmax_sweep_resizes_the_length_head(self, workspace, tmp_path, capsys):
         out = tmp_path / "sweep_lmax"
@@ -856,8 +896,8 @@ class TestSweep:
                        "--vocab", workspace["vocab"],
                        "--out", str(out)])
         assert code == 0
-        lines = (out / "sweep_lmax.csv").read_text().splitlines()
-        assert [line.split(",")[:2] for line in lines[1:]] == [["lmax", "2"], ["lmax", "4"]]
+        lines = (out / "sweep_lmax.jsonl").read_text().splitlines()
+        assert [json.loads(line)["value"] for line in lines] == [2, 4]
 
     def test_null_accuracy_comes_with_its_exclusions(self, workspace, desk_vocab, tmp_path,
                                                     capsys):
@@ -886,6 +926,5 @@ class TestSweep:
                          "excluded_reasons": {"too_long": held_out}}
         assert full["accuracy"] is not None and full["evaluated"] == held_out
         assert full["excluded_reasons"] == {}
-        lines = (out / "sweep_lmax.csv").read_text().splitlines()
-        assert [line.split(",") for line in lines[1:]] == [
-            ["lmax", "2", "", "0"], ["lmax", "3", str(full["accuracy"]), str(held_out)]]
+        lines = (out / "sweep_lmax.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [short, full]

@@ -1,7 +1,7 @@
 import hashlib
 import inspect
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -81,6 +81,14 @@ class TestCorpusIo:
         corpus.save_corpus(toy_records[:3], str(path))
         loaded = corpus.load_corpus(str(path))
         assert loaded == toy_records[:3]
+
+    def test_saved_bytes_are_one_unescaped_json_line_per_record(self, tmp_path, toy_records):
+        records = toy_records + [replace(toy_records[0], id="café-1")]
+        path = tmp_path / "corpus.jsonl"
+        corpus.save_corpus(records, str(path))
+        assert path.read_bytes() == "".join(
+            json.dumps(asdict(r), ensure_ascii=False) + "\n" for r in records).encode("utf-8")
+        assert "café-1".encode("utf-8") in path.read_bytes()
 
     def test_equal_names_rejected(self, tmp_path):
         record = dict(

@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varnamer import bpe, inference, metrics, model
+from varnamer import bpe, fileio, inference, metrics, model
 from varnamer.errors import EmptyTruth, InvalidConfig
 
 import toycorpus
@@ -249,16 +250,15 @@ class TestEvaluateCorpus:
                 assert row.token_ed == 0
                 assert row.cer == 0.0
 
-    def test_csv_and_json_outputs(self, desk_vocab, toy_records, tmp_path):
-        import json
-
+    def test_jsonl_and_json_outputs(self, desk_vocab, toy_records, tmp_path):
         report = metrics.evaluate_corpus(
             EchoPredictor(desk_vocab), toy_records[:5], desk_vocab)
         parsed = json.loads(report.to_json())
         assert parsed["evaluated"] == 5
-        csv_path = tmp_path / "rows.csv"
-        report.write_csv(str(csv_path))
-        lines = csv_path.read_text().splitlines()
-        assert len(lines) == 6
-        assert lines[0].startswith("id,prediction,truth")
+        rows = [dataclasses.asdict(row) for row in report.rows]
+        path = tmp_path / "rows.jsonl"
+        fileio.write_jsonl(str(path), rows)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in lines] == rows
+        assert len(lines) == 5 and set(rows[0]) >= {"record_id", "prediction", "truth"}
         assert "Hit@1" in report.summary_table()

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import gc
+import json
 import math
 import tracemalloc
 import weakref
@@ -239,6 +240,27 @@ class TestDatasets:
             assert ex.before_positions
             assert ex.masked.flat_positions
 
+    def test_before_input_is_built_only_for_the_contrastive_term(self, monkeypatch):
+        # merge-free: the before name takes 8 tokens and overflows the window
+        vocab = bpe.SubwordVocab([])
+        record = toycorpus.make_record("r", "void f() { int x = 1; }", "x", "abcdefgh")
+        kept, stats = training.build_cmlm_dataset(
+            vocab, [record], training.TrainConfig(lambda_cl=0.0, max_seq_len=18))
+        assert len(kept) == 1 and stats["truncated"] == 0
+        encode = masking.encode_with_positions
+        calls = []
+        monkeypatch.setattr(masking, "encode_with_positions",
+                            lambda *a: calls.append(a) or encode(*a))
+        examples, stats = training.build_tg_dataset(
+            vocab, [record], training.TrainConfig(lambda_cl=0.0, max_seq_len=18))
+        assert stats == {"too_long": 0, "truncated": 0}
+        assert examples[0].before_ids is None and examples[0].before_positions is None
+        assert calls == []
+        examples, stats = training.build_tg_dataset(
+            vocab, [record], training.TrainConfig(lambda_cl=1.0, max_seq_len=18))
+        assert examples == [] and stats["truncated"] == 1
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("stage", ["pretrain", "finetune_lp", "finetune_tg"])
     @pytest.mark.parametrize("max_seq_len,max_name_tokens", [(40, 5), (128, 2)])
     def test_config_cannot_widen_the_model(self, desk_vocab, toy_records, stage,
@@ -466,13 +488,30 @@ class TestLoops:
     def test_checkpoints_and_log_written(self, desk_vocab, toy_records, tmp_path):
         params = tiny_model(desk_vocab)
         config = tiny_train_config(max_epochs=2)
-        training.pretrain(config, params, toy_records[:8], desk_vocab,
-                          out_dir=str(tmp_path))
+        result = training.pretrain(config, params, toy_records[:8], desk_vocab,
+                                   out_dir=str(tmp_path))
         assert (tmp_path / "pretrain-epoch0.rfbt").exists()
         assert (tmp_path / "pretrain-epoch1.rfbt").exists()
-        log = (tmp_path / "pretrain-log.csv").read_text().splitlines()
-        assert log[0].startswith("epoch,step,loss")
-        assert len(log) == 3
+        log = (tmp_path / "pretrain-log.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in log] == result.history
+        assert len(log) == 2
+
+    def test_a_stage_that_stops_keeps_the_log_of_its_finished_epochs(
+            self, desk_vocab, toy_records, tmp_path, monkeypatch):
+        cmlm_batch_loss = training.cmlm_batch_loss
+
+        def nan_from_epoch_1(params, examples, seeds):
+            total, parts = cmlm_batch_loss(params, examples, seeds)
+            if (tmp_path / "pretrain-epoch0.rfbt").exists():
+                total = ad.scale(total, float("nan"))
+            return total, parts
+
+        monkeypatch.setattr(training, "cmlm_batch_loss", nan_from_epoch_1)
+        with pytest.raises(NonFiniteLoss, match="at epoch 1"):
+            training.pretrain(tiny_train_config(max_epochs=3), tiny_model(desk_vocab),
+                              toy_records[:8], desk_vocab, out_dir=str(tmp_path))
+        log = (tmp_path / "pretrain-log.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["epoch"] for line in log] == [0.0]
 
 
 def graph_nodes(*outputs):
